@@ -2,7 +2,10 @@
 
 The hot inner loops (segment interpretation and thread application) exist
 twice: a Cython extension and a pure-Python fallback with the same contract.
-The compiled one is preferred; set PGA_HOARE_PURE=1 to force the fallback.
+The compiled one is preferred for single runs; set PGA_HOARE_PURE=1 to force
+the fallback.  Runs that share an outcome table (one judgment's runs over
+many states) always use the pure segment loop, the only one that takes a
+table.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ INACTIVE = _kernels_py.INACTIVE
 BUDGET = _kernels_py.BUDGET
 
 run_segment_kernel = _impl.run_segment_kernel
+run_segment_tabled = _kernels_py.run_segment_kernel
 apply_kernel = _impl.apply_kernel
 
 

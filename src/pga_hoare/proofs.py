@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .formulas import (And, Eq, Exists, FALSE, Formula, Implies, Not, Or,
-                       ReplyLit, ReplyT, TRUE, Var, alpha_eq, format_formula,
-                       free_foci, free_vars, parse_formula, subst_derive,
-                       substitute)
+                       ReplyLit, ReplyT, SortError, TRUE, Var, alpha_eq,
+                       format_formula, free_foci, free_vars, parse_formula,
+                       subst_derive, substitute)
 from .judgments import AssertedSeq, format_asserted, parse_asserted
 from .segments import Verdict
 from .services import AlgebraConfig, Reply
@@ -724,8 +724,9 @@ class _Checker:
             if x in free_vars(c.post):
                 self.fail(path, "R8: the bound variable occurs free in Q")
                 ok = False
-        except Exception:
-            pass
+        except SortError as exc:
+            self.fail(path, f"R8: {exc}")
+            ok = False
         if (term_atoms(c.term) != term_atoms(p.term)
                 or c.entry != p.entry or c.exit != p.exit
                 or not alpha_eq(c.post, p.post)):

@@ -3,7 +3,9 @@
 run_segment interprets an instruction sequence directly with a program
 counter, starting at entry instruction b.  holds decides an asserted
 sequence by enumerating states over the configured algebra and running each
-P-state; strongest_post computes the image of the P-states.
+P-state; strongest_post computes the image of the P-states.  The runs of one
+judgment share an outcome table (see _Runner), so the judgment's state graph
+is explored once rather than once per state.
 """
 
 from __future__ import annotations
@@ -91,17 +93,59 @@ def run_canonical(c: CanonicalSequence, b: int, u: ServiceFamily,
     if kernels.encodable_family(u):
         foci, kinds, contents = kernels.encode_family(u)
         enc = kernels.encode_canonical(c, foci, kinds)
-        outcome, off, final = kernels.run_segment_kernel(
+        code, off, final = kernels.run_segment_kernel(
             *enc, len(c.prefix), len(c.period or ()), b, kinds, contents,
             cfg.state_bound)
-        if outcome == kernels.HALTED:
-            return Halted(kernels.decode_family(foci, kinds, final))
-        if outcome == kernels.EXITED:
-            return Exited(off, kernels.decode_family(foci, kinds, final))
-        if outcome == kernels.INACTIVE:
-            return INACTIVE
-        return BUDGET_OUT
+        return _outcome(code, off, final, foci, kinds)
     return _run_generic(c, b, u, cfg)
+
+
+def _outcome(code, off, final, foci, kinds):
+    if code == kernels.HALTED:
+        return Halted(kernels.decode_family(foci, kinds, final))
+    if code == kernels.EXITED:
+        return Exited(off, kernels.decode_family(foci, kinds, final))
+    if code == kernels.INACTIVE:
+        return INACTIVE
+    return BUDGET_OUT
+
+
+class _Runner:
+    """run_canonical(c, b, u, cfg) for many states u of one judgment.
+
+    The sequence is encoded once per family layout (foci and service
+    kinds), and the runs of one layout share one outcome table of the pure
+    segment loop.  Each run keeps its own step budget, so every outcome
+    equals what run_canonical returns for that state.  Runs ending in the
+    same contents share one decoded outcome.  Families with custom service
+    kinds fall back to run_canonical.
+    """
+
+    def __init__(self, c: CanonicalSequence, b: int, cfg: AlgebraConfig):
+        self.c, self.b, self.cfg = c, b, cfg
+        self._layouts = {}  # (foci, kinds) -> (encoding, table, outcomes)
+
+    def run(self, u: ServiceFamily):
+        c = self.c
+        if not kernels.encodable_family(u):
+            return run_canonical(c, self.b, u, self.cfg)
+        foci, kinds, contents = kernels.encode_family(u)
+        layout = (tuple(foci), tuple(kinds))
+        shared = self._layouts.get(layout)
+        if shared is None:
+            shared = (kernels.encode_canonical(c, foci, kinds), {}, {})
+            self._layouts[layout] = shared
+        enc, table, outcomes = shared
+        code, off, final = kernels.run_segment_tabled(
+            *enc, len(c.prefix), len(c.period or ()), self.b, kinds, contents,
+            self.cfg.state_bound, table)
+        if final is None:
+            return _outcome(code, off, final, foci, kinds)
+        key = (code, off, tuple(final))
+        outcome = outcomes.get(key)
+        if outcome is None:
+            outcome = outcomes[key] = _outcome(code, off, final, foci, kinds)
+        return outcome
 
 
 def _run_generic(c: CanonicalSequence, b: int, u: ServiceFamily,
@@ -195,11 +239,21 @@ def holds(phi: AssertedSeq, cfg: AlgebraConfig = _DEFAULT_CFG) -> Verdict:
     outright.  Otherwise every enumerated P-state must run to an outcome
     compatible with the exit annotation and satisfy Q there.
     """
+    return _decide(phi, cfg)[0]
+
+
+def _decide(phi: AssertedSeq, cfg: AlgebraConfig):
+    """(verdict, image): the verdict of holds(phi, cfg) and the states in
+    which runs from P-states reach the exit annotation.  The image is
+    complete when the verdict is holds."""
     c = normalize(phi.term)
+    image: Set[ServiceFamily] = set()
     if phi.entry > c.length:
         return Verdict("fails", reason="entry beyond segment",
-                       witness=None)
+                       witness=None), image
     pairs, exhaustive = _judgment_space(phi, cfg)
+    runner = _Runner(c, phi.entry, cfg)
+    post_values = {}  # (final state, valuation items) -> value of Q
     undecided = None
     for state, valuation in pairs:
         pv = eval_formula(phi.pre, state, cfg, valuation)
@@ -208,26 +262,35 @@ def holds(phi: AssertedSeq, cfg: AlgebraConfig = _DEFAULT_CFG) -> Verdict:
         if pv is None:
             undecided = "precondition undecided within the quantifier bound"
             continue
-        outcome = run_canonical(c, phi.entry, state, cfg)
+        outcome = runner.run(state)
         if isinstance(outcome, Inactive):
             continue
         if isinstance(outcome, BudgetOut):
             undecided = "step budget exhausted on some run"
             continue
         if phi.exit == 0:
-            if not isinstance(outcome, Halted):
-                return Verdict("fails", witness=(state, valuation, outcome))
+            reached = isinstance(outcome, Halted)
         else:
-            if not (isinstance(outcome, Exited) and outcome.offset == phi.exit):
-                return Verdict("fails", witness=(state, valuation, outcome))
-        qv = eval_formula(phi.post, outcome.state, cfg, valuation)
-        if qv is False:
-            return Verdict("fails", witness=(state, valuation, outcome))
+            reached = (isinstance(outcome, Exited)
+                       and outcome.offset == phi.exit)
+        if reached:
+            key = (outcome.state, tuple(valuation.items()))
+            if key not in post_values:
+                post_values[key] = eval_formula(phi.post, outcome.state, cfg,
+                                                valuation)
+            qv = post_values[key]
+        if not reached or qv is False:
+            witness = (state, valuation, outcome)
+            return Verdict("fails", witness=witness), image
+        image.add(outcome.state)
         if qv is None:
             undecided = "postcondition undecided within the quantifier bound"
     if undecided:
-        return Verdict("unknown", reason=undecided, bound=cfg.state_bound)
-    return Verdict("holds", bounded=not exhaustive, bound=cfg.state_bound)
+        verdict = Verdict("unknown", reason=undecided, bound=cfg.state_bound)
+    else:
+        verdict = Verdict("holds", bounded=not exhaustive,
+                          bound=cfg.state_bound)
+    return verdict, image
 
 
 # ---------------------------------------------------------------------------
@@ -270,20 +333,9 @@ def strongest_post(pre: Formula, s: SequenceTerm, b: int, e: int,
     Defined only when {b|P} S {e|true} holds; otherwise no post-condition
     exists for this exit and a ValueError is raised.
     """
-    guard = holds(AssertedSeq(b, pre, s, e, TRUE), cfg)
+    guard, image = _decide(AssertedSeq(b, pre, s, e, TRUE), cfg)
     if guard.kind == "fails":
         raise ValueError("no post-condition exists for this e")
     if guard.kind == "unknown":
         raise ValueError(f"existence undecided: {guard.reason}")
-    c = normalize(s)
-    pairs, _ = _judgment_space(AssertedSeq(b, pre, s, e, TRUE), cfg)
-    image: Set[ServiceFamily] = set()
-    for state, valuation in pairs:
-        if eval_formula(pre, state, cfg, valuation) is not True:
-            continue
-        outcome = run_canonical(c, b, state, cfg)
-        if e == 0 and isinstance(outcome, Halted):
-            image.add(outcome.state)
-        elif e > 0 and isinstance(outcome, Exited) and outcome.offset == e:
-            image.add(outcome.state)
     return image, states_formula(image)

@@ -94,12 +94,13 @@ def test_budget_agrees():
 
 
 def test_pure_fallback_env_var():
+    import os
     import subprocess
     import sys
 
     code = ("import pga_hoare.kernels as k; print(k.implementation())")
     out = subprocess.run([sys.executable, "-c", code],
-                         env={"PGA_HOARE_PURE": "1", "PATH": "/usr/bin:/bin"},
+                         env={**os.environ, "PGA_HOARE_PURE": "1"},
                          capture_output=True, text=True)
     assert out.stdout.strip() == "python"
 

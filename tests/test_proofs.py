@@ -193,6 +193,17 @@ def test_r8_elimination():
     (R8 p => {1 | exists n:nat. c = nnc(n)} "#1" {1 | c = nnc(n)})
     '''
     assert not _check(bad).accepted
+    # Q uses the bound variable at two sorts: the side condition cannot be
+    # checked, so the node fails rather than skipping it
+    q = "(c = nnc(n)) /\\ (n = reg(true))"
+    two_sorts = f'''
+    p := (A9 {{1 | {q}}} "#1" {{1 | {q}}})
+    (R8 p => {{1 | exists n:nat. {q}}} "#1" {{1 | {q}}})
+    '''
+    result = _check(two_sorts)
+    assert not result.accepted
+    assert [reason for _, reason in result.failures] == [
+        "R8: variable n used at sorts nat and serv"]
 
 
 def test_r9_renaming():
