@@ -640,58 +640,16 @@ def alpha_eq(a: Formula, b: Formula) -> bool:
 
 # ---------------------------------------------------------------------------
 # evaluation
+#
+# A formula is compiled once into nested closures over an environment dict
+# from variable names to values (closure generation, after Feeley & Lapalme,
+# "Using closures for code generation", Comput. Lang. 1987).  Closed
+# subterms are evaluated at compile time, each quantifier's domain is built
+# once, and connectives and quantifiers stop at the first deciding value.
 
 
 class MissingFocusError(KeyError):
     pass
-
-
-def _eval_term(t: Term, env: Dict[str, object]):
-    if isinstance(t, Var):
-        if t.name not in env:
-            raise MissingFocusError(t.name)
-        return env[t.name]
-    if isinstance(t, NatLit):
-        return t.value
-    if isinstance(t, BoolLit):
-        return t.value
-    if isinstance(t, ReplyLit):
-        return t.value
-    if isinstance(t, Succ):
-        return _eval_term(t.arg, env) + 1
-    if isinstance(t, Pred):
-        return max(0, _eval_term(t.arg, env) - 1)
-    if isinstance(t, Nnc):
-        return counter(_eval_term(t.arg, env))
-    if isinstance(t, RegOf):
-        return boolreg(_eval_term(t.arg, env))
-    if isinstance(t, EmptyServ):
-        return EMPTY
-    if isinstance(t, DeriveT):
-        return svc_step(_eval_term(t.arg, env), t.method)[1]
-    if isinstance(t, ReplyT):
-        return svc_step(_eval_term(t.arg, env), t.method)[0]
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _not3(v):
-    return None if v is None else (not v)
-
-
-def _and3(a, b):
-    if a is False or b is False:
-        return False
-    if a is None or b is None:
-        return None
-    return True
-
-
-def _or3(a, b):
-    if a is True or b is True:
-        return True
-    if a is None or b is None:
-        return None
-    return False
 
 
 def sort_domain(sort: str, cfg: AlgebraConfig):
@@ -707,39 +665,177 @@ def sort_domain(sort: str, cfg: AlgebraConfig):
     raise SortError(f"unknown sort {sort!r}")
 
 
-def _eval(f: Formula, env: Dict[str, object], cfg: AlgebraConfig):
+_OPEN = object()  # the compile-time value of a term that is not closed
+_UNBOUND = object()
+
+
+def _succ(n):
+    return n + 1
+
+
+def _pred(n):
+    return max(0, n - 1)
+
+
+_UNARY = {Succ: _succ, Pred: _pred, Nnc: counter, RegOf: boolreg}
+
+
+def _constant(value):
+    return (lambda env: value), value
+
+
+def _compile_term(t: Term):
+    """(closure, value): value is the term's value if it is closed and
+    evaluates without error, else _OPEN."""
+    if isinstance(t, Var):
+        name = t.name
+        return (lambda env: env[name]), _OPEN
+    if isinstance(t, (NatLit, BoolLit, ReplyLit)):
+        return _constant(t.value)
+    if isinstance(t, EmptyServ):
+        return _constant(EMPTY)
+    if isinstance(t, DeriveT):
+        method = t.method
+        op = lambda s: svc_step(s, method)[1]
+    elif isinstance(t, ReplyT):
+        method = t.method
+        op = lambda s: svc_step(s, method)[0]
+    else:
+        op = _UNARY.get(type(t))
+        if op is None:
+            raise TypeError(f"not a term: {t!r}")
+    arg, value = _compile_term(t.arg)
+    if value is not _OPEN:
+        try:
+            return _constant(op(value))
+        except (AttributeError, TypeError, ValueError):
+            pass  # an ill-sorted closed term raises when evaluated, not here
+    return (lambda env: op(arg(env))), _OPEN
+
+
+def _compile_eq(f: Eq):
+    left, lv = _compile_term(f.left)
+    right, rv = _compile_term(f.right)
+    if lv is not _OPEN and rv is not _OPEN:
+        same = lv == rv
+        return lambda env: same
+    if rv is not _OPEN:
+        return lambda env: left(env) == rv
+    if lv is not _OPEN:
+        return lambda env: lv == right(env)
+    return lambda env: left(env) == right(env)
+
+
+def _compile(f: Formula, cfg: AlgebraConfig):
+    """A closure env -> True/False/None computing f's three-valued value."""
     if isinstance(f, TrueF):
-        return True
+        return lambda env: True
     if isinstance(f, FalseF):
-        return False
-    if isinstance(f, Not):
-        return _not3(_eval(f.body, env, cfg))
-    if isinstance(f, And):
-        return _and3(_eval(f.left, env, cfg), _eval(f.right, env, cfg))
-    if isinstance(f, Or):
-        return _or3(_eval(f.left, env, cfg), _eval(f.right, env, cfg))
-    if isinstance(f, Implies):
-        return _or3(_not3(_eval(f.left, env, cfg)), _eval(f.right, env, cfg))
+        return lambda env: False
     if isinstance(f, Eq):
-        return _eval_term(f.left, env) == _eval_term(f.right, env)
-    if isinstance(f, (Exists, Forall)):
-        values, exhaustive = sort_domain(f.sort, cfg)
-        results = []
-        for v in values:
-            env2 = {**env, f.var: v}
-            results.append(_eval(f.body, env2, cfg))
-        if isinstance(f, Exists):
-            if True in results:
+        return _compile_eq(f)
+    if isinstance(f, Not):
+        body = _compile(f.body, cfg)
+
+        def negation(env):
+            v = body(env)
+            return None if v is None else not v
+        return negation
+    if isinstance(f, (And, Or, Implies)):
+        left, right = _compile(f.left, cfg), _compile(f.right, cfg)
+        if isinstance(f, And):
+            def conjunction(env):
+                a = left(env)
+                if a is False:
+                    return False
+                b = right(env)
+                if b is False:
+                    return False
+                return None if a is None or b is None else True
+            return conjunction
+        # a -> b is ~a \/ b: the left operand decides when it is False
+        decider = isinstance(f, Or)
+
+        def disjunction(env):
+            a = left(env)
+            if a is decider:
                 return True
-            if None in results or not exhaustive:
-                return None
-            return False
-        if False in results:
-            return False
-        if None in results or not exhaustive:
-            return None
-        return True
+            b = right(env)
+            if b is True:
+                return True
+            return None if a is None or b is None else False
+        return disjunction
+    if isinstance(f, (Exists, Forall)):
+        body = _compile(f.body, cfg)
+        var, sort = f.var, f.sort
+        try:
+            values, exhaustive = sort_domain(sort, cfg)
+        except SortError:
+            # an unknown sort raises only if the quantifier is reached
+            return lambda env: sort_domain(sort, cfg)
+        values = tuple(values)
+        # ∃ stops at the first True, ∀ at the first False; without one, a
+        # None or a truncated domain leaves the value undecided
+        decider = isinstance(f, Exists)
+        otherwise = (not decider) if exhaustive else None
+
+        def quantifier(env):
+            saved = env.get(var, _UNBOUND)
+            result = otherwise
+            for v in values:
+                env[var] = v
+                r = body(env)
+                if r is decider:
+                    result = decider
+                    break
+                if r is None:
+                    result = None
+            if saved is _UNBOUND:
+                del env[var]
+            else:
+                env[var] = saved
+            return result
+        return quantifier
     raise TypeError(f"not a formula: {f!r}")
+
+
+class CompiledFormula:
+    """A formula compiled for one configuration by compile_formula.
+
+    `sorts` maps its free variables to their sorts.  `evaluate(env)` takes
+    an env holding every free variable; calling the compiled formula with a
+    state and a valuation builds that env first.
+    """
+
+    __slots__ = ("sorts", "evaluate")
+
+    def __init__(self, sorts: Dict[str, str], evaluate):
+        self.sorts = sorts
+        self.evaluate = evaluate
+
+    def __call__(self, state: ServiceFamily,
+                 valuation: Optional[Dict[str, object]] = None):
+        env: Dict[str, object] = dict(valuation or {})
+        for name, sort in self.sorts.items():
+            if name in env:
+                continue
+            if sort == "serv":
+                service = state.get(name)
+                if service is None:
+                    raise MissingFocusError(name)
+                env[name] = service
+            else:
+                raise ValueError(f"no valuation for free variable {name}:{sort}")
+        return self.evaluate(env)
+
+
+def compile_formula(f: Formula, cfg: AlgebraConfig) -> CompiledFormula:
+    """Compile f for repeated evaluation under cfg.
+
+    Sort inference runs once, here; it raises SortError as free_vars does.
+    """
+    sorts = free_vars(f)
+    return CompiledFormula(sorts, _compile(f, cfg))
 
 
 def eval_formula(f: Formula, state: ServiceFamily, cfg: AlgebraConfig,
@@ -750,19 +846,7 @@ def eval_formula(f: Formula, state: ServiceFamily, cfg: AlgebraConfig,
     come from the valuation.  Returns None when a truncated quantifier
     domain is the deciding factor.
     """
-    env: Dict[str, object] = dict(valuation or {})
-    sorts = free_vars(f)
-    for name, sort in sorts.items():
-        if name in env:
-            continue
-        if sort == "serv":
-            service = state.get(name)
-            if service is None:
-                raise MissingFocusError(name)
-            env[name] = service
-        else:
-            raise ValueError(f"no valuation for free variable {name}:{sort}")
-    return _eval(f, env, cfg)
+    return compile_formula(f, cfg)(state, valuation)
 
 
 # ---------------------------------------------------------------------------
@@ -819,21 +903,24 @@ def entails(p: Formula, q: Formula, cfg: AlgebraConfig) -> EntailVerdict:
     """
     if alpha_eq(p, q):
         return EntailVerdict("valid")
-    sorts = {}
-    for f in (p, q):
-        for name, sort in free_vars(f).items():
-            if name in sorts and sorts[name] != sort:
-                raise SortError(f"variable {name} used at two sorts")
-            sorts[name] = sort
+    cp, cq = compile_formula(p, cfg), compile_formula(q, cfg)
+    sorts = dict(cp.sorts)
+    for name, sort in cq.sorts.items():
+        if sorts.setdefault(name, sort) != sort:
+            raise SortError(f"variable {name} used at two sorts")
     foci = {n for n, s in sorts.items() if s == "serv"}
     var_sorts = {n: s for n, s in sorts.items() if s != "serv"}
     pairs, exhaustive = enumerate_states(foci, var_sorts, cfg)
+    p_at, q_at = cp.evaluate, cq.evaluate
     undecided = False
     for state, valuation in pairs:
-        pv = eval_formula(p, state, cfg, valuation)
+        # every free variable of p and q is a focus of state or valued
+        env = dict(state.entries)
+        env.update(valuation)
+        pv = p_at(env)
         if pv is False:
             continue
-        qv = eval_formula(q, state, cfg, valuation)
+        qv = q_at(env)
         if pv is True and qv is False:
             return EntailVerdict("invalid", witness=(state, valuation))
         if qv is None or pv is None:

@@ -57,7 +57,8 @@ def _take_group(text: str, pos: int):
     raise ValueError(f"unbalanced braces in {text!r}")
 
 
-def _annotation(inner: str):
+def parse_annotation(inner: str):
+    """The text between the braces of one annotation: (point, formula)."""
     point, bar, formula = inner.partition("|")
     if not bar:
         raise ValueError(f"annotation needs 'point | formula': {inner!r}")
@@ -76,8 +77,8 @@ def parse_asserted(text: str) -> AssertedSeq:
     post_inner, end = _take_group(tail, brace)
     if tail[end:].strip():
         raise ValueError(f"trailing input after post-annotation: {tail[end:]!r}")
-    b, pre = _annotation(pre_inner)
-    e, post = _annotation(post_inner)
+    b, pre = parse_annotation(pre_inner)
+    e, post = parse_annotation(post_inner)
     return AssertedSeq(b, pre, parse_sequence(seq_text), e, post)
 
 

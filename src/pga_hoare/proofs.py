@@ -35,7 +35,8 @@ from .formulas import (And, Eq, Exists, FALSE, Formula, Implies, Not, Or,
                        ReplyLit, ReplyT, SortError, TRUE, Var, alpha_eq,
                        format_formula, free_foci, free_vars, parse_formula,
                        subst_derive, substitute)
-from .judgments import AssertedSeq, format_asserted, parse_asserted
+from .judgments import (AssertedSeq, format_asserted, parse_annotation,
+                        parse_asserted)
 from .segments import Verdict
 from .services import AlgebraConfig, Reply
 from .formulas import EntailVerdict, entails
@@ -79,17 +80,34 @@ def term_atoms(t: SequenceTerm) -> tuple:
     denote the same sequence but are written differently (S^w versus
     S ; S^w) stay distinguishable, as the repetition rule requires.
     """
-    if isinstance(t, Instr):
-        return (t.instruction,)
-    if isinstance(t, Concat):
-        return term_atoms(t.left) + term_atoms(t.right)
-    if isinstance(t, Power):
-        if t.count == 0:
-            return (Jump(0),)
-        return term_atoms(t.body) * t.count
-    if isinstance(t, Repeat):
-        return ((REP, term_atoms(t.body)),)
-    raise TypeError(f"not a sequence term: {t!r}")
+    out = []
+    # a stack of terms still to read and markers (kind, start, count) that
+    # close the power or repetition whose body was read into out[start:]
+    stack = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            kind, start, count = item
+            if kind is Repeat:
+                body = tuple(out[start:])
+                del out[start:]
+                out.append((REP, body))
+            else:
+                out.extend(out[start:] * (count - 1))
+        elif isinstance(item, Instr):
+            out.append(item.instruction)
+        elif isinstance(item, Concat):
+            stack += (item.right, item.left)
+        elif isinstance(item, Power):
+            if item.count == 0:
+                out.append(Jump(0))
+            else:
+                stack += ((Power, len(out), item.count), item.body)
+        elif isinstance(item, Repeat):
+            stack += ((Repeat, len(out), None), item.body)
+        else:
+            raise TypeError(f"not a sequence term: {item!r}")
+    return tuple(out)
 
 
 def atoms_len(atoms: tuple) -> Optional[int]:
@@ -189,10 +207,10 @@ class _ProofTokens:
 
 
 def _annotation(inner: str):
-    point, bar, formula = inner.partition("|")
-    if not bar:
-        raise ProofSyntaxError(f"annotation needs 'point | formula': {inner!r}")
-    return int(point.strip()), parse_formula(formula)
+    try:
+        return parse_annotation(inner)
+    except ValueError as exc:
+        raise ProofSyntaxError(str(exc)) from exc
 
 
 class _ProofParser:
@@ -695,8 +713,12 @@ class _Checker:
         if not alpha_eq(invariant, c.post.right):
             self.fail(path, "R7: the invariant must be the same on both sides")
             ok = False
-        if free_foci(invariant) & atoms_foci(term_atoms(c.term)):
-            self.fail(path, "R7: the invariant mentions a focus of S")
+        try:
+            if free_foci(invariant) & atoms_foci(term_atoms(c.term)):
+                self.fail(path, "R7: the invariant mentions a focus of S")
+                ok = False
+        except SortError as exc:
+            self.fail(path, f"R7: {exc}")
             ok = False
         if (term_atoms(c.term) != term_atoms(p.term)
                 or c.entry != p.entry or c.exit != p.exit):
@@ -780,7 +802,12 @@ class _Checker:
                 ok = False
         for what, lhs, rhs in (("P -> P'", c.pre, p.pre),
                                ("Q' -> Q", p.post, c.post)):
-            verdict = entails(lhs, rhs, self.cfg)
+            try:
+                verdict = entails(lhs, rhs, self.cfg)
+            except SortError as exc:
+                self.fail(path, f"R10: obligation {what}: {exc}")
+                ok = False
+                continue
             if verdict.kind == "valid":
                 continue
             if verdict.kind == "bounded" and not self.strict:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import kernels
-from .formulas import (And, BoolLit, EmptyServ, Eq, Formula, NatLit, Nnc, Or,
-                       RegOf, Var, FALSE, TRUE, enumerate_states, eval_formula,
-                       format_formula, free_foci, free_vars)
+from .formulas import (And, BoolLit, CompiledFormula, EmptyServ, Eq, Formula,
+                       NatLit, Nnc, Or, RegOf, Var, FALSE, TRUE,
+                       compile_formula, enumerate_states)
 from .judgments import AssertedSeq
 from .services import (AlgebraConfig, Reply, Service, ServiceFamily, family,
                        format_family, svc_step)
@@ -220,14 +220,13 @@ class Verdict:
         return f"UNKNOWN ({self.reason})"
 
 
-def _judgment_space(phi: AssertedSeq, cfg: AlgebraConfig):
-    sorts: Dict[str, str] = {}
-    for f in (phi.pre, phi.post):
-        for name, sort in free_vars(f).items():
-            if sorts.get(name, sort) != sort:
-                raise ValueError(f"variable {name} used at two sorts")
-            sorts[name] = sort
-    foci = {n for n, s in sorts.items() if s == "serv"} | set(foci_of_term(phi.term))
+def _judgment_space(pre: CompiledFormula, post: CompiledFormula,
+                    term: SequenceTerm, cfg: AlgebraConfig):
+    sorts: Dict[str, str] = dict(pre.sorts)
+    for name, sort in post.sorts.items():
+        if sorts.setdefault(name, sort) != sort:
+            raise ValueError(f"variable {name} used at two sorts")
+    foci = {n for n, s in sorts.items() if s == "serv"} | set(foci_of_term(term))
     var_sorts = {n: s for n, s in sorts.items() if s != "serv"}
     return enumerate_states(foci, var_sorts, cfg)
 
@@ -251,12 +250,14 @@ def _decide(phi: AssertedSeq, cfg: AlgebraConfig):
     if phi.entry > c.length:
         return Verdict("fails", reason="entry beyond segment",
                        witness=None), image
-    pairs, exhaustive = _judgment_space(phi, cfg)
+    pre = compile_formula(phi.pre, cfg)
+    post = compile_formula(phi.post, cfg)
+    pairs, exhaustive = _judgment_space(pre, post, phi.term, cfg)
     runner = _Runner(c, phi.entry, cfg)
     post_values = {}  # (final state, valuation items) -> value of Q
     undecided = None
     for state, valuation in pairs:
-        pv = eval_formula(phi.pre, state, cfg, valuation)
+        pv = pre(state, valuation)
         if pv is False:
             continue
         if pv is None:
@@ -276,8 +277,7 @@ def _decide(phi: AssertedSeq, cfg: AlgebraConfig):
         if reached:
             key = (outcome.state, tuple(valuation.items()))
             if key not in post_values:
-                post_values[key] = eval_formula(phi.post, outcome.state, cfg,
-                                                valuation)
+                post_values[key] = post(outcome.state, valuation)
             qv = post_values[key]
         if not reached or qv is False:
             witness = (state, valuation, outcome)

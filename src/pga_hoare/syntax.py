@@ -320,13 +320,25 @@ def format_instruction(i: Instruction) -> str:
 
 
 def format_term(t: SequenceTerm) -> str:
-    if isinstance(t, Instr):
-        return format_instruction(t.instruction)
-    if isinstance(t, Concat):
-        return f"{format_term(t.left)} ; {format_term(t.right)}"
-    if isinstance(t, Power):
-        return f"({format_term(t.body)})^{t.count}"
-    return f"({format_term(t.body)})^w"
+    # an explicit stack of terms and literal text, so that the parser's
+    # right-nested chains of any length print without deep recursion
+    parts = []
+    stack = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Instr):
+            parts.append(format_instruction(item.instruction))
+        elif isinstance(item, Concat):
+            stack += (item.right, " ; ", item.left)
+        elif isinstance(item, Power):
+            stack += (f")^{item.count}", item.body, "(")
+        elif isinstance(item, Repeat):
+            stack += (")^w", item.body, "(")
+        else:
+            raise TypeError(f"not a sequence term: {item!r}")
+    return "".join(parts)
 
 
 def format_canonical(c: CanonicalSequence) -> str:
@@ -342,27 +354,36 @@ def format_canonical(c: CanonicalSequence) -> str:
 
 
 def _flatten(t: SequenceTerm) -> CanonicalSequence:
-    if isinstance(t, Instr):
-        return CanonicalSequence((t.instruction,), None)
-    if isinstance(t, Power):
-        if t.count == 0:
-            return CanonicalSequence((Jump(0),), None)
-        body = _flatten(t.body)
-        if body.period is not None:
-            return body
-        return CanonicalSequence(body.prefix * t.count, None)
-    if isinstance(t, Concat):
-        left = _flatten(t.left)
-        if left.period is not None:
-            return left
-        right = _flatten(t.right)
-        return CanonicalSequence(left.prefix + right.prefix, right.period)
-    if isinstance(t, Repeat):
-        body = _flatten(t.body)
-        if body.period is not None:
-            return body
-        return CanonicalSequence((), body.prefix)
-    raise TypeError(f"not a sequence term: {t!r}")
+    """Prefix and period of t, read left to right into one list.
+
+    The first repetition to close ends the sequence: whatever follows an
+    infinite part is never reached.  A stack item is a term still to read
+    or a marker (kind, start, count) closing the power or repetition whose
+    body was read into out[start:].
+    """
+    out = []
+    stack = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            kind, start, count = item
+            if kind is Repeat:
+                return CanonicalSequence(tuple(out[:start]), tuple(out[start:]))
+            out.extend(out[start:] * (count - 1))
+        elif isinstance(item, Instr):
+            out.append(item.instruction)
+        elif isinstance(item, Concat):
+            stack += (item.right, item.left)
+        elif isinstance(item, Power):
+            if item.count == 0:
+                out.append(Jump(0))
+            else:
+                stack += ((Power, len(out), item.count), item.body)
+        elif isinstance(item, Repeat):
+            stack += ((Repeat, len(out), None), item.body)
+        else:
+            raise TypeError(f"not a sequence term: {item!r}")
+    return CanonicalSequence(tuple(out), None)
 
 
 def normalize(t: SequenceTerm) -> CanonicalSequence:

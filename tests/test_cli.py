@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 
 from pga_hoare.cli import main
 
@@ -91,3 +92,27 @@ def test_parse_error_status(capsys):
 def test_usage_error_status(capsys):
     assert main(["frobnicate"]) == 3
     capsys.readouterr()
+
+
+def test_check_r10_sort_clash_is_rejected(tmp_path, capsys):
+    # an R10 whose two sides use n at two sorts fails the node; it is not
+    # a usage error
+    proof = tmp_path / "clash.proof"
+    proof.write_text('''
+    a := (A11 {1 | n = 0} "!" {0 | n = 0})
+    (R10 "(n = nnc(0)) -> (n = 0)" a "(n = 0) -> (n = 0)"
+     => {1 | n = nnc(0)} "!" {0 | n = 0})
+    ''')
+    assert main(["check", str(proof)]) == 1
+    assert capsys.readouterr().out.startswith("REJECTED")
+
+
+def test_long_sequences_do_not_crash(capsys):
+    # the parser builds a right-nested chain of 100k concatenations
+    seq = " ; ".join(["c.incr"] * 100_000 + ["!"])
+    started = time.perf_counter()
+    assert main(["normalize", seq]) == 0
+    assert capsys.readouterr().out.endswith("len: 100001\n")
+    assert main(["run", seq, "{c = counter(0)}"]) == 0
+    assert capsys.readouterr().out == "halted in {c = counter(100000)}\n"
+    assert time.perf_counter() - started < 10

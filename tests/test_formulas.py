@@ -1,14 +1,20 @@
 """Assertion language: parsing, substitution, evaluation, entailment."""
 
+import random
+
 import pytest
 
-from pga_hoare.formulas import (And, Eq, Exists, FALSE, Implies, NatLit, Nnc,
-                                Not, Or, ReplyLit, ReplyT, SortError, TRUE,
-                                Var, alpha_eq, entails, eval_formula,
-                                format_formula, free_foci, free_vars,
-                                parse_formula, rename, subst_derive,
-                                substitute)
-from pga_hoare.services import AlgebraConfig, Reply, boolreg, counter, family
+from pga_hoare.formulas import (And, BoolLit, DeriveT, EmptyServ,
+                                EntailVerdict, Eq, Exists, FALSE, FalseF,
+                                Forall, Implies, MissingFocusError, NatLit,
+                                Nnc, Not, Or, Pred, RegOf, ReplyLit, ReplyT,
+                                SortError, Succ, TRUE, TrueF, Var, alpha_eq,
+                                compile_formula, entails, enumerate_states,
+                                eval_formula, format_formula, free_foci,
+                                free_vars, parse_formula, rename, sort_domain,
+                                subst_derive, substitute)
+from pga_hoare.services import (EMPTY, AlgebraConfig, Reply, boolreg, counter,
+                                family, svc_step)
 
 CFG = AlgebraConfig("counter", state_bound=16, quant_bound=16)
 BCFG = AlgebraConfig("boolreg")
@@ -177,3 +183,309 @@ def test_eval_respects_derive_substitution():
                 stepped = family({"r": svc_step(boolreg(val), m)[1]})
                 g = subst_derive(f, "r", m)
                 assert eval_formula(g, u, BCFG) == eval_formula(f, stepped, BCFG)
+
+
+# ---------------------------------------------------------------------------
+# differential test: the compiled evaluator against the tree-walking one
+#
+# The reference below is the package's former evaluator, kept here as the
+# specification: it walks the tree per state, evaluates both operands of
+# every connective and every value of a quantifier's domain, and then
+# decides.  compile_formula must agree with it everywhere.
+
+
+def _ref_term(t, env):
+    if isinstance(t, Var):
+        if t.name not in env:
+            raise MissingFocusError(t.name)
+        return env[t.name]
+    if isinstance(t, (NatLit, BoolLit, ReplyLit)):
+        return t.value
+    if isinstance(t, Succ):
+        return _ref_term(t.arg, env) + 1
+    if isinstance(t, Pred):
+        return max(0, _ref_term(t.arg, env) - 1)
+    if isinstance(t, Nnc):
+        return counter(_ref_term(t.arg, env))
+    if isinstance(t, RegOf):
+        return boolreg(_ref_term(t.arg, env))
+    if isinstance(t, EmptyServ):
+        return EMPTY
+    if isinstance(t, DeriveT):
+        return svc_step(_ref_term(t.arg, env), t.method)[1]
+    if isinstance(t, ReplyT):
+        return svc_step(_ref_term(t.arg, env), t.method)[0]
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _not3(v):
+    return None if v is None else (not v)
+
+
+def _and3(a, b):
+    if a is False or b is False:
+        return False
+    if a is None or b is None:
+        return None
+    return True
+
+
+def _or3(a, b):
+    if a is True or b is True:
+        return True
+    if a is None or b is None:
+        return None
+    return False
+
+
+def _ref_eval(f, env, cfg):
+    if isinstance(f, TrueF):
+        return True
+    if isinstance(f, FalseF):
+        return False
+    if isinstance(f, Not):
+        return _not3(_ref_eval(f.body, env, cfg))
+    if isinstance(f, And):
+        return _and3(_ref_eval(f.left, env, cfg), _ref_eval(f.right, env, cfg))
+    if isinstance(f, Or):
+        return _or3(_ref_eval(f.left, env, cfg), _ref_eval(f.right, env, cfg))
+    if isinstance(f, Implies):
+        return _or3(_not3(_ref_eval(f.left, env, cfg)),
+                    _ref_eval(f.right, env, cfg))
+    if isinstance(f, Eq):
+        return _ref_term(f.left, env) == _ref_term(f.right, env)
+    values, exhaustive = sort_domain(f.sort, cfg)
+    results = [_ref_eval(f.body, {**env, f.var: v}, cfg) for v in values]
+    if isinstance(f, Exists):
+        if True in results:
+            return True
+        if None in results or not exhaustive:
+            return None
+        return False
+    if False in results:
+        return False
+    if None in results or not exhaustive:
+        return None
+    return True
+
+
+def _ref_eval_formula(f, state, cfg, valuation=None):
+    env = dict(valuation or {})
+    for name, sort in free_vars(f).items():
+        if name in env:
+            continue
+        if sort == "serv":
+            service = state.get(name)
+            if service is None:
+                raise MissingFocusError(name)
+            env[name] = service
+        else:
+            raise ValueError(f"no valuation for free variable {name}:{sort}")
+    return _ref_eval(f, env, cfg)
+
+
+def _ref_entails(p, q, cfg):
+    if alpha_eq(p, q):
+        return EntailVerdict("valid")
+    sorts = {}
+    for f in (p, q):
+        for name, sort in free_vars(f).items():
+            if name in sorts and sorts[name] != sort:
+                raise SortError(f"variable {name} used at two sorts")
+            sorts[name] = sort
+    foci = {n for n, s in sorts.items() if s == "serv"}
+    var_sorts = {n: s for n, s in sorts.items() if s != "serv"}
+    pairs, exhaustive = enumerate_states(foci, var_sorts, cfg)
+    undecided = False
+    for state, valuation in pairs:
+        pv = _ref_eval_formula(p, state, cfg, valuation)
+        if pv is False:
+            continue
+        qv = _ref_eval_formula(q, state, cfg, valuation)
+        if pv is True and qv is False:
+            return EntailVerdict("invalid", witness=(state, valuation))
+        if qv is None or pv is None:
+            undecided = True
+    if undecided:
+        return EntailVerdict("unknown", bound=cfg.state_bound)
+    if exhaustive:
+        return EntailVerdict("valid")
+    return EntailVerdict("bounded", bound=cfg.state_bound)
+
+
+# free variables carry their sort in their name; quantifiers may rebind
+# them (at the same sort) or bind names of their own
+_NAMES = {"nat": ["n", "i"], "bool": ["b", "a"], "repl": ["x", "y"],
+          "serv": ["c", "d", "u"]}
+_SMALL = [AlgebraConfig("counter", state_bound=3, quant_bound=3),
+          AlgebraConfig("boolreg", state_bound=2, quant_bound=2)]
+
+
+class _Gen:
+    def __init__(self, rng, cfg):
+        self.rng = rng
+        self.methods = cfg.methods() + ["nosuch"]
+
+    def term(self, sort, depth):
+        rng = self.rng
+        if sort == "nat":
+            if depth > 0 and rng.random() < 0.4:
+                return rng.choice([Succ, Pred])(self.term("nat", depth - 1))
+            return rng.choice([Var(rng.choice(_NAMES["nat"])),
+                               NatLit(rng.randint(0, 3))])
+        if sort == "bool":
+            return rng.choice([Var(rng.choice(_NAMES["bool"])),
+                               BoolLit(rng.random() < 0.5)])
+        if sort == "repl":
+            if depth > 0 and rng.random() < 0.5:
+                return ReplyT(rng.choice(self.methods),
+                              self.term("serv", depth - 1))
+            return rng.choice([Var(rng.choice(_NAMES["repl"])),
+                               ReplyLit(rng.choice(list(Reply)))])
+        if depth > 0 and rng.random() < 0.6:
+            kind = rng.randrange(3)
+            if kind == 0:
+                return Nnc(self.term("nat", depth - 1))
+            if kind == 1:
+                return RegOf(self.term("bool", depth - 1))
+            return DeriveT(rng.choice(self.methods),
+                           self.term("serv", depth - 1))
+        return rng.choice([Var(rng.choice(_NAMES["serv"])), EmptyServ()])
+
+    def formula(self, depth):
+        rng = self.rng
+        r = rng.random()
+        if depth <= 0 or r < 0.3:
+            if rng.random() < 0.1:
+                return rng.choice([TRUE, FALSE])
+            sort = rng.choice(list(_NAMES))
+            return Eq(self.term(sort, 2), self.term(sort, 2))
+        if r < 0.4:
+            return Not(self.formula(depth - 1))
+        if r < 0.7:
+            cls = rng.choice([And, Or, Implies])
+            return cls(self.formula(depth - 1), self.formula(depth - 1))
+        sort = rng.choice(list(_NAMES))
+        cls = rng.choice([Exists, Forall])
+        return cls(rng.choice(_NAMES[sort]), sort, self.formula(depth - 1))
+
+
+def _random_formulas(seed, cfg, count, depth=4):
+    """Well-sorted random formulas with at most two free foci."""
+    gen = _Gen(random.Random(seed), cfg)
+    out = []
+    while len(out) < count:
+        f = gen.formula(depth)
+        try:
+            sorts = free_vars(f)
+        except SortError:
+            continue
+        if sum(s == "serv" for s in sorts.values()) <= 2:
+            out.append(f)
+    return out
+
+
+def _space(f, cfg):
+    sorts = free_vars(f)
+    return enumerate_states({n for n, s in sorts.items() if s == "serv"},
+                            {n: s for n, s in sorts.items() if s != "serv"},
+                            cfg)[0]
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:  # compared by type and message
+        return ("raised", type(exc), str(exc))
+
+
+@pytest.mark.parametrize("cfg", _SMALL, ids=lambda c: c.algebra)
+def test_compiled_evaluation_matches_reference(cfg):
+    seen = set()
+    for f in _random_formulas(11, cfg, 400):
+        compiled = compile_formula(f, cfg)
+        for state, valuation in _space(f, cfg):
+            expected = _ref_eval_formula(f, state, cfg, valuation)
+            assert compiled(state, valuation) is expected, (
+                format_formula(f), state, valuation)
+            seen.add(expected)
+    # the sample reaches every truth value, undecided included
+    assert seen == {True, False, None}
+
+
+def test_compiled_evaluation_covers_quantifiers_over_every_sort():
+    sorts = set()
+    for cfg in _SMALL:
+        for f in _random_formulas(11, cfg, 400):
+            stack = [f]
+            while stack:
+                g = stack.pop()
+                if isinstance(g, (Exists, Forall)):
+                    sorts.add(g.sort)
+                    if isinstance(g.body, (Exists, Forall)):
+                        sorts.add("nested")
+                for child in ("body", "left", "right"):
+                    if isinstance(getattr(g, child, None), (TrueF, FalseF, Not,
+                                                            And, Or, Implies,
+                                                            Exists, Forall, Eq)):
+                        stack.append(getattr(g, child))
+    assert sorts == {"nat", "bool", "repl", "serv", "nested"}
+
+
+@pytest.mark.parametrize("cfg", _SMALL, ids=lambda c: c.algebra)
+def test_compiled_evaluation_raises_as_reference(cfg):
+    # drop one focus or one valued variable: both evaluators raise the
+    # same error, or both still evaluate (the name was not needed)
+    rng = random.Random(3)
+    raised = set()
+    for f in _random_formulas(5, cfg, 300):
+        pairs = _space(f, cfg)
+        state, valuation = pairs[rng.randrange(len(pairs))]
+        names = sorted(state.foci() | set(valuation))
+        if names:
+            drop = rng.choice(names)
+            state = family({k: v for k, v in state.entries if k != drop})
+            valuation = {k: v for k, v in valuation.items() if k != drop}
+        expected = _outcome(_ref_eval_formula, f, state, cfg, valuation)
+        assert _outcome(eval_formula, f, state, cfg, valuation) == expected
+        raised.add(expected[1] if expected[0] == "raised" else None)
+    assert {MissingFocusError, ValueError} <= raised
+
+
+def test_compiled_evaluation_sort_errors():
+    for text in ("x = nnc(0) /\\ x = 0", "n = 0 -> n = reg(true)"):
+        f = parse_formula(text)
+        with pytest.raises(SortError):
+            compile_formula(f, CFG)
+        with pytest.raises(SortError):
+            eval_formula(f, family({}), CFG)
+
+
+@pytest.mark.parametrize("cfg", _SMALL, ids=lambda c: c.algebra)
+def test_entails_matches_reference(cfg):
+    rng = random.Random(7)
+    formulas = _random_formulas(13, cfg, 120, depth=3)
+    kinds = set()
+    for _ in range(300):
+        p, q = rng.choice(formulas), rng.choice(formulas)
+        expected = _outcome(_ref_entails, p, q, cfg)
+        assert _outcome(entails, p, q, cfg) == expected, (
+            format_formula(p), format_formula(q))
+        kinds.add(expected[1].kind)
+    assert kinds == {"valid", "invalid", "bounded", "unknown"}
+    # a variable at two sorts across p and q
+    clash = (parse_formula("n = 0"), parse_formula("n = nnc(0)"))
+    expected = _outcome(_ref_entails, *clash, cfg)
+    assert expected[1] is SortError
+    assert _outcome(entails, *clash, cfg) == expected
+
+
+def test_compiled_closed_terms_and_shadowing():
+    # closed subterms fold at compile time; a quantifier that rebinds a
+    # free variable restores it for the rest of the formula
+    f = parse_formula("(exists n:nat. c = nnc(n)) /\\ d[incr](c) = nnc(s(n))")
+    st = family({"c": counter(2)})
+    assert compile_formula(f, CFG)(st, {"n": 2}) is True
+    assert compile_formula(f, CFG)(st, {"n": 1}) is False
+    closed = parse_formula("d[decr](nnc(s(0))) = nnc(0) /\\ r[iszero](empty) = :d")
+    assert eval_formula(closed, family({}), CFG) is True

@@ -170,6 +170,16 @@ def test_r7_invariance_side_condition():
         {0 | (true /\\ c = nnc(0))})
     '''
     assert not _check(bad).accepted
+    # the invariant uses n at two sorts: the side condition cannot be
+    # checked, so the node fails rather than the error escaping
+    inv = "(n = 0 /\\ n = nnc(0))"
+    two_sorts = f'''
+    p := (A9 {{1 | true}} "#1" {{1 | true}})
+    (R7 p => {{1 | (true /\\ {inv})}} "#1" {{1 | (true /\\ {inv})}})
+    '''
+    result = _check(two_sorts)
+    assert [reason for _, reason in result.failures] == [
+        "R7: variable n used at sorts nat and serv"]
 
 
 def test_r8_elimination():
@@ -243,6 +253,16 @@ def test_r10_invalid_obligation_rejected():
      => {1 | c = nnc(1)} "!" {0 | c = nnc(0)})
     '''
     assert not _check(text).accepted
+    # n is a service in P and a natural in P': the obligation cannot be
+    # posed, so the node fails instead of the error escaping check_proof
+    clash = '''
+    a := (A11 {1 | n = 0} "!" {0 | n = 0})
+    b := (R10 "(n = nnc(0)) -> (n = 0)" a "(n = 0) -> (n = 0)"
+          => {1 | n = nnc(0)} "!" {0 | n = 0})
+    '''
+    result = _check(clash)
+    assert [reason for _, reason in result.failures] == [
+        "R10: obligation P -> P': variable n used at two sorts"]
 
 
 def test_r10_annotation_must_match():
@@ -333,6 +353,20 @@ def test_parse_errors():
         parse_proof("(A9 {1 | true} \"#1\"")
     with pytest.raises(ProofSyntaxError):
         parse_proof("(R1 nosuch nosuch => {1 | true} \"!\" {0 | true})")
+
+
+def test_annotation_errors_are_proof_syntax_errors():
+    with pytest.raises(ProofSyntaxError, match=r"point \| formula"):
+        parse_proof('(A11 {1 true} "!" {0 | true})')
+    with pytest.raises(ProofSyntaxError):
+        parse_proof('(A11 {x | true} "!" {0 | true})')
+    with pytest.raises(ProofSyntaxError):
+        parse_proof('(A11 {1 | c = } "!" {0 | true})')
+
+
+def test_term_atoms_of_a_long_chain():
+    atoms = term_atoms(parse_sequence(" ; ".join(["c.incr"] * 100_000 + ["!"])))
+    assert len(atoms) == 100_001
 
 
 def test_comments_and_bindings():

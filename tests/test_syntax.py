@@ -103,6 +103,15 @@ def test_format_parse_roundtrip():
         assert normalize(parse_sequence(format_term(t))) == normalize(t)
 
 
+def test_long_chains_format_and_normalize():
+    # 100k right-nested concatenations: no recursion limit, linear time
+    text = " ; ".join(["c.incr"] * 100_000 + ["(!)^w"])
+    t = parse_sequence(text)
+    assert format_term(t) == text
+    c = normalize(t)
+    assert len(c.prefix) == 100_000 and c.period == (Halt(),)
+
+
 # ---------------------------------------------------------------------------
 # property tests
 
