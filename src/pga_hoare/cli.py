@@ -193,6 +193,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except RecursionError:
+        # the parsers recurse once per nesting level of the input
+        print("error: input nested too deeply", file=sys.stderr)
+        return USAGE
 
 
 if __name__ == "__main__":

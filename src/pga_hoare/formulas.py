@@ -13,11 +13,12 @@ be trusted.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from .services import (EMPTY, AlgebraConfig, Reply, Service, ServiceFamily,
-                       boolreg, counter, family, svc_step)
+                       boolreg, counter, svc_step)
 
 SORTS = ("nat", "bool", "serv", "repl")
 
@@ -166,9 +167,13 @@ FALSE = FalseF()
 _BIN = {"/\\": And, "\\/": Or, "->": Implies}
 
 
-class _Lexer:
-    SYMBOLS = ("->", "/\\", "\\/", "~", "(", ")", "[", "]", "=", ".", ":")
+# One token after optional whitespace: a symbol, a run of decimal digits,
+# or a word (a name when it starts with a letter or "_").  The groups are
+# tried in this order, so "->" wins over a lone "-" and digits over names.
+_TOKEN = re.compile(r"\s*(?:(->|/\\|\\/|[~()\[\]=.:])|(\d+)|(\w+))?")
 
+
+class _Lexer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -179,34 +184,28 @@ class _Lexer:
     def _lex(self):
         t = self.text
         n = len(t)
+        tokens = self.tokens
+        match = _TOKEN.match
         p = 0
-        while p < n:
-            if t[p].isspace():
-                p += 1
-                continue
-            matched = None
-            for sym in self.SYMBOLS:
-                if t.startswith(sym, p):
-                    matched = sym
+        while True:
+            m = match(t, p)
+            p = m.end()
+            group = m.lastindex
+            if group is None:
+                if p == n:
                     break
-            if matched:
-                self.tokens.append((matched, p))
-                p += len(matched)
-                continue
-            if t[p].isdigit():
-                start = p
-                while p < n and t[p].isdigit():
-                    p += 1
-                self.tokens.append((("num", int(t[start:p])), start))
-                continue
-            if t[p].isalpha() or t[p] == "_":
-                start = p
-                while p < n and (t[p].isalnum() or t[p] == "_"):
-                    p += 1
-                self.tokens.append((("ident", t[start:p]), start))
-                continue
-            raise FormulaSyntaxError(f"unexpected character {t[p]!r}", p)
-        self.tokens.append((("eof", None), n))
+                raise FormulaSyntaxError(f"unexpected character {t[p]!r}", p)
+            start = m.start(group)
+            if group == 1:
+                tokens.append((m.group(1), start))
+            elif group == 2:
+                tokens.append((("num", int(m.group(2))), start))
+            elif t[start].isalpha() or t[start] == "_":
+                tokens.append((("ident", m.group(3)), start))
+            else:
+                raise FormulaSyntaxError(f"unexpected character {t[start]!r}",
+                                         start)
+        tokens.append((("eof", None), n))
 
     def peek(self):
         return self.tokens[self.i][0]
@@ -726,6 +725,139 @@ def _compile_eq(f: Eq):
     return lambda env: left(env) == right(env)
 
 
+# One-point narrowing.  Where a conjunct n = t fixes a nat variable n, every
+# other value of n makes the conjunction False, so only the value it fixes
+# needs to be tried: the one-point rule, ∃x.(x = t ∧ φ) ≡ φ[t/x] and
+# ∀x.(x = t → φ) ≡ φ[t/x].  A value left out could neither decide a result
+# nor leave it undecided (False dominates None), so results, witnesses and
+# their enumeration order are unchanged.  Narrowing applies only to formulas
+# whose evaluation cannot raise (_total), so no exception is skipped either.
+
+
+def _operands(f: Formula, cls) -> list:
+    """The operands of f's top-level tree of cls (And or Or), in order."""
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, cls):
+            stack += (g.right, g.left)
+        else:
+            out.append(g)
+    return out
+
+
+_ARG_SORTS = {Succ: "nat", Pred: "nat", Nnc: "nat", RegOf: "bool",
+              DeriveT: "serv", ReplyT: "serv"}
+
+
+def _total(f: Formula) -> bool:
+    """Whether evaluating f cannot raise, given values for its variables.
+
+    free_vars already gives a variable under an operator the operator's
+    argument sort, so f can raise only where an operator is applied to a
+    non-variable term of another sort, or a quantifier's sort is unknown.
+    """
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Eq):
+            for t in (g.left, g.right):
+                while type(t) in _ARG_SORTS:
+                    arg = t.arg
+                    if (not isinstance(arg, Var)
+                            and _term_sort(arg, {}) != _ARG_SORTS[type(t)]):
+                        return False
+                    t = arg
+        elif isinstance(g, (Exists, Forall)):
+            if g.sort not in SORTS:
+                return False
+            stack.append(g.body)
+        elif isinstance(g, Not):
+            stack.append(g.body)
+        elif isinstance(g, (And, Or, Implies)):
+            stack += (g.left, g.right)
+    return True
+
+
+def _inverse(t: Term, name: str):
+    """For t a chain of s(·) and nnc(·) around the variable `name`: a
+    function from a value v to the value of `name` at which t equals v, or
+    to None when there is none.  None when t has another shape."""
+    steps = []
+    while isinstance(t, (Succ, Nnc)):
+        steps.append(isinstance(t, Nnc))
+        t = t.arg
+    if not (isinstance(t, Var) and t.name == name):
+        return None
+
+    def invert(v):
+        for is_nnc in steps:
+            if is_nnc:
+                if not (isinstance(v, Service) and v.kind == "counter"):
+                    return None
+                v = v.content
+            elif isinstance(v, int) and v >= 1:
+                v -= 1
+            else:
+                return None
+        return v
+    return invert
+
+
+def _fixer(f: Formula, name: str, admits):
+    """A closure env -> the only value of `name` at which the conjunction f
+    can be true, or None when no value can.  It solves the first conjunct
+    of f that equates a chain around `name` (see _inverse) with a term
+    whose variables `admits` accepts.  None when no conjunct qualifies."""
+    for g in _operands(f, And):
+        if not isinstance(g, Eq):
+            continue
+        for side, other in ((g.left, g.right), (g.right, g.left)):
+            invert = _inverse(side, name)
+            if invert is not None and admits(_repl_free(other)):
+                value = _compile_term(other)[0]
+                return lambda env: invert(value(env))
+    return None
+
+
+def _narrowed_domain(f, bound: int):
+    """For a quantifier f over nat: a closure env -> the sorted values up to
+    bound at which f's body can decide f, or None when the one-point rule
+    does not apply.  It applies to ∃ over a disjunction whose disjuncts
+    that mention the variable each have a fixing conjunct, and to ∀ over an
+    implication whose antecedent has one.  A disjunct free of the variable
+    has the same value everywhere, so the domain's first value stands for
+    all of them."""
+    var = f.var
+    if not _total(f.body):
+        return None
+
+    def admits(names):
+        return var not in names
+    fixers, anywhere = [], False
+    if isinstance(f, Forall):
+        if not isinstance(f.body, Implies):
+            return None
+        fixers.append(_fixer(f.body.left, var, admits))
+    else:
+        for d in _operands(f.body, Or):
+            if var in _formula_var_names(d):
+                fixers.append(_fixer(d, var, admits))
+            else:
+                anywhere = True
+    if None in fixers:
+        return None
+
+    def values(env):
+        found = {0} if anywhere else set()
+        for fix in fixers:
+            v = fix(env)
+            if v is not None and v <= bound:
+                found.add(v)
+        return sorted(found)
+    return values
+
+
 def _compile(f: Formula, cfg: AlgebraConfig):
     """A closure env -> True/False/None computing f's three-valued value."""
     if isinstance(f, TrueF):
@@ -774,6 +906,8 @@ def _compile(f: Formula, cfg: AlgebraConfig):
             # an unknown sort raises only if the quantifier is reached
             return lambda env: sort_domain(sort, cfg)
         values = tuple(values)
+        narrowed = (_narrowed_domain(f, cfg.quant_bound) if sort == "nat"
+                    else None)
         # ∃ stops at the first True, ∀ at the first False; without one, a
         # None or a truncated domain leaves the value undecided
         decider = isinstance(f, Exists)
@@ -782,7 +916,7 @@ def _compile(f: Formula, cfg: AlgebraConfig):
         def quantifier(env):
             saved = env.get(var, _UNBOUND)
             result = otherwise
-            for v in values:
+            for v in (values if narrowed is None else narrowed(env)):
                 env[var] = v
                 r = body(env)
                 if r is decider:
@@ -791,7 +925,7 @@ def _compile(f: Formula, cfg: AlgebraConfig):
                 if r is None:
                     result = None
             if saved is _UNBOUND:
-                del env[var]
+                env.pop(var, None)  # a narrowed domain may be empty
             else:
                 env[var] = saved
             return result
@@ -864,34 +998,68 @@ class EntailVerdict:
         return self.kind in ("valid", "bounded")
 
 
-def enumerate_states(foci, var_sorts, cfg: AlgebraConfig):
-    """Yield (state, valuation) pairs; returns whether enumeration was
-    exhaustive via the second element of the generator's final flag.
+class StateSpace:
+    """The (state, valuation) pairs that a bounded check enumerates.
 
-    Used as: states, exhaustive = state_space(...); kept eager because the
-    spaces involved are small by construction.
+    States give each focus a service of cfg's domain; valuations give the
+    other variables values of their sorts, nat ones up to state_bound.
+    Foci and variables go in name order, the last name varying fastest.
+
+    Pairs at which `pre` is False by the one-point rule are left out: when
+    a top-level conjunct of pre equates a chain of s(·)/nnc(·) around a
+    free nat variable with a term over foci and constants, that variable
+    takes only the value solving it, if it lies within state_bound.  The
+    other pairs come in the same order as without narrowing.
     """
-    services, serv_exhaustive = cfg.service_domain()
-    exhaustive = True
-    foci = sorted(foci)
-    var_sorts = dict(sorted(var_sorts.items()))
-    if foci and not serv_exhaustive:
-        exhaustive = False
-    domains = []
-    for _, sort in var_sorts.items():
-        if sort == "nat":
-            domains.append(list(range(cfg.state_bound + 1)))
-            exhaustive = False
-        else:
-            values, ex = sort_domain(sort, cfg)
-            domains.append(values)
-            exhaustive = exhaustive and ex
-    pairs = []
-    for combo in itertools.product(services, repeat=len(foci)):
-        state = family(dict(zip(foci, combo)))
-        for values in itertools.product(*domains):
-            pairs.append((state, dict(zip(var_sorts.keys(), values))))
-    return pairs, exhaustive
+
+    def __init__(self, foci, var_sorts, cfg: AlgebraConfig,
+                 pre: Formula = TRUE):
+        self.services, serv_exhaustive = cfg.service_domain()
+        self.foci = sorted(foci)
+        self.names = sorted(var_sorts)
+        self.bound = cfg.state_bound
+        self.exhaustive = serv_exhaustive or not self.foci
+        self.domains = []
+        for name in self.names:
+            if var_sorts[name] == "nat":
+                values, exhaustive = range(cfg.state_bound + 1), False
+            else:
+                values, exhaustive = sort_domain(var_sorts[name], cfg)
+            self.domains.append(values)
+            self.exhaustive = self.exhaustive and exhaustive
+        self.fixers = []  # (index of a nat variable, its fixer)
+        nats = [i for i, name in enumerate(self.names)
+                if var_sorts[name] == "nat"]
+        if nats and _total(pre):
+            valued = frozenset(self.names)
+            for i in nats:
+                fix = _fixer(pre, self.names[i], valued.isdisjoint)
+                if fix is not None:
+                    self.fixers.append((i, fix))
+
+    def pairs(self):
+        """Yield (env, services, values) per pair: the foci's services and
+        the variables' values, both also bound by name in env.  One env
+        serves all the pairs of a state; copy what must outlive a step."""
+        names, fixers, bound = self.names, self.fixers, self.bound
+        for services in itertools.product(self.services,
+                                          repeat=len(self.foci)):
+            env = dict(zip(self.foci, services))
+            domains = self.domains
+            if fixers:
+                domains = list(domains)
+                for i, fix in fixers:
+                    v = fix(env)
+                    domains[i] = () if v is None or v > bound else (v,)
+            for values in itertools.product(*domains):
+                env.update(zip(names, values))
+                yield env, services, values
+
+    def state(self, services) -> ServiceFamily:
+        return ServiceFamily(tuple(zip(self.foci, services)))
+
+    def valuation(self, values) -> Dict[str, object]:
+        return dict(zip(self.names, values))
 
 
 def entails(p: Formula, q: Formula, cfg: AlgebraConfig) -> EntailVerdict:
@@ -910,23 +1078,21 @@ def entails(p: Formula, q: Formula, cfg: AlgebraConfig) -> EntailVerdict:
             raise SortError(f"variable {name} used at two sorts")
     foci = {n for n, s in sorts.items() if s == "serv"}
     var_sorts = {n: s for n, s in sorts.items() if s != "serv"}
-    pairs, exhaustive = enumerate_states(foci, var_sorts, cfg)
+    space = StateSpace(foci, var_sorts, cfg, p)
     p_at, q_at = cp.evaluate, cq.evaluate
     undecided = False
-    for state, valuation in pairs:
-        # every free variable of p and q is a focus of state or valued
-        env = dict(state.entries)
-        env.update(valuation)
+    for env, services, values in space.pairs():
         pv = p_at(env)
         if pv is False:
             continue
         qv = q_at(env)
         if pv is True and qv is False:
-            return EntailVerdict("invalid", witness=(state, valuation))
+            return EntailVerdict("invalid", witness=(space.state(services),
+                                                     space.valuation(values)))
         if qv is None or pv is None:
             undecided = True
     if undecided:
         return EntailVerdict("unknown", bound=cfg.state_bound)
-    if exhaustive:
+    if space.exhaustive:
         return EntailVerdict("valid")
     return EntailVerdict("bounded", bound=cfg.state_bound)

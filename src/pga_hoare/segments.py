@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from . import kernels
 from .formulas import (And, BoolLit, CompiledFormula, EmptyServ, Eq, Formula,
-                       NatLit, Nnc, Or, RegOf, Var, FALSE, TRUE,
-                       compile_formula, enumerate_states)
+                       NatLit, Nnc, Or, RegOf, StateSpace, Var, FALSE, TRUE,
+                       compile_formula)
 from .judgments import AssertedSeq
 from .services import (AlgebraConfig, Reply, Service, ServiceFamily, family,
                        format_family, svc_step)
@@ -220,15 +220,16 @@ class Verdict:
         return f"UNKNOWN ({self.reason})"
 
 
-def _judgment_space(pre: CompiledFormula, post: CompiledFormula,
-                    term: SequenceTerm, cfg: AlgebraConfig):
+def _judgment_space(phi: AssertedSeq, pre: CompiledFormula,
+                    post: CompiledFormula, cfg: AlgebraConfig) -> StateSpace:
     sorts: Dict[str, str] = dict(pre.sorts)
     for name, sort in post.sorts.items():
         if sorts.setdefault(name, sort) != sort:
             raise ValueError(f"variable {name} used at two sorts")
-    foci = {n for n, s in sorts.items() if s == "serv"} | set(foci_of_term(term))
+    foci = ({n for n, s in sorts.items() if s == "serv"}
+            | set(foci_of_term(phi.term)))
     var_sorts = {n: s for n, s in sorts.items() if s != "serv"}
-    return enumerate_states(foci, var_sorts, cfg)
+    return StateSpace(foci, var_sorts, cfg, phi.pre)
 
 
 def holds(phi: AssertedSeq, cfg: AlgebraConfig = _DEFAULT_CFG) -> Verdict:
@@ -252,17 +253,18 @@ def _decide(phi: AssertedSeq, cfg: AlgebraConfig):
                        witness=None), image
     pre = compile_formula(phi.pre, cfg)
     post = compile_formula(phi.post, cfg)
-    pairs, exhaustive = _judgment_space(pre, post, phi.term, cfg)
+    space = _judgment_space(phi, pre, post, cfg)
     runner = _Runner(c, phi.entry, cfg)
-    post_values = {}  # (final state, valuation items) -> value of Q
+    post_values = {}  # (final state, values of the variables) -> value of Q
     undecided = None
-    for state, valuation in pairs:
-        pv = pre(state, valuation)
+    for env, services, values in space.pairs():
+        pv = pre.evaluate(env)
         if pv is False:
             continue
         if pv is None:
             undecided = "precondition undecided within the quantifier bound"
             continue
+        state = space.state(services)
         outcome = runner.run(state)
         if isinstance(outcome, Inactive):
             continue
@@ -275,12 +277,13 @@ def _decide(phi: AssertedSeq, cfg: AlgebraConfig):
             reached = (isinstance(outcome, Exited)
                        and outcome.offset == phi.exit)
         if reached:
-            key = (outcome.state, tuple(valuation.items()))
+            key = (outcome.state, values)
             if key not in post_values:
-                post_values[key] = post(outcome.state, valuation)
+                post_values[key] = post(outcome.state,
+                                        space.valuation(values))
             qv = post_values[key]
         if not reached or qv is False:
-            witness = (state, valuation, outcome)
+            witness = (state, space.valuation(values), outcome)
             return Verdict("fails", witness=witness), image
         image.add(outcome.state)
         if qv is None:
@@ -288,7 +291,7 @@ def _decide(phi: AssertedSeq, cfg: AlgebraConfig):
     if undecided:
         verdict = Verdict("unknown", reason=undecided, bound=cfg.state_bound)
     else:
-        verdict = Verdict("holds", bounded=not exhaustive,
+        verdict = Verdict("holds", bounded=not space.exhaustive,
                           bound=cfg.state_bound)
     return verdict, image
 
@@ -317,7 +320,8 @@ def _state_formula(state: ServiceFamily) -> Formula:
 
 
 def states_formula(states) -> Formula:
-    states = sorted(states, key=lambda s: s.entries)
+    # services do not order, so the disjuncts follow the printed states
+    states = sorted(states, key=format_family)
     if not states:
         return FALSE
     out = _state_formula(states[0])

@@ -116,3 +116,25 @@ def test_long_sequences_do_not_crash(capsys):
     assert main(["run", seq, "{c = counter(0)}"]) == 0
     assert capsys.readouterr().out == "halted in {c = counter(100000)}\n"
     assert time.perf_counter() - started < 10
+
+
+def test_deep_nesting_is_a_usage_error(capsys):
+    # the parsers recurse once per nesting level; input nested past the
+    # recursion limit is reported, not raised
+    seq = "(" * 2000 + "a.m" + ")" * 2000
+    formula = "(" * 2000 + "true" + ")" * 2000
+    for argv in (["normalize", seq],
+                 ["holds", "{1 | %s} ! {0 | true}" % formula],
+                 ["sp", formula, "!"]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: input nested too deeply\n"
+        assert captured.out == ""
+
+
+def test_sp_lists_every_state_of_the_image(capsys):
+    assert main(["--bound", "3", "sp", "true", "c.decr", "--exit", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "states: 3\n  {c = counter(0)}\n  {c = counter(1)}\n"
+        "  {c = counter(2)}\nformula: (c = nnc(0) \\/ c = nnc(1)) \\/ "
+        "c = nnc(2)\n")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from pga_hoare.formulas import FALSE, TRUE, parse_formula
+from pga_hoare.formulas import FALSE, TRUE, Not, parse_formula
 from pga_hoare.judgments import AssertedSeq, expand_multi_exit, parse_asserted
 from pga_hoare.segments import (BudgetOut, Exited, Halted, Inactive, holds,
                                 run_segment, strongest_post)
@@ -117,6 +117,41 @@ def test_holds_free_nat_variable_judgment():
     phi = parse_asserted(
         '{1 | c = nnc(s(n))} "%s" {1 | c = nnc(n)}' % LOOP_BODY)
     assert holds(phi, CFG).is_holds
+
+
+def _unnarrowed(phi):
+    # ~~P has P's value everywhere, but no top-level conjunct fixes a
+    # variable, so every valuation of every state is tried
+    return AssertedSeq(phi.entry, Not(Not(phi.pre)), phi.term, phi.exit,
+                       phi.post)
+
+
+def test_holds_free_nat_variable_solved_from_a_focus():
+    # c = nnc(s(n)) fixes n at c - 1, so each state is tried at that n
+    # only; verdicts, witnesses and images equal those of a full sweep
+    small = AlgebraConfig("counter", state_bound=3, quant_bound=3)
+    cases = [
+        ('{1 | c = nnc(s(n))} "%s" {1 | c = nnc(n)}' % LOOP_BODY, "holds"),
+        ('{1 | c = nnc(s(n))} "c.decr" {1 | c = nnc(s(n))}', "fails"),
+        ('{1 | c = nnc(s(n)) /\\ d = nnc(m)} "c.decr ; d.incr" '
+         '{1 | c = nnc(n) /\\ d = nnc(s(m))}', "holds"),
+        ('{1 | nnc(s(n)) = c /\\ ~n = 1} "c.incr" {1 | ~c = nnc(4)}',
+         "fails"),
+        # the solution n = 3 lies at the bound B = 3, n = 4 beyond it
+        ('{1 | c = nnc(0) /\\ n = 3} "c.incr" {1 | c = nnc(n)}', "fails"),
+        ('{1 | c = nnc(0) /\\ n = 4} "c.incr" {1 | c = nnc(n)}', "holds"),
+        ('{1 | c = nnc(s(n))} "(c.incr)^w" {0 | true}', "unknown"),
+    ]
+    for text, kind in cases:
+        phi = parse_asserted(text)
+        v = holds(phi, small)
+        assert v == holds(_unnarrowed(phi), small), text
+        assert v.kind == kind, text
+    v = holds(parse_asserted(cases[1][0]), small)
+    assert v.witness[:2] == (family({"c": counter(1)}), {"n": 0})
+    states, _ = strongest_post(parse_formula("c = nnc(s(s(n)))"),
+                               parse_sequence("c.decr"), 1, 1, small)
+    assert states == {family({"c": counter(1)}), family({"c": counter(2)})}
 
 
 def test_holds_inactive_satisfies_any_exit():
