@@ -10,8 +10,7 @@ from .segments import (BudgetOut, Exited, Halted, Inactive, Verdict, holds,
                        run_canonical, run_segment, strongest_post)
 from .services import (EMPTY, EMPTY_FAMILY, AlgebraConfig, Reply, Service,
                        ServiceFamily, boolreg, counter, fam_compose,
-                       fam_encapsulate, family, parse_family, register_algebra,
-                       svc_step)
+                       fam_encapsulate, family, parse_family, svc_step)
 from .syntax import (OMEGA, CanonicalSequence, format_canonical, format_term,
                      normalize, parse_sequence, seq_equal, term_length)
 from .threads import (BudgetExhausted, RegularThread, apply, bisimilar, embed,

@@ -16,7 +16,7 @@ from .judgments import parse_asserted
 from .proofs import ProofSyntaxError, check_proof, parse_proof
 from .segments import (BudgetOut, Exited, Halted, Inactive, format_outcome,
                        holds, run_segment, strongest_post)
-from .services import AlgebraConfig, format_family, parse_family
+from .services import AlgebraConfig, family_key, format_family, parse_family
 from .syntax import (OMEGA, SequenceSyntaxError, format_canonical,
                      format_instruction, normalize, parse_sequence)
 from .threads import thread_dump, thread_of
@@ -141,7 +141,7 @@ def _cmd_sp(args, cfg) -> int:
     except ValueError as exc:
         _emit(args, [f"error: {exc}"], {"error": str(exc)})
         return FAILED
-    listed = sorted(format_family(u) for u in states)
+    listed = [format_family(u) for u in sorted(states, key=family_key)]
     lines = [f"states: {len(listed)}"] + [f"  {u}" for u in listed]
     lines.append("formula: " + format_formula(formula))
     _emit(args, lines, {"states": listed, "formula": format_formula(formula)})

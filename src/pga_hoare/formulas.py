@@ -424,21 +424,29 @@ def _wrap(f: Formula) -> str:
 # free variables and sorts
 
 
+# operator -> the sort of its argument
+_ARG_SORTS = {Succ: "nat", Pred: "nat", Nnc: "nat", RegOf: "bool",
+              DeriveT: "serv", ReplyT: "serv"}
+
+
 def _term_vars(t: Term, sort_hint: Optional[str], out: Dict[str, Optional[str]]):
-    if isinstance(t, Var):
-        prev = out.get(t.name)
-        if prev is None:
-            out[t.name] = sort_hint
-        elif sort_hint is not None and prev != sort_hint:
-            raise SortError(f"variable {t.name} used at sorts {prev} and {sort_hint}")
-    elif isinstance(t, (Succ, Pred)):
-        _term_vars(t.arg, "nat", out)
-    elif isinstance(t, Nnc):
-        _term_vars(t.arg, "nat", out)
-    elif isinstance(t, RegOf):
-        _term_vars(t.arg, "bool", out)
-    elif isinstance(t, (DeriveT, ReplyT)):
-        _term_vars(t.arg, "serv", out)
+    """Collect t's variables into out, with the sorts the operators around
+    them give.  Raises SortError for an operator applied to a term of
+    another sort."""
+    while not isinstance(t, Var):
+        hint = _ARG_SORTS.get(type(t))
+        if hint is None:
+            return
+        sort = _term_sort(t.arg, {})
+        if sort is not None and sort != hint:
+            raise SortError(f"ill-sorted term {format_term(t)}: "
+                            f"argument of sort {sort}, expected {hint}")
+        t, sort_hint = t.arg, hint
+    prev = out.get(t.name)
+    if prev is None:
+        out[t.name] = sort_hint
+    elif sort_hint is not None and prev != sort_hint:
+        raise SortError(f"variable {t.name} used at sorts {prev} and {sort_hint}")
 
 
 def _term_sort(t: Term, env: Dict[str, Optional[str]]) -> Optional[str]:
@@ -705,10 +713,7 @@ def _compile_term(t: Term):
             raise TypeError(f"not a term: {t!r}")
     arg, value = _compile_term(t.arg)
     if value is not _OPEN:
-        try:
-            return _constant(op(value))
-        except (AttributeError, TypeError, ValueError):
-            pass  # an ill-sorted closed term raises when evaluated, not here
+        return _constant(op(value))
     return (lambda env: op(arg(env))), _OPEN
 
 
@@ -746,29 +751,16 @@ def _operands(f: Formula, cls) -> list:
     return out
 
 
-_ARG_SORTS = {Succ: "nat", Pred: "nat", Nnc: "nat", RegOf: "bool",
-              DeriveT: "serv", ReplyT: "serv"}
-
-
 def _total(f: Formula) -> bool:
     """Whether evaluating f cannot raise, given values for its variables.
 
-    free_vars already gives a variable under an operator the operator's
-    argument sort, so f can raise only where an operator is applied to a
-    non-variable term of another sort, or a quantifier's sort is unknown.
+    free_vars has checked the sort of every operator's argument, so f can
+    raise only where a quantifier's sort is unknown.
     """
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, Eq):
-            for t in (g.left, g.right):
-                while type(t) in _ARG_SORTS:
-                    arg = t.arg
-                    if (not isinstance(arg, Var)
-                            and _term_sort(arg, {}) != _ARG_SORTS[type(t)]):
-                        return False
-                    t = arg
-        elif isinstance(g, (Exists, Forall)):
+        if isinstance(g, (Exists, Forall)):
             if g.sort not in SORTS:
                 return False
             stack.append(g.body)

@@ -1,73 +1,67 @@
-"""Kernel selection and encoding helpers.
+"""Execution kernels: the segment loop, the apply loop and their encodings.
 
-The hot inner loops (segment interpretation and thread application) exist
-twice: a Cython extension and a pure-Python fallback with the same contract.
-The compiled one is preferred for single runs; set PGA_HOARE_PURE=1 to force
-the fallback.  Runs that share an outcome table (one judgment's runs over
-many states) always use the pure segment loop, the only one that takes a
-table.
+Both loops run on flat integer arrays rather than on instruction and
+service objects.  The encode_* helpers build those arrays and
+decode_family turns final contents back into a family.
+
+Encoding conventions:
+  instruction ops:  0 basic, 1 positive test, 2 negative test, 3 jump, 4 halt
+  arg1: focus slot for action instructions (-1 if the focus is absent from
+        the family), jump offset for jumps
+  arg2: algebra method code for action instructions (-1 unknown method)
+  service kinds:    0 boolreg, 1 counter
+  service content:  -1 empty; boolreg 0/1; counter the count
+  method codes:     boolreg get/set:t/set:f = 0/1/2
+                    counter incr/decr/iszero = 0/1/2
+  outcomes:         0 halted, 1 exited, 2 inactive, 3 budget exhausted
+
+Step budget: a run from a family may take state_bound * n * (c + 1)
+steps, where n is the number of representative positions (segment loop)
+or thread nodes (apply loop) and c the largest content in the family
+(0 when there is none).  Every executed instruction, jumps included, and
+every visited branch node is one step.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _kernels_py
-from .services import EMPTY, Reply, Service, ServiceFamily, family
+from .services import EMPTY, Service, ServiceFamily, family
 from .syntax import Basic, CanonicalSequence, Halt, Jump, NegTest, PosTest
 
-if os.environ.get("PGA_HOARE_PURE") == "1":
-    _impl = _kernels_py
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _kernels_py
-
-HALTED = _kernels_py.HALTED
-EXITED = _kernels_py.EXITED
-INACTIVE = _kernels_py.INACTIVE
-BUDGET = _kernels_py.BUDGET
-
-run_segment_kernel = _impl.run_segment_kernel
-run_segment_tabled = _kernels_py.run_segment_kernel
-apply_kernel = _impl.apply_kernel
+HALTED, EXITED, INACTIVE, BUDGET = 0, 1, 2, 3
 
 
 def implementation() -> str:
-    return _impl.IMPLEMENTATION
+    return "python"
 
 
-_KIND_CODE = {"boolreg": 0, "counter": 1}
-_METHOD_CODE = {
-    "boolreg": {"get": 0, "set:t": 1, "set:f": 2},
-    "counter": {"incr": 0, "decr": 1, "iszero": 2},
-}
+_METHOD_CODE = (
+    {"get": 0, "set:t": 1, "set:f": 2},  # boolreg
+    {"incr": 0, "decr": 1, "iszero": 2},  # counter
+)
 
 
-def encodable_family(u: ServiceFamily) -> bool:
-    return all(s.kind in ("empty", "boolreg", "counter") for _, s in u.entries)
-
-
-def encode_family(u: ServiceFamily, default_kind: str = "counter"):
+def encode_family(u: ServiceFamily):
     """(foci, kinds, contents): parallel per-slot arrays, foci sorted.
 
-    An empty service keeps content -1; its kind slot falls back to
-    default_kind (irrelevant, every method replies D on it).
+    An empty service has content -1 and the counter kind (irrelevant,
+    every method replies D on it).  Raises ValueError for any other kind
+    than empty, counter and boolreg.
     """
     foci = [f for f, _ in u.entries]
     kinds = []
     contents = []
     for _, s in u.entries:
         if s.kind == "empty":
-            kinds.append(_KIND_CODE[default_kind])
+            kinds.append(1)
             contents.append(-1)
         elif s.kind == "boolreg":
             kinds.append(0)
             contents.append(1 if s.content else 0)
-        else:
+        elif s.kind == "counter":
             kinds.append(1)
             contents.append(s.content)
+        else:
+            raise ValueError(f"unknown service kind {s.kind!r}")
     return foci, kinds, contents
 
 
@@ -81,6 +75,14 @@ def decode_family(foci, kinds, contents) -> ServiceFamily:
         else:
             items[f] = Service("counter", c)
     return family(items)
+
+
+def _action(focus, method, slot, kinds):
+    """(slot, method code) of an action on focus; -1 for what is absent."""
+    s = slot.get(focus, -1)
+    if s < 0:
+        return -1, -1
+    return s, _METHOD_CODE[kinds[s]].get(method, -1)
 
 
 def encode_canonical(c: CanonicalSequence, foci, kinds):
@@ -104,13 +106,9 @@ def encode_canonical(c: CanonicalSequence, foci, kinds):
             else:
                 assert isinstance(instr, NegTest)
                 ops.append(2)
-            s = slot.get(instr.focus, -1)
+            s, m = _action(instr.focus, instr.method, slot, kinds)
             arg1.append(s)
-            if s < 0:
-                arg2.append(-1)
-            else:
-                kind_name = "boolreg" if kinds[s] == 0 else "counter"
-                arg2.append(_METHOD_CODE[kind_name].get(instr.method, -1))
+            arg2.append(m)
     return ops, arg1, arg2
 
 
@@ -123,32 +121,180 @@ def encode_thread(nodes, foci, kinds):
     slot = {f: i for i, f in enumerate(foci)}
     node_kind, node_slot, node_method, node_then, node_else = [], [], [], [], []
     for n in nodes:
-        if n[0] == "stop":
-            node_kind.append(0)
-            node_slot.append(0)
-            node_method.append(0)
-            node_then.append(0)
-            node_else.append(0)
-        elif n[0] == "dead":
-            node_kind.append(1)
-            node_slot.append(0)
-            node_method.append(0)
-            node_then.append(0)
-            node_else.append(0)
-        else:
+        if n[0] == "branch":
             _, focus, method, then_i, else_i = n
+            s, m = _action(focus, method, slot, kinds)
             node_kind.append(2)
-            s = slot.get(focus, -1)
             node_slot.append(s)
-            if s < 0:
-                node_method.append(-1)
-            else:
-                kind_name = "boolreg" if kinds[s] == 0 else "counter"
-                node_method.append(_METHOD_CODE[kind_name].get(method, -1))
+            node_method.append(m)
             node_then.append(then_i)
             node_else.append(else_i)
+        else:
+            node_kind.append(0 if n[0] == "stop" else 1)
+            node_slot.append(0)
+            node_method.append(0)
+            node_then.append(0)
+            node_else.append(0)
     return node_kind, node_slot, node_method, node_then, node_else
 
 
-def reply_code(r: Reply) -> int:
-    return {Reply.F: 0, Reply.T: 1, Reply.D: 2}[r]
+def _step_limit(state_bound, n, contents):
+    """The step budget of one run (see the module docstring)."""
+    maxc = 0
+    for c in contents:
+        if c > maxc:
+            maxc = c
+    return state_bound * n * (maxc + 1)
+
+
+def _svc(kind, content, mcode):
+    """One service step: (reply, new content); reply 0=F, 1=T, 2=D."""
+    if content < 0 or mcode < 0:
+        return 2, -1
+    if kind == 0:  # boolean register
+        if mcode == 0:
+            return content, content
+        if mcode == 1:
+            return 1, 1
+        return 1, 0
+    # counter
+    if mcode == 0:
+        return 1, content + 1
+    if mcode == 1:
+        return (1, content - 1) if content > 0 else (0, 0)
+    return (1 if content == 0 else 0), content
+
+
+def run_segment_kernel(ops, arg1, arg2, prefix_len, period_len, entry,
+                       kinds, contents, state_bound, table=None):
+    """Program-counter interpretation of an encoded canonical sequence.
+
+    Returns (outcome, exit_offset, final_contents).  exit_offset is only
+    meaningful for EXITED; final_contents only for HALTED/EXITED.
+
+    table is an outcome table shared by runs of one encoded sequence from
+    one entry point (None: a fresh one, which no later run reads).  It maps
+    the contents at the entry's representative position to
+    ((outcome, exit_offset, final_contents), steps), where steps counts the
+    steps from that node to the outcome.  A run that reaches a tabled node
+    after `taken` steps ends there, running out of budget exactly when
+    taken + steps exceeds its own limit, so every outcome equals that of a
+    fresh run.  Budget-outs are never tabled, nor are members of a cycle:
+    how many steps a cycle member takes depends on where a run enters the
+    cycle.
+    """
+    contents = list(contents)
+    limit = _step_limit(state_bound, prefix_len + period_len, contents)
+    if table is None:
+        head = 0  # no position: a fresh table is neither read nor written
+    elif entry > prefix_len and period_len:
+        head = prefix_len + (entry - prefix_len - 1) % period_len + 1
+    else:
+        head = entry
+    marks = []  # (contents at head, steps taken before reaching it)
+    seen = {} if period_len else None  # node -> steps taken before it
+    pos = entry
+    steps = 0
+    while True:
+        if pos > prefix_len:
+            if period_len == 0:
+                outcome, off, final = EXITED, pos - prefix_len, contents
+                break
+            rep = prefix_len + (pos - prefix_len - 1) % period_len + 1
+        else:
+            rep = pos
+        if rep == head:
+            state = tuple(contents)
+            hit = table.get(state)
+            if hit is not None:
+                result, more = hit
+                steps += more
+                _tabulate(table, marks, result, steps)
+                if steps > limit:
+                    return BUDGET, 0, None
+                outcome, off, final = result
+                return outcome, off, None if final is None else list(final)
+            marks.append((state, steps))
+        if seen is not None:
+            key = (rep, tuple(contents))
+            cycle_start = seen.get(key)
+            if cycle_start is not None:
+                _tabulate(table, [m for m in marks if m[1] < cycle_start],
+                          (INACTIVE, 0, None), steps)
+                return INACTIVE, 0, None
+            seen[key] = steps
+        steps += 1
+        if steps > limit:
+            return BUDGET, 0, None
+        op = ops[rep - 1]
+        if op == 4:
+            outcome, off, final = HALTED, 0, contents
+            break
+        if op == 3:
+            off = arg1[rep - 1]
+            if off == 0:
+                outcome, off, final = INACTIVE, 0, None
+                break
+            pos = pos + off
+            continue
+        slot = arg1[rep - 1]
+        if slot < 0:
+            outcome, off, final = INACTIVE, 0, None
+            break
+        reply, newc = _svc(kinds[slot], contents[slot], arg2[rep - 1])
+        if reply == 2:
+            outcome, off, final = INACTIVE, 0, None
+            break
+        contents[slot] = newc
+        if op == 0:
+            pos += 1
+        elif op == 1:
+            pos += 1 if reply == 1 else 2
+        else:
+            pos += 2 if reply == 1 else 1
+    if marks:
+        _tabulate(table, marks,
+                  (outcome, off, None if final is None else tuple(final)),
+                  steps)
+    return outcome, off, final
+
+
+def _tabulate(table, marks, result, steps):
+    for state, taken in marks:
+        table[state] = (result, steps - taken)
+
+
+def apply_kernel(node_kind, node_slot, node_method, node_then, node_else,
+                 root, kinds, contents, state_bound):
+    """Walk an encoded regular thread against an encoded family.
+
+    node_kind: 0 stop, 1 dead, 2 branch.  Returns (outcome, final_contents)
+    with outcome HALTED (reached stop), INACTIVE (dead / divergence / reply
+    D / missing focus), or BUDGET.
+    """
+    contents = list(contents)
+    limit = _step_limit(state_bound, len(node_kind), contents)
+    cur = root
+    steps = 0
+    seen = set()
+    while True:
+        kind = node_kind[cur]
+        if kind == 0:
+            return HALTED, contents
+        if kind == 1:
+            return INACTIVE, None
+        key = (cur, tuple(contents))
+        if key in seen:
+            return INACTIVE, None
+        seen.add(key)
+        steps += 1
+        if steps > limit:
+            return BUDGET, None
+        slot = node_slot[cur]
+        if slot < 0:
+            return INACTIVE, None
+        reply, newc = _svc(kinds[slot], contents[slot], node_method[cur])
+        if reply == 2:
+            return INACTIVE, None
+        contents[slot] = newc
+        cur = node_then[cur] if reply == 1 else node_else[cur]

@@ -11,17 +11,15 @@ is explored once rather than once per state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from . import kernels
 from .formulas import (And, BoolLit, CompiledFormula, EmptyServ, Eq, Formula,
                        NatLit, Nnc, Or, RegOf, StateSpace, Var, FALSE, TRUE,
                        compile_formula)
 from .judgments import AssertedSeq
-from .services import (AlgebraConfig, Reply, Service, ServiceFamily, family,
-                       format_family, svc_step)
-from .syntax import (Basic, CanonicalSequence, Halt, Jump, NegTest, PosTest,
-                     SequenceTerm, foci_of_term, format_canonical, normalize)
+from .services import AlgebraConfig, ServiceFamily, family_key, format_family
+from .syntax import CanonicalSequence, SequenceTerm, foci_of_term, normalize
 
 
 # ---------------------------------------------------------------------------
@@ -86,18 +84,21 @@ def run_segment(s: SequenceTerm, b: int, u: ServiceFamily,
 
 def run_canonical(c: CanonicalSequence, b: int, u: ServiceFamily,
                   cfg: AlgebraConfig = _DEFAULT_CFG):
+    """run_segment on a canonical form.
+
+    Raises ValueError when b lies outside the segment or u holds a service
+    of another kind than empty, counter and boolreg.
+    """
     if b < 1:
         raise ValueError("entry point must be at least 1")
     if b > c.length:
         raise ValueError("entry beyond segment")
-    if kernels.encodable_family(u):
-        foci, kinds, contents = kernels.encode_family(u)
-        enc = kernels.encode_canonical(c, foci, kinds)
-        code, off, final = kernels.run_segment_kernel(
-            *enc, len(c.prefix), len(c.period or ()), b, kinds, contents,
-            cfg.state_bound)
-        return _outcome(code, off, final, foci, kinds)
-    return _run_generic(c, b, u, cfg)
+    foci, kinds, contents = kernels.encode_family(u)
+    enc = kernels.encode_canonical(c, foci, kinds)
+    code, off, final = kernels.run_segment_kernel(
+        *enc, len(c.prefix), len(c.period or ()), b, kinds, contents,
+        cfg.state_bound)
+    return _outcome(code, off, final, foci, kinds)
 
 
 def _outcome(code, off, final, foci, kinds):
@@ -114,11 +115,10 @@ class _Runner:
     """run_canonical(c, b, u, cfg) for many states u of one judgment.
 
     The sequence is encoded once per family layout (foci and service
-    kinds), and the runs of one layout share one outcome table of the pure
+    kinds), and the runs of one layout share one outcome table of the
     segment loop.  Each run keeps its own step budget, so every outcome
     equals what run_canonical returns for that state.  Runs ending in the
-    same contents share one decoded outcome.  Families with custom service
-    kinds fall back to run_canonical.
+    same contents share one decoded outcome.
     """
 
     def __init__(self, c: CanonicalSequence, b: int, cfg: AlgebraConfig):
@@ -127,8 +127,6 @@ class _Runner:
 
     def run(self, u: ServiceFamily):
         c = self.c
-        if not kernels.encodable_family(u):
-            return run_canonical(c, self.b, u, self.cfg)
         foci, kinds, contents = kernels.encode_family(u)
         layout = (tuple(foci), tuple(kinds))
         shared = self._layouts.get(layout)
@@ -136,7 +134,7 @@ class _Runner:
             shared = (kernels.encode_canonical(c, foci, kinds), {}, {})
             self._layouts[layout] = shared
         enc, table, outcomes = shared
-        code, off, final = kernels.run_segment_tabled(
+        code, off, final = kernels.run_segment_kernel(
             *enc, len(c.prefix), len(c.period or ()), self.b, kinds, contents,
             self.cfg.state_bound, table)
         if final is None:
@@ -146,47 +144,6 @@ class _Runner:
         if outcome is None:
             outcome = outcomes[key] = _outcome(code, off, final, foci, kinds)
         return outcome
-
-
-def _run_generic(c: CanonicalSequence, b: int, u: ServiceFamily,
-                 cfg: AlgebraConfig):
-    # Fallback for families holding custom (registered) service kinds.
-    n = len(c.prefix) + len(c.period or ())
-    pos = b
-    seen = set() if c.period is not None else None
-    budget = cfg.state_bound * (n + 1)
-    while True:
-        if c.period is None and pos > n:
-            return Exited(pos - n, u)
-        rep = c.representative(pos)
-        if seen is not None:
-            key = (rep, u)
-            if key in seen:
-                return INACTIVE
-            seen.add(key)
-            if len(seen) > budget:
-                return BUDGET_OUT
-        instr = c.instruction_at(rep)
-        if isinstance(instr, Halt):
-            return Halted(u)
-        if isinstance(instr, Jump):
-            if instr.offset == 0:
-                return INACTIVE
-            pos += instr.offset
-            continue
-        service = u.get(instr.focus)
-        if service is None:
-            return INACTIVE
-        reply, derived = svc_step(service, instr.method)
-        if reply == Reply.D:
-            return INACTIVE
-        u = u.with_service(instr.focus, derived)
-        if isinstance(instr, Basic):
-            pos += 1
-        elif isinstance(instr, PosTest):
-            pos += 1 if reply == Reply.T else 2
-        else:
-            pos += 2 if reply == Reply.T else 1
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +277,7 @@ def _state_formula(state: ServiceFamily) -> Formula:
 
 
 def states_formula(states) -> Formula:
-    # services do not order, so the disjuncts follow the printed states
-    states = sorted(states, key=format_family)
+    states = sorted(states, key=family_key)
     if not states:
         return FALSE
     out = _state_formula(states[0])

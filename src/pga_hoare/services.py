@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 
 class Reply(Enum):
@@ -61,25 +61,13 @@ def _boolreg_step(s: Service, m: str):
     return Reply.D, EMPTY
 
 
-_STEPPERS: Dict[str, Callable] = {
-    "counter": _counter_step,
-    "boolreg": _boolreg_step,
-}
-
-
-def register_algebra(kind: str, stepper: Callable) -> None:
-    """Extension hook: supply derive/reply behaviour for a new service kind."""
-    _STEPPERS[kind] = stepper
-
-
 def svc_step(s: Service, m: str) -> Tuple[Reply, Service]:
     """Process method m: the reply and the derived service."""
-    if s.kind == "empty":
-        return Reply.D, EMPTY
-    stepper = _STEPPERS.get(s.kind)
-    if stepper is None:
-        return Reply.D, EMPTY
-    return stepper(s, m)
+    if s.kind == "counter":
+        return _counter_step(s, m)
+    if s.kind == "boolreg":
+        return _boolreg_step(s, m)
+    return Reply.D, EMPTY
 
 
 def svc_reply(s: Service, m: str) -> Reply:
@@ -125,6 +113,12 @@ class ServiceFamily:
 
 
 EMPTY_FAMILY = ServiceFamily()
+
+
+def family_key(u: ServiceFamily) -> tuple:
+    """Sort key for families: focus by focus, then kind, then content, so
+    counter(2) comes before counter(10)."""
+    return tuple((f, s.kind, s.content) for f, s in u.entries)
 
 
 def family(items: Dict[str, Service]) -> ServiceFamily:

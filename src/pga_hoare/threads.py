@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from . import kernels
-from .services import (EMPTY_FAMILY, AlgebraConfig, Reply, ServiceFamily,
-                       svc_step)
+from .services import EMPTY_FAMILY, AlgebraConfig, ServiceFamily
 from .syntax import (Basic, CanonicalSequence, Concat, Halt, Instr, Jump,
                      NegTest, PosTest, Repeat, SequenceTerm, concat_all,
                      normalize)
@@ -215,48 +214,18 @@ def apply(t: RegularThread, u: ServiceFamily,
     Stop yields the current family, Dead the empty family; a missing focus
     or a D reply also yields the empty family, as does divergence (revisit
     of a (node, family) pair).  Raises BudgetExhausted when a counter grows
-    without the state ever repeating.
+    without the state ever repeating, and ValueError when u holds a service
+    of another kind than empty, counter and boolreg.
     """
-    if kernels.encodable_family(u):
-        foci, kinds, contents = kernels.encode_family(u)
-        enc = kernels.encode_thread(t.nodes, foci, kinds)
-        outcome, final = kernels.apply_kernel(*enc, t.root, kinds, contents,
-                                              cfg.state_bound)
-        if outcome == kernels.BUDGET:
-            raise BudgetExhausted("apply step budget exhausted")
-        if outcome == kernels.HALTED:
-            return kernels.decode_family(foci, kinds, final)
-        return EMPTY_FAMILY
-    return _apply_generic(t, u, cfg)
-
-
-def _apply_generic(t: RegularThread, u: ServiceFamily,
-                   cfg: AlgebraConfig) -> ServiceFamily:
-    # Fallback for families holding custom (registered) service kinds.
-    seen = set()
-    cur = t.root
-    budget = cfg.state_bound * (len(t.nodes) + 1)
-    while True:
-        node = t.nodes[cur]
-        if node[0] == "stop":
-            return u
-        if node[0] == "dead":
-            return EMPTY_FAMILY
-        key = (cur, u)
-        if key in seen:
-            return EMPTY_FAMILY
-        seen.add(key)
-        if len(seen) > budget:
-            raise BudgetExhausted("apply step budget exhausted")
-        _, focus, method, then_i, else_i = node
-        service = u.get(focus)
-        if service is None:
-            return EMPTY_FAMILY
-        reply, derived = svc_step(service, method)
-        if reply == Reply.D:
-            return EMPTY_FAMILY
-        u = u.with_service(focus, derived)
-        cur = then_i if reply == Reply.T else else_i
+    foci, kinds, contents = kernels.encode_family(u)
+    enc = kernels.encode_thread(t.nodes, foci, kinds)
+    outcome, final = kernels.apply_kernel(*enc, t.root, kinds, contents,
+                                          cfg.state_bound)
+    if outcome == kernels.BUDGET:
+        raise BudgetExhausted("apply step budget exhausted")
+    if outcome == kernels.HALTED:
+        return kernels.decode_family(foci, kinds, final)
+    return EMPTY_FAMILY
 
 
 def thread_dump(t: RegularThread) -> str:

@@ -138,3 +138,27 @@ def test_sp_lists_every_state_of_the_image(capsys):
         "states: 3\n  {c = counter(0)}\n  {c = counter(1)}\n"
         "  {c = counter(2)}\nformula: (c = nnc(0) \\/ c = nnc(1)) \\/ "
         "c = nnc(2)\n")
+    # states and disjuncts go by counter value, not by printed text
+    assert main(["--bound", "12", "sp", "c = nnc(s(n))", "c.decr",
+                 "--exit", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["states: 12", "  {c = counter(0)}", "  {c = counter(1)}"]
+    assert out[10:13] == ["  {c = counter(9)}", "  {c = counter(10)}",
+                          "  {c = counter(11)}"]
+    assert out[13].startswith("formula: ((((((((((c = nnc(0) \\/ c = nnc(1))")
+    assert out[13].endswith("\\/ c = nnc(10)) \\/ c = nnc(11)")
+
+
+def test_ill_sorted_operator_arguments_are_usage_errors(capsys):
+    # an operator applied to a term of another sort is a sort error, found
+    # before any state is enumerated
+    for pre, message in (
+            ("s(empty) = 0", "s(empty): argument of sort serv, expected nat"),
+            ("p(:t) = 0", "p(:t): argument of sort repl, expected nat"),
+            ("c = nnc(reg(true))",
+             "nnc(reg(true)): argument of sort serv, expected nat"),
+            ("c = reg(0)", "reg(0): argument of sort nat, expected bool")):
+        assert main(["holds", "{1 | %s} ! {0 | true}" % pre]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: ill-sorted term {message}\n"
+        assert captured.out == ""

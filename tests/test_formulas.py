@@ -483,7 +483,9 @@ def test_compiled_evaluation_raises_as_reference(cfg):
 
 
 def test_compiled_evaluation_sort_errors():
-    for text in ("x = nnc(0) /\\ x = 0", "n = 0 -> n = reg(true)"):
+    for text in ("x = nnc(0) /\\ x = 0", "n = 0 -> n = reg(true)",
+                 "s(empty) = 0", "c = nnc(r[get](c))",
+                 "exists n:nat. d[incr](s(n)) = c"):
         f = parse_formula(text)
         with pytest.raises(SortError):
             compile_formula(f, CFG)
@@ -607,16 +609,25 @@ def test_one_point_entails_at_the_state_bound():
 
 
 def test_one_point_needs_a_total_formula():
-    # s(empty) raises when evaluated; p is False at every pair narrowing
-    # leaves out, but evaluating p there raises, so nothing is left out
+    # an operator applied to a term of another sort never reaches
+    # evaluation: sort inference rejects it in both checkers
     p = parse_formula("(c = nnc(0) /\\ n = 1 -> s(empty) = 0) /\\ c = nnc(n)")
     q = parse_formula("c = nnc(n)")
     expected = _outcome(_ref_entails, p, q, _EDGE)
-    assert expected[:2] == ("raised", TypeError)
+    assert expected[:2] == ("raised", SortError)
     assert _outcome(entails, p, q, _EDGE) == expected
-    f = parse_formula("exists n:nat. ((n = 1 -> s(empty) = 0) /\\ n = 3)")
+    # a quantifier over an unknown sort raises when evaluated; p is False
+    # at every pair narrowing leaves out, but evaluating p there raises,
+    # so nothing is left out
+    unknown = Exists("x", "stack", TRUE)
+    p = And(Implies(parse_formula("c = nnc(0) /\\ n = 1"), unknown), q)
+    expected = _outcome(_ref_entails, p, q, _EDGE)
+    assert expected[:2] == ("raised", SortError)
+    assert _outcome(entails, p, q, _EDGE) == expected
+    f = Exists("n", "nat", And(Implies(parse_formula("n = 1"), unknown),
+                               parse_formula("n = 3")))
     expected = _outcome(_ref_eval_formula, f, family({}), _EDGE)
-    assert expected[:2] == ("raised", TypeError)
+    assert expected[:2] == ("raised", SortError)
     assert _outcome(eval_formula, f, family({}), _EDGE) == expected
 
 

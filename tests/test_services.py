@@ -3,9 +3,9 @@
 import pytest
 
 from pga_hoare.services import (EMPTY, EMPTY_FAMILY, AlgebraConfig, Reply,
-                                Service, boolreg, counter, fam_compose,
-                                fam_encapsulate, family, format_family,
-                                parse_family, register_algebra, svc_step)
+                                boolreg, counter, fam_compose, fam_encapsulate,
+                                family, family_key, format_family,
+                                parse_family, svc_step)
 
 
 def test_counter_methods():
@@ -90,12 +90,13 @@ def test_service_domains():
     assert services == [counter(n) for n in range(6)]
 
 
-def test_custom_algebra_registration():
-    def flag_step(s, m):
-        if m == "raise":
-            return Reply.T, Service("flag", True)
-        return Reply.D, EMPTY
-
-    register_algebra("flag", flag_step)
-    assert svc_step(Service("flag", False), "raise") == (Reply.T,
-                                                         Service("flag", True))
+def test_family_key_orders_contents_by_value():
+    states = [family({"c": counter(n)}) for n in (10, 2, 0)]
+    assert sorted(states, key=family_key) == [family({"c": counter(n)})
+                                             for n in (0, 2, 10)]
+    # per focus: kind, then content
+    states = [family({"r": boolreg(True)}), family({"r": EMPTY}),
+              family({"r": boolreg(False)}), family({"r": counter(1)})]
+    assert [format_family(u) for u in sorted(states, key=family_key)] == [
+        "{r = bool(false)}", "{r = bool(true)}", "{r = counter(1)}",
+        "{r = empty}"]

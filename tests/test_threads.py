@@ -2,8 +2,8 @@
 
 import pytest
 
-from pga_hoare.services import (AlgebraConfig, EMPTY, EMPTY_FAMILY, Service,
-                                boolreg, counter, family)
+from pga_hoare.services import (AlgebraConfig, EMPTY, EMPTY_FAMILY, boolreg,
+                                counter, family)
 from pga_hoare.syntax import parse_sequence, normalize
 from pga_hoare.threads import (BudgetExhausted, DEAD_THREAD, STOP_THREAD,
                                apply, bisimilar, embed, extract, minimize,
@@ -135,19 +135,3 @@ def test_apply_budget_on_unbounded_growth():
     cfg = AlgebraConfig("counter", state_bound=10)
     with pytest.raises(BudgetExhausted):
         apply(t, family({"c": counter(0)}), cfg)
-
-
-def test_apply_generic_fallback_for_custom_kinds():
-    from pga_hoare.services import Reply, register_algebra
-
-    def toggle_step(s, m):
-        if m == "flip":
-            return Reply.T, Service("toggle", not s.content)
-        if m == "read":
-            return (Reply.T if s.content else Reply.F), s
-        return Reply.D, EMPTY
-
-    register_algebra("toggle", toggle_step)
-    t = _t("x.flip ; +x.read ; ! ; #0")
-    u = apply(t, family({"x": Service("toggle", False)}))
-    assert u.get("x") == Service("toggle", True)
