@@ -8,6 +8,7 @@ exhausted, 3 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -24,6 +25,7 @@ from .threads import thread_dump, thread_of
 OK, FAILED, UNKNOWN, USAGE = 0, 1, 2, 3
 
 
+@functools.cache  # parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pga",
@@ -179,9 +181,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _build_parser().parse_args(argv, argparse.Namespace())
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
     try:
@@ -194,7 +195,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except RecursionError:
-        # the parsers recurse once per nesting level of the input
+        # walks after parsing still recurse: printing sp's disjunction of
+        # hundreds of states, checking a chain of hundreds of bound rules
         print("error: input nested too deeply", file=sys.stderr)
         return USAGE
 

@@ -13,12 +13,13 @@ be trusted.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Optional, Tuple, Union
 
 from .services import (EMPTY, AlgebraConfig, Reply, Service, ServiceFamily,
                        boolreg, counter, svc_step)
+from .lexer import EOF, MAX_DEPTH, Tokens, TOO_DEEP
 
 SORTS = ("nat", "bool", "serv", "repl")
 
@@ -164,202 +165,186 @@ FALSE = FalseF()
 # ---------------------------------------------------------------------------
 # parsing
 
-_BIN = {"/\\": And, "\\/": Or, "->": Implies}
+_SYMBOLS = frozenset(("->", "/\\", "\\/", "~", "(", ")", "[", "]", "=", ".",
+                      ":"))
 
 
-# One token after optional whitespace: a symbol, a run of decimal digits,
-# or a word (a name when it starts with a letter or "_").  The groups are
-# tried in this order, so "->" wins over a lone "-" and digits over names.
-_TOKEN = re.compile(r"\s*(?:(->|/\\|\\/|[~()\[\]=.:])|(\d+)|(\w+))?")
+def _is_name(tok: str) -> bool:
+    return tok[0].isalpha() or tok[0] == "_"
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens = []
-        self._lex()
-        self.i = 0
+def _as_lexed(tok: str):
+    """The token in formula terms: a symbol, ("num", n),
+    ("ident", name) or ("eof", None); None if no formula has it."""
+    if tok in _SYMBOLS:
+        return tok
+    if tok == EOF:
+        return ("eof", None)
+    if tok[0].isdecimal():
+        return ("num", int(tok))
+    return ("ident", tok) if _is_name(tok) else None
 
-    def _lex(self):
-        t = self.text
-        n = len(t)
-        tokens = self.tokens
-        match = _TOKEN.match
-        p = 0
-        while True:
-            m = match(t, p)
-            p = m.end()
-            group = m.lastindex
-            if group is None:
-                if p == n:
-                    break
-                raise FormulaSyntaxError(f"unexpected character {t[p]!r}", p)
-            start = m.start(group)
-            if group == 1:
-                tokens.append((m.group(1), start))
-            elif group == 2:
-                tokens.append((("num", int(m.group(2))), start))
-            elif t[start].isalpha() or t[start] == "_":
-                tokens.append((("ident", m.group(3)), start))
+
+def _formula_tokens(src: Tokens) -> list:
+    """(token, position) pairs of a formula text, as _as_lexed gives them
+    (":=" is ":" and "="); raises at the first character that no formula
+    token starts with."""
+    out = []
+    for i, tok in enumerate(src.toks):
+        pos = src.start(i)
+        if tok in (":=", "=>"):
+            out.append((tok[0], pos))
+            tok, pos = tok[1], pos + 1
+        if _as_lexed(tok) is None:
+            raise FormulaSyntaxError(f"unexpected character {tok[0]!r}", pos)
+        out.append((_as_lexed(tok), pos))
+    return out
+
+
+def _fail(message: str, src: Tokens, i: int):
+    tok = src.toks[i]
+    if _as_lexed(tok) is None:
+        message = f"unexpected character {tok[0]!r}"
+    raise FormulaSyntaxError(message, src.start(i))
+
+
+# Operators waiting on the parser's stack: (precedence, make, operands).
+# "->" nests to the right; a quantifier's body reaches as far as it can.
+_BINARY = {"/\\": (3, And, 2), "\\/": (2, Or, 2), "->": (1, Implies, 2)}
+_NOT = (4, Not, 1)
+_PAREN = (-1, None, 1)
+_QUANTIFIERS = {"exists": Exists, "forall": Forall}
+_WRAPPERS = {"s": Succ, "p": Pred, "nnc": Nnc, "reg": RegOf}
+_DERIVED = {"d": DeriveT, "r": ReplyT}
+_CONSTANTS = {"empty": EmptyServ(), "true": BoolLit(True),
+              "false": BoolLit(False)}
+_TRUTHS = {"true": TRUE, "false": FALSE}
+_REPLIES = {r.value: ReplyLit(r) for r in Reply}
+
+
+def _term_at(src: Tokens, i: int):
+    """The term at token i, its depth, and the index after it; the
+    operators around the innermost term wait on a list until it is read."""
+    toks = src.toks
+    outer = []
+    tok = toks[i]
+    while tok in _WRAPPERS and toks[i + 1] == "(" or (
+            tok in _DERIVED and toks[i + 1] == "["):
+        if toks[i + 1] == "(":
+            outer.append(_WRAPPERS[tok])
+            i += 2
+        else:
+            # a method name: names joined by ":", e.g. set:t
+            if not _is_name(toks[i + 2]):
+                _fail("expected a method name", src, i + 2)
+            method, i = toks[i + 2], i + 3
+            while toks[i] == ":" and _is_name(toks[i + 1]):
+                method, i = method + ":" + toks[i + 1], i + 2
+            if toks[i] != "]" or toks[i + 1] != "(":
+                _fail("expected '](' after a method name", src, i)
+            outer.append(partial(_DERIVED[tok], method))
+            i += 2
+        tok = toks[i]
+    if tok[0].isalpha() or tok[0] == "_":
+        term = _CONSTANTS.get(tok) or Var(tok)
+    elif tok[0].isdecimal():
+        term = NatLit(int(tok))
+    elif tok == ":" and toks[i + 1] in _REPLIES:
+        i += 1
+        term = _REPLIES[toks[i]]
+    else:
+        _fail("expected a term (:t, :f or :d after ':')", src, i)
+    i += 1
+    if len(outer) >= MAX_DEPTH:
+        raise ValueError(TOO_DEEP)
+    for make in reversed(outer):
+        if toks[i] != ")":
+            _fail("expected ')'", src, i)
+        term = make(term)
+        i += 1
+    return term, len(outer) + 1, i
+
+
+def _reduce(op, args):
+    """Apply the operator taken off the stack to its operands; a closing
+    parenthesis applies no constructor but still counts a level."""
+    _, make, operands = op
+    f, depth = args.pop()
+    if operands == 2:
+        left, left_depth = args.pop()
+        f, depth = make(left, f), max(depth, left_depth)
+    elif make is not None:
+        f = make(f)
+    if depth >= MAX_DEPTH:
+        raise ValueError(TOO_DEEP)
+    args.append((f, depth + 1))
+
+
+def formula_at(src: Tokens, i: int):
+    """The formula starting at token i and the index after it, by
+    precedence climbing on an explicit stack of waiting operators."""
+    toks = src.toks
+    ops = []
+    args = []  # (formula, depth)
+    while True:
+        tok = toks[i]
+        while tok == "~" or tok == "(" or tok in _QUANTIFIERS:
+            if tok in _QUANTIFIERS:
+                var, colon, sort, dot = (toks[i + 1:i + 5] + [EOF] * 3)[:4]
+                for k, ok, what in ((1, _is_name(var), "a variable"),
+                                    (2, colon == ":", "':'"),
+                                    (3, sort in SORTS, "a sort"),
+                                    (4, dot == ".", "'.'")):
+                    if not ok:
+                        _fail(f"expected {what}", src, i + k)
+                ops.append((0, partial(_QUANTIFIERS[tok], var, sort), 1))
+                i += 4
             else:
-                raise FormulaSyntaxError(f"unexpected character {t[start]!r}",
-                                         start)
-        tokens.append((("eof", None), n))
+                ops.append(_NOT if tok == "~" else _PAREN)
+            i += 1
+            tok = toks[i]
+        if tok in _TRUTHS and toks[i + 1] != "=":
+            args.append((_TRUTHS[tok], 1))
+            i += 1
+        else:
+            left, left_depth, i = _term_at(src, i)
+            if toks[i] != "=":
+                _fail("expected '='", src, i)
+            right, right_depth, i = _term_at(src, i + 1)
+            args.append((Eq(left, right), max(left_depth, right_depth) + 1))
+        while toks[i] not in _BINARY:
+            while ops and ops[-1] is not _PAREN:
+                _reduce(ops.pop(), args)
+            if not ops:
+                return args[0][0], i
+            if toks[i] != ")":
+                _fail("expected ')'", src, i)
+            _reduce(ops.pop(), args)
+            i += 1
+        op = _BINARY[toks[i]]
+        while ops and (ops[-1][0] > op[0] or ops[-1][0] == op[0] != 1):
+            _reduce(ops.pop(), args)
+        ops.append(op)
+        i += 1
 
-    def peek(self):
-        return self.tokens[self.i][0]
 
-    def peek2(self):
-        return self.tokens[self.i + 1][0] if self.i + 1 < len(self.tokens) else ("eof", None)
-
-    def here(self) -> int:
-        return self.tokens[self.i][1]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok[0]
-
-    def expect(self, sym):
-        tok = self.next()
-        if tok != sym:
-            raise FormulaSyntaxError(f"expected {sym!r}, got {tok!r}", self.tokens[self.i - 1][1])
-
-
-def _is_ident(tok, name=None):
-    return isinstance(tok, tuple) and tok[0] == "ident" and (name is None or tok[1] == name)
-
-
-class _FormulaParser:
-    def __init__(self, text: str):
-        self.lx = _Lexer(text)
-
-    def parse(self) -> Formula:
-        f = self.formula()
-        if self.lx.peek() != ("eof", None):
-            raise FormulaSyntaxError("trailing input", self.lx.here())
-        return f
-
-    def formula(self) -> Formula:
-        return self.implication()
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.lx.peek() == "->":
-            self.lx.next()
-            return Implies(left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.lx.peek() == "\\/":
-            self.lx.next()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.negation()
-        while self.lx.peek() == "/\\":
-            self.lx.next()
-            left = And(left, self.negation())
-        return left
-
-    def negation(self) -> Formula:
-        if self.lx.peek() == "~":
-            self.lx.next()
-            return Not(self.negation())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.lx.peek()
-        if _is_ident(tok, "exists") or _is_ident(tok, "forall"):
-            kind = tok[1]
-            self.lx.next()
-            var_tok = self.lx.next()
-            if not _is_ident(var_tok):
-                raise FormulaSyntaxError("expected a variable name", self.lx.here())
-            self.lx.expect(":")
-            sort_tok = self.lx.next()
-            if not _is_ident(sort_tok) or sort_tok[1] not in SORTS:
-                raise FormulaSyntaxError("expected a sort (nat/bool/serv/repl)",
-                                         self.lx.here())
-            self.lx.expect(".")
-            body = self.formula()
-            cls = Exists if kind == "exists" else Forall
-            return cls(var_tok[1], sort_tok[1], body)
-        if tok == "(":
-            self.lx.next()
-            inner = self.formula()
-            self.lx.expect(")")
-            return inner
-        if _is_ident(tok, "true") and self.lx.peek2() != "=":
-            self.lx.next()
-            return TRUE
-        if _is_ident(tok, "false") and self.lx.peek2() != "=":
-            self.lx.next()
-            return FALSE
-        left = self.term()
-        self.lx.expect("=")
-        right = self.term()
-        return Eq(left, right)
-
-    def term(self) -> Term:
-        tok = self.lx.peek()
-        if tok == ":":
-            self.lx.next()
-            lit = self.lx.next()
-            if not _is_ident(lit) or lit[1] not in ("t", "f", "d"):
-                raise FormulaSyntaxError("expected :t, :f or :d", self.lx.here())
-            return ReplyLit(Reply(lit[1]))
-        if isinstance(tok, tuple) and tok[0] == "num":
-            self.lx.next()
-            return NatLit(tok[1])
-        if _is_ident(tok):
-            name = tok[1]
-            nxt = self.lx.peek2()
-            if name in ("d", "r") and nxt == "[":
-                self.lx.next()
-                self.lx.expect("[")
-                method = self._method_name()
-                self.lx.expect("]")
-                self.lx.expect("(")
-                arg = self.term()
-                self.lx.expect(")")
-                return DeriveT(method, arg) if name == "d" else ReplyT(method, arg)
-            if name in ("s", "p", "nnc", "reg") and nxt == "(":
-                self.lx.next()
-                self.lx.expect("(")
-                arg = self.term()
-                self.lx.expect(")")
-                return {"s": Succ, "p": Pred, "nnc": Nnc, "reg": RegOf}[name](arg)
-            self.lx.next()
-            if name == "empty":
-                return EmptyServ()
-            if name == "true":
-                return BoolLit(True)
-            if name == "false":
-                return BoolLit(False)
-            return Var(name)
-        raise FormulaSyntaxError("expected a term", self.lx.here())
-
-    def _method_name(self) -> str:
-        # method names may contain ':' segments (e.g. set:t)
-        tok = self.lx.next()
-        if not _is_ident(tok):
-            raise FormulaSyntaxError("expected a method name", self.lx.here())
-        name = tok[1]
-        while self.lx.peek() == ":":
-            self.lx.next()
-            part = self.lx.next()
-            if not _is_ident(part):
-                raise FormulaSyntaxError("expected a method name part", self.lx.here())
-            name += ":" + part[1]
-        return name
+def formula_of(src: Tokens, i: int = 0) -> Formula:
+    """The formula from token i to the end of src."""
+    f, i = formula_at(src, i)
+    if src.toks[i] != EOF:
+        _fail("trailing input", src, i)
+    return f
 
 
 def parse_formula(text: str) -> Formula:
-    return _FormulaParser(text).parse()
+    src = Tokens(text)
+    try:
+        return formula_of(src)
+    except ValueError:
+        # the first character that no formula token starts with is the
+        # error, wherever the parse stopped
+        _formula_tokens(src)
+        raise
 
 
 # ---------------------------------------------------------------------------

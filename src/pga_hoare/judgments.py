@@ -10,10 +10,12 @@ annotation groups, optionally double-quoted:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List
 
-from .formulas import Formula, format_formula, parse_formula
-from .syntax import SequenceTerm, format_term, parse_sequence
+from .formulas import Formula, format_formula, formula_of
+from .lexer import Tokens
+from .syntax import SequenceSyntaxError, SequenceTerm, format_term, sequence_at
 
 
 @dataclass(frozen=True)
@@ -40,46 +42,49 @@ def format_asserted(a: AssertedSeq) -> str:
             f"{{{a.exit} | {format_formula(a.post)}}}")
 
 
-def _take_group(text: str, pos: int):
-    """Consume one {...} group starting at pos; returns (inner, next_pos)."""
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    if pos >= len(text) or text[pos] != "{":
-        raise ValueError(f"expected '{{' at position {pos} in {text!r}")
-    depth = 0
-    for i in range(pos, len(text)):
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return text[pos + 1 : i], i + 1
-    raise ValueError(f"unbalanced braces in {text!r}")
+def annotation_of(src: Tokens):
+    """(point, formula) from the inside of one {...}."""
+    toks = src.toks
+    if not (toks[0][0].isdecimal() and toks[1] == "|"):
+        raise ValueError("annotation needs 'point | formula' with a natural "
+                         f"number as point (at position {src.start(0)})")
+    return int(toks[0]), formula_of(src, 2)
 
 
 def parse_annotation(inner: str):
     """The text between the braces of one annotation: (point, formula)."""
-    point, bar, formula = inner.partition("|")
-    if not bar:
-        raise ValueError(f"annotation needs 'point | formula': {inner!r}")
-    return int(point.strip()), parse_formula(formula)
+    return annotation_of(Tokens(inner))
 
 
 def parse_asserted(text: str) -> AssertedSeq:
-    pre_inner, pos = _take_group(text, 0)
-    tail = text[pos:]
-    brace = tail.rfind("{")
-    if brace < 0:
-        raise ValueError(f"missing post-annotation in {text!r}")
-    seq_text = tail[:brace].strip()
-    if seq_text.startswith('"') and seq_text.endswith('"') and len(seq_text) >= 2:
-        seq_text = seq_text[1:-1]
-    post_inner, end = _take_group(tail, brace)
-    if tail[end:].strip():
-        raise ValueError(f"trailing input after post-annotation: {tail[end:]!r}")
-    b, pre = parse_annotation(pre_inner)
-    e, post = parse_annotation(post_inner)
-    return AssertedSeq(b, pre, parse_sequence(seq_text), e, post)
+    """{b | P} S {e | Q}, with S optionally in double quotes.  The last
+    brace group is {e | Q}, and quotes matter only around the whole of S.
+    The annotations are read before the sequence."""
+    src = Tokens(text, plain=True)
+    toks = src.toks
+    if toks[0][0] != "{":
+        raise ValueError(f"expected '{{' at position {src.start(0)} in {text!r}")
+    if len(toks[0]) > 1:
+        pre, start = src.inner(0), 1
+    else:  # braces inside it: it ends where they balance
+        depths = list(accumulate((t == "{") - (t == "}") for t in toks))
+        if 0 not in depths:
+            raise ValueError(f"unbalanced braces in {text!r}")
+        start = depths.index(0) + 1
+        pre = Tokens(text, src.start(0) + 1, src.start(start - 1))
+    post = len(toks) - 2
+    if post < start or toks[post][0] != "{" or len(toks[post]) < 2:
+        raise ValueError("expected a post-annotation {e | Q} at the end of "
+                         f"{text!r}")
+    b, pre_formula = annotation_of(pre)
+    e, post_formula = annotation_of(src.inner(post))
+    end = post
+    if post - start >= 2 and toks[start] == toks[post - 1] == '"':
+        start, end = start + 1, post - 1
+    term, i = sequence_at(src, start)
+    if i != end:
+        raise SequenceSyntaxError("trailing input", src.start(i))
+    return AssertedSeq(b, pre_formula, term, e, post_formula)
 
 
 def expand_multi_exit(b: int, pre: Formula, term: SequenceTerm,

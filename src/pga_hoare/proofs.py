@@ -27,21 +27,20 @@ root of the proof is the last binding (or the last bare record).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .formulas import (And, Eq, Exists, FALSE, Formula, Implies, Not, Or,
                        ReplyLit, ReplyT, SortError, TRUE, Var, alpha_eq,
-                       format_formula, free_foci, free_vars, parse_formula,
+                       format_formula, formula_of, free_foci, free_vars,
                        subst_derive, substitute)
-from .judgments import (AssertedSeq, format_asserted, parse_annotation,
-                        parse_asserted)
+from .judgments import AssertedSeq, annotation_of
+from .lexer import EOF, MAX_DEPTH, NAME_START, Tokens, TOO_DEEP
 from .segments import Verdict
 from .services import AlgebraConfig, Reply
 from .formulas import EntailVerdict, entails
 from .syntax import (Basic, Concat, Halt, Instr, Jump, NegTest, Power,
-                     PosTest, Repeat, SequenceTerm, parse_sequence)
+                     PosTest, Repeat, SequenceTerm, sequence_of)
 
 
 # ---------------------------------------------------------------------------
@@ -136,218 +135,172 @@ class ProofSyntaxError(ValueError):
     pass
 
 
-_WS_RE = re.compile(r"(?:\s+|//[^\n]*)+")
-_NUM_RE = re.compile(r"\d+")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
-class _ProofTokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip(self):
-        m = _WS_RE.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-
-    def peek(self) -> Optional[str]:
-        self._skip()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
-    def next_token(self):
-        self._skip()
-        if self.pos >= len(self.text):
-            return None
-        ch = self.text[self.pos]
-        if ch in "()[]":
-            self.pos += 1
-            return ch
-        if self.text.startswith(":=", self.pos):
-            self.pos += 2
-            return ":="
-        if self.text.startswith("=>", self.pos):
-            self.pos += 2
-            return "=>"
-        if ch == '"':
-            end = self.text.find('"', self.pos + 1)
-            if end < 0:
-                raise ProofSyntaxError(f"unterminated string at {self.pos}")
-            s = self.text[self.pos + 1 : end]
-            self.pos = end + 1
-            return ("str", s)
-        if ch == "{":
-            depth = 0
-            for i in range(self.pos, len(self.text)):
-                if self.text[i] == "{":
-                    depth += 1
-                elif self.text[i] == "}":
-                    depth -= 1
-                    if depth == 0:
-                        inner = self.text[self.pos + 1 : i]
-                        self.pos = i + 1
-                        return ("group", inner)
-            raise ProofSyntaxError(f"unbalanced braces at {self.pos}")
-        m = _NUM_RE.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-            return ("num", int(m.group()))
-        m = _IDENT_RE.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-            return ("ident", m.group())
-        raise ProofSyntaxError(f"unexpected character {ch!r} at {self.pos}")
-
-    def expect(self, tok):
-        got = self.next_token()
-        if got != tok:
-            raise ProofSyntaxError(f"expected {tok!r}, got {got!r}")
-
-
-def _annotation(inner: str):
-    try:
-        return parse_annotation(inner)
-    except ValueError as exc:
-        raise ProofSyntaxError(str(exc)) from exc
-
-
 class _ProofParser:
+    """Reads a proof file from its tokens.  A record being read is a
+    generator on an explicit stack, sent each premise it yields for, so
+    nested records cost no recursion.  A record's annotations are read
+    before its sequence, and R10 obligations after its conclusion."""
+
     AXIOMS = {f"A{i}" for i in range(1, 12)}
     RULES = {f"R{i}" for i in range(1, 11)}
 
     def __init__(self, text: str):
-        self.toks = _ProofTokens(text)
+        self.src = Tokens(text)
+        self.toks = self.src.toks
+        self.i = 0
         self.bindings: Dict[str, ProofNode] = {}
+        self.memo = {}
+
+    def _item(self):
+        """The next item after comments: one of ( ) [ ] := =>, ("str", i)
+        or ("group", i) for token i, ("num", n), ("ident", name), or None."""
+        toks, i = self.toks, self.i
+        tok = toks[i]
+        while tok[0] == "/" and tok[:2] == "//":
+            i += 1
+            tok = toks[i]
+        self.i = i + 1
+        first = tok[0]
+        if first in '{"' and len(tok) > 1:
+            return ("str" if first == '"' else "group", i)
+        if tok in ("(", ")", "[", "]", ":=", "=>"):
+            return tok
+        if first in NAME_START and tok.isascii():
+            return ("ident", tok)
+        if first.isdecimal():
+            return ("num", int(tok))
+        if tok == EOF:
+            self.i = i
+            return None
+        # a lone "{" or '"' is one that does not close
+        raise ProofSyntaxError(f"unexpected {tok!r} at {self.src.start(i)}")
+
+    def _expect(self, want):
+        if self.toks[self.i] == want:
+            self.i += 1
+        elif (got := self._item()) != want:
+            raise ProofSyntaxError(f"expected {want!r}, got {got!r}")
+
+    @staticmethod
+    def _check(item, kind: str, what: str):
+        if not (isinstance(item, tuple) and item[0] == kind):
+            raise ProofSyntaxError(f"expected {what}, got {item!r}")
+        return item
 
     def parse_file(self) -> ProofNode:
         last = None
-        while True:
-            tok = self.toks.next_token()
-            if tok is None:
-                break
-            if isinstance(tok, tuple) and tok[0] == "ident":
-                self.toks.expect(":=")
-                self.toks.expect("(")
-                node = self._node_body()
-                self.bindings[tok[1]] = node
-                last = node
+        while (tok := self._item()) is not None:
+            if tok[0] == "ident":
+                self._expect(":=")
+                self._expect("(")
+                last = self.bindings[tok[1]] = self._record()
             elif tok == "(":
-                last = self._node_body()
+                last = self._record()
             else:
                 raise ProofSyntaxError(f"expected a binding or record, got {tok!r}")
         if last is None:
             raise ProofSyntaxError("empty proof file")
         return last
 
-    def _asserted(self, first=None) -> AssertedSeq:
-        pre = first if first is not None else self.toks.next_token()
-        if not (isinstance(pre, tuple) and pre[0] == "group"):
-            raise ProofSyntaxError(f"expected an annotation group, got {pre!r}")
-        seq = self.toks.next_token()
-        if not (isinstance(seq, tuple) and seq[0] == "str"):
-            raise ProofSyntaxError(f"expected a quoted sequence, got {seq!r}")
-        post = self.toks.next_token()
-        if not (isinstance(post, tuple) and post[0] == "group"):
-            raise ProofSyntaxError(f"expected an annotation group, got {post!r}")
-        b, p = _annotation(pre[1])
-        e, q = _annotation(post[1])
-        return AssertedSeq(b, p, parse_sequence(seq[1]), e, q)
-
-    def _operand(self) -> ProofNode:
-        tok = self.toks.next_token()
-        if tok == "(":
-            return self._node_body()
-        if isinstance(tok, tuple) and tok[0] == "ident":
-            if tok[1] not in self.bindings:
+    def _record(self) -> ProofNode:
+        stack = [self._body()]
+        node = None
+        while True:
+            try:
+                stack[-1].send(node)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                node = done.value
+                continue
+            tok = self._item()
+            if tok == "(":
+                if len(stack) >= MAX_DEPTH:
+                    raise ValueError(TOO_DEEP)
+                stack.append(self._body())
+                node = None
+            elif self._check(tok, "ident", "a proof node")[1] in self.bindings:
+                node = self.bindings[tok[1]]
+            else:
                 raise ProofSyntaxError(f"unknown proof name {tok[1]!r}")
-            return self.bindings[tok[1]]
-        raise ProofSyntaxError(f"expected a proof node, got {tok!r}")
 
-    def _node_body(self) -> ProofNode:
-        head = self.toks.next_token()
-        if not (isinstance(head, tuple) and head[0] == "ident"):
-            raise ProofSyntaxError(f"expected a rule name, got {head!r}")
-        rule = head[1].upper()
+    def _read(self, reader, item):
+        """reader on the inside of the item's token, once per distinct text:
+        proofs repeat annotations (a premise's return in its conclusion)."""
+        memo = self.memo.setdefault(reader, {})
+        tok = self.toks[item[1]]
+        if tok not in memo:
+            memo[tok] = reader(self.src.inner(item[1]))
+        return memo[tok]
+
+    def _asserted(self, first=None) -> AssertedSeq:
+        pre = self._check(first or self._item(), "group", "an annotation")
+        seq = self._check(self._item(), "str", "a quoted sequence")
+        post = self._check(self._item(), "group", "an annotation")
+        try:
+            b, p = self._read(annotation_of, pre)
+            e, q = self._read(annotation_of, post)
+        except ValueError as exc:
+            raise ProofSyntaxError(str(exc)) from exc
+        return AssertedSeq(b, p, self._read(sequence_of, seq), e, q)
+
+    def _conclusion(self) -> AssertedSeq:
+        self._expect("=>")
+        concl = self._asserted()
+        self._expect(")")
+        return concl
+
+    def _body(self):
+        """Reads one record after its "(", yielding for each premise."""
+        rule = self._check(self._item(), "ident", "a rule name")[1].upper()
         if rule in self.AXIOMS:
             concl = self._asserted()
-            self.toks.expect(")")
+            self._expect(")")
             return ProofNode(rule, concl)
         if rule == "HYP":
-            idx = self.toks.next_token()
-            if not (isinstance(idx, tuple) and idx[0] == "num"):
-                raise ProofSyntaxError("HYP needs a hypothesis index")
-            self.toks.expect(")")
-            return ProofNode("HYP", hyp_index=idx[1])
+            idx = self._check(self._item(), "num", "a hypothesis index")[1]
+            self._expect(")")
+            return ProofNode("HYP", hyp_index=idx)
         if rule == "R5":
-            return self._r5()
+            return (yield from self._r5())
         if rule == "R10":
-            p_ob = self.toks.next_token()
-            prem = self._operand()
-            q_ob = self.toks.next_token()
-            for ob in (p_ob, q_ob):
-                if not (isinstance(ob, tuple) and ob[0] == "str"):
-                    raise ProofSyntaxError("R10 needs two quoted obligations")
-            self.toks.expect("=>")
-            concl = self._asserted()
-            self.toks.expect(")")
-            return ProofNode("R10", concl, (prem,),
-                             obligations=(parse_formula(p_ob[1]),
-                                          parse_formula(q_ob[1])))
+            p_ob, prem, q_ob = self._item(), (yield), self._item()
+            obligations = [self._check(ob, "str", "a quoted obligation")
+                           for ob in (p_ob, q_ob)]
+            concl = self._conclusion()
+            return ProofNode("R10", concl, (prem,), obligations=tuple(
+                self._read(formula_of, ob) for ob in obligations))
         if rule == "R9":
-            x = self.toks.next_token()
-            y = self.toks.next_token()
-            for v in (x, y):
-                if not (isinstance(v, tuple) and v[0] == "ident"):
-                    raise ProofSyntaxError("R9 needs two variable names")
-            prem = self._operand()
-            self.toks.expect("=>")
-            concl = self._asserted()
-            self.toks.expect(")")
-            return ProofNode("R9", concl, (prem,), rename=(x[1], y[1]))
+            x, y = (self._check(self._item(), "ident", "a variable name")[1]
+                    for _ in range(2))
+            prem = yield
+            return ProofNode("R9", self._conclusion(), (prem,), rename=(x, y))
         if rule in self.RULES or rule == "REPINTRO":
-            arity = 2 if rule in ("R1", "R6") else 1
-            premises = tuple(self._operand() for _ in range(arity))
-            self.toks.expect("=>")
-            concl = self._asserted()
-            self.toks.expect(")")
-            return ProofNode(rule, concl, premises)
+            premises = [(yield)]
+            if rule in ("R1", "R6"):
+                premises.append((yield))
+            return ProofNode(rule, self._conclusion(), tuple(premises))
         raise ProofSyntaxError(f"unknown rule {rule!r}")
 
-    def _r5(self) -> ProofNode:
-        kw = self.toks.next_token()
-        if kw != ("ident", "hyps"):
-            raise ProofSyntaxError("R5 needs a 'hyps' list")
-        self.toks.expect("[")
+    def _r5(self):
+        self._expect(("ident", "hyps"))
+        self._expect("[")
         hyps = []
-        while True:
-            tok = self.toks.next_token()
-            if tok == "]":
-                break
+        while (tok := self._item()) != "]":
             hyps.append(self._asserted(first=tok))
-        kw = self.toks.next_token()
-        if kw != ("ident", "k"):
-            raise ProofSyntaxError("R5 needs the selected index k")
-        k = self.toks.next_token()
-        if not (isinstance(k, tuple) and k[0] == "num"):
-            raise ProofSyntaxError("R5 index k must be a number")
-        kw = self.toks.next_token()
-        if kw != ("ident", "subproofs"):
-            raise ProofSyntaxError("R5 needs a 'subproofs' list")
-        self.toks.expect("[")
+        self._expect(("ident", "k"))
+        k = self._check(self._item(), "num", "the hypothesis index k")[1]
+        self._expect(("ident", "subproofs"))
+        self._expect("[")
         subs = []
-        while True:
-            if self.toks.peek() == "]":
-                self.toks.next_token()
-                break
-            subs.append(self._operand())
-        self.toks.expect(")")
-        if not hyps:
-            raise ProofSyntaxError("R5 needs at least one hypothesis")
-        if not 1 <= k[1] <= len(hyps):
-            raise ProofSyntaxError("R5 index k out of range")
-        return ProofNode("R5", hyps[k[1] - 1], hyps=tuple(hyps), k=k[1],
+        while self.toks[self.i] != "]":
+            subs.append((yield))
+        self.i += 1
+        self._expect(")")
+        if not 1 <= k <= len(hyps):
+            raise ProofSyntaxError(f"R5 index k={k} is not that of a hypothesis")
+        return ProofNode("R5", hyps[k - 1], hyps=tuple(hyps), k=k,
                          premises=tuple(subs))
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
+from .lexer import EOF, MAX_DEPTH, NAME_START, Tokens, TOO_DEEP
+
 OMEGA = float("inf")
 
 
@@ -196,111 +198,87 @@ def concat_canonical(a: CanonicalSequence, b: CanonicalSequence) -> CanonicalSeq
 # ---------------------------------------------------------------------------
 # parsing
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_METHOD_CONT = _IDENT_CONT | {":"}
+def _instruction_at(src: Tokens, i: int):
+    """The primitive instruction at token i and the index after it.  A
+    method name runs on over adjacent ":", word and digit tokens (set:t)."""
+    toks = src.toks
+    tok = toks[i]
+    if tok == "!":
+        return HALT, i + 1
+    if tok == "#":
+        if not toks[i + 1][0].isdecimal():
+            raise SequenceSyntaxError("expected a jump offset", src.start(i + 1))
+        return Jump(int(toks[i + 1])), i + 2
+    cls = {"+": PosTest, "-": NegTest}.get(tok, Basic)
+    i += cls is not Basic
+    focus = toks[i]  # if not EOF, a token follows, and if "." another
+    if not (focus[0] in NAME_START and toks[i + 1] == "."
+            and toks[i + 2][0] in NAME_START):
+        raise SequenceSyntaxError("expected an instruction", src.start(i))
+    method = toks[i + 2]
+    i += 3
+    while (toks[i] == ":" or toks[i][0] == "_" or toks[i][0].isalnum()) and (
+            src.start(i) == src.start(i - 1) + len(toks[i - 1])):  # no space
+        method += toks[i]
+        i += 1
+    if not (focus + method).isascii():
+        raise SequenceSyntaxError("expected ASCII names", src.start(i))
+    return cls(focus, method), i
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def expect(self, ch: str):
-        got = self.peek()
-        if got != ch:
-            raise SequenceSyntaxError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def nat(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise SequenceSyntaxError("expected a natural number", start)
-        return int(self.text[start : self.pos])
-
-    def ident(self, allow_colon=False) -> str:
-        self.skip_ws()
-        start = self.pos
-        if self.pos >= len(self.text) or self.text[self.pos] not in _IDENT_START:
-            raise SequenceSyntaxError("expected an identifier", self.pos)
-        cont = _METHOD_CONT if allow_colon else _IDENT_CONT
-        while self.pos < len(self.text) and self.text[self.pos] in cont:
-            self.pos += 1
-        return self.text[start : self.pos]
-
-
-def _parse_atom(s: _Scanner) -> SequenceTerm:
-    ch = s.peek()
-    if ch == "(":
-        s.take()
-        inner = _parse_seq(s)
-        s.expect(")")
-        return inner
-    if ch == "!":
-        s.take()
-        return Instr(HALT)
-    if ch == "#":
-        s.take()
-        if s.peek() == "-":
-            raise SequenceSyntaxError("negative jump offset", s.pos)
-        return Instr(Jump(s.nat()))
-    polarity = None
-    if ch in "+-":
-        polarity = s.take()
-    focus = s.ident()
-    s.expect(".")
-    method = s.ident(allow_colon=True)
-    if polarity == "+":
-        return Instr(PosTest(focus, method))
-    if polarity == "-":
-        return Instr(NegTest(focus, method))
-    return Instr(Basic(focus, method))
-
-
-def _parse_item(s: _Scanner) -> SequenceTerm:
-    term = _parse_atom(s)
-    while s.peek() == "^":
-        s.take()
-        if s.peek() == "w":
-            s.take()
-            term = Repeat(term)
+def sequence_at(src: Tokens, i: int):
+    """The sequence term starting at token i and the index after it.  The
+    stack holds, per open parenthesis, the items read before it; `^` binds
+    tighter than `;`, which nests to the right."""
+    toks = src.toks
+    stack = []
+    items = []
+    while True:
+        while toks[i] == "(":
+            stack.append(items)
+            if len(stack) > MAX_DEPTH:
+                raise ValueError(TOO_DEEP)
+            items = []
+            i += 1
+        instruction, i = _instruction_at(src, i)
+        term = Instr(instruction)
+        while True:
+            tok = toks[i]
+            while tok == "^":
+                tok = toks[i + 1]
+                if tok == "w":
+                    term = Repeat(term)
+                elif tok[0].isdecimal():
+                    term = Power(term, int(tok))
+                else:
+                    raise SequenceSyntaxError("expected w or a count",
+                                              src.start(i + 1))
+                i += 2
+                tok = toks[i]
+            items.append(term)
+            if tok != ")" or not stack:
+                break
+            term = concat_all(items)
+            items = stack.pop()
+            i += 1
+        if tok == ";":
+            i += 1
+        elif stack:
+            raise SequenceSyntaxError("expected ')'", src.start(i))
         else:
-            term = Power(term, s.nat())
+            return concat_all(items), i
+
+
+def sequence_of(src: Tokens) -> SequenceTerm:
+    """The sequence term that all of src holds."""
+    term, i = sequence_at(src, 0)
+    if src.toks[i] != EOF:
+        raise SequenceSyntaxError("trailing input", src.start(i))
     return term
-
-
-def _parse_seq(s: _Scanner) -> SequenceTerm:
-    items = [_parse_item(s)]
-    while s.peek() == ";":
-        s.take()
-        items.append(_parse_item(s))
-    return concat_all(items)
 
 
 def parse_sequence(text: str) -> SequenceTerm:
-    if not text.strip():
-        raise SequenceSyntaxError("empty term", 0)
-    s = _Scanner(text)
-    term = _parse_seq(s)
-    if s.peek():
-        raise SequenceSyntaxError("trailing input", s.pos)
-    return term
+    return sequence_of(Tokens(text))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from . import kernels
 from .services import EMPTY_FAMILY, AlgebraConfig, ServiceFamily
@@ -44,73 +44,72 @@ STOP_THREAD = RegularThread((("stop",),), 0)
 DEAD_THREAD = RegularThread((("dead",),), 0)
 
 
-def _resolve(c: CanonicalSequence, pos: int) -> Optional[int]:
-    """Follow jump chains from absolute position pos.
-
-    Returns the representative position of the first non-jump instruction,
-    or None if execution becomes inactive (jump 0, jump off the end, or an
-    infinite chain of forward jumps).
-    """
-    visited = set()
-    while True:
-        rep = c.representative(pos)
-        if rep is None or rep in visited:
-            return None
-        instr = c.instruction_at(rep)
-        if not isinstance(instr, Jump):
-            return rep
-        if instr.offset == 0:
-            return None
-        visited.add(rep)
-        pos = rep + instr.offset
+def _jump_targets(c: CanonicalSequence, instrs: tuple) -> list:
+    """For each representative position r (instrs[r] its instruction), that
+    of the first non-jump instruction execution reaches from r, or None
+    when it becomes inactive (#0, a jump off the end, a cycle of jumps).
+    Each chain is followed once; its positions are marked while it is."""
+    unknown, following = 0, -1
+    target = [r if not isinstance(instr, Jump) else unknown
+              for r, instr in enumerate(instrs)]
+    for start in range(1, len(instrs)):
+        chain = []
+        r = start
+        while r is not None and target[r] == unknown:
+            target[r] = following
+            chain.append(r)
+            offset = instrs[r].offset
+            r = c.representative(r + offset) if offset else None
+        end = None if r is None or target[r] == following else target[r]
+        for r in chain:
+            target[r] = end
+    return target
 
 
 def extract(c: CanonicalSequence) -> RegularThread:
     """Thread extraction: one branch node per useful position."""
-    n_positions = len(c.prefix) + len(c.period or ())
+    instrs = (None,) + c.prefix + (c.period or ())
+    target = _jump_targets(c, instrs)
+    nodes = []
+    leaves = {}  # "stop"/"dead" -> its one node
+
+    def leaf(kind: str) -> int:
+        if kind not in leaves:
+            leaves[kind] = len(nodes)
+            nodes.append((kind,))
+        return leaves[kind]
+
     # Pass 1: nodes for non-jump representative positions.
     position_node = {}
-    nodes = []
-
-    def _leaf(kind: str) -> int:
-        for i, node in enumerate(nodes):
-            if node == (kind,):
-                return i
-        nodes.append((kind,))
-        return len(nodes) - 1
-
-    pending = []
-    for rep in range(1, n_positions + 1):
-        instr = c.instruction_at(rep)
-        if isinstance(instr, Jump):
-            continue
+    for rep in range(1, len(instrs)):
+        instr = instrs[rep]
         if isinstance(instr, Halt):
-            position_node[rep] = _leaf("stop")
-            continue
-        nodes.append(None)  # patched below
-        position_node[rep] = len(nodes) - 1
-        pending.append((rep, instr))
-    # Pass 2: wire successors through jump resolution.
-    def _target(pos: int) -> int:
-        rep = _resolve(c, pos)
-        if rep is None:
-            return _leaf("dead")
-        return position_node[rep]
+            position_node[rep] = leaf("stop")
+        elif not isinstance(instr, Jump):
+            position_node[rep] = len(nodes)
+            nodes.append(None)  # patched below
 
-    for rep, instr in pending:
-        then_i = _target(rep + 1)
-        else_i = _target(rep + 2)
+    # Pass 2: wire successors through the resolved jumps.
+    def node_at(pos: int) -> int:
+        rep = c.representative(pos)
+        end = None if rep is None else target[rep]
+        return leaf("dead") if end is None else position_node[end]
+
+    for rep, i in position_node.items():
+        instr = instrs[rep]
+        if isinstance(instr, Halt):
+            continue
+        then_i = node_at(rep + 1)
+        else_i = node_at(rep + 2)
         if isinstance(instr, Basic):
-            node = ("branch", instr.focus, instr.method, then_i, then_i)
+            nodes[i] = ("branch", instr.focus, instr.method, then_i, then_i)
         elif isinstance(instr, PosTest):
-            node = ("branch", instr.focus, instr.method, then_i, else_i)
+            nodes[i] = ("branch", instr.focus, instr.method, then_i, else_i)
         else:
             assert isinstance(instr, NegTest)
-            node = ("branch", instr.focus, instr.method, else_i, then_i)
-        nodes[position_node[rep]] = node
+            nodes[i] = ("branch", instr.focus, instr.method, else_i, then_i)
 
-    root_rep = _resolve(c, 1)
-    root = _leaf("dead") if root_rep is None else position_node[root_rep]
+    root = node_at(1)
     return _trim(RegularThread(tuple(nodes), root))
 
 

@@ -11,8 +11,8 @@ import random
 
 from pga_hoare.formulas import (And, BoolLit, DeriveT, Eq, Exists, FALSE,
                                 Implies, Not, Or, RegOf, Reply, ReplyLit,
-                                ReplyT, TRUE, Var)
-from pga_hoare.judgments import AssertedSeq
+                                ReplyT, TRUE, Var, format_formula)
+from pga_hoare.judgments import AssertedSeq, format_asserted
 from pga_hoare.proofs import ProofNode, term_atoms
 from pga_hoare.syntax import (Basic, Concat, Halt, Instr, Jump, NegTest,
                               PosTest, Repeat, concat_all)
@@ -179,3 +179,41 @@ def random_proof(rng, max_depth=4) -> ProofNode:
     for _ in range(rng.randint(0, max_depth - 1)):
         node = _grow(rng, node)
     return node
+
+
+def format_proof(root: ProofNode) -> str:
+    """Proof-file text for the tree: one binding per node, premises and
+    hypotheses' subproofs first, the root last."""
+    names = {}
+    lines = []
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in names:
+            continue
+        if not ready:
+            stack.append((node, True))
+            stack.extend((p, False) for p in reversed(node.premises))
+            continue
+        names[id(node)] = name = f"n{len(names)}"
+        lines.append(f"{name} := {_record(node, names)}")
+    return "\n".join(lines) + "\n"
+
+
+def _record(node: ProofNode, names) -> str:
+    premises = " ".join(names[id(p)] for p in node.premises)
+    if node.rule == "HYP":
+        return f"(HYP {node.hyp_index})"
+    if node.rule == "R5":
+        hyps = " ".join(format_asserted(h) for h in node.hyps)
+        return f"(R5 hyps [{hyps}] k {node.k} subproofs [{premises}])"
+    concl = format_asserted(node.conclusion)
+    if node.rule.startswith("A"):
+        return f"({node.rule} {concl})"
+    if node.rule == "R10":
+        p, q = (format_formula(f) for f in node.obligations)
+        return f'(R10 "{p}" {premises} "{q}" => {concl})'
+    if node.rule == "R9":
+        x, y = node.rename
+        return f"(R9 {x} {y} {premises} => {concl})"
+    return f"({node.rule} {premises} => {concl})"

@@ -1,0 +1,612 @@
+"""The package's parsers as they were before the one-tokenizer front end.
+
+Kept as test-only references: `test_parsers.py` checks that the current
+parsers give the same trees as these, or raise the same exception class, on
+every proof in the repository and on seeded mutations of them.  Each
+grammar had its own scanner here (a character scanner for sequences, a
+regular-expression lexer for formulas, brace matching for annotations and a
+character tokenizer for proof files) and every parser recursed once per
+nesting level.
+
+One deliberate change from the former code: an annotation point must be a
+run of digits.  The former `int(point.strip())` also accepted "+1", "1_0"
+and "-0".
+"""
+
+import re
+from typing import Dict, Optional
+
+from pga_hoare.formulas import (SORTS, And, BoolLit, DeriveT, EmptyServ, Eq,
+                                Exists, FALSE, Forall, Formula,
+                                FormulaSyntaxError, Implies, NatLit, Nnc, Not,
+                                Or, Pred, RegOf, ReplyLit, ReplyT, Succ, Term,
+                                TRUE, Var)
+from pga_hoare.judgments import AssertedSeq
+from pga_hoare.proofs import ProofNode, ProofSyntaxError
+from pga_hoare.services import Reply
+from pga_hoare.syntax import (HALT, Basic, Instr, Jump, NegTest, PosTest,
+                              Power, Repeat, SequenceSyntaxError,
+                              SequenceTerm, concat_all)
+
+
+# ---------------------------------------------------------------------------
+# sequence terms
+
+_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_IDENT_CONT = _IDENT_START | set("0123456789")
+_METHOD_CONT = _IDENT_CONT | {":"}
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self) -> str:
+        ch = self.peek()
+        self.pos += 1
+        return ch
+
+    def expect(self, ch: str):
+        got = self.peek()
+        if got != ch:
+            raise SequenceSyntaxError(f"expected {ch!r}", self.pos)
+        self.pos += 1
+
+    def nat(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            raise SequenceSyntaxError("expected a natural number", start)
+        return int(self.text[start : self.pos])
+
+    def ident(self, allow_colon=False) -> str:
+        self.skip_ws()
+        start = self.pos
+        if self.pos >= len(self.text) or self.text[self.pos] not in _IDENT_START:
+            raise SequenceSyntaxError("expected an identifier", self.pos)
+        cont = _METHOD_CONT if allow_colon else _IDENT_CONT
+        while self.pos < len(self.text) and self.text[self.pos] in cont:
+            self.pos += 1
+        return self.text[start : self.pos]
+
+
+def _parse_atom(s: _Scanner) -> SequenceTerm:
+    ch = s.peek()
+    if ch == "(":
+        s.take()
+        inner = _parse_seq(s)
+        s.expect(")")
+        return inner
+    if ch == "!":
+        s.take()
+        return Instr(HALT)
+    if ch == "#":
+        s.take()
+        if s.peek() == "-":
+            raise SequenceSyntaxError("negative jump offset", s.pos)
+        return Instr(Jump(s.nat()))
+    polarity = None
+    if ch in "+-":
+        polarity = s.take()
+    focus = s.ident()
+    s.expect(".")
+    method = s.ident(allow_colon=True)
+    if polarity == "+":
+        return Instr(PosTest(focus, method))
+    if polarity == "-":
+        return Instr(NegTest(focus, method))
+    return Instr(Basic(focus, method))
+
+
+def _parse_item(s: _Scanner) -> SequenceTerm:
+    term = _parse_atom(s)
+    while s.peek() == "^":
+        s.take()
+        if s.peek() == "w":
+            s.take()
+            term = Repeat(term)
+        else:
+            term = Power(term, s.nat())
+    return term
+
+
+def _parse_seq(s: _Scanner) -> SequenceTerm:
+    items = [_parse_item(s)]
+    while s.peek() == ";":
+        s.take()
+        items.append(_parse_item(s))
+    return concat_all(items)
+
+
+def ref_parse_sequence(text: str) -> SequenceTerm:
+    if not text.strip():
+        raise SequenceSyntaxError("empty term", 0)
+    s = _Scanner(text)
+    term = _parse_seq(s)
+    if s.peek():
+        raise SequenceSyntaxError("trailing input", s.pos)
+    return term
+
+
+# ---------------------------------------------------------------------------
+# formulas
+
+_BIN = {"/\\": And, "\\/": Or, "->": Implies}
+
+
+# One token after optional whitespace: a symbol, a run of decimal digits,
+# or a word (a name when it starts with a letter or "_").  The groups are
+# tried in this order, so "->" wins over a lone "-" and digits over names.
+_TOKEN = re.compile(r"\s*(?:(->|/\\|\\/|[~()\[\]=.:])|(\d+)|(\w+))?")
+
+
+class _Lexer:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.tokens = []
+        self._lex()
+        self.i = 0
+
+    def _lex(self):
+        t = self.text
+        n = len(t)
+        tokens = self.tokens
+        match = _TOKEN.match
+        p = 0
+        while True:
+            m = match(t, p)
+            p = m.end()
+            group = m.lastindex
+            if group is None:
+                if p == n:
+                    break
+                raise FormulaSyntaxError(f"unexpected character {t[p]!r}", p)
+            start = m.start(group)
+            if group == 1:
+                tokens.append((m.group(1), start))
+            elif group == 2:
+                tokens.append((("num", int(m.group(2))), start))
+            elif t[start].isalpha() or t[start] == "_":
+                tokens.append((("ident", m.group(3)), start))
+            else:
+                raise FormulaSyntaxError(f"unexpected character {t[start]!r}",
+                                         start)
+        tokens.append((("eof", None), n))
+
+    def peek(self):
+        return self.tokens[self.i][0]
+
+    def peek2(self):
+        return self.tokens[self.i + 1][0] if self.i + 1 < len(self.tokens) else ("eof", None)
+
+    def here(self) -> int:
+        return self.tokens[self.i][1]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok[0]
+
+    def expect(self, sym):
+        tok = self.next()
+        if tok != sym:
+            raise FormulaSyntaxError(f"expected {sym!r}, got {tok!r}", self.tokens[self.i - 1][1])
+
+
+def _is_ident(tok, name=None):
+    return isinstance(tok, tuple) and tok[0] == "ident" and (name is None or tok[1] == name)
+
+
+class _FormulaParser:
+    def __init__(self, text: str):
+        self.lx = _Lexer(text)
+
+    def parse(self) -> Formula:
+        f = self.formula()
+        if self.lx.peek() != ("eof", None):
+            raise FormulaSyntaxError("trailing input", self.lx.here())
+        return f
+
+    def formula(self) -> Formula:
+        return self.implication()
+
+    def implication(self) -> Formula:
+        left = self.disjunction()
+        if self.lx.peek() == "->":
+            self.lx.next()
+            return Implies(left, self.implication())
+        return left
+
+    def disjunction(self) -> Formula:
+        left = self.conjunction()
+        while self.lx.peek() == "\\/":
+            self.lx.next()
+            left = Or(left, self.conjunction())
+        return left
+
+    def conjunction(self) -> Formula:
+        left = self.negation()
+        while self.lx.peek() == "/\\":
+            self.lx.next()
+            left = And(left, self.negation())
+        return left
+
+    def negation(self) -> Formula:
+        if self.lx.peek() == "~":
+            self.lx.next()
+            return Not(self.negation())
+        return self.atom()
+
+    def atom(self) -> Formula:
+        tok = self.lx.peek()
+        if _is_ident(tok, "exists") or _is_ident(tok, "forall"):
+            kind = tok[1]
+            self.lx.next()
+            var_tok = self.lx.next()
+            if not _is_ident(var_tok):
+                raise FormulaSyntaxError("expected a variable name", self.lx.here())
+            self.lx.expect(":")
+            sort_tok = self.lx.next()
+            if not _is_ident(sort_tok) or sort_tok[1] not in SORTS:
+                raise FormulaSyntaxError("expected a sort (nat/bool/serv/repl)",
+                                         self.lx.here())
+            self.lx.expect(".")
+            body = self.formula()
+            cls = Exists if kind == "exists" else Forall
+            return cls(var_tok[1], sort_tok[1], body)
+        if tok == "(":
+            self.lx.next()
+            inner = self.formula()
+            self.lx.expect(")")
+            return inner
+        if _is_ident(tok, "true") and self.lx.peek2() != "=":
+            self.lx.next()
+            return TRUE
+        if _is_ident(tok, "false") and self.lx.peek2() != "=":
+            self.lx.next()
+            return FALSE
+        left = self.term()
+        self.lx.expect("=")
+        right = self.term()
+        return Eq(left, right)
+
+    def term(self) -> Term:
+        tok = self.lx.peek()
+        if tok == ":":
+            self.lx.next()
+            lit = self.lx.next()
+            if not _is_ident(lit) or lit[1] not in ("t", "f", "d"):
+                raise FormulaSyntaxError("expected :t, :f or :d", self.lx.here())
+            return ReplyLit(Reply(lit[1]))
+        if isinstance(tok, tuple) and tok[0] == "num":
+            self.lx.next()
+            return NatLit(tok[1])
+        if _is_ident(tok):
+            name = tok[1]
+            nxt = self.lx.peek2()
+            if name in ("d", "r") and nxt == "[":
+                self.lx.next()
+                self.lx.expect("[")
+                method = self._method_name()
+                self.lx.expect("]")
+                self.lx.expect("(")
+                arg = self.term()
+                self.lx.expect(")")
+                return DeriveT(method, arg) if name == "d" else ReplyT(method, arg)
+            if name in ("s", "p", "nnc", "reg") and nxt == "(":
+                self.lx.next()
+                self.lx.expect("(")
+                arg = self.term()
+                self.lx.expect(")")
+                return {"s": Succ, "p": Pred, "nnc": Nnc, "reg": RegOf}[name](arg)
+            self.lx.next()
+            if name == "empty":
+                return EmptyServ()
+            if name == "true":
+                return BoolLit(True)
+            if name == "false":
+                return BoolLit(False)
+            return Var(name)
+        raise FormulaSyntaxError("expected a term", self.lx.here())
+
+    def _method_name(self) -> str:
+        # method names may contain ':' segments (e.g. set:t)
+        tok = self.lx.next()
+        if not _is_ident(tok):
+            raise FormulaSyntaxError("expected a method name", self.lx.here())
+        name = tok[1]
+        while self.lx.peek() == ":":
+            self.lx.next()
+            part = self.lx.next()
+            if not _is_ident(part):
+                raise FormulaSyntaxError("expected a method name part", self.lx.here())
+            name += ":" + part[1]
+        return name
+
+
+def ref_parse_formula(text: str) -> Formula:
+    return _FormulaParser(text).parse()
+
+
+# ---------------------------------------------------------------------------
+# asserted sequences
+
+
+def _take_group(text: str, pos: int):
+    """Consume one {...} group starting at pos; returns (inner, next_pos)."""
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    if pos >= len(text) or text[pos] != "{":
+        raise ValueError(f"expected '{{' at position {pos} in {text!r}")
+    depth = 0
+    for i in range(pos, len(text)):
+        if text[i] == "{":
+            depth += 1
+        elif text[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return text[pos + 1 : i], i + 1
+    raise ValueError(f"unbalanced braces in {text!r}")
+
+
+def ref_parse_annotation(inner: str):
+    """The text between the braces of one annotation: (point, formula)."""
+    point, bar, formula = inner.partition("|")
+    if not bar:
+        raise ValueError(f"annotation needs 'point | formula': {inner!r}")
+    if not re.fullmatch(r"\d+", point.strip()):
+        # the one deliberate change: int() also took "+1", "1_0" and "-0"
+        raise ValueError(f"annotation point must be a natural number: {point!r}")
+    return int(point.strip()), ref_parse_formula(formula)
+
+
+def ref_parse_asserted(text: str) -> AssertedSeq:
+    pre_inner, pos = _take_group(text, 0)
+    tail = text[pos:]
+    brace = tail.rfind("{")
+    if brace < 0:
+        raise ValueError(f"missing post-annotation in {text!r}")
+    seq_text = tail[:brace].strip()
+    if seq_text.startswith('"') and seq_text.endswith('"') and len(seq_text) >= 2:
+        seq_text = seq_text[1:-1]
+    post_inner, end = _take_group(tail, brace)
+    if tail[end:].strip():
+        raise ValueError(f"trailing input after post-annotation: {tail[end:]!r}")
+    b, pre = ref_parse_annotation(pre_inner)
+    e, post = ref_parse_annotation(post_inner)
+    return AssertedSeq(b, pre, ref_parse_sequence(seq_text), e, post)
+
+
+# ---------------------------------------------------------------------------
+# proof files
+
+
+_WS_RE = re.compile(r"(?:\s+|//[^\n]*)+")
+_NUM_RE = re.compile(r"\d+")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+class _ProofTokens:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def _skip(self):
+        m = _WS_RE.match(self.text, self.pos)
+        if m:
+            self.pos = m.end()
+
+    def peek(self) -> Optional[str]:
+        self._skip()
+        if self.pos >= len(self.text):
+            return None
+        return self.text[self.pos]
+
+    def next_token(self):
+        self._skip()
+        if self.pos >= len(self.text):
+            return None
+        ch = self.text[self.pos]
+        if ch in "()[]":
+            self.pos += 1
+            return ch
+        if self.text.startswith(":=", self.pos):
+            self.pos += 2
+            return ":="
+        if self.text.startswith("=>", self.pos):
+            self.pos += 2
+            return "=>"
+        if ch == '"':
+            end = self.text.find('"', self.pos + 1)
+            if end < 0:
+                raise ProofSyntaxError(f"unterminated string at {self.pos}")
+            s = self.text[self.pos + 1 : end]
+            self.pos = end + 1
+            return ("str", s)
+        if ch == "{":
+            depth = 0
+            for i in range(self.pos, len(self.text)):
+                if self.text[i] == "{":
+                    depth += 1
+                elif self.text[i] == "}":
+                    depth -= 1
+                    if depth == 0:
+                        inner = self.text[self.pos + 1 : i]
+                        self.pos = i + 1
+                        return ("group", inner)
+            raise ProofSyntaxError(f"unbalanced braces at {self.pos}")
+        m = _NUM_RE.match(self.text, self.pos)
+        if m:
+            self.pos = m.end()
+            return ("num", int(m.group()))
+        m = _IDENT_RE.match(self.text, self.pos)
+        if m:
+            self.pos = m.end()
+            return ("ident", m.group())
+        raise ProofSyntaxError(f"unexpected character {ch!r} at {self.pos}")
+
+    def expect(self, tok):
+        got = self.next_token()
+        if got != tok:
+            raise ProofSyntaxError(f"expected {tok!r}, got {got!r}")
+
+
+def _annotation(inner: str):
+    try:
+        return ref_parse_annotation(inner)
+    except ValueError as exc:
+        raise ProofSyntaxError(str(exc)) from exc
+
+
+class _ProofParser:
+    AXIOMS = {f"A{i}" for i in range(1, 12)}
+    RULES = {f"R{i}" for i in range(1, 11)}
+
+    def __init__(self, text: str):
+        self.toks = _ProofTokens(text)
+        self.bindings: Dict[str, ProofNode] = {}
+
+    def parse_file(self) -> ProofNode:
+        last = None
+        while True:
+            tok = self.toks.next_token()
+            if tok is None:
+                break
+            if isinstance(tok, tuple) and tok[0] == "ident":
+                self.toks.expect(":=")
+                self.toks.expect("(")
+                node = self._node_body()
+                self.bindings[tok[1]] = node
+                last = node
+            elif tok == "(":
+                last = self._node_body()
+            else:
+                raise ProofSyntaxError(f"expected a binding or record, got {tok!r}")
+        if last is None:
+            raise ProofSyntaxError("empty proof file")
+        return last
+
+    def _asserted(self, first=None) -> AssertedSeq:
+        pre = first if first is not None else self.toks.next_token()
+        if not (isinstance(pre, tuple) and pre[0] == "group"):
+            raise ProofSyntaxError(f"expected an annotation group, got {pre!r}")
+        seq = self.toks.next_token()
+        if not (isinstance(seq, tuple) and seq[0] == "str"):
+            raise ProofSyntaxError(f"expected a quoted sequence, got {seq!r}")
+        post = self.toks.next_token()
+        if not (isinstance(post, tuple) and post[0] == "group"):
+            raise ProofSyntaxError(f"expected an annotation group, got {post!r}")
+        b, p = _annotation(pre[1])
+        e, q = _annotation(post[1])
+        return AssertedSeq(b, p, ref_parse_sequence(seq[1]), e, q)
+
+    def _operand(self) -> ProofNode:
+        tok = self.toks.next_token()
+        if tok == "(":
+            return self._node_body()
+        if isinstance(tok, tuple) and tok[0] == "ident":
+            if tok[1] not in self.bindings:
+                raise ProofSyntaxError(f"unknown proof name {tok[1]!r}")
+            return self.bindings[tok[1]]
+        raise ProofSyntaxError(f"expected a proof node, got {tok!r}")
+
+    def _node_body(self) -> ProofNode:
+        head = self.toks.next_token()
+        if not (isinstance(head, tuple) and head[0] == "ident"):
+            raise ProofSyntaxError(f"expected a rule name, got {head!r}")
+        rule = head[1].upper()
+        if rule in self.AXIOMS:
+            concl = self._asserted()
+            self.toks.expect(")")
+            return ProofNode(rule, concl)
+        if rule == "HYP":
+            idx = self.toks.next_token()
+            if not (isinstance(idx, tuple) and idx[0] == "num"):
+                raise ProofSyntaxError("HYP needs a hypothesis index")
+            self.toks.expect(")")
+            return ProofNode("HYP", hyp_index=idx[1])
+        if rule == "R5":
+            return self._r5()
+        if rule == "R10":
+            p_ob = self.toks.next_token()
+            prem = self._operand()
+            q_ob = self.toks.next_token()
+            for ob in (p_ob, q_ob):
+                if not (isinstance(ob, tuple) and ob[0] == "str"):
+                    raise ProofSyntaxError("R10 needs two quoted obligations")
+            self.toks.expect("=>")
+            concl = self._asserted()
+            self.toks.expect(")")
+            return ProofNode("R10", concl, (prem,),
+                             obligations=(ref_parse_formula(p_ob[1]),
+                                          ref_parse_formula(q_ob[1])))
+        if rule == "R9":
+            x = self.toks.next_token()
+            y = self.toks.next_token()
+            for v in (x, y):
+                if not (isinstance(v, tuple) and v[0] == "ident"):
+                    raise ProofSyntaxError("R9 needs two variable names")
+            prem = self._operand()
+            self.toks.expect("=>")
+            concl = self._asserted()
+            self.toks.expect(")")
+            return ProofNode("R9", concl, (prem,), rename=(x[1], y[1]))
+        if rule in self.RULES or rule == "REPINTRO":
+            arity = 2 if rule in ("R1", "R6") else 1
+            premises = tuple(self._operand() for _ in range(arity))
+            self.toks.expect("=>")
+            concl = self._asserted()
+            self.toks.expect(")")
+            return ProofNode(rule, concl, premises)
+        raise ProofSyntaxError(f"unknown rule {rule!r}")
+
+    def _r5(self) -> ProofNode:
+        kw = self.toks.next_token()
+        if kw != ("ident", "hyps"):
+            raise ProofSyntaxError("R5 needs a 'hyps' list")
+        self.toks.expect("[")
+        hyps = []
+        while True:
+            tok = self.toks.next_token()
+            if tok == "]":
+                break
+            hyps.append(self._asserted(first=tok))
+        kw = self.toks.next_token()
+        if kw != ("ident", "k"):
+            raise ProofSyntaxError("R5 needs the selected index k")
+        k = self.toks.next_token()
+        if not (isinstance(k, tuple) and k[0] == "num"):
+            raise ProofSyntaxError("R5 index k must be a number")
+        kw = self.toks.next_token()
+        if kw != ("ident", "subproofs"):
+            raise ProofSyntaxError("R5 needs a 'subproofs' list")
+        self.toks.expect("[")
+        subs = []
+        while True:
+            if self.toks.peek() == "]":
+                self.toks.next_token()
+                break
+            subs.append(self._operand())
+        self.toks.expect(")")
+        if not hyps:
+            raise ProofSyntaxError("R5 needs at least one hypothesis")
+        if not 1 <= k[1] <= len(hyps):
+            raise ProofSyntaxError("R5 index k out of range")
+        return ProofNode("R5", hyps[k[1] - 1], hyps=tuple(hyps), k=k[1],
+                         premises=tuple(subs))
+
+
+def ref_parse_proof(text: str) -> ProofNode:
+    return _ProofParser(text).parse_file()

@@ -1,10 +1,20 @@
 """Command-line behaviour: outputs and exit statuses."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
+import pytest
+
+import pga_hoare
 from pga_hoare.cli import main
+from pga_hoare.formulas import parse_formula
+from pga_hoare.lexer import MAX_DEPTH
+from pga_hoare.proofs import parse_proof
+from pga_hoare.syntax import parse_sequence
 
 PROOF = str(pathlib.Path(__file__).resolve().parent.parent
             / "proofs" / "counter_zero.proof")
@@ -162,3 +172,95 @@ def test_ill_sorted_operator_arguments_are_usage_errors(capsys):
         captured = capsys.readouterr()
         assert captured.err == f"error: ill-sorted term {message}\n"
         assert captured.out == ""
+
+
+def test_thread_of_long_sequences(capsys):
+    # extraction is linear: one leaf table, each jump chain followed once
+    seq = " ; ".join(["c.decr ; +c.iszero ; #0"] * 33_334)
+    started = time.perf_counter()
+    assert main(["thread", seq]) == 0
+    out = capsys.readouterr().out
+    assert time.perf_counter() - started < 10
+    assert out.startswith("n0: branch c.decr -> n1 / n1\n"
+                          "n1: branch c.iszero -> n2 / n3\n")
+    assert out.count("\n") == 2 * 33_334 + 1
+
+
+def _fresh(argv):
+    """stdout and status of argv in a new interpreter."""
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(pga_hoare.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-m", "pga_hoare.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return done.stdout, done.returncode
+
+
+def test_repeated_calls_match_fresh_ones(capsys):
+    # the argument parser is built once per process; no option may carry
+    # over from one call to the next
+    pairs = [
+        (["--bound", "24", "--strict", "check", PROOF],
+         ["--bound", "24", "check", PROOF]),
+        (["--format", "structured", "--bound", "24", "check", PROOF],
+         ["--bound", "24", "check", PROOF]),
+        (["--bound", "12", "holds",
+          "{1 | true} (-c.iszero;#2;!;c.decr)^w {0 | c = nnc(0)}"],
+         ["--bound", "12", "sp", "true", "c.decr", "--exit", "1"]),
+    ]
+    for first, second in pairs:
+        expected = [_fresh(first), _fresh(second)]
+        for argv, want in [(first, expected[0]), (second, expected[1])] * 2:
+            status = main(argv)
+            assert (capsys.readouterr().out, status) == want
+
+
+def test_annotation_points_are_natural_numbers(tmp_path, capsys):
+    # int() took "1_0", "+1" and "0_0" as points; the tokenizer does not
+    for assertion in ('{1_0 | true} "#0" {0 | true}',
+                      '{+1 | true} "!" {0 | true}',
+                      '{1 | true} "!" {0_0 | true}'):
+        assert main(["holds", assertion]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "annotation needs 'point | formula'" in captured.err
+    proof = tmp_path / "point.proof"
+    proof.write_text('x := (A11 {0_1 | true} "!" {0 | true})\n')
+    assert main(["check", str(proof)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: annotation needs")
+
+
+def test_deep_input_is_capped_without_recursion(capsys):
+    # every parser keeps its own stack; past MAX_DEPTH levels the input is
+    # a usage error, below it the answer comes out
+    n = 100_000
+    deep = {
+        "parentheses": "(" * n + "true" + ")" * n,
+        "negations": "~" * n + "true",
+        "conjunctions": " /\\ ".join(["true"] * n),
+        "implications": " -> ".join(["true"] * n),
+        "successors": "c = nnc(" + "s(" * n + "0" + ")" * n + ")",
+    }
+    for text in deep.values():
+        with pytest.raises(ValueError, match="^input nested too deeply$"):
+            parse_formula(text)
+        assert main(["holds", "{1 | %s} ! {0 | true}" % text]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: input nested too deeply\n"
+    with pytest.raises(ValueError, match="^input nested too deeply$"):
+        parse_sequence("(" * n + "a.m" + ")" * n)
+    records = "(R3 " * n + '(A11 {1 | true} "!" {0 | true})' + (
+        ' => {1 | true} "! ; #0" {0 | true})' * n)
+    with pytest.raises(ValueError, match="^input nested too deeply$"):
+        parse_proof(records)
+    # just below the cap
+    below = MAX_DEPTH - 2
+    assert main(["holds", "{1 | %s} ! {0 | true}"
+                 % ("~" * (below - below % 2) + "true")]) == 0
+    assert capsys.readouterr().out == "HOLDS\n"
+    assert main(["--bound", "4", "holds", "{1 | %s} ! {0 | true}"
+                 % " -> ".join(["c = nnc(0)"] * (below // 2))]) == 0
+    assert capsys.readouterr().out == "HOLDS (bounded, B=4)\n"
+    assert main(["normalize", "(" * below + "a.m" + ")" * below]) == 0
+    assert capsys.readouterr().out == "prefix: a.m\nlen: 1\n"

@@ -10,11 +10,13 @@ from pga_hoare.formulas import (And, BoolLit, DeriveT, EmptyServ,
                                 Forall, FormulaSyntaxError, Implies,
                                 MissingFocusError, NatLit, Nnc, Not, Or, Pred,
                                 RegOf, ReplyLit, ReplyT, SortError, StateSpace,
-                                Succ, TRUE, TrueF, Var, _Lexer, alpha_eq,
+                                Succ, TRUE, TrueF, Var, _formula_tokens,
+                                alpha_eq,
                                 compile_formula, entails, eval_formula,
                                 format_formula, free_foci, free_vars,
                                 parse_formula, rename, sort_domain,
                                 subst_derive, substitute)
+from pga_hoare.lexer import Tokens
 from pga_hoare.services import (EMPTY, AlgebraConfig, Reply, boolreg, counter,
                                 family, svc_step)
 
@@ -688,10 +690,10 @@ def test_lexer_matches_reference():
             # the former lexer let this escape as a bare ValueError; it is
             # now an unexpected character at that digit
             with pytest.raises(FormulaSyntaxError, match="unexpected"):
-                _Lexer(text)
+                _formula_tokens(Tokens(text))
             continue
         try:
-            got = ("tokens", _Lexer(text).tokens)
+            got = ("tokens", _formula_tokens(Tokens(text)))
         except FormulaSyntaxError as exc:
             got = ("error", str(exc), exc.pos)
         assert got == expected, repr(text)

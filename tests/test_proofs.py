@@ -364,6 +364,17 @@ def test_annotation_errors_are_proof_syntax_errors():
         parse_proof('(A11 {1 | c = } "!" {0 | true})')
 
 
+def test_annotation_points_are_digit_runs():
+    # int() used to read these points as 1, 10, 0 and 1
+    for point in ("0_1", "1_0", "+1", "-0", " 1 1"):
+        with pytest.raises(ProofSyntaxError, match=r"point \| formula"):
+            parse_proof('x := (A11 {%s | true} "!" {0 | true})' % point)
+        with pytest.raises(ProofSyntaxError, match=r"point \| formula"):
+            parse_proof('x := (A11 {1 | true} "!" {%s | true})' % point)
+    node = parse_proof('x := (A9 {01 | true} "#3" {003 | true})')
+    assert (node.conclusion.entry, node.conclusion.exit) == (1, 3)
+
+
 def test_term_atoms_of_a_long_chain():
     atoms = term_atoms(parse_sequence(" ; ".join(["c.incr"] * 100_000 + ["!"])))
     assert len(atoms) == 100_001

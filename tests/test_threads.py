@@ -1,13 +1,18 @@
 """Thread extraction, bisimulation minimization, and the apply operator."""
 
+import random
+
 import pytest
 
 from pga_hoare.services import (AlgebraConfig, EMPTY, EMPTY_FAMILY, boolreg,
                                 counter, family)
-from pga_hoare.syntax import parse_sequence, normalize
+from pga_hoare.syntax import (Basic, Halt, Jump, NegTest, PosTest,
+                              format_canonical, make_canonical, normalize,
+                              parse_sequence)
 from pga_hoare.threads import (BudgetExhausted, DEAD_THREAD, STOP_THREAD,
-                               apply, bisimilar, embed, extract, minimize,
-                               sigma, thread_dump, thread_of)
+                               RegularThread, _trim, apply, bisimilar, embed,
+                               extract, minimize, sigma, thread_dump,
+                               thread_of)
 
 
 def _t(text):
@@ -135,3 +140,108 @@ def test_apply_budget_on_unbounded_growth():
     cfg = AlgebraConfig("counter", state_bound=10)
     with pytest.raises(BudgetExhausted):
         apply(t, family({"c": counter(0)}), cfg)
+
+
+# ---------------------------------------------------------------------------
+# extract against the former quadratic one
+#
+# The reference below is the package's former extraction, kept here as the
+# specification: it looks its leaves up by scanning the node list and
+# follows every jump chain again from its start.  extract, with a leaf
+# table and one memoised jump-resolution array, must give the same thread.
+
+
+def _ref_resolve(c, pos):
+    visited = set()
+    while True:
+        rep = c.representative(pos)
+        if rep is None or rep in visited:
+            return None
+        instr = c.instruction_at(rep)
+        if not isinstance(instr, Jump):
+            return rep
+        if instr.offset == 0:
+            return None
+        visited.add(rep)
+        pos = rep + instr.offset
+
+
+def _ref_extract(c):
+    n_positions = len(c.prefix) + len(c.period or ())
+    position_node = {}
+    nodes = []
+
+    def _leaf(kind):
+        for i, node in enumerate(nodes):
+            if node == (kind,):
+                return i
+        nodes.append((kind,))
+        return len(nodes) - 1
+
+    pending = []
+    for rep in range(1, n_positions + 1):
+        instr = c.instruction_at(rep)
+        if isinstance(instr, Jump):
+            continue
+        if isinstance(instr, Halt):
+            position_node[rep] = _leaf("stop")
+            continue
+        nodes.append(None)
+        position_node[rep] = len(nodes) - 1
+        pending.append((rep, instr))
+
+    def _target(pos):
+        rep = _ref_resolve(c, pos)
+        return _leaf("dead") if rep is None else position_node[rep]
+
+    for rep, instr in pending:
+        then_i = _target(rep + 1)
+        else_i = _target(rep + 2)
+        if isinstance(instr, Basic):
+            node = ("branch", instr.focus, instr.method, then_i, then_i)
+        elif isinstance(instr, PosTest):
+            node = ("branch", instr.focus, instr.method, then_i, else_i)
+        else:
+            node = ("branch", instr.focus, instr.method, else_i, then_i)
+        nodes[position_node[rep]] = node
+
+    root_rep = _ref_resolve(c, 1)
+    root = _leaf("dead") if root_rep is None else position_node[root_rep]
+    return _trim(RegularThread(tuple(nodes), root))
+
+
+# mostly jumps, so that chains are long, wrap the period and form cycles;
+# two halts and a few tests, so that leaves occur more than once
+_ALPHABET = ([Jump(k) for k in range(6)] * 2
+             + [Halt(), Halt(), Basic("c", "incr"), PosTest("r", "get"),
+                NegTest("r", "get"), PosTest("c", "iszero")] * 2)
+
+
+def _random_canonical(rng):
+    prefix = [rng.choice(_ALPHABET) for _ in range(rng.randrange(6))]
+    shape = rng.randrange(4)
+    if shape == 0:
+        return make_canonical(prefix or [Halt()], None)
+    if shape == 1:  # a period of jumps only
+        period = [Jump(rng.randrange(6)) for _ in range(rng.randint(1, 5))]
+    else:
+        period = [rng.choice(_ALPHABET) for _ in range(rng.randint(1, 6))]
+    return make_canonical(prefix, period)
+
+
+def test_extract_matches_reference():
+    rng = random.Random(6)
+    cases = [_random_canonical(rng) for _ in range(4000)]
+    cases += [normalize(parse_sequence(text)) for text in (
+        "#0", "(#1)^w", "(#2 ; #2)^w", "#3 ; ! ; (#4 ; ! ; c.incr)^w",
+        "+r.get ; ! ; ! ; (#3 ; #0 ; -r.get)^w", "(! ; #2 ; #0)^w")]
+    dead = stop = both = 0
+    for c in cases:
+        got = extract(c)
+        assert got == _ref_extract(c), format_canonical(c)
+        kinds = {node[0] for node in got.nodes}
+        dead += "dead" in kinds
+        stop += "stop" in kinds
+        both += {"dead", "stop"} <= kinds
+    # the seeded cases reach both leaves, alone and together
+    assert min(dead, stop, both) > 200
