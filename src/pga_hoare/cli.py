@@ -195,8 +195,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except RecursionError:
-        # walks after parsing still recurse: printing sp's disjunction of
-        # hundreds of states, checking a chain of hundreds of bound rules
+        # walks after parsing still recurse: on input near MAX_DEPTH, on
+        # sp's disjunction of hundreds of states, on long binding chains
         print("error: input nested too deeply", file=sys.stderr)
         return USAGE
 

@@ -7,25 +7,25 @@ comment, any other character, or EOF.  Each grammar rejects the tokens it
 has no use for; only proof files skip comments.  Method names such as
 "set:t" are adjacent tokens; a formula reads ":=" as ":" "=".
 
-MAX_DEPTH caps nesting.  The parsers keep explicit stacks, but formula
-trees are walked recursively afterwards, up to two frames per level, so a
-formula counts every connective, quantifier, term operator and pair of
-parentheses; a sequence counts parentheses, a proof nested records.
+MAX_DEPTH caps nesting at Python's default recursion limit: the parsers
+keep explicit stacks, but formula trees and proofs are walked recursively
+afterwards.  A formula counts each connective, quantifier, term operator
+and pair of parentheses, a sequence its parentheses, a proof its records.
 """
 
 from __future__ import annotations
 
 import re
 
-MAX_DEPTH = 300
+MAX_DEPTH = 1000
 TOO_DEEP = "input nested too deeply"
 
 EOF = " "  # no token is whitespace
 
 # "->" wins over "-", and "/\" over "//"
-_TOKEN = re.compile(r"\s*+(\{[^{}]*+\}|\"[^\"]*+\"|[A-Za-z_]\w*+|:=|=>"
-                    r"|[~()\[\]=.:;^!#+\"{}|]|->|-|/\\|\\/|//[^\n]*+|\d++"
-                    r"|\w++|\S)")
+_TOKEN = re.compile(r"\s*(\{[^{}]*\}|\"[^\"]*\"|[A-Za-z_]\w*|:=|=>"
+                    r"|[~()\[\]=.:;^!#+\"{}|]|->|-|/\\|\\/|//[^\n]*|\d+"
+                    r"|\w+|\S)")
 
 NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 

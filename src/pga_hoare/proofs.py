@@ -151,14 +151,16 @@ class _ProofParser:
         self.bindings: Dict[str, ProofNode] = {}
         self.memo = {}
 
+    def _peek(self) -> str:
+        """The next token, once the comments before it are passed."""
+        while self.toks[self.i][:2] == "//":
+            self.i += 1
+        return self.toks[self.i]
+
     def _item(self):
         """The next item after comments: one of ( ) [ ] := =>, ("str", i)
         or ("group", i) for token i, ("num", n), ("ident", name), or None."""
-        toks, i = self.toks, self.i
-        tok = toks[i]
-        while tok[0] == "/" and tok[:2] == "//":
-            i += 1
-            tok = toks[i]
+        tok, i = self._peek(), self.i
         self.i = i + 1
         first = tok[0]
         if first in '{"' and len(tok) > 1:
@@ -176,9 +178,7 @@ class _ProofParser:
         raise ProofSyntaxError(f"unexpected {tok!r} at {self.src.start(i)}")
 
     def _expect(self, want):
-        if self.toks[self.i] == want:
-            self.i += 1
-        elif (got := self._item()) != want:
+        if (got := self._item()) != want:
             raise ProofSyntaxError(f"expected {want!r}, got {got!r}")
 
     @staticmethod
@@ -294,7 +294,7 @@ class _ProofParser:
         self._expect(("ident", "subproofs"))
         self._expect("[")
         subs = []
-        while self.toks[self.i] != "]":
+        while self._peek() != "]":
             subs.append((yield))
         self.i += 1
         self._expect(")")

@@ -254,13 +254,21 @@ def test_deep_input_is_capped_without_recursion(capsys):
         ' => {1 | true} "! ; #0" {0 | true})' * n)
     with pytest.raises(ValueError, match="^input nested too deeply$"):
         parse_proof(records)
-    # just below the cap
-    below = MAX_DEPTH - 2
-    assert main(["holds", "{1 | %s} ! {0 | true}"
-                 % ("~" * (below - below % 2) + "true")]) == 0
+    # MAX_DEPTH levels parse, one more does not
+    m = MAX_DEPTH
+    for fits, deeper in ((parse_formula, "~" * (m - 1) + "true"),
+                         (parse_formula, " /\\ ".join(["true"] * m)),
+                         (parse_sequence, "(" * m + "a.m" + ")" * m)):
+        fits(deeper)
+        with pytest.raises(ValueError, match="^input nested too deeply$"):
+            fits("(" + deeper + ")")
+    # walks after parsing recurse once per level; at 800 levels, where the
+    # former recursive parsers also answered, the answer comes out
+    assert main(["holds", "{1 | %s} ! {0 | true}" % ("~" * 800 + "true")]) == 0
     assert capsys.readouterr().out == "HOLDS\n"
-    assert main(["--bound", "4", "holds", "{1 | %s} ! {0 | true}"
-                 % " -> ".join(["c = nnc(0)"] * (below // 2))]) == 0
-    assert capsys.readouterr().out == "HOLDS (bounded, B=4)\n"
-    assert main(["normalize", "(" * below + "a.m" + ")" * below]) == 0
+    for op in (" -> ", " /\\ ", " \\/ "):
+        assert main(["--bound", "4", "holds", "{1 | %s} ! {0 | true}"
+                     % op.join(["c = nnc(0)"] * 800)]) == 0
+        assert capsys.readouterr().out == "HOLDS (bounded, B=4)\n"
+    assert main(["normalize", "(" * m + "a.m" + ")" * m]) == 0
     assert capsys.readouterr().out == "prefix: a.m\nlen: 1\n"

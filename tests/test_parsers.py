@@ -119,7 +119,7 @@ def test_corpus_parses_as_before():
 
 # single characters and the longer symbols, including ones no grammar has
 _EDITS = (list("{}()[]\"|/\\;:=.^!#+-~ \n\t_0123456789acdenprstwxkR>$'")
-          + ["//", "->", "/\\", "\\/", "=>", ":=", "é", "²",
+          + ["//", "// c\n", "->", "/\\", "\\/", "=>", ":=", "é", "²",
              "٣", "exists ", "true"])
 
 

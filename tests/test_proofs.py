@@ -387,6 +387,21 @@ def test_comments_and_bindings():
     (R3 one => {1 | true} "! ; #0" {0 | true})
     '''
     assert _check(text).accepted
+    # also right before a closing "]" or ")"
+    text = '''
+    inner := (A11 {1 | true} "!" {0 | true} // axiom
+    )
+    padded := (R3 inner // premise
+    => {1 | true} "! ; (!)^w" {0 | true})
+    (R5 hyps [{1 | true} "(!)^w" {0 | true} // the loop
+    ] k 1 subproofs [padded // body
+    ] // end
+    )
+    '''
+    assert parse_proof(text) == parse_proof(R5_OK)
+    assert _check(text).accepted
+    empty = 'x := (R5 hyps [{1 | true} "(!)^w" {0 | true}] k 1 subproofs [%s])'
+    assert parse_proof(empty % "// none\n") == parse_proof(empty % "")
 
 
 def test_golden_proof_file_accepted():
