@@ -195,8 +195,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except RecursionError:
-        # walks after parsing still recurse: on input near MAX_DEPTH, on
-        # sp's disjunction of hundreds of states, on long binding chains
+        # parsing and printing keep their own stacks; what still recurses
+        # is the compiling and evaluation of formulas near MAX_DEPTH (a
+        # chain of about 990 conjuncts) and the check of long chains of
+        # proof bindings
         print("error: input nested too deeply", file=sys.stderr)
         return USAGE
 

@@ -351,58 +351,78 @@ def parse_formula(text: str) -> Formula:
 # printing
 
 
+_TERM_OP_TEXT = {Succ: "s", Pred: "p", Nnc: "nnc", RegOf: "reg"}
+
+
 def format_term(t: Term) -> str:
+    opened, depth = "", 0  # the operators around the innermost term
+    while True:
+        name = _TERM_OP_TEXT.get(type(t))
+        if name is None:
+            if isinstance(t, DeriveT):
+                name = f"d[{t.method}]"
+            elif isinstance(t, ReplyT):
+                name = f"r[{t.method}]"
+            else:
+                break
+        opened += name + "("
+        depth += 1
+        t = t.arg
     if isinstance(t, Var):
-        return t.name
-    if isinstance(t, NatLit):
-        return str(t.value)
-    if isinstance(t, BoolLit):
-        return "true" if t.value else "false"
-    if isinstance(t, ReplyLit):
-        return ":" + t.value.value
-    if isinstance(t, Succ):
-        return f"s({format_term(t.arg)})"
-    if isinstance(t, Pred):
-        return f"p({format_term(t.arg)})"
-    if isinstance(t, Nnc):
-        return f"nnc({format_term(t.arg)})"
-    if isinstance(t, RegOf):
-        return f"reg({format_term(t.arg)})"
-    if isinstance(t, EmptyServ):
-        return "empty"
-    if isinstance(t, DeriveT):
-        return f"d[{t.method}]({format_term(t.arg)})"
-    if isinstance(t, ReplyT):
-        return f"r[{t.method}]({format_term(t.arg)})"
-    raise TypeError(f"not a term: {t!r}")
+        leaf = t.name
+    elif isinstance(t, NatLit):
+        leaf = str(t.value)
+    elif isinstance(t, BoolLit):
+        leaf = "true" if t.value else "false"
+    elif isinstance(t, ReplyLit):
+        leaf = ":" + t.value.value
+    elif isinstance(t, EmptyServ):
+        leaf = "empty"
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    return opened + leaf + ")" * depth
+
+
+_CONNECTIVE_TEXT = {And: " /\\ ", Or: " \\/ ", Implies: " -> "}
+_QUANTIFIER_TEXT = {Exists: "exists", Forall: "forall"}
+# texts and operands printed without parentheses
+_PLAIN = frozenset((str, TrueF, FalseF, Eq, Not))
 
 
 def format_formula(f: Formula) -> str:
-    if isinstance(f, TrueF):
-        return "true"
-    if isinstance(f, FalseF):
-        return "false"
-    if isinstance(f, Not):
-        return f"~{_wrap(f.body)}"
-    if isinstance(f, And):
-        return f"{_wrap(f.left)} /\\ {_wrap(f.right)}"
-    if isinstance(f, Or):
-        return f"{_wrap(f.left)} \\/ {_wrap(f.right)}"
-    if isinstance(f, Implies):
-        return f"{_wrap(f.left)} -> {_wrap(f.right)}"
-    if isinstance(f, Eq):
-        return f"{format_term(f.left)} = {format_term(f.right)}"
-    if isinstance(f, Exists):
-        return f"exists {f.var}:{f.sort}. {format_formula(f.body)}"
-    if isinstance(f, Forall):
-        return f"forall {f.var}:{f.sort}. {format_formula(f.body)}"
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _wrap(f: Formula) -> str:
-    if isinstance(f, (TrueF, FalseF, Eq, Not)):
-        return format_formula(f)
-    return f"({format_formula(f)})"
+    """The text of f, which parse_formula reads back as f.  The walk keeps
+    its own stack of subformulas and texts still to print, so an image of
+    thousands of states prints without recursion."""
+    out, stack = [], [f]
+    while stack:
+        f = stack.pop()
+        kind = type(f)
+        if kind is str:
+            out.append(f)
+            continue
+        if kind is Eq:
+            out.append(f"{format_term(f.left)} = {format_term(f.right)}")
+            continue
+        if kind is TrueF or kind is FalseF:
+            out.append("true" if kind is TrueF else "false")
+            continue
+        if kind in _QUANTIFIER_TEXT:
+            out.append(f"{_QUANTIFIER_TEXT[kind]} {f.var}:{f.sort}. ")
+            stack.append(f.body)
+            continue
+        if kind is Not:
+            out.append("~")
+            parts = (f.body,)
+        elif kind in _CONNECTIVE_TEXT:
+            parts = (f.right, _CONNECTIVE_TEXT[kind], f.left)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        for g in parts:  # pushed last to first
+            if type(g) in _PLAIN:
+                stack.append(g)
+            else:
+                stack += (")", g, "(")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

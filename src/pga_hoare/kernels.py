@@ -20,14 +20,65 @@ steps, where n is the number of representative positions (segment loop)
 or thread nodes (apply loop) and c the largest content in the family
 (0 when there is none).  Every executed instruction, jumps included, and
 every visited branch node is one step.
+
+Laps.  The runs that holds and sp make from the states of one judgment
+share a SegmentRuns: an outcome table (see run_segment_kernel) and lap
+summaries.  When the entry lies in the period, its representative
+position is the head, and a lap is the stretch of a run from the head to
+its next visit of the head, or to an outcome.  A lap is summarised only
+if it takes at most K = period_len steps (the cap); it returns to the head
+within K steps unless a jump skips the head.
+
+Lemma.  Clamp every content at K: the lap key of contents u is
+(min(u_i, K) for each slot).  Counters below K, registers (0/1, and K >= 1)
+and empty services (-1) stay exact.  Two head states with the same key run
+the same lap.  Proof: before the i-th step of a lap (i <= K) a counter that
+held at least K at the head holds at least K - (i - 1) >= 1, since each
+step changes one counter by at most 1.  So iszero replies F and decr
+replies T and decrements, for both states; the two runs execute the same
+instructions, get the same replies and change each slot by the same
+amount.  They reach the head or the same outcome after the same number of
+steps, and a (position, contents) pair repeats within the lap in one run
+exactly when it repeats in the other, at the same step.  A threshold of
+K - 1 is too low: a lap of K - 1 decrements and then iszero gets T from a
+counter that held K - 1 and F from one that held K.
+
+The summary stored under the key is (end, delta, steps): how the lap ends
+(back at the head, halted, or inactive; a jump #0, a reply D or a cycle
+inside the lap), the change of every content (registers are exact in the
+key, so a change fixes their value too) and the steps taken.  A run then
+advances lap by lap: look its head state up in the outcome table, check it
+against the head states the run has met, look up or record the summary,
+and add the delta.  Four cases rerun the state with the per-step loop from
+its start instead, so every outcome, budget-outs and cycles included, is
+that of a fresh run:
+  - a lap that does not end within the cap;
+  - a head state met twice in one run: a cycle.  The run is inactive, but
+    only the per-step loop finds the cycle's first repeated node, and with
+    it the steps that the states before the cycle are tabled with;
+  - a step total past the limit, after a lap back to a head state the run
+    has met: the lap closed a cycle, which the per-step loop may meet
+    within budget.  Past the limit otherwise, the run is out of budget: a
+    node of its last lap that repeated an earlier node would have led
+    back to a head state already met;
+  - an entry in the prefix (no laps; the per-step loop still shares the
+    outcome table).
+A cycle inside a lap never reaches the head again, while every node of an
+earlier lap leads back to the head; so no earlier node repeats in it, and
+the summary's step count is that of a fresh run.
 """
 
 from __future__ import annotations
+
+from operator import add, sub
 
 from .services import EMPTY, Service, ServiceFamily, family
 from .syntax import Basic, CanonicalSequence, Halt, Jump, NegTest, PosTest
 
 HALTED, EXITED, INACTIVE, BUDGET = 0, 1, 2, 3
+AT_HEAD, CYCLE = 4, 5  # how the per-step loop stops short of an outcome
+_INACTIVE_RESULT = (INACTIVE, 0, None)
+_BUDGET_RESULT = (BUDGET, 0, None)
 
 
 def implementation() -> str:
@@ -165,16 +216,73 @@ def _svc(kind, content, mcode):
     return (1 if content == 0 else 0), content
 
 
+def _walk(ops, arg1, arg2, prefix_len, period_len, kinds, contents, rep,
+          steps, limit, head, seen):
+    """The per-step loop: run from representative position rep until the
+    run comes back to the representative position head or ends.
+
+    contents, a list, follows the run.  seen maps each (position, contents)
+    met to the steps taken before it; a node met again ends the run in a
+    cycle.  It is None without a period, where no position comes twice.
+    Returns (code, value, steps): code AT_HEAD, HALTED, EXITED (value: the
+    exit offset), INACTIVE, CYCLE (value: the steps taken before the
+    repeated node was first met) or BUDGET.
+    """
+    pos = rep
+    while True:
+        steps += 1
+        if steps > limit:
+            return BUDGET, 0, steps
+        i = rep - 1
+        op = ops[i]
+        if op == 4:
+            return HALTED, 0, steps
+        if op == 3:
+            off = arg1[i]
+            if off == 0:
+                return INACTIVE, 0, steps
+            pos += off
+        else:
+            slot = arg1[i]
+            if slot < 0:
+                return INACTIVE, 0, steps
+            reply, newc = _svc(kinds[slot], contents[slot], arg2[i])
+            if reply == 2:
+                return INACTIVE, 0, steps
+            contents[slot] = newc
+            if op == 0:
+                pos += 1
+            elif op == 1:
+                pos += 1 if reply == 1 else 2
+            else:
+                pos += 2 if reply == 1 else 1
+        if pos > prefix_len:
+            if not period_len:
+                return EXITED, pos - prefix_len, steps
+            pos = rep = prefix_len + (pos - prefix_len - 1) % period_len + 1
+        else:
+            rep = pos
+        if seen is not None:
+            key = (rep, tuple(contents))
+            first = seen.get(key)
+            if first is not None:
+                return CYCLE, first, steps
+            seen[key] = steps
+        if rep == head:
+            return AT_HEAD, 0, steps
+
+
 def run_segment_kernel(ops, arg1, arg2, prefix_len, period_len, entry,
                        kinds, contents, state_bound, table=None):
     """Program-counter interpretation of an encoded canonical sequence.
 
     Returns (outcome, exit_offset, final_contents).  exit_offset is only
-    meaningful for EXITED; final_contents only for HALTED/EXITED.
+    meaningful for EXITED; final_contents, a tuple, only for HALTED and
+    EXITED (None otherwise).
 
     table is an outcome table shared by runs of one encoded sequence from
     one entry point (None: a fresh one, which no later run reads).  It maps
-    the contents at the entry's representative position to
+    the contents at the entry's representative position, the head, to
     ((outcome, exit_offset, final_contents), steps), where steps counts the
     steps from that node to the outcome.  A run that reaches a tabled node
     after `taken` steps ends there, running out of budget exactly when
@@ -185,24 +293,17 @@ def run_segment_kernel(ops, arg1, arg2, prefix_len, period_len, entry,
     """
     contents = list(contents)
     limit = _step_limit(state_bound, prefix_len + period_len, contents)
-    if table is None:
-        head = 0  # no position: a fresh table is neither read nor written
-    elif entry > prefix_len and period_len:
-        head = prefix_len + (entry - prefix_len - 1) % period_len + 1
+    if entry <= prefix_len:
+        rep = entry
+    elif period_len:
+        rep = prefix_len + (entry - prefix_len - 1) % period_len + 1
     else:
-        head = entry
+        return EXITED, entry - prefix_len, tuple(contents)
+    head = 0 if table is None else rep  # 0: no position, no table
+    seen = {(rep, tuple(contents)): 0} if period_len else None
     marks = []  # (contents at head, steps taken before reaching it)
-    seen = {} if period_len else None  # node -> steps taken before it
-    pos = entry
     steps = 0
     while True:
-        if pos > prefix_len:
-            if period_len == 0:
-                outcome, off, final = EXITED, pos - prefix_len, contents
-                break
-            rep = prefix_len + (pos - prefix_len - 1) % period_len + 1
-        else:
-            rep = pos
         if rep == head:
             state = tuple(contents)
             hit = table.get(state)
@@ -210,58 +311,111 @@ def run_segment_kernel(ops, arg1, arg2, prefix_len, period_len, entry,
                 result, more = hit
                 steps += more
                 _tabulate(table, marks, result, steps)
-                if steps > limit:
-                    return BUDGET, 0, None
-                outcome, off, final = result
-                return outcome, off, None if final is None else list(final)
+                return _BUDGET_RESULT if steps > limit else result
             marks.append((state, steps))
-        if seen is not None:
-            key = (rep, tuple(contents))
-            cycle_start = seen.get(key)
-            if cycle_start is not None:
-                _tabulate(table, [m for m in marks if m[1] < cycle_start],
-                          (INACTIVE, 0, None), steps)
-                return INACTIVE, 0, None
-            seen[key] = steps
-        steps += 1
-        if steps > limit:
-            return BUDGET, 0, None
-        op = ops[rep - 1]
-        if op == 4:
-            outcome, off, final = HALTED, 0, contents
+        code, value, steps = _walk(ops, arg1, arg2, prefix_len, period_len,
+                                   kinds, contents, rep, steps, limit, head,
+                                   seen)
+        if code != AT_HEAD:
             break
-        if op == 3:
-            off = arg1[rep - 1]
-            if off == 0:
-                outcome, off, final = INACTIVE, 0, None
-                break
-            pos = pos + off
-            continue
-        slot = arg1[rep - 1]
-        if slot < 0:
-            outcome, off, final = INACTIVE, 0, None
-            break
-        reply, newc = _svc(kinds[slot], contents[slot], arg2[rep - 1])
-        if reply == 2:
-            outcome, off, final = INACTIVE, 0, None
-            break
-        contents[slot] = newc
-        if op == 0:
-            pos += 1
-        elif op == 1:
-            pos += 1 if reply == 1 else 2
-        else:
-            pos += 2 if reply == 1 else 1
-    if marks:
-        _tabulate(table, marks,
-                  (outcome, off, None if final is None else tuple(final)),
-                  steps)
-    return outcome, off, final
+        rep = head
+    if code == BUDGET:
+        return _BUDGET_RESULT
+    if code == CYCLE:
+        _tabulate(table, [m for m in marks if m[1] < value],
+                  _INACTIVE_RESULT, steps)
+        return _INACTIVE_RESULT
+    result = (code, value, None if code == INACTIVE else tuple(contents))
+    _tabulate(table, marks, result, steps)
+    return result
 
 
 def _tabulate(table, marks, result, steps):
     for state, taken in marks:
         table[state] = (result, steps - taken)
+
+
+class SegmentRuns:
+    """Runs of one encoded sequence from one entry point, from many
+    contents, sharing an outcome table and lap summaries.
+
+    run(contents) returns what run_segment_kernel(..., contents,
+    state_bound) returns, with the final contents as a tuple.  A run whose
+    entry lies in the period advances lap by lap (see the module
+    docstring); any other run takes the per-step loop, reading and writing
+    the outcome table (see run_segment_kernel).
+    """
+
+    def __init__(self, ops, arg1, arg2, prefix_len, period_len, entry,
+                 kinds, state_bound):
+        self.code = (ops, arg1, arg2, prefix_len, period_len)
+        self.entry, self.kinds, self.state_bound = entry, kinds, state_bound
+        self.n = prefix_len + period_len
+        self.cap = period_len  # the lap cap and the key's threshold
+        if entry > prefix_len and period_len:
+            self.head = prefix_len + (entry - prefix_len - 1) % period_len + 1
+        else:
+            self.head = 0
+        self.table = {}
+        self.laps = {}  # lap key -> (end, delta, steps)
+
+    def run(self, contents):
+        if not self.head:
+            return self._stepwise(contents)
+        table, laps, cap = self.table, self.laps, self.cap
+        limit = _step_limit(self.state_bound, self.n, contents)
+        marks = {}  # contents at head in this run -> steps taken before
+        state, taken = tuple(contents), 0
+        while True:
+            hit = table.get(state)
+            if hit is not None:
+                result, more = hit
+                taken += more
+                break
+            if state in marks:
+                # a cycle: the per-step loop finds its first repeated node,
+                # which fixes the steps the states before it are tabled with
+                return self._stepwise(contents)
+            marks[state] = taken
+            key = tuple([c if c < cap else cap for c in state])
+            lap = laps.get(key)
+            if lap is None:
+                lap = laps[key] = self._lap(state)
+            end, delta, steps = lap
+            if end == BUDGET:
+                return self._stepwise(contents)
+            taken += steps
+            if delta is not None:
+                state = tuple(map(add, state, delta))
+            if taken > limit:
+                if end == AT_HEAD and state in marks:
+                    # the lap closed a cycle, which the per-step loop may
+                    # meet within budget
+                    return self._stepwise(contents)
+                return _BUDGET_RESULT
+            if end != AT_HEAD:
+                result = (end, 0, state if delta is not None else None)
+                break
+        _tabulate(table, marks.items(), result, taken)
+        return _BUDGET_RESULT if taken > limit else result
+
+    def _lap(self, state):
+        """(end, delta, steps) of the lap from the head in state: how it
+        ends (AT_HEAD, HALTED, INACTIVE, or BUDGET when it takes more than
+        cap steps), the change of each content (None for INACTIVE and
+        BUDGET) and the steps it takes."""
+        contents = list(state)
+        end, _, steps = _walk(*self.code, self.kinds, contents, self.head, 0,
+                              self.cap, self.head, {})
+        if end == CYCLE:
+            end = INACTIVE
+        if end in (AT_HEAD, HALTED):
+            return end, tuple(map(sub, contents, state)), steps
+        return end, None, steps
+
+    def _stepwise(self, contents):
+        return run_segment_kernel(*self.code, self.entry, self.kinds,
+                                  contents, self.state_bound, self.table)
 
 
 def apply_kernel(node_kind, node_slot, node_method, node_then, node_else,

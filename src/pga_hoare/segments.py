@@ -4,14 +4,14 @@ run_segment interprets an instruction sequence directly with a program
 counter, starting at entry instruction b.  holds decides an asserted
 sequence by enumerating states over the configured algebra and running each
 P-state; strongest_post computes the image of the P-states.  The runs of one
-judgment share an outcome table (see _Runner), so the judgment's state graph
-is explored once rather than once per state.
+judgment share a kernels.SegmentRuns, an outcome table and lap summaries, so
+the judgment's state graph is explored once rather than once per state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 from . import kernels
 from .formulas import (And, BoolLit, CompiledFormula, EmptyServ, Eq, Formula,
@@ -111,38 +111,39 @@ def _outcome(code, off, final, foci, kinds):
     return BUDGET_OUT
 
 
+def _segment_runs(c: CanonicalSequence, b: int, foci, kinds,
+                  cfg: AlgebraConfig):
+    return kernels.SegmentRuns(*kernels.encode_canonical(c, foci, kinds),
+                               len(c.prefix), len(c.period or ()), b, kinds,
+                               cfg.state_bound)
+
+
 class _Runner:
     """run_canonical(c, b, u, cfg) for many states u of one judgment.
 
     The sequence is encoded once per family layout (foci and service
-    kinds), and the runs of one layout share one outcome table of the
-    segment loop.  Each run keeps its own step budget, so every outcome
-    equals what run_canonical returns for that state.  Runs ending in the
-    same contents share one decoded outcome.
+    kinds), and the runs of one layout share one kernels.SegmentRuns: its
+    outcome table and lap summaries.  Each run keeps its own step budget,
+    so every outcome equals what run_canonical returns for that state.
+    Runs ending in the same contents share one decoded outcome.
     """
 
     def __init__(self, c: CanonicalSequence, b: int, cfg: AlgebraConfig):
         self.c, self.b, self.cfg = c, b, cfg
-        self._layouts = {}  # (foci, kinds) -> (encoding, table, outcomes)
+        self._layouts = {}  # (foci, kinds) -> (SegmentRuns, outcomes)
 
     def run(self, u: ServiceFamily):
-        c = self.c
         foci, kinds, contents = kernels.encode_family(u)
         layout = (tuple(foci), tuple(kinds))
         shared = self._layouts.get(layout)
         if shared is None:
-            shared = (kernels.encode_canonical(c, foci, kinds), {}, {})
+            shared = (_segment_runs(self.c, self.b, foci, kinds, self.cfg), {})
             self._layouts[layout] = shared
-        enc, table, outcomes = shared
-        code, off, final = kernels.run_segment_kernel(
-            *enc, len(c.prefix), len(c.period or ()), self.b, kinds, contents,
-            self.cfg.state_bound, table)
-        if final is None:
-            return _outcome(code, off, final, foci, kinds)
-        key = (code, off, tuple(final))
-        outcome = outcomes.get(key)
+        runs, outcomes = shared
+        result = runs.run(contents)
+        outcome = outcomes.get(result)
         if outcome is None:
-            outcome = outcomes[key] = _outcome(code, off, final, foci, kinds)
+            outcome = outcomes[result] = _outcome(*result, foci, kinds)
         return outcome
 
 
@@ -199,58 +200,76 @@ def holds(phi: AssertedSeq, cfg: AlgebraConfig = _DEFAULT_CFG) -> Verdict:
     return _decide(phi, cfg)[0]
 
 
+_UNSEEN = object()
+
+
 def _decide(phi: AssertedSeq, cfg: AlgebraConfig):
     """(verdict, image): the verdict of holds(phi, cfg) and the states in
     which runs from P-states reach the exit annotation.  The image is
-    complete when the verdict is holds."""
+    complete when the verdict is holds.
+
+    The P-states go to the segment loop as content tuples in the one layout
+    of the judgment: every focus holds a service of cfg's algebra.  Only
+    distinct final contents are decoded into families, and Q is evaluated
+    once per distinct (final contents, valuation).
+    """
     c = normalize(phi.term)
-    image: Set[ServiceFamily] = set()
     if phi.entry > c.length:
         return Verdict("fails", reason="entry beyond segment",
-                       witness=None), image
+                       witness=None), set()
     pre = compile_formula(phi.pre, cfg)
     post = compile_formula(phi.post, cfg)
     space = _judgment_space(phi, pre, post, cfg)
-    runner = _Runner(c, phi.entry, cfg)
-    post_values = {}  # (final state, values of the variables) -> value of Q
-    undecided = None
+    foci = space.foci
+    kinds = [0 if cfg.algebra == "boolreg" else 1] * len(foci)
+    runs = _segment_runs(c, phi.entry, foci, kinds, cfg)
+    halting = phi.exit == 0
+    finals = {}  # final contents reaching the exit -> their family
+    post_values = {}  # (final contents, variable values) -> value of Q
+    undecided = witness = None
     for env, services, values in space.pairs():
         pv = pre.evaluate(env)
         if pv is False:
             continue
         if pv is None:
             undecided = "precondition undecided within the quantifier bound"
+            witness = witness or (services, values, undecided)
             continue
-        state = space.state(services)
-        outcome = runner.run(state)
-        if isinstance(outcome, Inactive):
+        # a counter's content is its count, a register's its bool
+        code, off, final = runs.run([int(s.content) for s in services])
+        if code == kernels.INACTIVE:
             continue
-        if isinstance(outcome, BudgetOut):
+        if code == kernels.BUDGET:
             undecided = "step budget exhausted on some run"
+            witness = witness or (services, values, undecided)
             continue
-        if phi.exit == 0:
-            reached = isinstance(outcome, Halted)
-        else:
-            reached = (isinstance(outcome, Exited)
-                       and outcome.offset == phi.exit)
-        if reached:
-            key = (outcome.state, values)
-            if key not in post_values:
-                post_values[key] = post(outcome.state,
-                                        space.valuation(values))
-            qv = post_values[key]
-        if not reached or qv is False:
-            witness = (state, space.valuation(values), outcome)
-            return Verdict("fails", witness=witness), image
-        image.add(outcome.state)
-        if qv is None:
-            undecided = "postcondition undecided within the quantifier bound"
+        if (code == kernels.HALTED if halting
+                else code == kernels.EXITED and off == phi.exit):
+            key = (final, values)
+            qv = post_values.get(key, _UNSEEN)
+            if qv is _UNSEEN:
+                state = finals.get(final)
+                if state is None:
+                    state = finals[final] = kernels.decode_family(
+                        foci, kinds, final)
+                qv = post_values[key] = post(state, space.valuation(values))
+            if qv is None:
+                undecided = "postcondition undecided within the quantifier bound"
+                witness = witness or (services, values, undecided)
+            if qv is not False:
+                continue
+        outcome = _outcome(code, off, final, foci, kinds)
+        return Verdict("fails", witness=(space.state(services),
+                                         space.valuation(values),
+                                         outcome)), set()
+    image = set(finals.values())
     if undecided:
-        verdict = Verdict("unknown", reason=undecided, bound=cfg.state_bound)
-    else:
-        verdict = Verdict("holds", bounded=not space.exhaustive,
-                          bound=cfg.state_bound)
-    return verdict, image
+        services, values, reason = witness
+        return Verdict("unknown", reason=undecided, bound=cfg.state_bound,
+                       witness=(space.state(services),
+                                space.valuation(values), reason)), image
+    return Verdict("holds", bounded=not space.exhaustive,
+                   bound=cfg.state_bound), image
 
 
 # ---------------------------------------------------------------------------

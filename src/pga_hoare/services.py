@@ -197,7 +197,10 @@ def parse_family(text: str) -> ServiceFamily:
         if value == "empty":
             items[name] = EMPTY
         elif value.startswith("counter(") and value.endswith(")"):
-            items[name] = counter(int(value[8:-1]))
+            inner = value[8:-1].strip()
+            if not (inner.isascii() and inner.isdigit()):
+                raise ValueError(f"bad counter literal: {value!r}")
+            items[name] = counter(int(inner))
         elif value.startswith("bool(") and value.endswith(")"):
             inner = value[5:-1].strip()
             if inner not in ("true", "false"):

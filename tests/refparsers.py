@@ -11,6 +11,9 @@ nesting level.
 One deliberate change from the former code: an annotation point must be a
 run of digits.  The former `int(point.strip())` also accepted "+1", "1_0"
 and "-0".
+
+The formula printer is kept here too, as it was before it walked with its
+own stack: it recursed once per connective and term operator.
 """
 
 import re
@@ -20,7 +23,7 @@ from pga_hoare.formulas import (SORTS, And, BoolLit, DeriveT, EmptyServ, Eq,
                                 Exists, FALSE, Forall, Formula,
                                 FormulaSyntaxError, Implies, NatLit, Nnc, Not,
                                 Or, Pred, RegOf, ReplyLit, ReplyT, Succ, Term,
-                                TRUE, Var)
+                                TRUE, FalseF, TrueF, Var)
 from pga_hoare.judgments import AssertedSeq
 from pga_hoare.proofs import ProofNode, ProofSyntaxError
 from pga_hoare.services import Reply
@@ -610,3 +613,61 @@ class _ProofParser:
 
 def ref_parse_proof(text: str) -> ProofNode:
     return _ProofParser(text).parse_file()
+
+
+# ---------------------------------------------------------------------------
+# the recursive formula printer
+
+
+def ref_format_term(t: Term) -> str:
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, NatLit):
+        return str(t.value)
+    if isinstance(t, BoolLit):
+        return "true" if t.value else "false"
+    if isinstance(t, ReplyLit):
+        return ":" + t.value.value
+    if isinstance(t, Succ):
+        return f"s({ref_format_term(t.arg)})"
+    if isinstance(t, Pred):
+        return f"p({ref_format_term(t.arg)})"
+    if isinstance(t, Nnc):
+        return f"nnc({ref_format_term(t.arg)})"
+    if isinstance(t, RegOf):
+        return f"reg({ref_format_term(t.arg)})"
+    if isinstance(t, EmptyServ):
+        return "empty"
+    if isinstance(t, DeriveT):
+        return f"d[{t.method}]({ref_format_term(t.arg)})"
+    if isinstance(t, ReplyT):
+        return f"r[{t.method}]({ref_format_term(t.arg)})"
+    raise TypeError(f"not a term: {t!r}")
+
+
+def ref_format_formula(f: Formula) -> str:
+    if isinstance(f, TrueF):
+        return "true"
+    if isinstance(f, FalseF):
+        return "false"
+    if isinstance(f, Not):
+        return f"~{_ref_wrap(f.body)}"
+    if isinstance(f, And):
+        return f"{_ref_wrap(f.left)} /\\ {_ref_wrap(f.right)}"
+    if isinstance(f, Or):
+        return f"{_ref_wrap(f.left)} \\/ {_ref_wrap(f.right)}"
+    if isinstance(f, Implies):
+        return f"{_ref_wrap(f.left)} -> {_ref_wrap(f.right)}"
+    if isinstance(f, Eq):
+        return f"{ref_format_term(f.left)} = {ref_format_term(f.right)}"
+    if isinstance(f, Exists):
+        return f"exists {f.var}:{f.sort}. {ref_format_formula(f.body)}"
+    if isinstance(f, Forall):
+        return f"forall {f.var}:{f.sort}. {ref_format_formula(f.body)}"
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _ref_wrap(f: Formula) -> str:
+    if isinstance(f, (TrueF, FalseF, Eq, Not)):
+        return ref_format_formula(f)
+    return f"({ref_format_formula(f)})"

@@ -272,3 +272,63 @@ def test_deep_input_is_capped_without_recursion(capsys):
         assert capsys.readouterr().out == "HOLDS (bounded, B=4)\n"
     assert main(["normalize", "(" * m + "a.m" + ")" * m]) == 0
     assert capsys.readouterr().out == "prefix: a.m\nlen: 1\n"
+
+
+def test_family_counter_contents_are_digit_runs(capsys):
+    # int() took "1_0" and "+3" as counts; a count is a run of digits
+    for value in ("1_0", "+3", "-1", "٣", "3.0", ""):
+        assert main(["run", "!", "{c = counter(%s)}" % value]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: bad counter literal: 'counter({value})'\n")
+    for value, count in ((" 7 ", 7), ("007", 7), ("0", 0)):
+        assert main(["run", "!", "{c = counter(%s)}" % value]) == 0
+        assert capsys.readouterr().out == f"halted in {{c = counter({count})}}\n"
+
+
+def test_sp_prints_images_of_thousands_of_states(capsys):
+    # the image's disjunction nests 1999 levels deep; printing it needs no
+    # recursion
+    assert main(["--bound", "2000", "sp", "true", "c.decr", "--exit", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "states: 2000"
+    assert out[1:-1] == [f"  {{c = counter({i})}}" for i in range(2000)]
+    assert out[-1] == ("formula: " + "(" * 1998 + "c = nnc(0)"
+                       + "".join(f" \\/ c = nnc({i}))" for i in range(1, 1999))
+                       + " \\/ c = nnc(1999)")
+
+
+def _structured(argv, capsys):
+    status = main(["--format", "structured"] + argv)
+    return status, json.loads(capsys.readouterr().out)
+
+
+def test_unknown_verdicts_name_the_first_undecided_state(capsys):
+    forall = "forall n:nat. ~c = nnc(n)"  # undecided for c > Q
+    cases = [
+        # every run exhausts its budget, the first from c = 0
+        (["--bound", "20", "holds", "{1 | true} (c.incr)^w {0 | false}"],
+         "step budget exhausted on some run", "{c = counter(0)}"),
+        (["--bound", "6", "--qbound", "3", "holds", "{1 | %s} ! {0 | true}"
+          % forall],
+         "precondition undecided within the quantifier bound",
+         "{c = counter(4)}"),
+        (["--bound", "6", "--qbound", "3", "holds",
+          "{1 | true} c.incr ; ! {0 | exists n:nat. c = nnc(s(n)) /\\ n = 4}"],
+         "postcondition undecided within the quantifier bound",
+         "{c = counter(0)}"),
+        # the reason is the last one met, the witness the first state
+        (["--bound", "6", "--qbound", "3", "holds",
+          "{1 | c = nnc(1) \\/ %s} (c.incr)^w {0 | true}" % forall],
+         "precondition undecided within the quantifier bound",
+         "{c = counter(1)}"),
+    ]
+    for argv, reason, witness in cases:
+        status, data = _structured(argv, capsys)
+        assert status == 2
+        assert (data["verdict"], data["reason"], data["witness"]) == (
+            "unknown", reason, witness), argv
+        # the text output does not show the witness
+        assert main(argv) == 2
+        assert capsys.readouterr().out == f"UNKNOWN ({reason})\n"

@@ -7,13 +7,15 @@ rule, so they check the loops' integer service step (`kernels._svc`), their
 cycle detection and their budget against the services' own semantics.
 """
 
+import collections
 import random
 
 import pytest
 
 from pga_hoare import kernels
 from pga_hoare.segments import (BUDGET_OUT, INACTIVE, Exited, Halted,
-                                run_canonical)
+                                _Runner, _segment_runs, run_canonical)
+from pga_hoare.segments import _outcome as _segment_outcome
 from pga_hoare.services import (EMPTY, EMPTY_FAMILY, AlgebraConfig, Reply,
                                 Service, boolreg, counter, family, svc_step)
 from pga_hoare.syntax import (Basic, Halt, Jump, PosTest, normalize,
@@ -32,35 +34,42 @@ def _ref_run(c, b, u, cfg, spare=None):
     appends the steps it had left to `spare`, if given."""
     n = len(c.prefix) + len(c.period or ())
     limit = _step_limit(u, n, cfg)
+    outcome, steps = _ref_trace(c, b, u, limit)
+    if spare is not None and isinstance(outcome, (Halted, Exited)):
+        spare.append(limit - steps)
+    return outcome
+
+
+def _ref_trace(c, b, u, limit):
+    """(outcome, steps) of running c from b on u with `limit` steps: steps
+    is how many the run took to reach its outcome (limit + 1 for a
+    budget-out)."""
+    n = len(c.prefix) + len(c.period or ())
     pos, steps, seen = b, 0, set()
     while True:
         if c.period is None and pos > n:
-            if spare is not None:
-                spare.append(limit - steps)
-            return Exited(pos - n, u)
+            return Exited(pos - n, u), steps
         rep = c.representative(pos)
         if (rep, u) in seen:
-            return INACTIVE
+            return INACTIVE, steps
         seen.add((rep, u))
         steps += 1
         if steps > limit:
-            return BUDGET_OUT
+            return BUDGET_OUT, steps
         instr = c.instruction_at(rep)
         if isinstance(instr, Halt):
-            if spare is not None:
-                spare.append(limit - steps)
-            return Halted(u)
+            return Halted(u), steps
         if isinstance(instr, Jump):
             if instr.offset == 0:
-                return INACTIVE
+                return INACTIVE, steps
             pos += instr.offset
             continue
         service = u.get(instr.focus)
         if service is None:
-            return INACTIVE
+            return INACTIVE, steps
         reply, derived = svc_step(service, instr.method)
         if reply == Reply.D:
-            return INACTIVE
+            return INACTIVE, steps
         u = u.with_service(instr.focus, derived)
         if isinstance(instr, Basic):
             pos += 1
@@ -170,6 +179,110 @@ def test_budget_runs_out_one_lap_short():
         with pytest.raises(BudgetExhausted):
             apply(t, u, tight)
         assert apply(t, u, loose) == _ref_apply(t, u, loose) == EMPTY_FAMILY
+
+
+# counter c drives the loops; d and r sit beside it or are absent, and
+# #1..#3 can jump over the head
+_LAP_ALPHABET = ([f"{sign}c.{m}" for sign in _SIGNS
+                  for m in ("incr", "decr", "decr", "iszero")]
+                 + ["d.incr", "-d.decr", "+r.get", "r.set:t", "r.set:f",
+                    "#0", "#1", "#2", "#3", "!", "!"])
+
+
+def test_lap_runs_match_the_reference_at_the_budget_edge():
+    # Runs from many states share lap summaries (segments._Runner).  Each
+    # state's reference run is traced once with a budget one step above
+    # the largest one tried, which gives its outcome under every state
+    # bound: the outcome when its steps fit the bound's limit, a budget-out
+    # otherwise.  Contents go from 0 to 3 x period + 2, past the lap key's
+    # threshold (period_len), and the sample must hold lap runs that end
+    # exactly at their limit and one step past it.
+    rng = random.Random(11)
+    bounds = (1, 2, 3)
+    edges, kinds = collections.Counter(), set()
+    for _ in range(200):
+        prefix = [rng.choice(_LAP_ALPHABET) for _ in range(rng.randint(0, 2))]
+        period = [rng.choice(_LAP_ALPHABET) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.1:
+            text = " ; ".join(prefix + period)
+        else:
+            text = " ; ".join(prefix + [f"({' ; '.join(period)})^w"])
+        c = normalize(parse_sequence(text))
+        lap = len(c.period or ())
+        n = len(c.prefix) + lap
+        beside = rng.choice([{}, {"r": boolreg(False)}, {"r": boolreg(True)},
+                             {"d": counter(rng.randint(0, lap))}])
+        states = [family({"c": counter(i), **beside})
+                  for i in range(3 * lap + 3)]
+        widest = AlgebraConfig(state_bound=max(bounds))
+        for b in range(1, len(c.prefix) + 2 * lap + 1 if lap else n + 1):
+            traces = [_ref_trace(c, b, u, _step_limit(u, n, widest) + 1)
+                      for u in states]
+            for k in bounds:
+                cfg = AlgebraConfig(state_bound=k)
+                runner = _Runner(c, b, cfg)
+                for u, (outcome, steps) in zip(states, traces):
+                    limit = _step_limit(u, n, cfg)
+                    expected = outcome if steps <= limit else BUDGET_OUT
+                    assert runner.run(u) == expected, (text, b, u, k)
+                    kinds.add(type(expected).__name__)
+                    if b > len(c.prefix) and steps > lap:
+                        edges[steps - limit] += 1
+    assert kinds == {"Halted", "Exited", "Inactive", "BudgetOut"}
+    assert edges[0] and edges[1], edges
+
+
+def test_laps_that_take_every_step_of_the_cap():
+    # A lap key clamps counters at K = period_len, as a lap takes at most K
+    # steps.  Only a lap of exactly K steps that decrements c at each of
+    # its first K - 1 steps tells c = K - 1 from c = K, at its last step:
+    # such periods, against the reference, at tight budgets, with a second
+    # counter beside c, in shuffled enumeration orders.
+    rng = random.Random(6)
+    for lap in range(1, 6):
+        for last in ("+c.iszero", "-c.iszero", "+c.decr", "-c.decr"):
+            for first in ("c.decr", "+c.decr"):
+                text = f"({' ; '.join([first] * (lap - 1) + [last])})^w"
+                c = normalize(parse_sequence(text))
+                states = [family({"c": counter(i), "d": counter(j)})
+                          for i in range(3 * lap + 3) for j in (0, 1)]
+                for k in (1, 2, 3, 4):
+                    cfg = AlgebraConfig(state_bound=k)
+                    rng.shuffle(states)
+                    runner = _Runner(c, 1, cfg)
+                    for u in states:
+                        assert runner.run(u) == _ref_run(c, 1, u, cfg), (
+                            text, u, k)
+
+
+def _laps(text, entry, top, cfg=AlgebraConfig(state_bound=3)):
+    """The lap summaries that runs from c = 0..top record, by lap key."""
+    c = normalize(parse_sequence(text))
+    runs = _segment_runs(c, entry, ["c"], [1], cfg)
+    for i in range(top + 1):
+        expected = run_canonical(c, entry, family({"c": counter(i)}), cfg)
+        assert _segment_outcome(*runs.run([i]), ["c"], [1]) == expected
+    return runs.laps
+
+
+def test_lap_summaries_are_shared_from_the_threshold_up():
+    # the countdown's period has 4 positions: contents 4 and up share one
+    # summary, 0 to 3 have their own
+    laps = _laps("(-c.iszero ; #2 ; ! ; c.decr)^w", 1, 14)
+    assert laps == {(0,): (kernels.HALTED, (0,), 2),
+                    (1,): (kernels.AT_HEAD, (-1,), 3),
+                    (2,): (kernels.AT_HEAD, (-1,), 3),
+                    (3,): (kernels.AT_HEAD, (-1,), 3),
+                    (4,): (kernels.AT_HEAD, (-1,), 3)}
+    # a lap may jump over the head and still come back within the cap
+    laps = _laps("(-c.iszero ; #4 ; ! ; c.decr ; #2 ; #4)^w", 1, 20)
+    assert laps[(6,)] == (kernels.AT_HEAD, (-1,), 5)
+    # or never come back: past the cap no summary is kept
+    laps = _laps("(c.decr ; #2 ; c.incr)^w", 3, 9)
+    assert set(laps.values()) == {(kernels.BUDGET, None, 4)}
+    # a cycle inside the lap ends it
+    laps = _laps("(c.decr ; #2)^w", 1, 5)
+    assert set(laps.values()) == {(kernels.INACTIVE, None, 2)}
 
 
 @pytest.mark.parametrize("run", ["segment", "apply"])

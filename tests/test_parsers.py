@@ -7,7 +7,8 @@ import random
 from hypothesis import example, given, settings, strategies as st
 
 import proofgen
-from refparsers import (ref_parse_annotation, ref_parse_asserted,
+from refparsers import (ref_format_formula, ref_format_term,
+                        ref_parse_annotation, ref_parse_asserted,
                         ref_parse_formula, ref_parse_proof, ref_parse_sequence)
 
 from pga_hoare.formulas import (SORTS, And, BoolLit, DeriveT, EmptyServ, Eq,
@@ -15,6 +16,7 @@ from pga_hoare.formulas import (SORTS, And, BoolLit, DeriveT, EmptyServ, Eq,
                                 Implies, NatLit, Nnc, Not, Or, Pred, RegOf,
                                 Reply, ReplyLit, ReplyT, Succ, TRUE, Var,
                                 format_formula, parse_formula)
+from pga_hoare.formulas import format_term as format_formula_term
 from pga_hoare.judgments import (AssertedSeq, format_asserted,
                                  parse_annotation, parse_asserted)
 from pga_hoare.proofs import ProofNode, ProofSyntaxError, parse_proof
@@ -238,6 +240,18 @@ def test_sequence_roundtrip(term):
 @settings(max_examples=200)
 def test_formula_roundtrip(f):
     assert parse_formula(format_formula(f)) == f
+
+
+@given(FORMULAS)
+@settings(max_examples=200)
+def test_formula_printer_matches_the_recursive_one(f):
+    assert format_formula(f) == ref_format_formula(f)
+
+
+@given(TERMS)
+@settings(max_examples=100)
+def test_term_printer_matches_the_recursive_one(t):
+    assert format_formula_term(t) == ref_format_term(t)
 
 
 @given(ASSERTED)

@@ -10,7 +10,7 @@ import random
 import time
 
 from pga_hoare.cli import main
-from pga_hoare.segments import _Runner, run_canonical
+from pga_hoare.segments import BUDGET_OUT, Halted, _Runner, run_canonical
 from pga_hoare.services import (EMPTY, AlgebraConfig, boolreg, counter,
                                 family)
 from pga_hoare.syntax import normalize, parse_sequence
@@ -79,10 +79,97 @@ def test_tabled_runs_match_fresh_runs_on_registers():
     assert kinds == {"Halted", "Exited", "Inactive"}
 
 
+# counter loops: c counts, d is carried along, and #1..#3 can jump over
+# the head (the entry's position in the period)
+_LAP_ALPHABET = ([f"{sign}c.{m}" for sign in _SIGNS
+                  for m in ("incr", "decr", "decr", "iszero")]
+                 + ["d.incr", "+d.decr", "-d.iszero", "#0", "#1", "#2", "#3",
+                    "!", "!"])
+
+
+def test_lap_runs_match_fresh_runs_across_the_key_threshold():
+    # A lap key clamps counters at the period's length; contents run from
+    # 0 to 3 x period + 2, so states below, at and one past the threshold
+    # share the summaries their runs record, in both enumeration orders
+    rng = random.Random(4)
+    kinds = set()
+    for _ in range(120):
+        prefix = [rng.choice(_LAP_ALPHABET) for _ in range(rng.randint(0, 2))]
+        period = [rng.choice(_LAP_ALPHABET) for _ in range(rng.randint(1, 5))]
+        c = normalize(parse_sequence(
+            " ; ".join(prefix + [f"({' ; '.join(period)})^w"])))
+        lap = len(c.period)
+        top = 3 * lap + 2
+        states = [family({"c": counter(i), "d": counter(j)})
+                  for i in range(top + 1) for j in sorted({0, lap, top})]
+        cfg = AlgebraConfig("counter", state_bound=rng.randint(1, 4))
+        for b in range(1, len(c.prefix) + 2 * lap + 1):
+            fresh = [run_canonical(c, b, u, cfg) for u in states]
+            for order in (1, -1):
+                runner = _Runner(c, b, cfg)
+                tabled = [runner.run(u) for u in states[::order]]
+                assert tabled == fresh[::order], (c, b, cfg.state_bound)
+            kinds.update(type(o).__name__ for o in fresh)
+    assert kinds == {"Halted", "Inactive", "BudgetOut"}
+
+
+def test_laps_that_jump_over_the_head():
+    cfg = AlgebraConfig("counter", state_bound=3)
+    for text in (
+            # from entry 3 c.decr and #2 repeat forever, never back at
+            # c.incr: the lap passes its cap and the per-step loop runs
+            "(c.decr ; #2 ; c.incr)^w",
+            # from entry 1 #2 jumps to itself: a cycle inside the lap
+            "(c.decr ; #2)^w",
+            # from entry 1 the last #4 jumps over the head, and the lap is
+            # back at it after 5 steps
+            "(-c.iszero ; #4 ; ! ; c.decr ; #2 ; #4)^w",
+            # entry 1 lies in the prefix
+            "c.incr ; (+c.decr ; #3 ; #1 ; -c.iszero ; !)^w"):
+        c = normalize(parse_sequence(text))
+        states = [family({"c": counter(i)}) for i in range(20)]
+        for b in range(1, len(c.prefix) + 2 * len(c.period) + 1):
+            runner = _Runner(c, b, cfg)
+            assert ([runner.run(u) for u in states]
+                    == [run_canonical(c, b, u, cfg) for u in states]), (text, b)
+
+
+def test_budget_edges_inside_summarised_laps():
+    # From c = 2 the run takes one lap of 3 steps (c to 1), one of 4 (c to
+    # 0, d down by one), one of 4 per further unit of d, and 5 to halt.
+    # At state bound 1 it may take 5 x (d + 1) steps: d = 3 halts at its
+    # 20th and last step, d = 2 needs 16 of its 15.  The run from d = 2
+    # records every lap the run from d = 3 ends with, and tables none of
+    # them, as it runs out of budget.
+    c = normalize(parse_sequence("(#2 ; ! ; c.decr ; +c.iszero ; +d.decr)^w"))
+    cfg = AlgebraConfig("counter", state_bound=1)
+    one_past, exact = (family({"c": counter(2), "d": counter(d)})
+                       for d in (2, 3))
+    assert run_canonical(c, 1, one_past, cfg) == BUDGET_OUT
+    halted = Halted(family({"c": counter(0), "d": counter(0)}))
+    assert run_canonical(c, 1, exact, cfg) == halted
+    for order in ([one_past, exact], [exact, one_past]):
+        runner = _Runner(c, 1, cfg)
+        assert ([runner.run(u) for u in order]
+                == [run_canonical(c, 1, u, cfg) for u in order])
+
+
 def test_countdown_holds_at_4000_within_five_seconds(capsys):
     started = time.perf_counter()
     phi = "{1 | true} (-c.iszero ; #2 ; ! ; c.decr)^w {0 | c = nnc(0)}"
     status = main(["--bound", "4000", "holds", phi])
+    elapsed = time.perf_counter() - started
+    assert status == 0
+    assert capsys.readouterr().out.strip() == "HOLDS (bounded, B=4000)"
+    assert elapsed < 5.0, f"took {elapsed:.2f}s"
+
+
+def test_cycling_loop_holds_at_4000_within_five_seconds(capsys):
+    # every run comes back to its head state after one lap: each is
+    # answered by its first repeated head state, not by its step budget
+    started = time.perf_counter()
+    status = main(["--bound", "4000", "holds",
+                   "{1 | true} (c.incr ; c.decr)^w {0 | false}"])
     elapsed = time.perf_counter() - started
     assert status == 0
     assert capsys.readouterr().out.strip() == "HOLDS (bounded, B=4000)"
