@@ -1002,6 +1002,9 @@ class StateSpace:
     other variables values of their sorts, nat ones up to state_bound.
     Foci and variables go in name order, the last name varying fastest.
 
+    A state's contents are the indices of its services in `services`: a
+    counter's count, a register's 0 or 1, as the kernels encode them.
+
     Pairs at which `pre` is False by the one-point rule are left out: when
     a top-level conjunct of pre equates a chain of s(·)/nnc(·) around a
     free nat variable with a term over foci and constants, that variable
@@ -1034,13 +1037,20 @@ class StateSpace:
                 if fix is not None:
                     self.fixers.append((i, fix))
 
+    def states(self):
+        """The contents of every state, in enumeration order."""
+        return itertools.product(range(len(self.services)),
+                                 repeat=len(self.foci))
+
     def pairs(self):
-        """Yield (env, services, values) per pair: the foci's services and
-        the variables' values, both also bound by name in env.  One env
-        serves all the pairs of a state; copy what must outlive a step."""
+        """Yield (env, contents, values) per pair: the state's contents and
+        the variables' values; env binds each focus to its service and each
+        variable to its value.  One env serves all the pairs of a state;
+        copy what must outlive a step."""
         names, fixers, bound = self.names, self.fixers, self.bound
-        for services in itertools.product(self.services,
-                                          repeat=len(self.foci)):
+        for services, contents in zip(
+                itertools.product(self.services, repeat=len(self.foci)),
+                self.states()):
             env = dict(zip(self.foci, services))
             domains = self.domains
             if fixers:
@@ -1050,10 +1060,12 @@ class StateSpace:
                     domains[i] = () if v is None or v > bound else (v,)
             for values in itertools.product(*domains):
                 env.update(zip(names, values))
-                yield env, services, values
+                yield env, contents, values
 
-    def state(self, services) -> ServiceFamily:
-        return ServiceFamily(tuple(zip(self.foci, services)))
+    def state(self, contents) -> ServiceFamily:
+        services = self.services
+        return ServiceFamily(tuple((f, services[i])
+                                   for f, i in zip(self.foci, contents)))
 
     def valuation(self, values) -> Dict[str, object]:
         return dict(zip(self.names, values))
@@ -1078,13 +1090,13 @@ def entails(p: Formula, q: Formula, cfg: AlgebraConfig) -> EntailVerdict:
     space = StateSpace(foci, var_sorts, cfg, p)
     p_at, q_at = cp.evaluate, cq.evaluate
     undecided = False
-    for env, services, values in space.pairs():
+    for env, contents, values in space.pairs():
         pv = p_at(env)
         if pv is False:
             continue
         qv = q_at(env)
         if pv is True and qv is False:
-            return EntailVerdict("invalid", witness=(space.state(services),
+            return EntailVerdict("invalid", witness=(space.state(contents),
                                                      space.valuation(values)))
         if qv is None or pv is None:
             undecided = True

@@ -24,7 +24,7 @@ every visited branch node is one step.
 Laps.  The runs that holds and sp make from the states of one judgment
 share a SegmentRuns: an outcome table (see run_segment_kernel) and lap
 summaries.  When the entry lies in the period, its representative
-position is the head, and a lap is the stretch of a run from the head to
+position is the head, and a lap is the part of a run from the head to
 its next visit of the head, or to an outcome.  A lap is summarised only
 if it takes at most K = period_len steps (the cap); it returns to the head
 within K steps unless a jump skips the head.
@@ -46,33 +46,60 @@ counter that held K - 1 and F from one that held K.
 The summary stored under the key is (end, delta, steps): how the lap ends
 (back at the head, halted, or inactive; a jump #0, a reply D or a cycle
 inside the lap), the change of every content (registers are exact in the
-key, so a change fixes their value too) and the steps taken.  A run then
-advances lap by lap: look its head state up in the outcome table, check it
-against the head states the run has met, look up or record the summary,
-and add the delta.  Four cases rerun the state with the per-step loop from
-its start instead, so every outcome, budget-outs and cycles included, is
-that of a fresh run:
+key, so a change fixes their value too) and the steps taken.  A cycle
+inside a lap never reaches the head again, while every node of an earlier
+lap leads back to the head; so no earlier node repeats in it, and the
+summary's step count is that of a fresh run.
+
+Stretches.  A lap back at the head takes head state s to s + d.  While the
+key stays that of s, so does the lap, and the run passes s + 2d, s + 3d, ...
+Lemma: the t >= 0 for which s + t*d has the key of s form one interval
+0..T.  Proof: each clamped coordinate min(s_i + t*d_i, K) is monotone in t,
+so the t at which it keeps its value at 0 form an interval holding 0, and
+so does their intersection.  A slot with d_i != 0 below K changes at t = 1;
+one at K or more stays clamped for ever if d_i > 0, and while
+t <= (s_i - K) // -d_i if d_i < 0.  So T is 0 if a moving slot is below K,
+else the least bound of a slot moving toward 0, and unbounded if none is.
+A run takes the m = T + 1 laps of a stretch at once (_stretch): it moves to
+its end state s + m*d, the first with another key, and charges m * steps.
+The head states inside a stretch are neither looked up nor recorded, and
+every outcome stays that of a fresh run:
+  - A tabled state inside a stretch leads lap by lap to the stretch's end,
+    so the table gives the same outcome and total at the end state, or the
+    run is out of budget inside the stretch either way.
+  - Every cycle through a stretch meets its end state e.  All states of the
+    line s + t*d with the key of s lie in the one interval, so a stretch
+    from any of them ends at e.  If a state y inside the stretch repeats a
+    head state met earlier, the run went on from that earlier y to e, and
+    met e before; so checking e against the head states met finds the
+    cycle, at most one stretch later than a check at every state would.
+  - A budget-out inside a stretch is exact when e is new to the run: then
+    no head state of the stretch repeats an earlier one, nor does a node
+    of its laps, since a repeated node leads to a repeated head state.  So
+    the per-step loop meets no cycle before its limit either.
+  - A stretch without end (no slot moves toward 0) with d != 0 grows some
+    slot for ever: none of its states repeats, none is tabled (each would
+    lead to an outcome), and the run is out of budget at once.  With d = 0
+    the lap comes back to s: a cycle.
+The common case takes no stretch: the state one lap on is already tabled,
+as it is for a counter run down or up from states enumerated before it.
+Three cases rerun the state with the per-step loop from its start, so that
+cycles, and budget-outs next to them, are those of a fresh run:
   - a lap that does not end within the cap;
-  - a head state met twice in one run: a cycle.  The run is inactive, but
-    only the per-step loop finds the cycle's first repeated node, and with
-    it the steps that the states before the cycle are tabled with;
-  - a step total past the limit, after a lap back to a head state the run
-    has met: the lap closed a cycle, which the per-step loop may meet
-    within budget.  Past the limit otherwise, the run is out of budget: a
-    node of its last lap that repeated an earlier node would have led
-    back to a head state already met;
+  - a stretch (one lap or more) ending in a head state the run has met: a
+    cycle.  The run is inactive, unless its budget ran out before the
+    per-step loop meets the cycle; only that loop finds the cycle's first
+    repeated node, and with it the steps that the states before the cycle
+    are tabled with;
   - an entry in the prefix (no laps; the per-step loop still shares the
     outcome table).
-A cycle inside a lap never reaches the head again, while every node of an
-earlier lap leads back to the head; so no earlier node repeats in it, and
-the summary's step count is that of a fresh run.
 """
 
 from __future__ import annotations
 
 from operator import add, sub
 
-from .services import EMPTY, Service, ServiceFamily, family
+from .services import EMPTY, ServiceFamily, boolreg, counter, family
 from .syntax import Basic, CanonicalSequence, Halt, Jump, NegTest, PosTest
 
 HALTED, EXITED, INACTIVE, BUDGET = 0, 1, 2, 3
@@ -122,9 +149,9 @@ def decode_family(foci, kinds, contents) -> ServiceFamily:
         if c < 0:
             items[f] = EMPTY
         elif k == 0:
-            items[f] = Service("boolreg", c == 1)
+            items[f] = boolreg(c == 1)
         else:
-            items[f] = Service("counter", c)
+            items[f] = counter(c)
     return family(items)
 
 
@@ -330,6 +357,23 @@ def run_segment_kernel(ops, arg1, arg2, prefix_len, period_len, entry,
     return result
 
 
+def _stretch(state, delta, cap):
+    """How many laps with one key a run takes from head state `state`,
+    whose lap changes the contents by `delta`: the least m for which
+    state + m * delta has another key (None if there is none; see the
+    module docstring)."""
+    laps = None
+    for c, d in zip(state, delta):
+        if d:
+            if c < cap:
+                return 1
+            if d < 0:
+                m = (c - cap) // -d + 1
+                if laps is None or m < laps:
+                    laps = m
+    return laps
+
+
 def _tabulate(table, marks, result, steps):
     for state, taken in marks:
         table[state] = (result, steps - taken)
@@ -341,7 +385,7 @@ class SegmentRuns:
 
     run(contents) returns what run_segment_kernel(..., contents,
     state_bound) returns, with the final contents as a tuple.  A run whose
-    entry lies in the period advances lap by lap (see the module
+    entry lies in the period advances stretch by stretch (see the module
     docstring); any other run takes the per-step loop, reading and writing
     the outcome table (see run_segment_kernel).
     """
@@ -364,38 +408,56 @@ class SegmentRuns:
             return self._stepwise(contents)
         table, laps, cap = self.table, self.laps, self.cap
         limit = _step_limit(self.state_bound, self.n, contents)
-        marks = {}  # contents at head in this run -> steps taken before
+        marks = {}  # head states met in this run -> steps taken before each
         state, taken = tuple(contents), 0
-        while True:
-            hit = table.get(state)
-            if hit is not None:
-                result, more = hit
-                taken += more
-                break
-            if state in marks:
-                # a cycle: the per-step loop finds its first repeated node,
-                # which fixes the steps the states before it are tabled with
-                return self._stepwise(contents)
+        hit = table.get(state)
+        while hit is None:
             marks[state] = taken
-            key = tuple([c if c < cap else cap for c in state])
+            # a plain loop: before Python 3.12 a comprehension costs a
+            # function call on every lap
+            key = []
+            for c in state:
+                key.append(c if c < cap else cap)
+            key = tuple(key)
             lap = laps.get(key)
             if lap is None:
                 lap = laps[key] = self._lap(state)
             end, delta, steps = lap
-            if end == BUDGET:
-                return self._stepwise(contents)
-            taken += steps
-            if delta is not None:
-                state = tuple(map(add, state, delta))
-            if taken > limit:
-                if end == AT_HEAD and state in marks:
-                    # the lap closed a cycle, which the per-step loop may
-                    # meet within budget
-                    return self._stepwise(contents)
-                return _BUDGET_RESULT
             if end != AT_HEAD:
-                result = (end, 0, state if delta is not None else None)
-                break
+                if end == BUDGET:
+                    return self._stepwise(contents)
+                taken += steps
+                if taken > limit:
+                    return _BUDGET_RESULT
+                result = (end, 0, None if delta is None
+                          else tuple(map(add, state, delta)))
+                _tabulate(table, marks.items(), result, taken)
+                return result
+            after = tuple(map(add, state, delta))
+            taken += steps
+            hit = table.get(after)
+            if hit is None:
+                m = _stretch(state, delta, cap)
+                if m is None:
+                    # the key never changes: unless the lap changes
+                    # nothing (a cycle, below), the run laps to its budget
+                    if after not in marks:
+                        return _BUDGET_RESULT
+                elif m > 1:
+                    after = tuple([c + m * d for c, d in zip(state, delta)])
+                    taken += (m - 1) * steps
+                    hit = table.get(after)
+                if hit is None:
+                    if after in marks:
+                        # a cycle: the per-step loop finds its first
+                        # repeated node, which fixes the steps the states
+                        # before it are tabled with
+                        return self._stepwise(contents)
+                    if taken > limit:
+                        return _BUDGET_RESULT
+            state = after
+        result, more = hit
+        taken += more
         _tabulate(table, marks.items(), result, taken)
         return _BUDGET_RESULT if taken > limit else result
 

@@ -11,6 +11,7 @@ the judgment's state graph is explored once rather than once per state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Optional
 
 from . import kernels
@@ -209,9 +210,13 @@ def _decide(phi: AssertedSeq, cfg: AlgebraConfig):
     complete when the verdict is holds.
 
     The P-states go to the segment loop as content tuples in the one layout
-    of the judgment: every focus holds a service of cfg's algebra.  Only
-    distinct final contents are decoded into families, and Q is evaluated
-    once per distinct (final contents, valuation).
+    of the judgment: every focus holds a service of cfg's algebra.  When P
+    is closed and no variable needs a value, P is evaluated once and no
+    service or env is built per state.  Only witnesses and distinct final
+    contents are decoded into families, and Q is evaluated once per
+    distinct (final contents, valuation).  An unknown verdict gives the
+    first undecided state, in enumeration order, and what left it
+    undecided.
     """
     c = normalize(phi.term)
     if phi.entry > c.length:
@@ -222,26 +227,32 @@ def _decide(phi: AssertedSeq, cfg: AlgebraConfig):
     space = _judgment_space(phi, pre, post, cfg)
     foci = space.foci
     kinds = [0 if cfg.algebra == "boolreg" else 1] * len(foci)
-    runs = _segment_runs(c, phi.entry, foci, kinds, cfg)
+    run = _segment_runs(c, phi.entry, foci, kinds, cfg).run
+    if pre.sorts or space.names:
+        cases = ((pre.evaluate(env), contents, values)
+                 for env, contents, values in space.pairs())
+    else:
+        pv = pre.evaluate({})
+        cases = zip(repeat(pv), space.states() if pv is not False else (),
+                    repeat(()))
     halting = phi.exit == 0
     finals = {}  # final contents reaching the exit -> their family
     post_values = {}  # (final contents, variable values) -> value of Q
-    undecided = witness = None
-    for env, services, values in space.pairs():
-        pv = pre.evaluate(env)
+    undecided = None  # (contents, values, reason) of the first undecided
+    for pv, contents, values in cases:
         if pv is False:
             continue
         if pv is None:
-            undecided = "precondition undecided within the quantifier bound"
-            witness = witness or (services, values, undecided)
+            undecided = undecided or (
+                contents, values,
+                "precondition undecided within the quantifier bound")
             continue
-        # a counter's content is its count, a register's its bool
-        code, off, final = runs.run([int(s.content) for s in services])
+        code, off, final = run(contents)
         if code == kernels.INACTIVE:
             continue
         if code == kernels.BUDGET:
-            undecided = "step budget exhausted on some run"
-            witness = witness or (services, values, undecided)
+            undecided = undecided or (contents, values,
+                                      "step budget exhausted on some run")
             continue
         if (code == kernels.HALTED if halting
                 else code == kernels.EXITED and off == phi.exit):
@@ -254,19 +265,20 @@ def _decide(phi: AssertedSeq, cfg: AlgebraConfig):
                         foci, kinds, final)
                 qv = post_values[key] = post(state, space.valuation(values))
             if qv is None:
-                undecided = "postcondition undecided within the quantifier bound"
-                witness = witness or (services, values, undecided)
+                undecided = undecided or (
+                    contents, values,
+                    "postcondition undecided within the quantifier bound")
             if qv is not False:
                 continue
         outcome = _outcome(code, off, final, foci, kinds)
-        return Verdict("fails", witness=(space.state(services),
+        return Verdict("fails", witness=(space.state(contents),
                                          space.valuation(values),
                                          outcome)), set()
     image = set(finals.values())
     if undecided:
-        services, values, reason = witness
-        return Verdict("unknown", reason=undecided, bound=cfg.state_bound,
-                       witness=(space.state(services),
+        contents, values, reason = undecided
+        return Verdict("unknown", reason=reason, bound=cfg.state_bound,
+                       witness=(space.state(contents),
                                 space.valuation(values), reason)), image
     return Verdict("holds", bounded=not space.exhaustive,
                    bound=cfg.state_bound), image

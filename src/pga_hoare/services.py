@@ -9,6 +9,7 @@ to the empty service.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, Optional, Tuple
@@ -29,14 +30,31 @@ class Service:
 EMPTY = Service("empty")
 
 
+# Services are immutable, so equal ones may be shared.  counter(n) and
+# boolreg(v) return interned instances: the first _INTERNED counters and
+# both registers are built once, which saves building a dataclass instance
+# per state enumerated, per decoded content and per formula term.
+_INTERNED = 1 << 12
+_COUNTERS = []  # _COUNTERS[n] is counter(n); it only grows, under _GROW
+_GROW = threading.Lock()
+_REGISTERS = (Service("boolreg", False), Service("boolreg", True))
+
+
 def counter(n: int) -> Service:
+    if 0 <= n < len(_COUNTERS):
+        return _COUNTERS[n]
     if n < 0:
         raise ValueError("counter content must be a natural number")
-    return Service("counter", n)
+    if n >= _INTERNED:
+        return Service("counter", n)
+    with _GROW:
+        _COUNTERS.extend(Service("counter", i)
+                         for i in range(len(_COUNTERS), n + 1))
+    return _COUNTERS[n]
 
 
 def boolreg(value: bool) -> Service:
-    return Service("boolreg", bool(value))
+    return _REGISTERS[1 if value else 0]
 
 
 def _counter_step(s: Service, m: str):
@@ -167,7 +185,10 @@ class AlgebraConfig:
         exhaustive; verdicts derived from it are bounded.
         """
         if self.algebra == "boolreg":
-            return [boolreg(False), boolreg(True)], True
+            return list(_REGISTERS), True
+        if self.state_bound < _INTERNED:
+            counter(self.state_bound)
+            return _COUNTERS[:self.state_bound + 1], False
         return [counter(n) for n in range(self.state_bound + 1)], False
 
     def methods(self):

@@ -318,11 +318,11 @@ def test_unknown_verdicts_name_the_first_undecided_state(capsys):
           "{1 | true} c.incr ; ! {0 | exists n:nat. c = nnc(s(n)) /\\ n = 4}"],
          "postcondition undecided within the quantifier bound",
          "{c = counter(0)}"),
-        # the reason is the last one met, the witness the first state
+        # the reason is the witness's own: c = 1 runs out of budget, P is
+        # undecided later, from c = 4 on
         (["--bound", "6", "--qbound", "3", "holds",
           "{1 | c = nnc(1) \\/ %s} (c.incr)^w {0 | true}" % forall],
-         "precondition undecided within the quantifier bound",
-         "{c = counter(1)}"),
+         "step budget exhausted on some run", "{c = counter(1)}"),
     ]
     for argv, reason, witness in cases:
         status, data = _structured(argv, capsys)

@@ -285,6 +285,88 @@ def test_lap_summaries_are_shared_from_the_threshold_up():
     assert set(laps.values()) == {(kernels.INACTIVE, None, 2)}
 
 
+# Laps that repeat along a line: a run applies a stretch of laps with one
+# key at once (kernels.SegmentRuns).  c and d are counters, r a register.
+_STRETCH_PROGRAMS = (
+    # r false: each lap moves one unit of c into two of d; r true: each lap
+    # counts d down, and the run halts at d = 0.  From (c, d, false) with
+    # d > c a run takes 19c + 6d + 8 steps, against a limit of 15 (d + 1)
+    # at state bound 1: (7, 14) and (16, 33) halt at their last step,
+    # (8, 16) and (17, 35) need one step more, after a stretch of d-laps
+    "(+r.get ; #9 ; +c.decr ; #3 ; r.set:t ; #10 ; d.incr ; d.incr ; "
+    "c.iszero ; #6 ; +d.decr ; #2 ; ! ; c.iszero ; #1)^w",
+    # r true moves d back into c: (c, d, false) runs to (0, c + d, true),
+    # (c + d, 0, false) and back to (c, d, false).  With c and d at 14 or
+    # more the cycle enters the stretch of laps with both above the
+    # threshold at (c + d - 14, 14), and the run entered it at (c, d).  The
+    # two halts before the period are never run, but n counts them: they
+    # raise every budget until some runs meet their cycle within it and
+    # would pass their limit on the way to the stretch's end
+    "! ; ! ; (+r.get ; #7 ; +c.decr ; #3 ; r.set:t ; #9 ; d.incr ; #7 ; "
+    "+d.decr ; #3 ; r.set:f ; #3 ; c.incr ; #1)^w",
+    # mixed signs: two units of c into one of d, one of d into c, and one
+    # of d into c until d is 0, where the lap changes nothing
+    "(-c.iszero ; #2 ; ! ; c.decr ; c.decr ; d.incr)^w",
+    "(-d.iszero ; #2 ; ! ; d.decr ; c.incr)^w",
+    "(+d.decr ; c.incr)^w",
+    # non-decreasing laps: from some key on, the run laps to its budget
+    "(c.incr)^w",
+    "(r.set:t ; c.incr ; d.incr)^w",
+)
+
+
+def test_stretches_match_the_reference_at_the_budget_edge():
+    # As in the budget-edge test above: one reference trace per state gives
+    # its outcome under every state bound.  c goes from 0 to 3 x period + 2;
+    # d takes values around the key's threshold (period_len) and the two
+    # that give the first program's budget edges.  Each bound's runs share
+    # one runner, in ascending, descending and shuffled order.  Runs enter
+    # at the period's first position.
+    rng = random.Random(12)
+    bounds = (1, 2, 3)
+    edges, kinds = collections.Counter(), set()
+    for text in _STRETCH_PROGRAMS:
+        c = normalize(parse_sequence(text))
+        lap, head = len(c.period), len(c.prefix) + 1
+        n = head - 1 + lap
+        states = [family({"c": counter(i), "d": counter(j), "r": boolreg(r)})
+                  for i in range(3 * lap + 3)
+                  for j in (0, 1, lap - 1, lap, lap + 1, 2 * lap + 3,
+                            2 * lap + 5, 3 * lap + 2)
+                  for r in (False, True)]
+        widest = AlgebraConfig(state_bound=max(bounds))
+        traces = {u: _ref_trace(c, head, u, _step_limit(u, n, widest) + 1)
+                  for u in states}
+        shuffled = list(states)
+        rng.shuffle(shuffled)
+        for k in bounds:
+            cfg = AlgebraConfig(state_bound=k)
+            for order in (states, states[::-1], shuffled):
+                runner = _Runner(c, head, cfg)
+                for u in order:
+                    outcome, steps = traces[u]
+                    limit = _step_limit(u, n, cfg)
+                    expected = outcome if steps <= limit else BUDGET_OUT
+                    assert runner.run(u) == expected, (text, u, k)
+                    kinds.add(type(expected).__name__)
+                    if steps > 2 * lap:
+                        edges[steps - limit] += 1
+    assert kinds == {"Halted", "Inactive", "BudgetOut"}
+    assert edges[0] and edges[1], edges
+
+
+def test_non_decreasing_laps_end_in_constant_time():
+    # A lap that moves no counter toward 0 keeps its key: the run laps on
+    # to its budget, and is answered so without taking the laps
+    c = normalize(parse_sequence("(c.incr ; d.incr ; d.incr)^w"))
+    cfg = AlgebraConfig(state_bound=10 ** 9)
+    runs = _segment_runs(c, 1, ["c", "d"], [1, 1], cfg)
+    for state in ([0, 0], [3, 0], [10 ** 6, 7]):
+        assert runs.run(state) == (kernels.BUDGET, 0, None)
+    # the lap key clamps at 3: one lap per key, none past (3, 3)
+    assert set(runs.laps) == {(0, 0), (1, 2), (2, 3), (3, 0), (3, 2), (3, 3)}
+
+
 @pytest.mark.parametrize("run", ["segment", "apply"])
 def test_unknown_service_kind_is_rejected(run):
     c = normalize(parse_sequence("x.flip ; !"))

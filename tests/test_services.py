@@ -90,6 +90,20 @@ def test_service_domains():
     assert services == [counter(n) for n in range(6)]
 
 
+def test_services_are_shared_up_to_a_cap():
+    # counters below 4096 and both registers are built once; a larger
+    # counter is an equal new instance, and the shared table stays capped
+    from pga_hoare import services
+    assert counter(7) is counter(7) and boolreg(1) is boolreg(True)
+    domain, _ = AlgebraConfig("counter", state_bound=300).service_domain()
+    assert all(s is counter(n) for n, s in enumerate(domain))
+    big = counter(10 ** 6)
+    assert big == counter(10 ** 6) and big.content == 10 ** 6
+    assert len(services._COUNTERS) <= 4096
+    with pytest.raises(ValueError):
+        counter(-1)
+
+
 def test_family_key_orders_contents_by_value():
     states = [family({"c": counter(n)}) for n in (10, 2, 0)]
     assert sorted(states, key=family_key) == [family({"c": counter(n)})

@@ -154,6 +154,69 @@ def test_budget_edges_inside_summarised_laps():
                 == [run_canonical(c, 1, u, cfg) for u in order])
 
 
+def test_stretches_that_pass_tabled_states():
+    # A run applies a stretch of laps with one key at once and looks up
+    # only the state it ends in.  The countdown's key clamps c at 4:
+    # contents 0, 3, 6, ... run first, then 2, 5, 8, ..., whose first lap
+    # ends in an untabled state and whose stretch passes tabled ones, then
+    # 1, 4, 7, ...  The transfers go the same way, state by state.
+    for text, foci in (("(-c.iszero ; #2 ; ! ; c.decr)^w", "c"),
+                       ("(-c.iszero ; #2 ; ! ; c.decr ; d.incr)^w", "cd"),
+                       ("(-c.iszero ; #2 ; ! ; c.decr ; c.decr ; d.incr)^w",
+                        "cd")):
+        c = normalize(parse_sequence(text))
+        top = 3 * len(c.period) + 3
+        contents = ([(i,) for i in range(top)] if foci == "c"
+                    else [(i, j) for i in range(top) for j in range(top)])
+        states = [family({f: counter(n) for f, n in zip(foci, u)})
+                  for u in contents]
+        for k in (1, 2, 3):
+            cfg = AlgebraConfig("counter", state_bound=k)
+            for order in (states[::3] + states[2::3] + states[1::3],
+                          states[::-1]):
+                runner = _Runner(c, 1, cfg)
+                assert ([runner.run(u) for u in order]
+                        == [run_canonical(c, 1, u, cfg) for u in order]), (
+                            text, k)
+
+
+def test_a_cycle_that_enters_a_stretch_at_two_points():
+    # r false moves c into d, r true moves d back: (c, d, false) runs to
+    # (0, c + d, true), (c + d, 0, false) and back to (c, d, false).  With
+    # c and d at 14 or more, the run enters the stretch of laps with both
+    # above the key's threshold at (c, d) and the cycle at (c + d - 14, 14).
+    # Both lead to the stretch's end state, where the cycle shows.
+    c = normalize(parse_sequence(
+        "! ; (+r.get ; #7 ; +c.decr ; #3 ; r.set:t ; #9 ; d.incr ; #7 ; "
+        "+d.decr ; #3 ; r.set:f ; #3 ; c.incr ; #1)^w"))
+    states = [family({"c": counter(i), "d": counter(j), "r": boolreg(r)})
+              for i in range(0, 45, 2) for j in (0, 13, 14, 15, 30)
+              for r in (False, True)]
+    kinds = set()
+    for k in (1, 2, 3):
+        cfg = AlgebraConfig("counter", state_bound=k)
+        fresh = [run_canonical(c, 2, u, cfg) for u in states]
+        for order in (1, -1):
+            runner = _Runner(c, 2, cfg)
+            assert ([runner.run(u) for u in states[::order]]
+                    == fresh[::order]), k
+        kinds.update(type(o).__name__ for o in fresh)
+    assert kinds == {"Inactive", "BudgetOut"}
+
+
+def test_diverging_loop_is_answered_at_4000_within_five_seconds(capsys):
+    # every run's lap keeps its key from c = 1 on: each is a budget-out,
+    # answered without taking its laps
+    started = time.perf_counter()
+    status = main(["--bound", "4000", "holds",
+                   "{1 | true} (c.incr)^w {0 | false}"])
+    elapsed = time.perf_counter() - started
+    assert status == 2
+    assert (capsys.readouterr().out.strip()
+            == "UNKNOWN (step budget exhausted on some run)")
+    assert elapsed < 5.0, f"took {elapsed:.2f}s"
+
+
 def test_countdown_holds_at_4000_within_five_seconds(capsys):
     started = time.perf_counter()
     phi = "{1 | true} (-c.iszero ; #2 ; ! ; c.decr)^w {0 | c = nnc(0)}"
