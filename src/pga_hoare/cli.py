@@ -15,8 +15,8 @@ import sys
 from .formulas import FormulaSyntaxError, format_formula, parse_formula
 from .judgments import parse_asserted
 from .proofs import ProofSyntaxError, check_proof, parse_proof
-from .segments import (BudgetOut, Exited, Halted, Inactive, format_outcome,
-                       holds, run_segment, strongest_post)
+from .segments import (BudgetOut, Exited, Halted, Inactive, NoPostCondition,
+                       format_outcome, holds, run_segment, strongest_post)
 from .services import AlgebraConfig, family_key, format_family, parse_family
 from .syntax import (OMEGA, SequenceSyntaxError, format_canonical,
                      format_instruction, normalize, parse_sequence)
@@ -140,9 +140,9 @@ def _cmd_sp(args, cfg) -> int:
     s = parse_sequence(args.sequence)
     try:
         states, formula = strongest_post(pre, s, args.entry, args.exit, cfg)
-    except ValueError as exc:
+    except NoPostCondition as exc:
         _emit(args, [f"error: {exc}"], {"error": str(exc)})
-        return FAILED
+        return UNKNOWN if exc.undecided else FAILED
     listed = [format_family(u) for u in sorted(states, key=family_key)]
     lines = [f"states: {len(listed)}"] + [f"  {u}" for u in listed]
     lines.append("formula: " + format_formula(formula))

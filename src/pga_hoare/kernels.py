@@ -93,10 +93,49 @@ cycles, and budget-outs next to them, are those of a fresh run:
     are tabled with;
   - an entry in the prefix (no laps; the per-step loop still shares the
     outcome table).
+
+Lines.  A judgment with a closed, true precondition runs every state of
+the box [0, B]^k.  When every slot is a counter, all states of [K, B]^k
+have the one key (K, ..., K).  Let its lap come back to the head with
+delta d and `steps` steps, some d_i < 0 (SegmentRuns.sweep).  The box
+[K, B]^k then splits into lines x_t = s - t*d, t = 0..T: s is the line's
+last member (s + d leaves [K, B]^k) and T the last t with x_t inside it.
+The run from s takes a stretch of m >= 1 laps (_stretch) to its end state
+e = s + m*d, which has a content below K.
+Lemma: the run from x_t takes m + t laps to e, then e's run; it has e's
+outcome and final contents, after (m + t) * steps + steps(e) steps, if
+e is tabled with steps(e) steps; it is a budget-out iff that count
+exceeds its own limit state_bound * n * (max(x_t) + 1).  Proof: x_t,
+x_{t-1}, ..., x_0 = s lie in [K, B]^k (a box is convex), all of key
+(K, ..., K), so the stretch from x_t passes them and goes on to e: its
+length, the least (x_i - K) // -d_i + 1 over d_i < 0, is m + t, as
+x_i = s_i - t*d_i.  A tabled state is on no cycle (budget-outs and cycle
+members are never tabled), and a node of the stretch met again after e
+would lead back to e; so no node repeats before e's outcome, which a
+fresh run from x_t meets at that step count, and the per-step loop's
+budget check fails exactly when the count exceeds the limit.  A line
+whose end is not tabled after one run from e (a budget-out, or a cycle
+member) is run member by member.
+A bound at the extreme members suffices: the step count grows with t, so
+x_T takes the most; each content of x_t is linear in t, so its least
+value over the line is at t = 0 or t = T, and max(x_t) is at least the
+largest of those least values.  If the most steps fit that least limit,
+every member fits, in O(k).  Otherwise each member is checked, still
+without a run; as the slack limit - steps is convex in t, the members past
+their limit form one interval.
+Witnesses: x_{t+1} - x_t = -d, so lexicographic order along a line follows
+the sign of the first nonzero d_i, and the first member with e's outcome,
+or the first past its limit, is the first in that order: an end of the
+line when all members fit.  A line yields only those two members; the
+caller takes the least over lines and the other states, and a line whose
+first member comes after a failing state found before is skipped without
+a run.  Members are not tabled.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import product, repeat
 from operator import add, sub
 
 from .services import EMPTY, ServiceFamily, boolreg, counter, family
@@ -374,6 +413,46 @@ def _stretch(state, delta, cap):
     return laps
 
 
+def _along(state, delta, t):
+    """state + t * delta."""
+    return tuple([c + t * d for c, d in zip(state, delta)])
+
+
+def _below(width, bound, cap):
+    """The states of [0, bound]^width (width >= 1) with some content below
+    cap, in lexicographic order."""
+    if width == 1:
+        yield from product(range(min(cap, bound + 1)))
+        return
+    full = range(bound + 1)
+    for v in full:
+        if v < cap:
+            yield from product((v,), *repeat(full, width - 1))
+        else:
+            for r in _below(width - 1, bound, cap):
+                yield (v,) + r
+
+
+def _line_ends(bound, cap, delta):
+    """The states s of [cap, bound]^k with s + delta outside it, each once.
+
+    Slot i leaves the box in a band of |delta_i| values at one of its ends;
+    the states for slot i are those in its band and in no earlier slot's.
+    """
+    full = range(cap, bound + 1)
+    inside, bands = [], []
+    for d in delta:
+        if d < 0:
+            bands.append(range(cap, min(cap - d, bound + 1)))
+            inside.append(range(cap - d, bound + 1))
+        else:
+            bands.append(range(max(cap, bound - d + 1), bound + 1))
+            inside.append(range(cap, bound - d + 1))
+    for i, band in enumerate(bands):
+        yield from product(*inside[:i], band,
+                           *repeat(full, len(delta) - i - 1))
+
+
 def _tabulate(table, marks, result, steps):
     for state, taken in marks:
         table[state] = (result, steps - taken)
@@ -444,7 +523,7 @@ class SegmentRuns:
                     if after not in marks:
                         return _BUDGET_RESULT
                 elif m > 1:
-                    after = tuple([c + m * d for c, d in zip(state, delta)])
+                    after = _along(state, delta, m)
                     taken += (m - 1) * steps
                     hit = table.get(after)
                 if hit is None:
@@ -460,6 +539,81 @@ class SegmentRuns:
         taken += more
         _tabulate(table, marks.items(), result, taken)
         return _BUDGET_RESULT if taken > limit else result
+
+    def sweep(self, bound):
+        """Split the box [0, bound]^k of head states into lines, or None.
+
+        It applies when every slot is a counter and the lap from the key
+        with every content at K (the one key of the states in [K, bound]^k)
+        comes back to the head having moved some slot toward 0.  Returns
+        (rest, lines): rest, the states with some content below K, in
+        enumeration (lexicographic) order, for run; and lines(before), an
+        iterator of pairs (result, contents) that covers [K, bound]^k but
+        the lines whose first member comes after `before` (None: no line
+        is left out).  Each line yields its shared result with its
+        lexicographically first member having it, and, when some members
+        run out of budget, _BUDGET_RESULT with the first of those; a line
+        whose end is not tabled yields run(x) for each member x.  See
+        "Lines" in the module docstring.
+        """
+        kinds, cap = self.kinds, self.cap
+        if not self.head or not kinds or 0 in kinds:
+            return None
+        key = (cap,) * len(kinds)
+        lap = self.laps.get(key)
+        if lap is None:
+            lap = self.laps[key] = self._lap(key)
+        end, delta, steps = lap
+        if end != AT_HEAD or min(delta) >= 0:
+            return None
+        return (_below(len(kinds), bound, cap),
+                partial(self._lines, bound, delta, steps))
+
+    def _lines(self, bound, delta, steps, before):
+        cap, table, run = self.cap, self.table, self.run
+        per = self.state_bound * self.n  # a run's limit: per * (max + 1)
+        # along a line lexicographic order follows the first moving slot
+        rising = next(d for d in delta if d) < 0
+        for last in _line_ends(bound, cap, delta):
+            # the line's members are last - t*delta for t = 0..far (start),
+            # and the run from each laps m + t times to the line's end
+            far = min([(bound - c) // -d if d < 0 else (c - cap) // d
+                       for c, d in zip(last, delta) if d])
+            start = _along(last, delta, -far)
+            if before is not None and (last if rising else start) > before:
+                continue
+            m = _stretch(last, delta, cap)
+            end = _along(last, delta, m)
+            hit = table.get(end)
+            if hit is None:
+                run(end)
+                hit = table.get(end)
+            if hit is None:  # a budget-out or a cycle: member by member
+                for t in range(far + 1):
+                    x = _along(last, delta, -t)
+                    yield run(x), x
+                continue
+            result, more = hit
+            # the most steps a member takes (t = far) against the least
+            # limit a member can have: each slot's least value lies at an
+            # end of the line
+            if ((m + far) * steps + more
+                    <= per * (max(map(min, last, start)) + 1)):
+                yield result, (last if rising else start)
+                continue
+            ok = over = None
+            for t in (range(far + 1) if rising else range(far, -1, -1)):
+                x = _along(last, delta, -t)
+                if (m + t) * steps + more > per * (max(x) + 1):
+                    over = over or x
+                else:
+                    ok = ok or x
+                if ok and over:
+                    break
+            if ok:
+                yield result, ok
+            if over:
+                yield _BUDGET_RESULT, over
 
     def _lap(self, state):
         """(end, delta, steps) of the lap from the head in state: how it

@@ -11,7 +11,6 @@ the judgment's state graph is explored once rather than once per state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Dict, Optional
 
 from . import kernels
@@ -185,8 +184,12 @@ def _judgment_space(phi: AssertedSeq, pre: CompiledFormula,
     for name, sort in post.sorts.items():
         if sorts.setdefault(name, sort) != sort:
             raise ValueError(f"variable {name} used at two sorts")
-    foci = ({n for n, s in sorts.items() if s == "serv"}
-            | set(foci_of_term(phi.term)))
+    term_foci = set(foci_of_term(phi.term))
+    for name in sorted(term_foci):
+        sort = sorts.get(name, "serv")
+        if sort != "serv":
+            raise ValueError(f"variable {name} used at sorts {sort} and serv")
+    foci = {n for n, s in sorts.items() if s == "serv"} | term_foci
     var_sorts = {n: s for n, s in sorts.items() if s != "serv"}
     return StateSpace(foci, var_sorts, cfg, phi.pre)
 
@@ -202,6 +205,18 @@ def holds(phi: AssertedSeq, cfg: AlgebraConfig = _DEFAULT_CFG) -> Verdict:
 
 
 _UNSEEN = object()
+_PRE_UNDECIDED = "precondition undecided within the quantifier bound"
+_POST_UNDECIDED = "postcondition undecided within the quantifier bound"
+_BUDGET_UNDECIDED = "step budget exhausted on some run"
+
+
+def _open_cases(pre: CompiledFormula, space: StateSpace, run):
+    """(contents, values, result) per pair at which pre is not False;
+    result is None where pre is undecided."""
+    for env, contents, values in space.pairs():
+        pv = pre.evaluate(env)
+        if pv is not False:
+            yield contents, values, run(contents) if pv else None
 
 
 def _decide(phi: AssertedSeq, cfg: AlgebraConfig):
@@ -212,11 +227,13 @@ def _decide(phi: AssertedSeq, cfg: AlgebraConfig):
     The P-states go to the segment loop as content tuples in the one layout
     of the judgment: every focus holds a service of cfg's algebra.  When P
     is closed and no variable needs a value, P is evaluated once and no
-    service or env is built per state.  Only witnesses and distinct final
-    contents are decoded into families, and Q is evaluated once per
-    distinct (final contents, valuation).  An unknown verdict gives the
-    first undecided state, in enumeration order, and what left it
-    undecided.
+    service or env is built per state; when it is True there, the states
+    whose contents are all at least the period's length go by lines
+    (kernels.SegmentRuns.sweep), each line's members sharing one outcome.
+    Only witnesses and distinct final contents are decoded into families,
+    and Q is evaluated once per distinct (final contents, valuation).  A
+    fails verdict gives the first failing state in enumeration order; an
+    unknown verdict the first undecided state, and what left it undecided.
     """
     c = normalize(phi.term)
     if phi.entry > c.length:
@@ -227,53 +244,69 @@ def _decide(phi: AssertedSeq, cfg: AlgebraConfig):
     space = _judgment_space(phi, pre, post, cfg)
     foci = space.foci
     kinds = [0 if cfg.algebra == "boolreg" else 1] * len(foci)
-    run = _segment_runs(c, phi.entry, foci, kinds, cfg).run
+    runs = _segment_runs(c, phi.entry, foci, kinds, cfg)
+    lines = None
     if pre.sorts or space.names:
-        cases = ((pre.evaluate(env), contents, values)
-                 for env, contents, values in space.pairs())
+        cases = _open_cases(pre, space, runs.run)
     else:
         pv = pre.evaluate({})
-        cases = zip(repeat(pv), space.states() if pv is not False else (),
-                    repeat(()))
+        states = space.states() if pv is not False else ()
+        if pv:
+            sweep = runs.sweep(cfg.state_bound)
+            if sweep is not None:
+                states, lines = sweep
+        cases = ((contents, (), runs.run(contents) if pv else None)
+                 for contents in states)
     halting = phi.exit == 0
     finals = {}  # final contents reaching the exit -> their family
     post_values = {}  # (final contents, variable values) -> value of Q
-    undecided = None  # (contents, values, reason) of the first undecided
-    for pv, contents, values in cases:
-        if pv is False:
-            continue
-        if pv is None:
-            undecided = undecided or (
-                contents, values,
-                "precondition undecided within the quantifier bound")
-            continue
-        code, off, final = run(contents)
+
+    def judge(result, values):
+        """False when the run breaks the judgment, a reason when it leaves
+        it undecided, None when it fits."""
+        if result is None:
+            return _PRE_UNDECIDED
+        code, off, final = result
         if code == kernels.INACTIVE:
-            continue
+            return None
         if code == kernels.BUDGET:
-            undecided = undecided or (contents, values,
-                                      "step budget exhausted on some run")
-            continue
-        if (code == kernels.HALTED if halting
+            return _BUDGET_UNDECIDED
+        if not (code == kernels.HALTED if halting
                 else code == kernels.EXITED and off == phi.exit):
-            key = (final, values)
-            qv = post_values.get(key, _UNSEEN)
-            if qv is _UNSEEN:
-                state = finals.get(final)
-                if state is None:
-                    state = finals[final] = kernels.decode_family(
-                        foci, kinds, final)
-                qv = post_values[key] = post(state, space.valuation(values))
-            if qv is None:
-                undecided = undecided or (
-                    contents, values,
-                    "postcondition undecided within the quantifier bound")
-            if qv is not False:
-                continue
-        outcome = _outcome(code, off, final, foci, kinds)
-        return Verdict("fails", witness=(space.state(contents),
-                                         space.valuation(values),
-                                         outcome)), set()
+            return False
+        key = (final, values)
+        qv = post_values.get(key, _UNSEEN)
+        if qv is _UNSEEN:
+            state = finals.get(final)
+            if state is None:
+                state = finals[final] = kernels.decode_family(
+                    foci, kinds, final)
+            qv = post_values[key] = post(state, space.valuation(values))
+        if qv is None:
+            return _POST_UNDECIDED
+        return None if qv else False
+
+    failed = undecided = None  # (contents, values, result or reason)
+    for contents, values, result in cases:  # in enumeration order
+        why = judge(result, values)
+        if why is False:
+            failed = (contents, values, result)
+            break
+        if why and undecided is None:
+            undecided = (contents, values, why)
+    # each line by its first member, unless the stream failed before it
+    for result, contents in lines(failed and failed[0]) if lines else ():
+        why = judge(result, ())
+        if why is False:
+            if failed is None or contents < failed[0]:
+                failed = (contents, (), result)
+        elif why and (undecided is None or contents < undecided[0]):
+            undecided = (contents, (), why)
+    if failed:
+        contents, values, result = failed
+        return Verdict("fails", witness=(
+            space.state(contents), space.valuation(values),
+            _outcome(*result, foci, kinds))), set()
     image = set(finals.values())
     if undecided:
         contents, values, reason = undecided
@@ -317,16 +350,27 @@ def states_formula(states) -> Formula:
     return out
 
 
+class NoPostCondition(ValueError):
+    """{b|P} S {e|true} fails, or is undecided (undecided is then True)."""
+
+    def __init__(self, message: str, undecided: bool = False):
+        super().__init__(message)
+        self.undecided = undecided
+
+
 def strongest_post(pre: Formula, s: SequenceTerm, b: int, e: int,
                    cfg: AlgebraConfig = _DEFAULT_CFG):
     """(states, formula): the image of the P-states under execution.
 
     Defined only when {b|P} S {e|true} holds; otherwise no post-condition
-    exists for this exit and a ValueError is raised.
+    exists for this exit and NoPostCondition is raised.  Malformed input
+    (an entry below 1, a negative exit, a variable used at two sorts)
+    raises a plain ValueError.
     """
     guard, image = _decide(AssertedSeq(b, pre, s, e, TRUE), cfg)
     if guard.kind == "fails":
-        raise ValueError("no post-condition exists for this e")
+        raise NoPostCondition("no post-condition exists for this e")
     if guard.kind == "unknown":
-        raise ValueError(f"existence undecided: {guard.reason}")
+        raise NoPostCondition(f"existence undecided: {guard.reason}",
+                              undecided=True)
     return image, states_formula(image)

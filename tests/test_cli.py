@@ -332,3 +332,35 @@ def test_unknown_verdicts_name_the_first_undecided_state(capsys):
         # the text output does not show the witness
         assert main(argv) == 2
         assert capsys.readouterr().out == f"UNKNOWN ({reason})\n"
+
+
+def test_a_focus_used_at_another_sort_is_a_usage_error(capsys):
+    # P's nat c must not shadow the focus c of S, nor split it in two
+    for argv in (["holds", "{1 | c = 0} c.decr {1 | true}"],
+                 ["--bound", "3", "sp", "s(c) = s(0)", "c.incr",
+                  "--exit", "1"],
+                 ["holds", "{1 | true} c.incr ; ! {0 | c = 1}"]):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: variable c used at sorts nat and serv\n"
+
+
+def test_sp_exit_statuses(capsys):
+    # malformed points are usage errors, on stderr, as for holds
+    for point in (["--exit", "-1"], ["--entry", "0"]):
+        assert main(["--bound", "5", "sp", "true", "c.incr ; !"] + point) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+    # an undecided existence is an unknown answer
+    assert main(["--bound", "30", "sp", "true",
+                 "c.decr ; (c.incr ; c.incr ; +d.decr)^w",
+                 "--entry", "4"]) == 2
+    assert capsys.readouterr().out == (
+        "error: existence undecided: step budget exhausted on some run\n")
+    # no post-condition for this exit: a failed answer
+    for point in (["--exit", "5"], ["--entry", "9"]):
+        assert main(["--bound", "5", "sp", "true", "c.incr ; !"] + point) == 1
+        assert capsys.readouterr().out == (
+            "error: no post-condition exists for this e\n")

@@ -73,7 +73,17 @@ _MORE = [
     ["run", "!", "{c = counter(1_0)}"],
     ["run", "!", "{c = counter(+3)}"],
 ]
-COMMANDS = _README + _PROOF_CHECKS + _COUNTER_LOOPS + _MORE
+# judgments that the line sweep answers (recorded before it was added)
+_LINES = [
+    ["--bound", "60", "holds", f"{{1 | true}} {TRANSFER} {{0 | c = nnc(0)}}"],
+    ["--bound", "60", "holds", f"{{1 | true}} {TRANSFER} {{0 | d = nnc(0)}}"],
+    ["--bound", "12", "sp", "true", TRANSFER],
+    ["--bound", "10", "holds",
+     "{1 | true} (-c.iszero ; #2 ; ! ; c.incr ; d.decr)^w {0 | true}"],
+    ["--bound", "10", "--format", "structured", "holds",
+     "{1 | true} (-c.iszero ; #2 ; ! ; c.incr ; d.decr)^w {0 | true}"],
+]
+COMMANDS = _README + _PROOF_CHECKS + _COUNTER_LOOPS + _MORE + _LINES
 
 # (command, recorded line, line printed now)
 CHANGED = [
@@ -90,6 +100,9 @@ CHANGED = [
      "halted in {c = counter(3)}",
      "[stderr] error: bad counter literal: 'counter(+3)'"),
     (["run", "!", "{c = counter(+3)}"], "[exit 0]", "[exit 3]"),
+    # sp answers an undecided existence with the unknown status
+    (["--bound", "30", "sp", "true", "c.decr ; (c.incr ; c.incr ; +d.decr)^w",
+      "--entry", "4"], "[exit 1]", "[exit 2]"),
 ]
 
 

@@ -6,14 +6,25 @@ is compared with a fresh run_canonical of the same state, budget-outs
 included.
 """
 
+import collections
+import functools
+import itertools
 import random
 import time
 
+import pytest
+
+from pga_hoare import kernels
 from pga_hoare.cli import main
-from pga_hoare.segments import BUDGET_OUT, Halted, _Runner, run_canonical
+from pga_hoare.formulas import TRUE, compile_formula, parse_formula
+from pga_hoare.judgments import AssertedSeq
+from pga_hoare.segments import (BUDGET_OUT, INACTIVE, Exited, Halted,
+                                NoPostCondition, Verdict, _Runner, holds,
+                                run_canonical, strongest_post)
 from pga_hoare.services import (EMPTY, AlgebraConfig, boolreg, counter,
                                 family)
-from pga_hoare.syntax import normalize, parse_sequence
+from pga_hoare.syntax import foci_of_term, normalize, parse_sequence
+from test_kernels import _ref_trace
 
 _SIGNS = ("", "+", "-")
 _COUNTER_ALPHABET = ([f"{sign}{f}.{m}" for f in "cd" for sign in _SIGNS
@@ -227,6 +238,19 @@ def test_countdown_holds_at_4000_within_five_seconds(capsys):
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
 
+def test_transfer_holds_at_4000_within_five_seconds(capsys):
+    # 16 million states: those with c and d at 5 or more go by lines of
+    # the lap c - 1, d + 1, one run per line end
+    started = time.perf_counter()
+    phi = ("{1 | true} (-c.iszero ; #2 ; ! ; c.decr ; d.incr)^w "
+           "{0 | c = nnc(0)}")
+    status = main(["--bound", "4000", "holds", phi])
+    elapsed = time.perf_counter() - started
+    assert status == 0
+    assert capsys.readouterr().out.strip() == "HOLDS (bounded, B=4000)"
+    assert elapsed < 5.0, f"took {elapsed:.2f}s"
+
+
 def test_cycling_loop_holds_at_4000_within_five_seconds(capsys):
     # every run comes back to its head state after one lap: each is
     # answered by its first repeated head state, not by its step budget
@@ -237,3 +261,207 @@ def test_cycling_loop_holds_at_4000_within_five_seconds(capsys):
     assert status == 0
     assert capsys.readouterr().out.strip() == "HOLDS (bounded, B=4000)"
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
+
+
+# ---------------------------------------------------------------------------
+# the line sweep of closed-precondition judgments against state-by-state runs
+
+# loops over foci c, d and e whose lap from states with every content at
+# least the period's length K often comes back to the head having moved a
+# slot toward 0: the states in [K, B]^k then go by lines
+_LINE_BODY = ["{}.decr", "{}.decr", "{}.incr", "{}.incr", "+{}.decr",
+              "-{}.iszero", "#1", "#2"]
+_FIXED_LOOPS = [
+    # two phases, c runs down, then d: the run from (c, d) takes
+    # 3c + 4d + 4 steps, against a limit of 6 x (max + 1) at state bound 1;
+    # the line of d = 8 has (6, 8) and (10, 8) on within their limits,
+    # (10, 8) exactly at it, and (7..9, 8) past it; (7, 6) needs one step
+    # more than its limit
+    "(#1 ; +c.decr ; #4 ; +d.decr ; #2 ; !)^w",
+    "(#1 ; +d.decr ; #4 ; +c.decr ; #2 ; !)^w",
+    # d moves into c: the first state to end with c above B + K, or above
+    # the quantifier bound of Q, lies on a line
+    "(-d.iszero ; #2 ; ! ; d.decr ; c.incr)^w",
+    "(-d.iszero ; #2 ; ! ; d.decr ; #1 ; c.incr ; c.incr)^w",
+]
+_BUDGET = "step budget exhausted on some run"
+
+
+def _line_loop(rng, i, foci):
+    """The i-th loop: a fixed one every tenth of the time, otherwise a guard
+    that halts when some focus is 0 and a random body with a decrement."""
+    if i % 10 == 0:
+        return _FIXED_LOOPS[i // 10 % len(_FIXED_LOOPS)]
+    guard = rng.choice(foci)
+    body = [rng.choice(_LINE_BODY).format(rng.choice(foci))
+            for _ in range(rng.randint(1, 4))]
+    body.insert(rng.randrange(len(body) + 1), f"{rng.choice(foci)}.decr")
+    period = [f"-{guard}.iszero", "#2", "!"] + body
+    prefix = ["c.incr"] if rng.random() < 0.1 else []
+    return " ; ".join(prefix + [f"({' ; '.join(period)})^w"])
+
+
+def _random_post(rng, foci, bound):
+    x = rng.choice(foci)
+    return rng.choice([
+        "true", "true", "false", f"{x} = nnc(0)",
+        f"~{x} = nnc({rng.randint(0, 3 * bound)})",
+        # true up to the quantifier bound, undecided above it
+        f"~(forall n:nat. ~{x} = nnc(n))",
+    ])
+
+
+def _per_state(c, b, e, post, foci, cfg):
+    """(verdict, image) of {b | true} c {e | post}, one fresh run per state
+    in enumeration order (image None unless the verdict is holds)."""
+    compiled = compile_formula(post, cfg)
+    q = functools.cache(lambda state: compiled(state, {}))
+    image, undecided = set(), None
+    for contents in itertools.product(range(cfg.state_bound + 1),
+                                      repeat=len(foci)):
+        u = family({f: counter(n) for f, n in zip(foci, contents)})
+        o = run_canonical(c, b, u, cfg)
+        if o == INACTIVE:
+            continue
+        if o == BUDGET_OUT:
+            undecided = undecided or (u, _BUDGET)
+            continue
+        if isinstance(o, Halted) if e == 0 else (
+                isinstance(o, Exited) and o.offset == e):
+            image.add(o.state)
+            qv = q(o.state)
+            if qv is None:
+                undecided = undecided or (
+                    u, "postcondition undecided within the quantifier bound")
+            if qv is not False:
+                continue
+        return Verdict("fails", witness=(u, {}, o)), None
+    if undecided:
+        u, reason = undecided
+        return Verdict("unknown", reason=reason, bound=cfg.state_bound,
+                       witness=(u, {}, reason)), None
+    return Verdict("holds", bounded=True, bound=cfg.state_bound), image
+
+
+def test_line_sweep_matches_state_by_state_runs(monkeypatch):
+    # holds and sp with a closed P against one fresh run and one value of
+    # Q per state: verdicts, witnesses, reasons and images
+    swept = []  # per judgment: whether lines covered some states
+    sweep = kernels.SegmentRuns.sweep
+
+    def spy(self, bound):
+        found = sweep(self, bound)
+        swept.append(found is not None and bound >= self.cap)
+        return found
+
+    monkeypatch.setattr(kernels.SegmentRuns, "sweep", spy)
+    rng = random.Random(9)
+    seen = collections.Counter()
+    for i in range(160):
+        term = parse_sequence(_line_loop(rng, i, "cde"[:1 + i % 3]))
+        c = normalize(term)
+        foci = sorted(foci_of_term(term))
+        lap = len(c.period)
+        bound = rng.choice([lap - 1, lap, lap + 1, 2 * lap, 3 * lap + 2])
+        bound = min(bound, (30, 16, 9)[len(foci) - 1])
+        qbound = rng.randint(1, 2 * bound + 1)
+        b = rng.choice([1, len(c.prefix) + 1,
+                        rng.randint(1, len(c.prefix) + 2 * lap)])
+        e = rng.choice([0, 0, 1])
+        post = _random_post(rng, foci, bound)
+        if i % 10 == 0:  # a fixed loop: Q breaks or is undecided on a line
+            bound, qbound, b, e = 3 * lap + 2, 4 * lap + 2, 1, 0
+            post = ["true", f"~c = nnc({bound + lap + 1})",
+                    "~(forall n:nat. ~c = nnc(n))"][i // 40 % 3]
+        cfg = AlgebraConfig("counter", state_bound=max(bound, 1),
+                            quant_bound=qbound)
+        post = parse_formula(post)
+        expected, image = _per_state(c, b, e, post, foci, cfg)
+        assert holds(AssertedSeq(b, TRUE, term, e, post), cfg) == expected, (
+            c, b, e, post, cfg)
+        seen[expected.kind] += 1
+        witness = expected.witness
+        if swept[-1] and witness and min(
+                s.content for _, s in witness[0].entries) >= lap:
+            seen[f"{expected.kind} on a line"] += 1
+        if post == TRUE:  # sp lists the image of Q = true
+            if image is None:
+                with pytest.raises(NoPostCondition) as raised:
+                    strongest_post(TRUE, term, b, e, cfg)
+                assert raised.value.undecided == (expected.kind == "unknown")
+            else:
+                assert strongest_post(TRUE, term, b, e, cfg)[0] == image
+                seen["image"] += 1
+    assert sum(swept) > 80
+    assert min(seen[k] for k in ("holds", "fails", "unknown", "image",
+                                 "fails on a line",
+                                 "unknown on a line")) > 0, seen
+
+
+def test_line_sweep_matches_fresh_runs_at_the_budget_edge():
+    # SegmentRuns.sweep on its own, at state bounds 1..3 below the box's
+    # bound, so that line members run out of budget.  What a judgment
+    # takes from it must match fresh runs of every state: the rest states
+    # in order; for each result, the first state of the box with it; and
+    # the set of results.
+    c = normalize(parse_sequence(_FIXED_LOOPS[0]))
+    for u, steps in (((10, 8), 66), ((7, 6), 49)):
+        limit = 6 * (max(u) + 1)
+        assert steps - limit in (0, 1)
+        fam = family({"c": counter(u[0]), "d": counter(u[1])})
+        assert _ref_trace(c, 1, fam, limit + 1)[1] == steps
+    rng = random.Random(10)
+    seen = collections.Counter()
+    for i in range(300):
+        foci = "cde"[:1 + i % 3]
+        c = normalize(parse_sequence(_line_loop(rng, i, foci)))
+        foci = sorted({instr.focus for instr in c.prefix + c.period
+                       if hasattr(instr, "focus")})
+        lap, kinds = len(c.period), [1] * len(foci)
+        bound = rng.choice([lap - 1, lap, lap + 1, 2 * lap, 3 * lap + 2])
+        if len(foci) == 3:
+            bound = min(bound, 9)
+        b = rng.randint(1, len(c.prefix) + lap)
+        state_bound = rng.randint(1, 3)
+        if i % 10 == 0:  # a fixed loop: the two-phase ones show the edges
+            bound, b, state_bound = 3 * lap + 2, 1, 1
+        code = kernels.encode_canonical(c, foci, kinds)
+        shape = (len(c.prefix), lap, b, kinds)
+        runs = kernels.SegmentRuns(*code, *shape, state_bound)
+        sweep = runs.sweep(bound)
+        if sweep is None or bound < lap:
+            continue
+        member_runs = []  # runs of members of lines whose end is untabled
+        run = runs.run
+        runs.run = lambda x: member_runs.append(min(x) >= lap) or run(x)
+        rest, lines = sweep
+        rest = list(rest)
+        box = list(itertools.product(range(bound + 1), repeat=len(foci)))
+        assert rest == [x for x in box if min(x) < lap]
+        if i % 2:  # line ends tabled by the runs of the rest, or not yet
+            for x in rest:
+                runs.run(x)
+        fresh = {x: kernels.run_segment_kernel(*code, *shape, x, state_bound)
+                 for x in box if min(x) >= lap}
+        first = {}
+        for x, result in fresh.items():  # in lexicographic order
+            first.setdefault(result, x)
+        # lines(before) may skip the lines that start after `before`
+        for before in (None, rng.choice(rest)):
+            pairs = list(lines(before))
+            for result, x in pairs:
+                assert fresh[x] == result, (c, b, bound, state_bound, x)
+            for result, x in first.items():
+                if before is None or x < before:
+                    assert min(y for r, y in pairs if r == result) == x, (
+                        c, b, bound, state_bound, result, before)
+        seen["swept"] += 1
+        seen["untabled ends" if any(member_runs) else "tabled ends"] += 1
+        budget_outs = [x for x, r in fresh.items()
+                       if r == kernels._BUDGET_RESULT]
+        seen["budget-outs"] += bool(budget_outs)
+        if i % 40 == 0:  # the first two-phase loop at state bound 1
+            assert fresh[10, 8][0] == kernels.HALTED
+            assert fresh[7, 6] == kernels._BUDGET_RESULT
+            seen["edges"] += 1
+    assert min(seen.values()) > 0, seen
