@@ -197,8 +197,7 @@ def main(argv=None) -> int:
     except RecursionError:
         # parsing and printing keep their own stacks; what still recurses
         # is the compiling and evaluation of formulas near MAX_DEPTH (a
-        # chain of about 990 conjuncts) and the check of long chains of
-        # proof bindings
+        # chain of about 990 conjuncts)
         print("error: input nested too deeply", file=sys.stderr)
         return USAGE
 

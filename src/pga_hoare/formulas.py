@@ -990,10 +990,6 @@ class EntailVerdict:
     witness: Optional[Tuple[ServiceFamily, dict]] = None
     bound: Optional[int] = None
 
-    @property
-    def is_acceptable(self) -> bool:
-        return self.kind in ("valid", "bounded")
-
 
 class StateSpace:
     """The (state, valuation) pairs that a bounded check enumerates.

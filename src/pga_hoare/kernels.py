@@ -113,23 +113,20 @@ x_i = s_i - t*d_i.  A tabled state is on no cycle (budget-outs and cycle
 members are never tabled), and a node of the stretch met again after e
 would lead back to e; so no node repeats before e's outcome, which a
 fresh run from x_t meets at that step count, and the per-step loop's
-budget check fails exactly when the count exceeds the limit.  A line
-whose end is not tabled after one run from e (a budget-out, or a cycle
-member) is run member by member.
+budget check fails exactly when the count exceeds the limit.
 A bound at the extreme members suffices: the step count grows with t, so
 x_T takes the most; each content of x_t is linear in t, so its least
 value over the line is at t = 0 or t = T, and max(x_t) is at least the
 largest of those least values.  If the most steps fit that least limit,
-every member fits, in O(k).  Otherwise each member is checked, still
-without a run; as the slack limit - steps is convex in t, the members past
-their limit form one interval.
+every member fits, in O(k).  Otherwise the line is run member by member,
+as is a line whose end is not tabled after one run from e (a budget-out,
+or a cycle member).
 Witnesses: x_{t+1} - x_t = -d, so lexicographic order along a line follows
-the sign of the first nonzero d_i, and the first member with e's outcome,
-or the first past its limit, is the first in that order: an end of the
-line when all members fit.  A line yields only those two members; the
-caller takes the least over lines and the other states, and a line whose
-first member comes after a failing state found before is skipped without
-a run.  Members are not tabled.
+the sign of the first nonzero d_i, and when all members fit, the first
+member with e's outcome is an end of the line: the one member such a line
+yields.  The caller takes the least over lines and the other states, and
+a line whose first member comes after a failing state found before is
+skipped without a run.  Members of a line that fits are not tabled.
 """
 
 from __future__ import annotations
@@ -550,11 +547,10 @@ class SegmentRuns:
         enumeration (lexicographic) order, for run; and lines(before), an
         iterator of pairs (result, contents) that covers [K, bound]^k but
         the lines whose first member comes after `before` (None: no line
-        is left out).  Each line yields its shared result with its
-        lexicographically first member having it, and, when some members
-        run out of budget, _BUDGET_RESULT with the first of those; a line
-        whose end is not tabled yields run(x) for each member x.  See
-        "Lines" in the module docstring.
+        is left out).  A line yields its shared result with its
+        lexicographically first member when every member fits its budget;
+        any other line yields run(x) for each member x.  See "Lines" in the
+        module docstring.
         """
         kinds, cap = self.kinds, self.cap
         if not self.head or not kinds or 0 in kinds:
@@ -588,32 +584,20 @@ class SegmentRuns:
             if hit is None:
                 run(end)
                 hit = table.get(end)
-            if hit is None:  # a budget-out or a cycle: member by member
-                for t in range(far + 1):
-                    x = _along(last, delta, -t)
-                    yield run(x), x
-                continue
-            result, more = hit
-            # the most steps a member takes (t = far) against the least
-            # limit a member can have: each slot's least value lies at an
-            # end of the line
-            if ((m + far) * steps + more
-                    <= per * (max(map(min, last, start)) + 1)):
-                yield result, (last if rising else start)
-                continue
-            ok = over = None
-            for t in (range(far + 1) if rising else range(far, -1, -1)):
+            if hit is not None:
+                result, more = hit
+                # the most steps a member takes (t = far) against the least
+                # limit a member can have: each slot's least value lies at
+                # an end of the line
+                if ((m + far) * steps + more
+                        <= per * (max(map(min, last, start)) + 1)):
+                    yield result, (last if rising else start)
+                    continue
+            # a budget-out or a cycle at the end, or a member that may run
+            # out of budget: member by member
+            for t in range(far + 1):
                 x = _along(last, delta, -t)
-                if (m + t) * steps + more > per * (max(x) + 1):
-                    over = over or x
-                else:
-                    ok = ok or x
-                if ok and over:
-                    break
-            if ok:
-                yield result, ok
-            if over:
-                yield _BUDGET_RESULT, over
+                yield run(x), x
 
     def _lap(self, state):
         """(end, delta, steps) of the lap from the head in state: how it

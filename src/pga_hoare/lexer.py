@@ -8,9 +8,10 @@ has no use for; only proof files skip comments.  Method names such as
 "set:t" are adjacent tokens; a formula reads ":=" as ":" "=".
 
 MAX_DEPTH caps nesting at Python's default recursion limit: the parsers
-keep explicit stacks, but formula trees and proofs are walked recursively
-afterwards.  A formula counts each connective, quantifier, term operator
-and pair of parentheses, a sequence its parentheses, a proof its records.
+and the proof checker keep explicit stacks, but formula trees are compiled
+and evaluated recursively afterwards.  A formula counts each connective,
+quantifier, term operator and pair of parentheses, a sequence its
+parentheses, a proof its nested records.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ root of the proof is the last binding (or the last bare record).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from .formulas import (And, Eq, Exists, FALSE, Formula, Implies, Not, Or,
@@ -36,9 +37,8 @@ from .formulas import (And, Eq, Exists, FALSE, Formula, Implies, Not, Or,
                        subst_derive, substitute)
 from .judgments import AssertedSeq, annotation_of
 from .lexer import EOF, MAX_DEPTH, NAME_START, Tokens, TOO_DEEP
-from .segments import Verdict
 from .services import AlgebraConfig, Reply
-from .formulas import EntailVerdict, entails
+from .formulas import entails
 from .syntax import (Basic, Concat, Halt, Instr, Jump, NegTest, Power,
                      PosTest, Repeat, SequenceTerm, sequence_of)
 
@@ -313,11 +313,16 @@ def parse_proof(text: str) -> ProofNode:
 
 
 class _Checker:
+    """Checks a proof tree node by node and records what fails.  The walk
+    keeps one explicit stack, so a proof as deep as a chain of thousands of
+    bindings costs no recursion."""
+
     def __init__(self, cfg: AlgebraConfig, strict: bool):
         self.cfg = cfg
         self.strict = strict
         self.failures: List[Tuple[str, str]] = []
         self.assumptions: List[str] = []
+        self.stack = []
 
     def fail(self, path: str, reason: str):
         self.failures.append((path, reason))
@@ -325,46 +330,48 @@ class _Checker:
     # -- helpers ----------------------------------------------------------
 
     def _same_seq(self, a: AssertedSeq, b: AssertedSeq, path: str,
-                  what: str) -> bool:
-        ok = True
+                  what: str) -> None:
         if term_atoms(a.term) != term_atoms(b.term):
             self.fail(path, f"{what}: sequence terms differ")
-            ok = False
         if a.entry != b.entry or a.exit != b.exit:
             self.fail(path, f"{what}: entry/exit annotations differ")
-            ok = False
         if not alpha_eq(a.pre, b.pre) or not alpha_eq(a.post, b.post):
             self.fail(path, f"{what}: formulas differ")
-            ok = False
-        return ok
 
-    # -- per-node check; returns True when the node is locally valid ------
+    # -- the walk ---------------------------------------------------------
 
-    def check(self, node: ProofNode, path: str,
-              hyps: Optional[Tuple[AssertedSeq, ...]]) -> bool:
+    def check(self, root: ProofNode) -> None:
+        """Checks the tree in preorder from a stack of (node, path, hyps)
+        items: a node's rule first, then its premises, left to right.  R5
+        pushes checks of its own, callables that run when popped."""
+        self.stack.append((root, "root", None))
+        while self.stack:
+            item = self.stack.pop()
+            if callable(item):
+                item()
+            else:
+                self._node(*item)
+
+    def _node(self, node: ProofNode, path: str,
+              hyps: Optional[Tuple[AssertedSeq, ...]]) -> None:
         rule = node.rule
         if rule == "HYP":
             if hyps is None:
                 self.fail(path, "HYP outside a repetition subproof")
-                return False
-            if not 1 <= node.hyp_index <= len(hyps):
+            elif not 1 <= node.hyp_index <= len(hyps):
                 self.fail(path, "HYP index out of range")
-                return False
-            return True
-        if rule.startswith("A"):
-            return self._axiom(node, path)
-        method = getattr(self, f"_{rule.lower()}", None)
-        if method is None:
+        elif rule.startswith("A"):
+            self._axiom(node, path)
+        elif (method := getattr(self, f"_{rule.lower()}", None)) is None:
             self.fail(path, f"unknown rule {rule}")
-            return False
-        if rule in ("R5", "REPINTRO") and hyps is not None:
+        elif rule in ("R5", "REPINTRO") and hyps is not None:
             self.fail(path, "repetition rule inside a repetition subproof")
-            return False
-        ok = method(node, path, hyps)
-        if rule != "R5":
-            for i, prem in enumerate(node.premises, 1):
-                ok = self.check(prem, f"{path}.{rule}[{i}]", hyps) and ok
-        return ok
+        else:
+            method(node, path, hyps)
+            if rule != "R5":  # R5 pushes its subproofs itself
+                for i in range(len(node.premises), 0, -1):
+                    self.stack.append(
+                        (node.premises[i - 1], f"{path}.{rule}[{i}]", hyps))
 
     def _conclusion_of(self, node: ProofNode,
                        hyps: Optional[Tuple[AssertedSeq, ...]]
@@ -394,25 +401,24 @@ class _Checker:
     }
     _DIV_AXIOMS = {"A2": Basic, "A5": PosTest, "A8": NegTest}
 
-    def _axiom(self, node: ProofNode, path: str) -> bool:
+    def _axiom(self, node: ProofNode, path: str) -> None:
         c = node.conclusion
         atoms = term_atoms(c.term)
         if len(atoms) != 1 or (isinstance(atoms[0], tuple) and atoms[0][0] == REP):
             self.fail(path, f"{node.rule}: the sequence must be one instruction")
-            return False
+            return
         instr = atoms[0]
-        if c.entry != 1:
-            self.fail(path, f"{node.rule}: entry point must be 1")
-            return False
         rule = node.rule
-        if rule in self._TEST_AXIOMS:
+        if c.entry != 1:
+            self.fail(path, f"{rule}: entry point must be 1")
+        elif rule in self._TEST_AXIOMS:
             cls, reply, exit_ = self._TEST_AXIOMS[rule]
             if not isinstance(instr, cls):
                 self.fail(path, f"{rule}: wrong instruction form")
-                return False
+                return
             if c.exit != exit_:
                 self.fail(path, f"{rule}: exit must be {exit_}")
-                return False
+                return
             reply_eq = ReplyT(instr.method, Var(instr.focus))
             if reply is None:
                 guard: Formula = Not(Eq(reply_eq, ReplyLit(Reply.D)))
@@ -422,344 +428,278 @@ class _Checker:
                            subst_derive(c.post, instr.focus, instr.method))
             if not alpha_eq(c.pre, expected):
                 self.fail(path, f"{rule}: precondition does not match the schema")
-                return False
-            return True
-        if rule in self._DIV_AXIOMS:
+        elif rule in self._DIV_AXIOMS:
             if not isinstance(instr, self._DIV_AXIOMS[rule]):
                 self.fail(path, f"{rule}: wrong instruction form")
-                return False
+                return
             if c.exit != 0:
                 self.fail(path, f"{rule}: exit must be 0")
-                return False
+                return
             guard = Eq(ReplyT(instr.method, Var(instr.focus)),
                        ReplyLit(Reply.D))
             if not alpha_eq(c.pre, guard) or not alpha_eq(c.post, FALSE):
                 self.fail(path, f"{rule}: annotations do not match the schema")
-                return False
-            return True
-        if rule == "A9":
+        elif rule == "A9":
             if not (isinstance(instr, Jump) and instr.offset >= 1):
                 self.fail(path, "A9: needs a positive jump")
-                return False
-            if c.exit != instr.offset or not alpha_eq(c.pre, c.post):
+            elif c.exit != instr.offset or not alpha_eq(c.pre, c.post):
                 self.fail(path, "A9: exit must equal the offset, P preserved")
-                return False
-            return True
-        if rule == "A10":
+        elif rule == "A10":
             if not (isinstance(instr, Jump) and instr.offset == 0):
                 self.fail(path, "A10: needs #0")
-                return False
-            if c.exit != 0 or not alpha_eq(c.pre, TRUE) or not alpha_eq(c.post, FALSE):
+            elif c.exit != 0 or not alpha_eq(c.pre, TRUE) or not alpha_eq(c.post, FALSE):
                 self.fail(path, "A10: must be {1 | true} #0 {0 | false}")
-                return False
-            return True
-        if rule == "A11":
+        elif rule == "A11":
             if not isinstance(instr, Halt):
                 self.fail(path, "A11: needs !")
-                return False
-            if c.exit != 0 or not alpha_eq(c.pre, c.post):
+            elif c.exit != 0 or not alpha_eq(c.pre, c.post):
                 self.fail(path, "A11: exit must be 0 with P preserved")
-                return False
-            return True
-        self.fail(path, f"unknown axiom {rule}")
-        return False
+        else:
+            self.fail(path, f"unknown axiom {rule}")
 
     # -- concatenation rules ----------------------------------------------
 
-    def _r1(self, node, path, hyps) -> bool:
+    def _r1(self, node, path, hyps) -> None:
         p1 = self._premise(node, 0, hyps, path)
         p2 = self._premise(node, 1, hyps, path)
         if p1 is None or p2 is None:
-            return False
+            return
         c = node.conclusion
-        ok = True
         if p1.exit <= 0 or p1.exit != p2.entry:
             self.fail(path, "R1: intermediate exit/entry must match and be > 0")
-            ok = False
         if not alpha_eq(p1.post, p2.pre):
             self.fail(path, "R1: intermediate formulas differ")
-            ok = False
         if term_atoms(c.term) != term_atoms(p1.term) + term_atoms(p2.term):
             self.fail(path, "R1: conclusion is not the premises' concatenation")
-            ok = False
         if c.entry != p1.entry or not alpha_eq(c.pre, p1.pre):
             self.fail(path, "R1: entry annotation must come from premise 1")
-            ok = False
         if c.exit != p2.exit or not alpha_eq(c.post, p2.post):
             self.fail(path, "R1: exit annotation must come from premise 2")
-            ok = False
-        return ok
 
-    def _r2(self, node, path, hyps) -> bool:
+    def _r2(self, node, path, hyps) -> None:
         p = self._premise(node, 0, hyps, path)
         if p is None:
-            return False
+            return
         c = node.conclusion
         a_c, a_p = term_atoms(c.term), term_atoms(p.term)
         if a_c[: len(a_p)] != a_p or len(a_c) == len(a_p):
             self.fail(path, "R2: the premise term must be a proper prefix")
-            return False
+            return
         tail_len = atoms_len(a_c[len(a_p):])
         if tail_len is None:
             self.fail(path, "R2: the appended segment must be finite")
-            return False
-        ok = True
+            return
         if c.exit <= 0:
             self.fail(path, "R2: requires exit e > 0")
-            ok = False
         if p.exit != c.exit + tail_len:
             self.fail(path, "R2: premise exit must be e + len(S2)")
-            ok = False
         if (c.entry != p.entry or not alpha_eq(c.pre, p.pre)
                 or not alpha_eq(c.post, p.post)):
             self.fail(path, "R2: entry/formula annotations must carry over")
-            ok = False
-        return ok
 
-    def _r3(self, node, path, hyps) -> bool:
+    def _r3(self, node, path, hyps) -> None:
         p = self._premise(node, 0, hyps, path)
         if p is None:
-            return False
+            return
         c = node.conclusion
         a_c, a_p = term_atoms(c.term), term_atoms(p.term)
-        ok = True
         if a_c[: len(a_p)] != a_p or len(a_c) == len(a_p):
             self.fail(path, "R3: the premise term must be a proper prefix")
-            ok = False
         if p.exit != 0 or c.exit != 0:
             self.fail(path, "R3: both exits must be 0")
-            ok = False
         if (c.entry != p.entry or not alpha_eq(c.pre, p.pre)
                 or not alpha_eq(c.post, p.post)):
             self.fail(path, "R3: entry/formula annotations must carry over")
-            ok = False
-        return ok
 
-    def _r4(self, node, path, hyps) -> bool:
+    def _r4(self, node, path, hyps) -> None:
         p = self._premise(node, 0, hyps, path)
         if p is None:
-            return False
+            return
         c = node.conclusion
         a_c, a_p = term_atoms(c.term), term_atoms(p.term)
         if len(a_c) <= len(a_p) or a_c[len(a_c) - len(a_p):] != a_p:
             self.fail(path, "R4: the premise term must be a proper suffix")
-            return False
+            return
         head_len = atoms_len(a_c[: len(a_c) - len(a_p)])
         if head_len is None:
             self.fail(path, "R4: the prepended segment must be finite")
-            return False
-        ok = True
+            return
         if c.entry != p.entry + head_len:
             self.fail(path, "R4: entry must shift by len(S1)")
-            ok = False
         if (c.exit != p.exit or not alpha_eq(c.pre, p.pre)
                 or not alpha_eq(c.post, p.post)):
             self.fail(path, "R4: exit/formula annotations must carry over")
-            ok = False
-        return ok
 
     # -- repetition -------------------------------------------------------
 
-    def _r5(self, node, path, hyps) -> bool:
+    def _r5(self, node, path, hyps) -> None:
         if len(node.premises) != len(node.hyps):
             self.fail(path, "R5: one subproof per hypothesis is required")
-            return False
+            return
         bodies = set()
-        ok = True
         for i, h in enumerate(node.hyps, 1):
             atoms = term_atoms(h.term)
             if (len(atoms) != 1 or not isinstance(atoms[0], tuple)
                     or atoms[0][0] != REP):
                 self.fail(path, f"R5: hypothesis {i} must assert a repetition S^w")
-                return False
+                return
             if atoms_len(atoms[0][1]) is None:
                 self.fail(path, f"R5: hypothesis {i} body must be finite")
-                return False
+                return
             bodies.add(atoms[0][1])
             if h.exit != 0:
                 self.fail(path, f"R5: hypothesis {i} must have exit 0")
-                ok = False
         if len(bodies) != 1:
             self.fail(path, "R5: all hypotheses must share the same S")
-            return False
+            return
         body = next(iter(bodies))
         unrolled = body + ((REP, body),)
-        for i, (h, sub) in enumerate(zip(node.hyps, node.premises), 1):
-            sub_path = f"{path}.R5.sub[{i}]"
-            sc = self._conclusion_of(sub, node.hyps)
-            if sc is None:
-                self.fail(sub_path, "subproof has no usable conclusion")
-                ok = False
-                continue
-            if term_atoms(sc.term) != unrolled:
-                self.fail(sub_path, "subproof must conclude about S ; S^w")
-                ok = False
-            if (sc.entry != h.entry or sc.exit != 0
-                    or not alpha_eq(sc.pre, h.pre)
-                    or not alpha_eq(sc.post, h.post)):
-                self.fail(sub_path,
-                          "subproof conclusion must match its hypothesis")
-                ok = False
-            ok = self.check(sub, sub_path, node.hyps) and ok
-        ok = self._same_seq(node.conclusion, node.hyps[node.k - 1], path,
-                            "R5: conclusion must be the k-th hypothesis") and ok
-        return ok
+        # popped in turn: each subproof's conclusion, with the subproof
+        # after it, then R5's own conclusion
+        self.stack.append(partial(
+            self._same_seq, node.conclusion, node.hyps[node.k - 1], path,
+            "R5: conclusion must be the k-th hypothesis"))
+        for i in range(len(node.hyps), 0, -1):
+            self.stack.append(partial(
+                self._subproof, node.hyps[i - 1], node.premises[i - 1],
+                unrolled, node.hyps, f"{path}.R5.sub[{i}]"))
 
-    def _repintro(self, node, path, hyps) -> bool:
+    def _subproof(self, h, sub, unrolled, hyps, path) -> None:
+        """R5's check of a subproof's conclusion against its hypothesis h;
+        a subproof that has a conclusion is then checked itself."""
+        sc = self._conclusion_of(sub, hyps)
+        if sc is None:
+            self.fail(path, "subproof has no usable conclusion")
+            return
+        if term_atoms(sc.term) != unrolled:
+            self.fail(path, "subproof must conclude about S ; S^w")
+        if (sc.entry != h.entry or sc.exit != 0
+                or not alpha_eq(sc.pre, h.pre)
+                or not alpha_eq(sc.post, h.post)):
+            self.fail(path, "subproof conclusion must match its hypothesis")
+        self.stack.append((sub, path, hyps))
+
+    def _repintro(self, node, path, hyps) -> None:
         p = self._premise(node, 0, hyps, path)
         if p is None:
-            return False
+            return
         c = node.conclusion
         body = term_atoms(p.term)
         if atoms_len(body) is None:
             self.fail(path, "repetition introduction needs a finite body")
-            return False
-        ok = True
+            return
         if term_atoms(c.term) != ((REP, body),):
             self.fail(path, "conclusion must be the premise term repeated")
-            ok = False
         if p.exit != 0 or c.exit != 0:
             self.fail(path, "repetition introduction requires exit 0")
-            ok = False
         if (c.entry != p.entry or not alpha_eq(c.pre, p.pre)
                 or not alpha_eq(c.post, p.post)):
             self.fail(path, "entry/formula annotations must carry over")
-            ok = False
-        return ok
 
     # -- structural rules -------------------------------------------------
 
-    def _r6(self, node, path, hyps) -> bool:
+    def _r6(self, node, path, hyps) -> None:
         p1 = self._premise(node, 0, hyps, path)
         p2 = self._premise(node, 1, hyps, path)
         if p1 is None or p2 is None:
-            return False
+            return
         c = node.conclusion
-        ok = True
         if not isinstance(c.pre, Or):
             self.fail(path, "R6: precondition must be a disjunction")
-            return False
+            return
         if not (alpha_eq(c.pre.left, p1.pre) and alpha_eq(c.pre.right, p2.pre)):
             self.fail(path, "R6: disjuncts must match the premises")
-            ok = False
         for i, p in enumerate((p1, p2), 1):
             if (term_atoms(c.term) != term_atoms(p.term)
                     or c.entry != p.entry or c.exit != p.exit
                     or not alpha_eq(c.post, p.post)):
                 self.fail(path, f"R6: premise {i} must differ only in P")
-                ok = False
-        return ok
 
-    def _r7(self, node, path, hyps) -> bool:
+    def _r7(self, node, path, hyps) -> None:
         p = self._premise(node, 0, hyps, path)
         if p is None:
-            return False
+            return
         c = node.conclusion
         if not (isinstance(c.pre, And) and isinstance(c.post, And)):
             self.fail(path, "R7: both annotations must be conjunctions")
-            return False
-        ok = True
+            return
         if not (alpha_eq(c.pre.left, p.pre) and alpha_eq(c.post.left, p.post)):
             self.fail(path, "R7: left conjuncts must match the premise")
-            ok = False
         invariant = c.pre.right
         if not alpha_eq(invariant, c.post.right):
             self.fail(path, "R7: the invariant must be the same on both sides")
-            ok = False
         try:
             if free_foci(invariant) & atoms_foci(term_atoms(c.term)):
                 self.fail(path, "R7: the invariant mentions a focus of S")
-                ok = False
         except SortError as exc:
             self.fail(path, f"R7: {exc}")
-            ok = False
         if (term_atoms(c.term) != term_atoms(p.term)
                 or c.entry != p.entry or c.exit != p.exit):
             self.fail(path, "R7: sequence and entry/exit must carry over")
-            ok = False
-        return ok
 
-    def _r8(self, node, path, hyps) -> bool:
+    def _r8(self, node, path, hyps) -> None:
         p = self._premise(node, 0, hyps, path)
         if p is None:
-            return False
+            return
         c = node.conclusion
         if not isinstance(c.pre, Exists):
             self.fail(path, "R8: precondition must be existential")
-            return False
-        ok = True
+            return
         x = c.pre.var
         if not alpha_eq(c.pre.body, p.pre):
             self.fail(path, "R8: the body must match the premise precondition")
-            ok = False
         if x in atoms_foci(term_atoms(c.term)):
             self.fail(path, "R8: the bound variable is a focus of S")
-            ok = False
         try:
             if x in free_vars(c.post):
                 self.fail(path, "R8: the bound variable occurs free in Q")
-                ok = False
         except SortError as exc:
             self.fail(path, f"R8: {exc}")
-            ok = False
         if (term_atoms(c.term) != term_atoms(p.term)
                 or c.entry != p.entry or c.exit != p.exit
                 or not alpha_eq(c.post, p.post)):
             self.fail(path, "R8: sequence and exit annotation must carry over")
-            ok = False
-        return ok
 
-    def _r9(self, node, path, hyps) -> bool:
+    def _r9(self, node, path, hyps) -> None:
         p = self._premise(node, 0, hyps, path)
         if p is None:
-            return False
+            return
         c = node.conclusion
         if node.rename is None:
             self.fail(path, "R9: missing the variable pair")
-            return False
+            return
         x, y = node.rename
-        ok = True
         foci = atoms_foci(term_atoms(c.term))
         if x in foci or y in foci:
             self.fail(path, "R9: renamed variables must not be foci of S")
-            ok = False
         if not alpha_eq(c.pre, substitute(p.pre, x, Var(y))):
             self.fail(path, "R9: precondition is not the renamed premise")
-            ok = False
         if not alpha_eq(c.post, substitute(p.post, x, Var(y))):
             self.fail(path, "R9: postcondition is not the renamed premise")
-            ok = False
         if (term_atoms(c.term) != term_atoms(p.term)
                 or c.entry != p.entry or c.exit != p.exit):
             self.fail(path, "R9: sequence and entry/exit must carry over")
-            ok = False
-        return ok
 
-    def _r10(self, node, path, hyps) -> bool:
+    def _r10(self, node, path, hyps) -> None:
         p = self._premise(node, 0, hyps, path)
         if p is None:
-            return False
+            return
         c = node.conclusion
-        ok = True
         if (term_atoms(c.term) != term_atoms(p.term)
                 or c.entry != p.entry or c.exit != p.exit):
             self.fail(path, "R10: sequence and entry/exit must carry over")
-            ok = False
         if node.obligations is not None:
             ob_pre, ob_post = node.obligations
             if not alpha_eq(ob_pre, Implies(c.pre, p.pre)):
                 self.fail(path, "R10: first obligation must be P -> P'")
-                ok = False
             if not alpha_eq(ob_post, Implies(p.post, c.post)):
                 self.fail(path, "R10: second obligation must be Q' -> Q")
-                ok = False
         for what, lhs, rhs in (("P -> P'", c.pre, p.pre),
                                ("Q' -> Q", p.post, c.post)):
             try:
                 verdict = entails(lhs, rhs, self.cfg)
             except SortError as exc:
                 self.fail(path, f"R10: obligation {what}: {exc}")
-                ok = False
                 continue
             if verdict.kind == "valid":
                 continue
@@ -769,8 +709,6 @@ class _Checker:
                     f"{format_formula(rhs)} (bounded, B={verdict.bound})")
                 continue
             self.fail(path, f"R10: obligation {what} is {verdict.kind}")
-            ok = False
-        return ok
 
 
 def check_proof(p: ProofNode, cfg: AlgebraConfig = AlgebraConfig(),
@@ -784,6 +722,6 @@ def check_proof(p: ProofNode, cfg: AlgebraConfig = AlgebraConfig(),
     if p.rule == "HYP":
         checker.fail("root", "a proof cannot be a bare hypothesis")
     else:
-        checker.check(p, "root", None)
+        checker.check(p)
     return CheckResult(not checker.failures, checker.failures,
                        checker.assumptions)

@@ -10,7 +10,7 @@ to the empty service.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -88,14 +88,6 @@ def svc_step(s: Service, m: str) -> Tuple[Reply, Service]:
     return Reply.D, EMPTY
 
 
-def svc_reply(s: Service, m: str) -> Reply:
-    return svc_step(s, m)[0]
-
-
-def svc_derive(s: Service, m: str) -> Service:
-    return svc_step(s, m)[1]
-
-
 # ---------------------------------------------------------------------------
 # service families
 
@@ -122,9 +114,6 @@ class ServiceFamily:
         items = dict(self.entries)
         items[focus] = service
         return family(items)
-
-    def as_dict(self) -> Dict[str, Service]:
-        return dict(self.entries)
 
     def __str__(self) -> str:
         return format_family(self)
@@ -215,6 +204,8 @@ def parse_family(text: str) -> ServiceFamily:
         value = value.strip()
         if not name or not value:
             raise ValueError(f"malformed family entry: {part!r}")
+        if name in items:
+            raise ValueError(f"focus {name} is given twice")
         if value == "empty":
             items[name] = EMPTY
         elif value.startswith("counter(") and value.endswith(")"):

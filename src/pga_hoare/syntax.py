@@ -11,7 +11,7 @@ equality a componentwise comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .lexer import EOF, MAX_DEPTH, NAME_START, Tokens, TOO_DEEP
 
@@ -187,12 +187,6 @@ def drop_canonical(c: CanonicalSequence, k: int) -> CanonicalSequence:
         return make_canonical(c.prefix[k:], c.period)
     shift = (k - len(c.prefix)) % len(c.period)
     return make_canonical((), c.period[shift:] + c.period[:shift])
-
-
-def concat_canonical(a: CanonicalSequence, b: CanonicalSequence) -> CanonicalSequence:
-    if a.period is not None:
-        return a
-    return make_canonical(a.prefix + b.prefix, b.period)
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +379,3 @@ def foci_of_term(t: SequenceTerm) -> frozenset:
         if isinstance(i, (Basic, PosTest, NegTest)):
             out.add(i.focus)
     return frozenset(out)
-
-
-def iter_instructions(c: CanonicalSequence) -> Iterator[Instruction]:
-    """One instruction per representative position, prefix then period."""
-    yield from c.prefix
-    if c.period is not None:
-        yield from c.period

@@ -15,7 +15,7 @@ from typing import Tuple
 from . import kernels
 from .services import EMPTY_FAMILY, AlgebraConfig, ServiceFamily
 from .syntax import (Basic, CanonicalSequence, Concat, Halt, Instr, Jump,
-                     NegTest, PosTest, Repeat, SequenceTerm, concat_all,
+                     NegTest, PosTest, SequenceTerm, concat_all,
                      normalize)
 
 
@@ -32,12 +32,6 @@ class RegularThread:
 
     def node(self, i: int) -> tuple:
         return self.nodes[i]
-
-    def is_stop(self) -> bool:
-        return self.nodes[self.root][0] == "stop"
-
-    def is_dead(self) -> bool:
-        return self.nodes[self.root][0] == "dead"
 
 
 STOP_THREAD = RegularThread((("stop",),), 0)

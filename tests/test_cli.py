@@ -364,3 +364,47 @@ def test_sp_exit_statuses(capsys):
         assert main(["--bound", "5", "sp", "true", "c.incr ; !"] + point) == 1
         assert capsys.readouterr().out == (
             "error: no post-condition exists for this e\n")
+
+
+
+def _r10_chain(levels, a0_post):
+    """`levels` R10 bindings over a0 := (A11 {1 | true} "!" {0 | a0_post}),
+    each naming the one before: a proof that deep, with no nesting in the
+    text.  The first binding weakens a0's postcondition to true."""
+    lines = [f'a0 := (A11 {{1 | true}} "!" {{0 | {a0_post}}})']
+    for i in range(1, levels + 1):
+        post = a0_post if i == 1 else "true"
+        lines.append(f'a{i} := (R10 "true -> true" a{i - 1} "{post} -> true"'
+                     ' => {1 | true} "!" {0 | true})')
+    return "\n".join(lines) + "\n"
+
+
+def test_long_chains_of_bindings_are_checked_without_recursion(tmp_path,
+                                                                capsys):
+    # the checker keeps its own stack: a proof 5,000 levels deep is checked
+    # like a shallow one, and its failures keep their full paths
+    proof = tmp_path / "chain.proof"
+    proof.write_text(_r10_chain(5000, "true"))
+    started = time.perf_counter()
+    assert main(["check", str(proof)]) == 0
+    assert capsys.readouterr().out == "ACCEPTED\n"
+    assert time.perf_counter() - started < 5
+    # a0 := (A11 {1 | true} "!" {0 | false}) does not preserve P
+    proof.write_text(_r10_chain(5000, "false"))
+    assert main(["check", str(proof)]) == 1
+    assert capsys.readouterr().out == (
+        "REJECTED\n  root" + ".R10[1]" * 5000
+        + ": A11: exit must be 0 with P preserved\n")
+
+
+def test_a_family_literal_gives_each_focus_once(capsys):
+    # a focus given twice is an error, whichever value comes last
+    for family in ("{c = counter(1), c = counter(5)}",
+                   "{c = counter(1), d = bool(true), c = empty}"):
+        assert main(["run", "c.incr", family]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: focus c is given twice\n"
+    assert main(["run", "c.incr", "{c = counter(1), d = counter(5)}"]) == 0
+    assert capsys.readouterr().out == (
+        "exited at offset 1 in {c = counter(2), d = counter(5)}\n")

@@ -83,7 +83,17 @@ _LINES = [
     ["--bound", "10", "--format", "structured", "holds",
      "{1 | true} (-c.iszero ; #2 ; ! ; c.incr ; d.decr)^w {0 | true}"],
 ]
-COMMANDS = _README + _PROOF_CHECKS + _COUNTER_LOOPS + _MORE + _LINES
+# proofs with faults inside an R5 subproof, in R5's check of its subproof's
+# conclusion and outside R5 (recorded before the checker's walk lost its
+# recursion)
+_FAULTS = "tests/proofs/counter_zero_faults.proof"
+_REJECTED = [
+    ["--bound", "24", "check", _FAULTS],
+    ["--bound", "24", "--strict", "--format", "structured", "check", _FAULTS],
+    ["--bound", "24", "check", "tests/proofs/counter_zero_no_subproof.proof"],
+]
+COMMANDS = (_README + _PROOF_CHECKS + _COUNTER_LOOPS + _MORE + _LINES
+            + _REJECTED)
 
 # (command, recorded line, line printed now)
 CHANGED = [
@@ -112,7 +122,7 @@ def _header(argv):
 
 def transcript(argv):
     """The header, output lines and exit status of one command."""
-    args = [str(ROOT / a) if a == PROOF else a for a in argv]
+    args = [str(ROOT / a) if a.endswith(".proof") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = main(args)

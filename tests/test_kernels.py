@@ -355,6 +355,41 @@ def test_stretches_match_the_reference_at_the_budget_edge():
     assert edges[0] and edges[1], edges
 
 
+
+def test_line_members_match_the_reference():
+    # SegmentRuns.sweep on the counter-only programs above: every member a
+    # line yields has the reference's outcome, under state bounds 1..3,
+    # and so has each first state of the box [K, B]^2 with that outcome
+    seen = collections.Counter()
+    for text in _STRETCH_PROGRAMS[2:5] + (
+            "(#1 ; +c.decr ; #4 ; +d.decr ; #2 ; !)^w",):
+        c = normalize(parse_sequence(text))
+        lap = len(c.period)
+        bound = 2 * lap + 3
+        box = [(i, j) for i in range(lap, bound + 1)
+               for j in range(lap, bound + 1)]
+        for k in (1, 2, 3):
+            cfg = AlgebraConfig(state_bound=k)
+            runs = _segment_runs(c, 1, ["c", "d"], [1, 1], cfg)
+            sweep = runs.sweep(bound)
+            if sweep is None:
+                continue
+            ref = {x: _ref_run(c, 1, family({"c": counter(x[0]),
+                                              "d": counter(x[1])}), cfg)
+                   for x in box}
+            yielded = {}
+            for result, x in sweep[1](None):
+                assert _segment_outcome(*result, ["c", "d"], [1, 1]) == ref[x]
+                yielded.setdefault(ref[x], []).append(x)
+            first = {}
+            for x in box:
+                first.setdefault(ref[x], x)
+            for outcome, x in first.items():
+                assert min(yielded[outcome]) == x, (text, k, outcome)
+                seen[type(outcome).__name__] += 1
+    assert seen["Halted"] and seen["BudgetOut"], seen
+
+
 def test_non_decreasing_laps_end_in_constant_time():
     # A lap that moves no counter toward 0 keeps its key: the run laps on
     # to its budget, and is answered so without taking the laps

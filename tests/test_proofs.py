@@ -1,5 +1,6 @@
 """Proof parsing and the rule-by-rule checker."""
 
+import dataclasses
 import pathlib
 
 import pytest
@@ -419,3 +420,55 @@ def test_golden_proof_conclusion_shape():
     assert c.entry == 1 and c.exit == 0
     assert term_atoms(c.term) == term_atoms(
         parse_sequence("(-c.iszero ; #2 ; ! ; c.decr)^w"))
+
+
+
+def test_failures_come_in_preorder_with_r5_checks_in_place():
+    # R5 checks each subproof's conclusion just before that subproof, and
+    # its own conclusion after the last; the nodes after R5 come last
+    text = '''
+    halt := (A11 {2 | true} "!" {0 | true})
+    bad := (R3 halt => {1 | true} "! ; (!)^w" {0 | false})
+    loop := (R5 hyps [{1 | true} "(!)^w" {0 | true}
+                      {2 | true} "(!)^w" {1 | true}]
+                k 1 subproofs [bad (HYP 1)])
+    late := (A9 {1 | true} "#2" {1 | true})
+    (R1 loop late => {1 | true} "(!)^w ; #2" {1 | true})
+    '''
+    root = parse_proof(text)
+    # a conclusion other than the k-th hypothesis, which no file can give
+    loop = root.premises[0]
+    loop = dataclasses.replace(
+        loop, conclusion=dataclasses.replace(loop.conclusion, exit=1))
+    root = dataclasses.replace(root, premises=(loop, root.premises[1]))
+    assert check_proof(root, CFG).failures == [
+        ("root.R1[1]", "R5: hypothesis 2 must have exit 0"),
+        ("root.R1[1].R5.sub[1]",
+         "subproof conclusion must match its hypothesis"),
+        ("root.R1[1].R5.sub[1]",
+         "R3: entry/formula annotations must carry over"),
+        ("root.R1[1].R5.sub[1].R3[1]", "A11: entry point must be 1"),
+        ("root.R1[1].R5.sub[2]", "subproof must conclude about S ; S^w"),
+        ("root.R1[1].R5.sub[2]",
+         "subproof conclusion must match its hypothesis"),
+        ("root.R1[1]", "R5: conclusion must be the k-th hypothesis: "
+                       "entry/exit annotations differ"),
+        ("root.R1[2]", "A9: exit must equal the offset, P preserved"),
+    ]
+
+def test_hypotheses_reach_the_bottom_of_a_deep_subproof():
+    # 3,000 R10 bindings between R5 and the HYP its subproof ends in
+    step = '(A9 {1 | true} "#1" {1 | true})'
+    concl = '{1 | true} "#1 ; (#1)^w" {0 | true}'
+    for index, failures in ((1, []), (2, [
+            ("premise 2 has no usable conclusion", ""),
+            ("HYP index out of range", ".R1[2]")])):
+        lines = [f"b0 := (R1 {step} (HYP {index}) => {concl})"]
+        lines += [f'b{i} := (R10 "true -> true" b{i - 1} "true -> true"'
+                  f' => {concl})' for i in range(1, 3001)]
+        lines.append('(R5 hyps [{1 | true} "(#1)^w" {0 | true}] k 1'
+                     ' subproofs [b3000])')
+        result = _check("\n".join(lines), BCFG)
+        bottom = "root.R5.sub[1]" + ".R10[1]" * 3000
+        assert result.failures == [(bottom + tail, reason)
+                                   for reason, tail in failures]

@@ -465,3 +465,26 @@ def test_line_sweep_matches_fresh_runs_at_the_budget_edge():
             assert fresh[7, 6] == kernels._BUDGET_RESULT
             seen["edges"] += 1
     assert min(seen.values()) > 0, seen
+
+
+def test_a_line_past_its_budget_yields_every_member_with_its_run():
+    # the two-phase loop at state bound 1: some lines have members within
+    # their limits and members past them, so they are run member by
+    # member, and every member past its limit is yielded, with the result
+    # of a fresh run
+    c = normalize(parse_sequence(_FIXED_LOOPS[0]))
+    lap = len(c.period)
+    code = kernels.encode_canonical(c, ["c", "d"], [1, 1])
+    shape = (len(c.prefix), lap, 1, [1, 1])
+    bound = 3 * lap + 2
+    rest, lines = kernels.SegmentRuns(*code, *shape, 1).sweep(bound)
+    pairs = list(lines(None))
+    box = [x for x in itertools.product(range(bound + 1), repeat=2)
+           if min(x) >= lap]
+    fresh = {x: kernels.run_segment_kernel(*code, *shape, x, 1) for x in box}
+    for result, x in pairs:
+        assert fresh[x] == result, x
+    over = {x for x in box if fresh[x] == kernels._BUDGET_RESULT}
+    assert {(7, 8), (8, 8), (9, 8), (7, 6)} <= over
+    assert over <= {x for result, x in pairs}
+    assert fresh[10, 8][0] == kernels.HALTED
