@@ -26,22 +26,43 @@ share a SegmentRuns: an outcome table (see run_segment_kernel) and lap
 summaries.  When the entry lies in the period, its representative
 position is the head, and a lap is the part of a run from the head to
 its next visit of the head, or to an outcome.  A lap is summarised only
-if it takes at most K = period_len steps (the cap); it returns to the head
-within K steps unless a jump skips the head.
+if it takes at most K = period_len steps (the cap).
 
-Lemma.  Clamp every content at K: the lap key of contents u is
-(min(u_i, K) for each slot).  Counters below K, registers (0/1, and K >= 1)
-and empty services (-1) stay exact.  Two head states with the same key run
-the same lap.  Proof: before the i-th step of a lap (i <= K) a counter that
-held at least K at the head holds at least K - (i - 1) >= 1, since each
-step changes one counter by at most 1.  So iszero replies F and decr
-replies T and decrements, for both states; the two runs execute the same
-instructions, get the same replies and change each slot by the same
-amount.  They reach the head or the same outcome after the same number of
-steps, and a (position, contents) pair repeats within the lap in one run
-exactly when it repeats in the other, at the same step.  A threshold of
-K - 1 is too low: a lap of K - 1 decrements and then iszero gets T from a
-counter that held K - 1 and F from one that held K.
+Lap keys.  A move from a period position is +1 for a basic instruction,
++1 or +2 for a test, and the offset of a nonzero jump; the forward
+distance from position p to the head is (head - p) mod K, and K from the
+head itself.  A move longer than that distance passes over the head.
+SegmentRuns checks the period once: if no move passes over the head, the
+key's threshold of slot i is T_i = max(1, A_i), where A_i counts the
+period positions whose action is on slot i; if some move does, every
+T_i is K.  The lap key of head contents u is (min(u_i, T_i) for each
+slot).  Counters below T_i, registers (0/1, and T_i >= 1) and empty
+services (-1) stay exact.
+Lemma.  Two head states with the same key run the same lap.  Proof: the
+two runs agree as long as every action gets the same reply and changes
+its slot alike in both, which holds for a slot kept exact in the key.
+Take a slot i clamped at T_i, a counter that holds at least T_i in both
+states; each action changes it by at most 1.
+  - No move passes over the head: a lap goes forward, position by
+    position, until it lands on the head, so it meets each period
+    position at most once, takes at most K steps and meets at most A_i
+    actions on slot i.  Before the j-th of them (j <= A_i <= T_i) the
+    counter holds at least T_i - (j - 1) >= 1.
+  - Otherwise T_i = K, the lap takes at most K steps (the cap), and
+    before its j-th step (j <= K) the counter holds at least
+    K - (j - 1) >= 1.
+So in both runs iszero replies F, decr replies T and decrements, and
+incr replies T; the runs execute the same instructions, get the same
+replies and change each slot by the same amount.  They reach the head or
+the same outcome after the same number of steps, and a (position,
+contents) pair repeats within the lap in one run exactly when it repeats
+in the other, at the same step.
+A threshold of T_i - 1 is too low: in the period (c.decr ; d.incr ;
++c.iszero ; ! ; #1)^w, entered at its first position, no move passes over
+the head and c has T = 2 actions, d one.  From c = 1 the lap decrements c
+to 0 and iszero replies T: the run halts.  From c = 2 it leaves c at 1,
+iszero replies F and the lap is back at the head.  Clamped at 1, both
+would have key (1, min(d, 1)).
 
 The summary stored under the key is (end, delta, steps): how the lap ends
 (back at the head, halted, or inactive; a jump #0, a reply D or a cycle
@@ -54,12 +75,13 @@ summary's step count is that of a fresh run.
 Stretches.  A lap back at the head takes head state s to s + d.  While the
 key stays that of s, so does the lap, and the run passes s + 2d, s + 3d, ...
 Lemma: the t >= 0 for which s + t*d has the key of s form one interval
-0..T.  Proof: each clamped coordinate min(s_i + t*d_i, K) is monotone in t,
-so the t at which it keeps its value at 0 form an interval holding 0, and
-so does their intersection.  A slot with d_i != 0 below K changes at t = 1;
-one at K or more stays clamped for ever if d_i > 0, and while
-t <= (s_i - K) // -d_i if d_i < 0.  So T is 0 if a moving slot is below K,
-else the least bound of a slot moving toward 0, and unbounded if none is.
+0..T.  Proof: each clamped coordinate min(s_i + t*d_i, T_i) is monotone in
+t, so the t at which it keeps its value at 0 form an interval holding 0,
+and so does their intersection.  A slot with d_i != 0 below T_i changes at
+t = 1; one at T_i or more stays clamped for ever if d_i > 0, and while
+t <= (s_i - T_i) // -d_i if d_i < 0.  So T is 0 if a moving slot is below
+its threshold, else the least bound of a slot moving toward 0, and
+unbounded if none is.
 A run takes the m = T + 1 laps of a stretch at once (_stretch): it moves to
 its end state s + m*d, the first with another key, and charges m * steps.
 The head states inside a stretch are neither looked up nor recorded, and
@@ -95,25 +117,26 @@ cycles, and budget-outs next to them, are those of a fresh run:
     outcome table).
 
 Lines.  A judgment with a closed, true precondition runs every state of
-the box [0, B]^k.  When every slot is a counter, all states of [K, B]^k
-have the one key (K, ..., K).  Let its lap come back to the head with
-delta d and `steps` steps, some d_i < 0 (SegmentRuns.sweep).  The box
-[K, B]^k then splits into lines x_t = s - t*d, t = 0..T: s is the line's
-last member (s + d leaves [K, B]^k) and T the last t with x_t inside it.
-The run from s takes a stretch of m >= 1 laps (_stretch) to its end state
-e = s + m*d, which has a content below K.
+the box [0, B]^k.  When every slot is a counter, all states of the
+interior box I = [T_1, B] x ... x [T_k, B] have the one key T =
+(T_1, ..., T_k).  Let its lap come back to the head with delta d and
+`steps` steps, some d_i < 0 (SegmentRuns.sweep).  I then splits into
+lines x_t = s - t*d, t = 0..T: s is the line's last member (s + d leaves
+I) and T the last t with x_t inside it.  The run from s takes a stretch of
+m >= 1 laps (_stretch) to its end state e = s + m*d, which has a content
+below its threshold.
 Lemma: the run from x_t takes m + t laps to e, then e's run; it has e's
 outcome and final contents, after (m + t) * steps + steps(e) steps, if
 e is tabled with steps(e) steps; it is a budget-out iff that count
 exceeds its own limit state_bound * n * (max(x_t) + 1).  Proof: x_t,
-x_{t-1}, ..., x_0 = s lie in [K, B]^k (a box is convex), all of key
-(K, ..., K), so the stretch from x_t passes them and goes on to e: its
-length, the least (x_i - K) // -d_i + 1 over d_i < 0, is m + t, as
-x_i = s_i - t*d_i.  A tabled state is on no cycle (budget-outs and cycle
-members are never tabled), and a node of the stretch met again after e
-would lead back to e; so no node repeats before e's outcome, which a
-fresh run from x_t meets at that step count, and the per-step loop's
-budget check fails exactly when the count exceeds the limit.
+x_{t-1}, ..., x_0 = s lie in I (a box is convex), all of key T, so the
+stretch from x_t passes them and goes on to e: its length, the least
+(x_i - T_i) // -d_i + 1 over d_i < 0, is m + t, as x_i = s_i - t*d_i.  A
+tabled state is on no cycle (budget-outs and cycle members are never
+tabled), and a node of the stretch met again after e would lead back to
+e; so no node repeats before e's outcome, which a fresh run from x_t
+meets at that step count, and the per-step loop's budget check fails
+exactly when the count exceeds the limit.
 A bound at the extreme members suffices: the step count grows with t, so
 x_T takes the most; each content of x_t is linear in t, so its least
 value over the line is at t = 0 or t = T, and max(x_t) is at least the
@@ -127,6 +150,10 @@ member with e's outcome is an end of the line: the one member such a line
 yields.  The caller takes the least over lines and the other states, and
 a line whose first member comes after a failing state found before is
 skipped without a run.  Members of a line that fits are not tabled.
+When instead d >= 0 and d != 0, the key never changes from a state of I:
+every run from I laps for ever, its contents grow and no head state
+repeats, so none is tabled and each is a budget-out.  I is then one class,
+yielded once with its least member, T.
 """
 
 from __future__ import annotations
@@ -393,18 +420,38 @@ def run_segment_kernel(ops, arg1, arg2, prefix_len, period_len, entry,
     return result
 
 
-def _stretch(state, delta, cap):
+def _thresholds(ops, arg1, prefix_len, period_len, head, width):
+    """The lap key's threshold of each of `width` slots, for laps from
+    representative position head (see "Lap keys" in the module
+    docstring)."""
+    acts = [0] * width
+    for p in range(prefix_len + 1, prefix_len + period_len + 1):
+        op, arg = ops[p - 1], arg1[p - 1]
+        if op == 3:
+            move = arg
+        elif op == 4:
+            move = 0
+        else:
+            move = 1 if op == 0 else 2
+            if arg >= 0:
+                acts[arg] += 1
+        if move > ((head - p) % period_len or period_len):
+            return (period_len,) * width
+    return tuple([a or 1 for a in acts])
+
+
+def _stretch(state, delta, keys):
     """How many laps with one key a run takes from head state `state`,
-    whose lap changes the contents by `delta`: the least m for which
-    state + m * delta has another key (None if there is none; see the
-    module docstring)."""
+    whose lap changes the contents by `delta`, under thresholds `keys`:
+    the least m for which state + m * delta has another key (None if there
+    is none; see the module docstring)."""
     laps = None
-    for c, d in zip(state, delta):
+    for c, d, t in zip(state, delta, keys):
         if d:
-            if c < cap:
+            if c < t:
                 return 1
             if d < 0:
-                m = (c - cap) // -d + 1
+                m = (c - t) // -d + 1
                 if laps is None or m < laps:
                     laps = m
     return laps
@@ -415,39 +462,40 @@ def _along(state, delta, t):
     return tuple([c + t * d for c, d in zip(state, delta)])
 
 
-def _below(width, bound, cap):
-    """The states of [0, bound]^width (width >= 1) with some content below
-    cap, in lexicographic order."""
-    if width == 1:
-        yield from product(range(min(cap, bound + 1)))
+def _below(bound, keys):
+    """The states of [0, bound]^k (k = len(keys) >= 1) with some content
+    below its threshold in keys, in lexicographic order."""
+    first = keys[0]
+    if len(keys) == 1:
+        yield from product(range(min(first, bound + 1)))
         return
     full = range(bound + 1)
     for v in full:
-        if v < cap:
-            yield from product((v,), *repeat(full, width - 1))
+        if v < first:
+            yield from product((v,), *repeat(full, len(keys) - 1))
         else:
-            for r in _below(width - 1, bound, cap):
+            for r in _below(bound, keys[1:]):
                 yield (v,) + r
 
 
-def _line_ends(bound, cap, delta):
-    """The states s of [cap, bound]^k with s + delta outside it, each once.
+def _line_ends(bound, keys, delta):
+    """The states s of the box [T_1, bound] x ... x [T_k, bound] (T: keys)
+    with s + delta outside it, each once.
 
     Slot i leaves the box in a band of |delta_i| values at one of its ends;
     the states for slot i are those in its band and in no earlier slot's.
     """
-    full = range(cap, bound + 1)
-    inside, bands = [], []
-    for d in delta:
+    full, inside, bands = [], [], []
+    for t, d in zip(keys, delta):
+        full.append(range(t, bound + 1))
         if d < 0:
-            bands.append(range(cap, min(cap - d, bound + 1)))
-            inside.append(range(cap - d, bound + 1))
+            bands.append(range(t, min(t - d, bound + 1)))
+            inside.append(range(t - d, bound + 1))
         else:
-            bands.append(range(max(cap, bound - d + 1), bound + 1))
-            inside.append(range(cap, bound - d + 1))
+            bands.append(range(max(t, bound - d + 1), bound + 1))
+            inside.append(range(t, bound - d + 1))
     for i, band in enumerate(bands):
-        yield from product(*inside[:i], band,
-                           *repeat(full, len(delta) - i - 1))
+        yield from product(*inside[:i], band, *full[i + 1:])
 
 
 def _tabulate(table, marks, result, steps):
@@ -471,9 +519,12 @@ class SegmentRuns:
         self.code = (ops, arg1, arg2, prefix_len, period_len)
         self.entry, self.kinds, self.state_bound = entry, kinds, state_bound
         self.n = prefix_len + period_len
-        self.cap = period_len  # the lap cap and the key's threshold
+        self.cap = period_len  # the most steps a summarised lap takes
         if entry > prefix_len and period_len:
             self.head = prefix_len + (entry - prefix_len - 1) % period_len + 1
+            # the lap key's threshold of each slot
+            self.keys = _thresholds(ops, arg1, prefix_len, period_len,
+                                    self.head, len(kinds))
         else:
             self.head = 0
         self.table = {}
@@ -482,7 +533,7 @@ class SegmentRuns:
     def run(self, contents):
         if not self.head:
             return self._stepwise(contents)
-        table, laps, cap = self.table, self.laps, self.cap
+        table, laps, keys = self.table, self.laps, self.keys
         limit = _step_limit(self.state_bound, self.n, contents)
         marks = {}  # head states met in this run -> steps taken before each
         state, taken = tuple(contents), 0
@@ -492,8 +543,8 @@ class SegmentRuns:
             # a plain loop: before Python 3.12 a comprehension costs a
             # function call on every lap
             key = []
-            for c in state:
-                key.append(c if c < cap else cap)
+            for c, t in zip(state, keys):
+                key.append(c if c < t else t)
             key = tuple(key)
             lap = laps.get(key)
             if lap is None:
@@ -513,7 +564,7 @@ class SegmentRuns:
             taken += steps
             hit = table.get(after)
             if hit is None:
-                m = _stretch(state, delta, cap)
+                m = _stretch(state, delta, keys)
                 if m is None:
                     # the key never changes: unless the lap changes
                     # nothing (a cycle, below), the run laps to its budget
@@ -540,45 +591,54 @@ class SegmentRuns:
     def sweep(self, bound):
         """Split the box [0, bound]^k of head states into lines, or None.
 
-        It applies when every slot is a counter and the lap from the key
-        with every content at K (the one key of the states in [K, bound]^k)
-        comes back to the head having moved some slot toward 0.  Returns
-        (rest, lines): rest, the states with some content below K, in
-        enumeration (lexicographic) order, for run; and lines(before), an
-        iterator of pairs (result, contents) that covers [K, bound]^k but
-        the lines whose first member comes after `before` (None: no line
-        is left out).  A line yields its shared result with its
-        lexicographically first member when every member fits its budget;
-        any other line yields run(x) for each member x.  See "Lines" in the
-        module docstring.
+        It applies when every slot is a counter and the lap from the key T
+        (self.keys, the one key of the states in the interior box
+        I = [T_1, bound] x ... x [T_k, bound]) comes back to the head having
+        moved some slot.  Returns (rest, lines): rest, the states with some
+        content below its threshold, in enumeration (lexicographic) order,
+        for run; and lines(before), an iterator of pairs (result, contents)
+        that covers I but the lines whose first member comes after
+        `before` (None: no line is left out).  A line yields its shared
+        result with its lexicographically first member when every member
+        fits its budget; any other line yields run(x) for each member x.
+        When the lap moves no slot toward 0, lines yields I as one class of
+        budget-outs, by its least member T.
+        See "Lines" in the module docstring.
         """
-        kinds, cap = self.kinds, self.cap
+        kinds = self.kinds
         if not self.head or not kinds or 0 in kinds:
             return None
-        key = (cap,) * len(kinds)
+        key = self.keys
         lap = self.laps.get(key)
         if lap is None:
             lap = self.laps[key] = self._lap(key)
         end, delta, steps = lap
-        if end != AT_HEAD or min(delta) >= 0:
+        if end != AT_HEAD or not any(delta):
             return None
-        return (_below(len(kinds), bound, cap),
-                partial(self._lines, bound, delta, steps))
+        rest = _below(bound, key)
+        if min(delta) >= 0:
+            return rest, partial(self._diverging, bound)
+        return rest, partial(self._lines, bound, delta, steps)
+
+    def _diverging(self, bound, before):
+        least = self.keys
+        if max(least) <= bound and (before is None or least < before):
+            yield _BUDGET_RESULT, least
 
     def _lines(self, bound, delta, steps, before):
-        cap, table, run = self.cap, self.table, self.run
+        keys, table, run = self.keys, self.table, self.run
         per = self.state_bound * self.n  # a run's limit: per * (max + 1)
         # along a line lexicographic order follows the first moving slot
         rising = next(d for d in delta if d) < 0
-        for last in _line_ends(bound, cap, delta):
+        for last in _line_ends(bound, keys, delta):
             # the line's members are last - t*delta for t = 0..far (start),
             # and the run from each laps m + t times to the line's end
-            far = min([(bound - c) // -d if d < 0 else (c - cap) // d
-                       for c, d in zip(last, delta) if d])
+            far = min([(bound - c) // -d if d < 0 else (c - t) // d
+                       for c, d, t in zip(last, delta, keys) if d])
             start = _along(last, delta, -far)
             if before is not None and (last if rising else start) > before:
                 continue
-            m = _stretch(last, delta, cap)
+            m = _stretch(last, delta, keys)
             end = _along(last, delta, m)
             hit = table.get(end)
             if hit is None:

@@ -352,6 +352,11 @@ class _Checker:
             else:
                 self._node(*item)
 
+    # premises per rule (R5: one per hypothesis, which _r5 checks); the
+    # rule's check is the method named after it
+    _ARITY = {"R1": 2, "R2": 1, "R3": 1, "R4": 1, "R5": None, "R6": 2,
+              "R7": 1, "R8": 1, "R9": 1, "R10": 1, "REPINTRO": 1}
+
     def _node(self, node: ProofNode, path: str,
               hyps: Optional[Tuple[AssertedSeq, ...]]) -> None:
         rule = node.rule
@@ -360,14 +365,19 @@ class _Checker:
                 self.fail(path, "HYP outside a repetition subproof")
             elif not 1 <= node.hyp_index <= len(hyps):
                 self.fail(path, "HYP index out of range")
+        elif node.conclusion is None:
+            self.fail(path, f"{rule}: no conclusion")
         elif rule.startswith("A"):
             self._axiom(node, path)
-        elif (method := getattr(self, f"_{rule.lower()}", None)) is None:
+        elif rule not in self._ARITY:
             self.fail(path, f"unknown rule {rule}")
         elif rule in ("R5", "REPINTRO") and hyps is not None:
             self.fail(path, "repetition rule inside a repetition subproof")
+        elif self._ARITY[rule] not in (None, len(node.premises)):
+            self.fail(path, f"{rule}: needs {self._ARITY[rule]} premise(s), "
+                            f"has {len(node.premises)}")
         else:
-            method(node, path, hyps)
+            getattr(self, f"_{rule.lower()}")(node, path, hyps)
             if rule != "R5":  # R5 pushes its subproofs itself
                 for i in range(len(node.premises), 0, -1):
                     self.stack.append(
@@ -535,6 +545,9 @@ class _Checker:
     def _r5(self, node, path, hyps) -> None:
         if len(node.premises) != len(node.hyps):
             self.fail(path, "R5: one subproof per hypothesis is required")
+            return
+        if not 1 <= node.k <= len(node.hyps):
+            self.fail(path, f"R5: k={node.k} is not the index of a hypothesis")
             return
         bodies = set()
         for i, h in enumerate(node.hyps, 1):

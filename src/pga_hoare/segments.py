@@ -11,6 +11,7 @@ the judgment's state graph is explored once rather than once per state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Optional
 
 from . import kernels
@@ -201,7 +202,7 @@ def holds(phi: AssertedSeq, cfg: AlgebraConfig = _DEFAULT_CFG) -> Verdict:
     outright.  Otherwise every enumerated P-state must run to an outcome
     compatible with the exit annotation and satisfy Q there.
     """
-    return _decide(phi, cfg)[0]
+    return _decide(phi, cfg, False)[0]
 
 
 _UNSEEN = object()
@@ -219,26 +220,29 @@ def _open_cases(pre: CompiledFormula, space: StateSpace, run):
             yield contents, values, run(contents) if pv else None
 
 
-def _decide(phi: AssertedSeq, cfg: AlgebraConfig):
-    """(verdict, image): the verdict of holds(phi, cfg) and the states in
-    which runs from P-states reach the exit annotation.  The image is
-    complete when the verdict is holds.
+def _decide(phi: AssertedSeq, cfg: AlgebraConfig, with_image: bool):
+    """(verdict, image): the verdict of holds(phi, cfg) and, if with_image
+    and the verdict is not fails, the states in which runs from P-states
+    reach the exit annotation (None otherwise).  The image is complete
+    when the verdict is holds.
 
     The P-states go to the segment loop as content tuples in the one layout
     of the judgment: every focus holds a service of cfg's algebra.  When P
     is closed and no variable needs a value, P is evaluated once and no
     service or env is built per state; when it is True there, the states
-    whose contents are all at least the period's length go by lines
+    whose contents all reach their lap key's threshold go by lines
     (kernels.SegmentRuns.sweep), each line's members sharing one outcome.
-    Only witnesses and distinct final contents are decoded into families,
-    and Q is evaluated once per distinct (final contents, valuation).  A
-    fails verdict gives the first failing state in enumeration order; an
+    Q is evaluated once per distinct (final contents on Q's foci,
+    valuation), on a family of those foci alone; the image is kept as
+    content tuples and decoded into families at the end, for
+    strongest_post only.
+    A fails verdict gives the first failing state in enumeration order; an
     unknown verdict the first undecided state, and what left it undecided.
     """
     c = normalize(phi.term)
     if phi.entry > c.length:
         return Verdict("fails", reason="entry beyond segment",
-                       witness=None), set()
+                       witness=None), None
     pre = compile_formula(phi.pre, cfg)
     post = compile_formula(phi.post, cfg)
     space = _judgment_space(phi, pre, post, cfg)
@@ -258,8 +262,12 @@ def _decide(phi: AssertedSeq, cfg: AlgebraConfig):
         cases = ((contents, (), runs.run(contents) if pv else None)
                  for contents in states)
     halting = phi.exit == 0
-    finals = {}  # final contents reaching the exit -> their family
-    post_values = {}  # (final contents, variable values) -> value of Q
+    finals = set() if with_image else None  # final contents at the exit
+    # Q reads the finals' contents on its own foci only
+    q_slots = [i for i, f in enumerate(foci) if f in post.sorts]
+    q_foci, q_kinds = [foci[i] for i in q_slots], [kinds[i] for i in q_slots]
+    project = itemgetter(*q_slots) if q_slots else lambda final: ()
+    post_values = {}  # (final contents on Q's foci, values) -> value of Q
 
     def judge(result, values):
         """False when the run breaks the judgment, a reason when it leaves
@@ -274,13 +282,13 @@ def _decide(phi: AssertedSeq, cfg: AlgebraConfig):
         if not (code == kernels.HALTED if halting
                 else code == kernels.EXITED and off == phi.exit):
             return False
-        key = (final, values)
+        if finals is not None:
+            finals.add(final)
+        key = (project(final), values)
         qv = post_values.get(key, _UNSEEN)
         if qv is _UNSEEN:
-            state = finals.get(final)
-            if state is None:
-                state = finals[final] = kernels.decode_family(
-                    foci, kinds, final)
+            state = kernels.decode_family(q_foci, q_kinds,
+                                          [final[i] for i in q_slots])
             qv = post_values[key] = post(state, space.valuation(values))
         if qv is None:
             return _POST_UNDECIDED
@@ -306,8 +314,9 @@ def _decide(phi: AssertedSeq, cfg: AlgebraConfig):
         contents, values, result = failed
         return Verdict("fails", witness=(
             space.state(contents), space.valuation(values),
-            _outcome(*result, foci, kinds))), set()
-    image = set(finals.values())
+            _outcome(*result, foci, kinds))), None
+    image = None if finals is None else {
+        kernels.decode_family(foci, kinds, final) for final in finals}
     if undecided:
         contents, values, reason = undecided
         return Verdict("unknown", reason=reason, bound=cfg.state_bound,
@@ -367,7 +376,7 @@ def strongest_post(pre: Formula, s: SequenceTerm, b: int, e: int,
     (an entry below 1, a negative exit, a variable used at two sorts)
     raises a plain ValueError.
     """
-    guard, image = _decide(AssertedSeq(b, pre, s, e, TRUE), cfg)
+    guard, image = _decide(AssertedSeq(b, pre, s, e, TRUE), cfg, True)
     if guard.kind == "fails":
         raise NoPostCondition("no post-condition exists for this e")
     if guard.kind == "unknown":

@@ -194,8 +194,9 @@ def test_lap_runs_match_the_reference_at_the_budget_edge():
     # state's reference run is traced once with a budget one step above
     # the largest one tried, which gives its outcome under every state
     # bound: the outcome when its steps fit the bound's limit, a budget-out
-    # otherwise.  Contents go from 0 to 3 x period + 2, past the lap key's
-    # threshold (period_len), and the sample must hold lap runs that end
+    # otherwise.  Contents go from 0 to 3 x period + 2, past every lap
+    # key's threshold (at most period_len), and the sample must hold lap
+    # runs that end
     # exactly at their limit and one step past it.
     rng = random.Random(11)
     bounds = (1, 2, 3)
@@ -233,9 +234,10 @@ def test_lap_runs_match_the_reference_at_the_budget_edge():
 
 
 def test_laps_that_take_every_step_of_the_cap():
-    # A lap key clamps counters at K = period_len, as a lap takes at most K
-    # steps.  Only a lap of exactly K steps that decrements c at each of
-    # its first K - 1 steps tells c = K - 1 from c = K, at its last step:
+    # Every position of these periods acts on c, so a lap key clamps c at
+    # K = period_len (and a last test's +2 passes over the head anyway).
+    # Only a lap of exactly K steps that decrements c at each of its first
+    # K - 1 steps tells c = K - 1 from c = K, at its last step:
     # such periods, against the reference, at tight budgets, with a second
     # counter beside c, in shuffled enumeration orders.
     rng = random.Random(6)
@@ -256,32 +258,36 @@ def test_laps_that_take_every_step_of_the_cap():
 
 
 def _laps(text, entry, top, cfg=AlgebraConfig(state_bound=3)):
-    """The lap summaries that runs from c = 0..top record, by lap key."""
+    """(thresholds, lap summaries by lap key) of the runs from c = 0..top,
+    each checked against a fresh run."""
     c = normalize(parse_sequence(text))
     runs = _segment_runs(c, entry, ["c"], [1], cfg)
     for i in range(top + 1):
         expected = run_canonical(c, entry, family({"c": counter(i)}), cfg)
         assert _segment_outcome(*runs.run([i]), ["c"], [1]) == expected
-    return runs.laps
+    return runs.keys, runs.laps
 
 
 def test_lap_summaries_are_shared_from_the_threshold_up():
-    # the countdown's period has 4 positions: contents 4 and up share one
-    # summary, 0 to 3 have their own
-    laps = _laps("(-c.iszero ; #2 ; ! ; c.decr)^w", 1, 14)
+    # two of the countdown's 4 positions act on c: contents 2 and up share
+    # one summary, 0 and 1 have their own
+    keys, laps = _laps("(-c.iszero ; #2 ; ! ; c.decr)^w", 1, 14)
+    assert keys == (2,)
     assert laps == {(0,): (kernels.HALTED, (0,), 2),
                     (1,): (kernels.AT_HEAD, (-1,), 3),
-                    (2,): (kernels.AT_HEAD, (-1,), 3),
-                    (3,): (kernels.AT_HEAD, (-1,), 3),
-                    (4,): (kernels.AT_HEAD, (-1,), 3)}
-    # a lap may jump over the head and still come back within the cap
-    laps = _laps("(-c.iszero ; #4 ; ! ; c.decr ; #2 ; #4)^w", 1, 20)
+                    (2,): (kernels.AT_HEAD, (-1,), 3)}
+    # a lap may jump over the head and still come back within the cap; the
+    # threshold is then the period's length
+    keys, laps = _laps("(-c.iszero ; #4 ; ! ; c.decr ; #2 ; #4)^w", 1, 20)
+    assert keys == (6,)
     assert laps[(6,)] == (kernels.AT_HEAD, (-1,), 5)
     # or never come back: past the cap no summary is kept
-    laps = _laps("(c.decr ; #2 ; c.incr)^w", 3, 9)
+    keys, laps = _laps("(c.decr ; #2 ; c.incr)^w", 3, 9)
+    assert keys == (3,)
     assert set(laps.values()) == {(kernels.BUDGET, None, 4)}
     # a cycle inside the lap ends it
-    laps = _laps("(c.decr ; #2)^w", 1, 5)
+    keys, laps = _laps("(c.decr ; #2)^w", 1, 5)
+    assert keys == (2,)
     assert set(laps.values()) == {(kernels.INACTIVE, None, 2)}
 
 
@@ -296,9 +302,10 @@ _STRETCH_PROGRAMS = (
     "(+r.get ; #9 ; +c.decr ; #3 ; r.set:t ; #10 ; d.incr ; d.incr ; "
     "c.iszero ; #6 ; +d.decr ; #2 ; ! ; c.iszero ; #1)^w",
     # r true moves d back into c: (c, d, false) runs to (0, c + d, true),
-    # (c + d, 0, false) and back to (c, d, false).  With c and d at 14 or
-    # more the cycle enters the stretch of laps with both above the
-    # threshold at (c + d - 14, 14), and the run entered it at (c, d).  The
+    # (c + d, 0, false) and back to (c, d, false).  Two positions act on c
+    # and two on d: with c and d at 2 or more the cycle enters the stretch
+    # of laps with both at their thresholds or above at (c + d - 2, 2), and
+    # the run entered it at (c, d).  The
     # two halts before the period are never run, but n counts them: they
     # raise every budget until some runs meet their cycle within it and
     # would pass their limit on the way to the stretch's end
@@ -318,8 +325,9 @@ _STRETCH_PROGRAMS = (
 def test_stretches_match_the_reference_at_the_budget_edge():
     # As in the budget-edge test above: one reference trace per state gives
     # its outcome under every state bound.  c goes from 0 to 3 x period + 2;
-    # d takes values around the key's threshold (period_len) and the two
-    # that give the first program's budget edges.  Each bound's runs share
+    # d takes values around the lap key's thresholds (2 or 3 here, K =
+    # period_len where a move passes over the head) and the two that give
+    # the first program's budget edges.  Each bound's runs share
     # one runner, in ascending, descending and shuffled order.  Runs enter
     # at the period's first position.
     rng = random.Random(12)
@@ -331,7 +339,7 @@ def test_stretches_match_the_reference_at_the_budget_edge():
         n = head - 1 + lap
         states = [family({"c": counter(i), "d": counter(j), "r": boolreg(r)})
                   for i in range(3 * lap + 3)
-                  for j in (0, 1, lap - 1, lap, lap + 1, 2 * lap + 3,
+                  for j in (0, 1, 2, 3, lap - 1, lap, lap + 1, 2 * lap + 3,
                             2 * lap + 5, 3 * lap + 2)
                   for r in (False, True)]
         widest = AlgebraConfig(state_bound=max(bounds))
@@ -359,18 +367,25 @@ def test_stretches_match_the_reference_at_the_budget_edge():
 def test_line_members_match_the_reference():
     # SegmentRuns.sweep on the counter-only programs above: every member a
     # line yields has the reference's outcome, under state bounds 1..3,
-    # and so has each first state of the box [K, B]^2 with that outcome
+    # and so has each first state of the box [T_1, B] x [T_2, B] with that
+    # outcome (T: the lap key's thresholds)
     seen = collections.Counter()
-    for text in _STRETCH_PROGRAMS[2:5] + (
-            "(#1 ; +c.decr ; #4 ; +d.decr ; #2 ; !)^w",):
+    for text, keys in zip(_STRETCH_PROGRAMS[2:5] + (
+            "(#1 ; +c.decr ; #4 ; +d.decr ; #2 ; !)^w",
+            # #4 passes over the head: the thresholds fall back to K
+            "(-c.iszero ; #5 ; ! ; c.decr ; d.incr ; #2 ; #4)^w",
+            # the lap moves no slot toward 0: one class of budget-outs
+            "(c.incr ; d.incr)^w"),
+            [(3, 1), (1, 2), (1, 1), (1, 1), (7, 7), (1, 1)]):
         c = normalize(parse_sequence(text))
         lap = len(c.period)
         bound = 2 * lap + 3
-        box = [(i, j) for i in range(lap, bound + 1)
-               for j in range(lap, bound + 1)]
+        box = [(i, j) for i in range(keys[0], bound + 1)
+               for j in range(keys[1], bound + 1)]
         for k in (1, 2, 3):
             cfg = AlgebraConfig(state_bound=k)
             runs = _segment_runs(c, 1, ["c", "d"], [1, 1], cfg)
+            assert runs.keys == keys, text
             sweep = runs.sweep(bound)
             if sweep is None:
                 continue
@@ -392,14 +407,30 @@ def test_line_members_match_the_reference():
 
 def test_non_decreasing_laps_end_in_constant_time():
     # A lap that moves no counter toward 0 keeps its key: the run laps on
-    # to its budget, and is answered so without taking the laps
-    c = normalize(parse_sequence("(c.incr ; d.incr ; d.incr)^w"))
-    cfg = AlgebraConfig(state_bound=10 ** 9)
-    runs = _segment_runs(c, 1, ["c", "d"], [1, 1], cfg)
-    for state in ([0, 0], [3, 0], [10 ** 6, 7]):
-        assert runs.run(state) == (kernels.BUDGET, 0, None)
-    # the lap key clamps at 3: one lap per key, none past (3, 3)
-    assert set(runs.laps) == {(0, 0), (1, 2), (2, 3), (3, 0), (3, 2), (3, 3)}
+    # to its budget, and is answered so without taking the laps.  The
+    # second period's #5 passes over the head, so its key clamps at K = 4.
+    for text, keys, laps in (
+            ("(c.incr ; d.incr ; d.incr)^w", (1, 2),
+             {(0, 0), (1, 0), (1, 2)}),
+            ("(c.incr ; #5 ; d.incr ; d.incr)^w", (4, 4),
+             {(0, 0), (1, 2), (2, 4), (3, 4), (4, 4), (3, 0), (4, 2)})):
+        c = normalize(parse_sequence(text))
+        cfg = AlgebraConfig(state_bound=10 ** 9)
+        runs = _segment_runs(c, 1, ["c", "d"], [1, 1], cfg)
+        assert runs.keys == keys
+        for state in ([0, 0], [3, 0], [10 ** 6, 7]):
+            assert runs.run(state) == (kernels.BUDGET, 0, None)
+        # one lap per key met, none past the thresholds
+        assert set(runs.laps) == laps, text
+        # and at a small state bound, every state of a box past the
+        # thresholds against the reference
+        cfg = AlgebraConfig(state_bound=2)
+        runs = _segment_runs(c, 1, ["c", "d"], [1, 1], cfg)
+        for i in range(7):
+            for j in range(7):
+                u = family({"c": counter(i), "d": counter(j)})
+                assert (_segment_outcome(*runs.run([i, j]), ["c", "d"], [1, 1])
+                        == _ref_run(c, 1, u, cfg)), (text, i, j)
 
 
 @pytest.mark.parametrize("run", ["segment", "apply"])

@@ -1,7 +1,10 @@
 """Proof parsing and the rule-by-rule checker."""
 
+import collections
 import dataclasses
+import operator
 import pathlib
+import random
 
 import pytest
 
@@ -472,3 +475,109 @@ def test_hypotheses_reach_the_bottom_of_a_deep_subproof():
         bottom = "root.R5.sub[1]" + ".R10[1]" * 3000
         assert result.failures == [(bottom + tail, reason)
                                    for reason, tail in failures]
+
+
+def test_hand_built_trees_without_premises_or_conclusion_are_rejected():
+    for tree in (ProofNode("R1", None, (ProofNode("A11"),)),
+                 ProofNode("A11"),
+                 ProofNode("R10", parse_proof(
+                     '(A11 {1 | true} "!" {0 | true})').conclusion)):
+        result = check_proof(tree, CFG)
+        assert not result.accepted and result.failures, tree
+
+
+# rule names, unknown ones included: a lower-case rule, and names of the
+# checker's own helpers
+_RULES = ([f"A{i}" for i in range(12)] + [f"R{i}" for i in range(12)]
+          + ["HYP", "REPINTRO", "r1", "NODE", "PREMISE", "SAME_SEQ"])
+
+
+def _subtrees(root):
+    """Every node of the tree, each once, premises before hypotheses."""
+    out, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            out.append(node)
+            stack.extend(node.premises)
+    return out
+
+
+def _mutate(rng, node, pool):
+    """node with one field changed to a value of that field's type."""
+    conclusions = [n.conclusion for n in pool] + [None]
+    premises = list(node.premises)
+    pick = rng.randrange(9)
+    if pick == 0:
+        return dataclasses.replace(node, rule=rng.choice(_RULES))
+    if pick == 1:
+        return dataclasses.replace(node, conclusion=rng.choice(conclusions))
+    if pick == 2:
+        if premises:
+            del premises[rng.randrange(len(premises))]
+        else:
+            premises.append(rng.choice(pool))
+    elif pick == 3:
+        premises.insert(rng.randint(0, len(premises)), rng.choice(pool))
+    elif pick == 4:
+        hyp = ProofNode("HYP", hyp_index=rng.randint(-1, 3))
+        if premises:
+            premises[rng.randrange(len(premises))] = hyp
+        else:
+            premises.append(hyp)
+    elif pick == 5:
+        return dataclasses.replace(node, k=rng.randint(-1, len(node.hyps) + 1),
+                                   hyp_index=rng.randint(-1, 3))
+    elif pick == 6:
+        hyps = [h for h in node.hyps if rng.random() < 0.5]
+        hyps += [c for c in rng.sample(conclusions, 2) if c is not None]
+        return dataclasses.replace(node, hyps=tuple(hyps))
+    elif pick == 7:
+        return dataclasses.replace(node, rename=rng.choice(
+            [None, ("n", "m"), ("c", "n"), ("n", "c")]))
+    else:
+        obligations = node.obligations
+        return dataclasses.replace(node, obligations=rng.choice(
+            [None, obligations and obligations[::-1]]))
+    return dataclasses.replace(node, premises=tuple(premises))
+
+
+def _replace_at(root, target, new):
+    """root with each occurrence of node target replaced by new."""
+    done = {}
+    order = _subtrees(root)
+    for node in reversed(order):  # premises before the nodes above them
+        if node is target:
+            done[id(node)] = new
+            continue
+        premises = tuple(done.get(id(p), p) for p in node.premises)
+        done[id(node)] = (node if all(map(operator.is_, premises,
+                                          node.premises))
+                          else dataclasses.replace(node, premises=premises))
+    return done[id(root)]
+
+
+def test_mutated_proof_trees_are_checked_without_raising():
+    # hand-built trees: the proof files' trees with one to three fields
+    # changed anywhere in them, checked from their root or from a node
+    # above the change; every one is answered with a CheckResult
+    rng = random.Random(13)
+    files = [PROOF_DIR / "counter_zero.proof",
+             *sorted((pathlib.Path(__file__).parent / "proofs").glob(
+                 "*.proof"))]
+    roots = [parse_proof(f.read_text()) for f in files]
+    cfg = AlgebraConfig("counter", state_bound=2, quant_bound=2)
+    outcomes = collections.Counter()
+    for _ in range(1800):
+        tree = rng.choice(roots)
+        for _ in range(rng.randint(1, 3)):
+            pool = _subtrees(tree)
+            target = rng.choice(pool)
+            tree = _replace_at(tree, target, _mutate(rng, target, pool))
+        start = tree if rng.random() < 0.5 else rng.choice(_subtrees(tree))
+        for strict in (False, True):
+            result = check_proof(start, cfg, strict)
+            assert result.accepted == (not result.failures)
+            outcomes[result.accepted] += 1
+    assert outcomes[True] and outcomes[False], outcomes

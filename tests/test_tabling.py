@@ -14,13 +14,15 @@ import time
 
 import pytest
 
-from pga_hoare import kernels
+from pga_hoare import kernels, segments
 from pga_hoare.cli import main
-from pga_hoare.formulas import TRUE, compile_formula, parse_formula
+from pga_hoare.formulas import (TRUE, compile_formula, free_vars,
+                                 parse_formula)
 from pga_hoare.judgments import AssertedSeq
 from pga_hoare.segments import (BUDGET_OUT, INACTIVE, Exited, Halted,
-                                NoPostCondition, Verdict, _Runner, holds,
-                                run_canonical, strongest_post)
+                                NoPostCondition, Verdict, _decide, _Runner,
+                                _segment_runs, holds, run_canonical,
+                                strongest_post)
 from pga_hoare.services import (EMPTY, AlgebraConfig, boolreg, counter,
                                 family)
 from pga_hoare.syntax import foci_of_term, normalize, parse_sequence
@@ -99,9 +101,10 @@ _LAP_ALPHABET = ([f"{sign}c.{m}" for sign in _SIGNS
 
 
 def test_lap_runs_match_fresh_runs_across_the_key_threshold():
-    # A lap key clamps counters at the period's length; contents run from
-    # 0 to 3 x period + 2, so states below, at and one past the threshold
-    # share the summaries their runs record, in both enumeration orders
+    # A lap key clamps counters at most at the period's length; contents
+    # run from 0 to 3 x period + 2, so states below, at and one past the
+    # threshold share the summaries their runs record, in both enumeration
+    # orders
     rng = random.Random(4)
     kinds = set()
     for _ in range(120):
@@ -167,7 +170,7 @@ def test_budget_edges_inside_summarised_laps():
 
 def test_stretches_that_pass_tabled_states():
     # A run applies a stretch of laps with one key at once and looks up
-    # only the state it ends in.  The countdown's key clamps c at 4:
+    # only the state it ends in.  The countdown's key clamps c at 2:
     # contents 0, 3, 6, ... run first, then 2, 5, 8, ..., whose first lap
     # ends in an untabled state and whose stretch passes tabled ones, then
     # 1, 4, 7, ...  The transfers go the same way, state by state.
@@ -194,14 +197,15 @@ def test_stretches_that_pass_tabled_states():
 def test_a_cycle_that_enters_a_stretch_at_two_points():
     # r false moves c into d, r true moves d back: (c, d, false) runs to
     # (0, c + d, true), (c + d, 0, false) and back to (c, d, false).  With
-    # c and d at 14 or more, the run enters the stretch of laps with both
-    # above the key's threshold at (c, d) and the cycle at (c + d - 14, 14).
+    # c and d at 2 or more (two positions act on each), the run enters the
+    # stretch of laps with both at their thresholds or above at (c, d) and
+    # the cycle at (c + d - 2, 2).
     # Both lead to the stretch's end state, where the cycle shows.
     c = normalize(parse_sequence(
         "! ; (+r.get ; #7 ; +c.decr ; #3 ; r.set:t ; #9 ; d.incr ; #7 ; "
         "+d.decr ; #3 ; r.set:f ; #3 ; c.incr ; #1)^w"))
     states = [family({"c": counter(i), "d": counter(j), "r": boolreg(r)})
-              for i in range(0, 45, 2) for j in (0, 13, 14, 15, 30)
+              for i in range(0, 45, 2) for j in (0, 1, 2, 3, 13, 14, 15, 30)
               for r in (False, True)]
     kinds = set()
     for k in (1, 2, 3):
@@ -343,6 +347,34 @@ def _per_state(c, b, e, post, foci, cfg):
     return Verdict("holds", bounded=True, bound=cfg.state_bound), image
 
 
+# loops whose lap key's thresholds T lie below the period's length K at
+# some slot, or fall back to K, with Qs that read some of the foci; a
+# focus in Q and not in the loop has T = 1
+_THRESHOLD_CASES = [
+    # (loop, T over the foci of the loop and of Q, posts)
+    ("(-c.iszero ; #2 ; ! ; c.decr ; d.incr)^w", (2, 1),
+     ["c = nnc(0)", "d = nnc(0)", "~d = nnc(3)"]),
+    ("(-d.iszero ; #2 ; ! ; d.decr ; c.incr)^w", (1, 2),
+     ["d = nnc(0)", "~c = nnc(2)", "true"]),
+    # T_c - 1 = 1 would not tell c = 1 (halts) from c = 2 (laps)
+    ("(c.decr ; d.incr ; +c.iszero ; ! ; #1)^w", (2, 1),
+     ["c = nnc(0)", "~d = nnc(2)", "true"]),
+    ("(-c.iszero ; #2 ; ! ; c.decr ; c.decr ; d.incr ; e.incr)^w",
+     (3, 1, 1), ["c = nnc(0)", "~e = nnc(1)", "true"]),
+    # #4 passes over the head: T falls back to K = 7
+    ("(-c.iszero ; #5 ; ! ; c.decr ; d.incr ; #2 ; #4)^w", (7, 7),
+     ["c = nnc(0)", "~d = nnc(8)", "true"]),
+    # the period never acts on e, nor on f, which only Q reads
+    ("e.incr ; (-c.iszero ; #2 ; ! ; c.decr ; d.incr)^w", (2, 1, 1),
+     ["c = nnc(0)", "~e = nnc(1)", "true"]),
+    ("(-c.iszero ; #2 ; ! ; c.decr ; d.incr)^w", (2, 1, 1),
+     ["c = nnc(0) /\\ f = nnc(0)", "~f = nnc(2)"]),
+    # the key never changes in [T_1, B] x [T_2, B]: one class of budget-outs
+    ("(-c.iszero ; #2 ; ! ; c.incr ; d.incr)^w", (2, 1),
+     ["c = nnc(0)", "true"]),
+]
+
+
 def test_line_sweep_matches_state_by_state_runs(monkeypatch):
     # holds and sp with a closed P against one fresh run and one value of
     # Q per state: verdicts, witnesses, reasons and images
@@ -355,8 +387,32 @@ def test_line_sweep_matches_state_by_state_runs(monkeypatch):
         return found
 
     monkeypatch.setattr(kernels.SegmentRuns, "sweep", spy)
-    rng = random.Random(9)
     seen = collections.Counter()
+
+    def check(term, b, e, post, cfg):
+        c = normalize(term)
+        lap = len(c.period)
+        foci = sorted(set(foci_of_term(term))
+                      | {n for n, s in free_vars(post).items() if s == "serv"})
+        expected, image = _per_state(c, b, e, post, foci, cfg)
+        phi = AssertedSeq(b, TRUE, term, e, post)
+        assert holds(phi, cfg) == expected, (c, b, e, post, cfg)
+        seen[expected.kind] += 1
+        witness = expected.witness
+        if swept[-1] and witness and min(
+                s.content for _, s in witness[0].entries) >= lap:
+            seen[f"{expected.kind} on a line"] += 1
+        if post == TRUE:  # sp lists the image of Q = true
+            if image is None:
+                with pytest.raises(NoPostCondition) as raised:
+                    strongest_post(TRUE, term, b, e, cfg)
+                assert raised.value.undecided == (expected.kind == "unknown")
+            else:
+                assert strongest_post(TRUE, term, b, e, cfg)[0] == image
+                seen["image"] += 1
+        return expected, image
+
+    rng = random.Random(9)
     for i in range(160):
         term = parse_sequence(_line_loop(rng, i, "cde"[:1 + i % 3]))
         c = normalize(term)
@@ -375,27 +431,78 @@ def test_line_sweep_matches_state_by_state_runs(monkeypatch):
                     "~(forall n:nat. ~c = nnc(n))"][i // 40 % 3]
         cfg = AlgebraConfig("counter", state_bound=max(bound, 1),
                             quant_bound=qbound)
-        post = parse_formula(post)
-        expected, image = _per_state(c, b, e, post, foci, cfg)
-        assert holds(AssertedSeq(b, TRUE, term, e, post), cfg) == expected, (
-            c, b, e, post, cfg)
-        seen[expected.kind] += 1
-        witness = expected.witness
-        if swept[-1] and witness and min(
-                s.content for _, s in witness[0].entries) >= lap:
-            seen[f"{expected.kind} on a line"] += 1
-        if post == TRUE:  # sp lists the image of Q = true
-            if image is None:
-                with pytest.raises(NoPostCondition) as raised:
-                    strongest_post(TRUE, term, b, e, cfg)
-                assert raised.value.undecided == (expected.kind == "unknown")
-            else:
-                assert strongest_post(TRUE, term, b, e, cfg)[0] == image
-                seen["image"] += 1
+        check(term, b, e, parse_formula(post), cfg)
     assert sum(swept) > 80
     assert min(seen[k] for k in ("holds", "fails", "unknown", "image",
                                  "fails on a line",
                                  "unknown on a line")) > 0, seen
+    # per-slot thresholds, at bounds T_i - 1, T_i and T_i + 1 and above K;
+    # a Q that reads some foci only, with the image of true, and, where
+    # it holds, the image that a judgment with that Q collects
+    seen.clear()
+    for text, keys, posts in _THRESHOLD_CASES:
+        term = parse_sequence(text)
+        c = normalize(term)
+        lap = len(c.period)
+        head = len(c.prefix) + 1
+        bounds = {t + j for t in keys for j in (-1, 0, 1)} | {lap + 1}
+        for bound in sorted(x for x in bounds if x >= 1):
+            cfg = AlgebraConfig("counter", state_bound=bound,
+                                quant_bound=2 * bound + 2)
+            for b in (head, head + lap - 1):
+                for e in (0, 1):
+                    for post in map(parse_formula, posts + ["true"]):
+                        expected, image = check(term, b, e, post, cfg)
+                        if image is not None and post != TRUE:
+                            phi = AssertedSeq(b, TRUE, term, e, post)
+                            assert _decide(phi, cfg, True)[1] == image
+                            seen["image of a partial Q"] += 1
+    assert min(seen[k] for k in ("holds", "fails", "unknown", "image",
+                                 "image of a partial Q")) > 0, seen
+
+
+def test_lap_key_thresholds_count_the_actions_on_each_slot():
+    # T_i = max(1, the period positions acting on slot i), unless a move
+    # passes over the head; checked on the runs of every state of a box
+    # around the thresholds against fresh runs
+    countdown = "(-c.iszero ; #2 ; ! ; c.decr)^w"
+    transfer = "(-c.iszero ; #2 ; ! ; c.decr ; d.incr)^w"
+    cases = [(countdown, 1, "c", [1], (2,)),
+             (transfer, 1, "cd", [1, 1], (2, 1)),
+             # entered at d.incr: from c.decr, one step to the head
+             (transfer, 5, "cd", [1, 1], (2, 1)),
+             (transfer, 1, "cde", [1, 1, 1], (2, 1, 1)),
+             ("e.incr ; " + transfer, 2, "cde", [1, 1, 1], (2, 1, 1)),
+             ("(c.decr ; d.incr ; +c.iszero ; ! ; #1)^w", 1, "cd", [1, 1],
+              (2, 1)),
+             # registers stay exact at any threshold
+             ("(+r.get ; r.set:f ; r.set:t ; c.incr)^w", 1, "cr", [1, 0],
+              (1, 3)),
+             # a jump, or a test's +2, passes over the head: K for all
+             ("(-c.iszero ; #5 ; ! ; c.decr ; d.incr ; #2 ; #4)^w", 1, "cd",
+              [1, 1], (7, 7)),
+             ("(c.decr ; d.incr ; +c.iszero)^w", 1, "cd", [1, 1], (3, 3)),
+             ("(c.decr ; d.incr ; +c.iszero)^w", 3, "cd", [1, 1], (2, 1))]
+    for text, b, foci, kinds, keys in cases:
+        c = normalize(parse_sequence(text))
+        code = kernels.encode_canonical(c, list(foci), kinds)
+        shape = (len(c.prefix), len(c.period), b, kinds)
+        for state_bound in (1, 2):
+            runs = kernels.SegmentRuns(*code, *shape, state_bound)
+            assert runs.keys == keys, (text, b)
+            box = itertools.product(*(range(2) if k == 0 else range(t + 2)
+                                      for k, t in zip(kinds, keys)))
+            for x in box:
+                assert runs.run(x) == kernels.run_segment_kernel(
+                    *code, *shape, x, state_bound), (text, b, x)
+    # T_c - 1 is too low: c = 1 and c = 2 would share a key
+    c = normalize(parse_sequence("(c.decr ; d.incr ; +c.iszero ; ! ; #1)^w"))
+    assert run_canonical(c, 1, family({"c": counter(1), "d": counter(0)}),
+                         AlgebraConfig()) == Halted(
+        family({"c": counter(0), "d": counter(1)}))
+    runs = _segment_runs(c, 1, ["c", "d"], [1, 1], AlgebraConfig())
+    runs.run((2, 0))
+    assert runs.laps[2, 0] == (kernels.AT_HEAD, (-1, 1), 4)
 
 
 def test_line_sweep_matches_fresh_runs_at_the_budget_edge():
@@ -429,20 +536,25 @@ def test_line_sweep_matches_fresh_runs_at_the_budget_edge():
         shape = (len(c.prefix), lap, b, kinds)
         runs = kernels.SegmentRuns(*code, *shape, state_bound)
         sweep = runs.sweep(bound)
-        if sweep is None or bound < lap:
+        if sweep is None or bound < max(runs.keys):
             continue
+        keys = runs.keys
+
+        def inside(x):  # in the box of states with the one key `keys`
+            return all(map(int.__ge__, x, keys))
+
         member_runs = []  # runs of members of lines whose end is untabled
         run = runs.run
-        runs.run = lambda x: member_runs.append(min(x) >= lap) or run(x)
+        runs.run = lambda x: member_runs.append(inside(x)) or run(x)
         rest, lines = sweep
         rest = list(rest)
         box = list(itertools.product(range(bound + 1), repeat=len(foci)))
-        assert rest == [x for x in box if min(x) < lap]
+        assert rest == [x for x in box if not inside(x)]
         if i % 2:  # line ends tabled by the runs of the rest, or not yet
             for x in rest:
                 runs.run(x)
         fresh = {x: kernels.run_segment_kernel(*code, *shape, x, state_bound)
-                 for x in box if min(x) >= lap}
+                 for x in box if inside(x)}
         first = {}
         for x, result in fresh.items():  # in lexicographic order
             first.setdefault(result, x)
@@ -457,6 +569,8 @@ def test_line_sweep_matches_fresh_runs_at_the_budget_edge():
                         c, b, bound, state_bound, result, before)
         seen["swept"] += 1
         seen["untabled ends" if any(member_runs) else "tabled ends"] += 1
+        seen["thresholds below K" if min(keys) < lap
+             else "thresholds at K"] += 1
         budget_outs = [x for x, r in fresh.items()
                        if r == kernels._BUDGET_RESULT]
         seen["budget-outs"] += bool(budget_outs)
@@ -477,10 +591,13 @@ def test_a_line_past_its_budget_yields_every_member_with_its_run():
     code = kernels.encode_canonical(c, ["c", "d"], [1, 1])
     shape = (len(c.prefix), lap, 1, [1, 1])
     bound = 3 * lap + 2
-    rest, lines = kernels.SegmentRuns(*code, *shape, 1).sweep(bound)
+    runs = kernels.SegmentRuns(*code, *shape, 1)
+    # each counter meets one decrement a lap
+    assert runs.keys == (1, 1)
+    rest, lines = runs.sweep(bound)
     pairs = list(lines(None))
     box = [x for x in itertools.product(range(bound + 1), repeat=2)
-           if min(x) >= lap]
+           if min(x) >= 1]
     fresh = {x: kernels.run_segment_kernel(*code, *shape, x, 1) for x in box}
     for result, x in pairs:
         assert fresh[x] == result, x
@@ -488,3 +605,62 @@ def test_a_line_past_its_budget_yields_every_member_with_its_run():
     assert {(7, 8), (8, 8), (9, 8), (7, 6)} <= over
     assert over <= {x for result, x in pairs}
     assert fresh[10, 8][0] == kernels.HALTED
+
+
+def test_two_counters_that_grow_for_ever_take_linear_time():
+    # c and d grow by one a lap: every state of [1, B]^2 keeps the key
+    # (1, 1) for ever, a budget-out class answered by its least member,
+    # and only the 2B + 1 states with a 0 run
+    phi = AssertedSeq(1, TRUE, parse_sequence("(c.incr ; d.incr)^w"), 0,
+                      parse_formula("false"))
+    zero = family({"c": counter(0), "d": counter(0)})
+    for bound in (1, 2, 5):
+        cfg = AlgebraConfig("counter", state_bound=bound)
+        assert holds(phi, cfg) == _per_state(
+            normalize(phi.term), 1, 0, phi.post, ["c", "d"], cfg)[0]
+    took = {}
+    for bound in (600, 1200):
+        cfg = AlgebraConfig("counter", state_bound=bound)
+        best = None
+        for _ in range(3):
+            started = time.perf_counter()
+            verdict = holds(phi, cfg)
+            elapsed = time.perf_counter() - started
+            best = elapsed if best is None else min(best, elapsed)
+        took[bound] = best
+        assert verdict == Verdict("unknown", reason=_BUDGET, bound=bound,
+                                  witness=(zero, {}, _BUDGET))
+    assert took[1200] < 3 * took[600], took
+
+
+def test_q_reads_a_projection_of_the_finals(monkeypatch, capsys):
+    # the transfer ends every run with c = 0: Q = (c = 0) is evaluated
+    # once, on the one family {c = counter(0)} that holds decodes; sp
+    # decodes the empty family for Q = true, then its image at the end, and
+    # prints it sorted, whatever the hash order
+    transfer = "(-c.iszero ; #2 ; ! ; c.decr ; d.incr)^w"
+    evaluated, decoded = [], []
+    compile_q = segments.compile_formula
+    decode = kernels.decode_family
+
+    def counting(f, cfg):
+        compiled = compile_q(f, cfg)
+        evaluate = compiled.evaluate
+        compiled.evaluate = lambda env: evaluated.append(f) or evaluate(env)
+        return compiled
+
+    monkeypatch.setattr(segments, "compile_formula", counting)
+    monkeypatch.setattr(kernels, "decode_family",
+                        lambda *a: decoded.append(a) or decode(*a))
+    cfg = AlgebraConfig("counter", state_bound=12)
+    phi = AssertedSeq(1, TRUE, parse_sequence(transfer), 0,
+                      parse_formula("c = nnc(0)"))
+    assert holds(phi, cfg).is_holds
+    assert evaluated.count(phi.post) == 1
+    assert decoded == [(["c"], [1], [0])]
+    status = main(["--bound", "5", "sp", "true", transfer])
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0 and decoded[1] == ([], [], [])
+    assert len(decoded) == 2 + 11
+    assert lines[:12] == ["states: 11"] + [
+        f"  {{c = counter(0), d = counter({d})}}" for d in range(11)]
