@@ -1,8 +1,9 @@
 """Execution kernels: the segment loop, the apply loop and their encodings.
 
 Both loops run on flat integer arrays rather than on instruction and
-service objects.  The encode_* helpers build those arrays and
-decode_family turns final contents back into a family.
+service objects.  The encode_* helpers build those arrays, apart from a
+thread's, which threads.extract builds and action_codes completes per
+family layout; decode_family turns final contents back into a family.
 
 Encoding conventions:
   instruction ops:  0 basic, 1 positive test, 2 negative test, 3 jump, 4 halt
@@ -253,30 +254,17 @@ def encode_canonical(c: CanonicalSequence, foci, kinds):
     return ops, arg1, arg2
 
 
-def encode_thread(nodes, foci, kinds):
-    """Parallel node arrays for apply_kernel from a RegularThread's nodes.
-
-    nodes is a sequence of ("stop",) / ("dead",) / ("branch", focus, method,
-    then_index, else_index) tuples.
-    """
+def action_codes(focus, method, foci, kinds):
+    """(slots, codes) for apply_kernel: each thread node's focus slot and
+    method code under the family layout (foci, kinds); -1 for what is
+    absent, and for the leaves, whose focus is None."""
     slot = {f: i for i, f in enumerate(foci)}
-    node_kind, node_slot, node_method, node_then, node_else = [], [], [], [], []
-    for n in nodes:
-        if n[0] == "branch":
-            _, focus, method, then_i, else_i = n
-            s, m = _action(focus, method, slot, kinds)
-            node_kind.append(2)
-            node_slot.append(s)
-            node_method.append(m)
-            node_then.append(then_i)
-            node_else.append(else_i)
-        else:
-            node_kind.append(0 if n[0] == "stop" else 1)
-            node_slot.append(0)
-            node_method.append(0)
-            node_then.append(0)
-            node_else.append(0)
-    return node_kind, node_slot, node_method, node_then, node_else
+    slots, codes = [], []
+    for f, m in zip(focus, method):
+        s, code = _action(f, m, slot, kinds)
+        slots.append(s)
+        codes.append(code)
+    return slots, codes
 
 
 def _step_limit(state_bound, n, contents):

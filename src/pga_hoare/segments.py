@@ -119,35 +119,6 @@ def _segment_runs(c: CanonicalSequence, b: int, foci, kinds,
                                cfg.state_bound)
 
 
-class _Runner:
-    """run_canonical(c, b, u, cfg) for many states u of one judgment.
-
-    The sequence is encoded once per family layout (foci and service
-    kinds), and the runs of one layout share one kernels.SegmentRuns: its
-    outcome table and lap summaries.  Each run keeps its own step budget,
-    so every outcome equals what run_canonical returns for that state.
-    Runs ending in the same contents share one decoded outcome.
-    """
-
-    def __init__(self, c: CanonicalSequence, b: int, cfg: AlgebraConfig):
-        self.c, self.b, self.cfg = c, b, cfg
-        self._layouts = {}  # (foci, kinds) -> (SegmentRuns, outcomes)
-
-    def run(self, u: ServiceFamily):
-        foci, kinds, contents = kernels.encode_family(u)
-        layout = (tuple(foci), tuple(kinds))
-        shared = self._layouts.get(layout)
-        if shared is None:
-            shared = (_segment_runs(self.c, self.b, foci, kinds, self.cfg), {})
-            self._layouts[layout] = shared
-        runs, outcomes = shared
-        result = runs.run(contents)
-        outcome = outcomes.get(result)
-        if outcome is None:
-            outcome = outcomes[result] = _outcome(*result, foci, kinds)
-        return outcome
-
-
 # ---------------------------------------------------------------------------
 # the semantic checker
 

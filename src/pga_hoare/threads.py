@@ -1,16 +1,16 @@
 """Regular threads: extraction from canonical sequences and application.
 
 A regular thread is a finite graph of Stop/Dead leaves and binary action
-branches.  Extraction resolves jump chains ahead of time, so the thread has
-one node per useful representative position.  Applying a thread to a service
-family runs it to completion; divergence yields the empty family.
+branches, held as the node arrays the apply loop reads.  Extraction
+resolves jump chains ahead of time, so the thread has one node per useful
+representative position.  Applying a thread to a service family runs it to
+completion; divergence yields the empty family.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 from . import kernels
 from .services import EMPTY_FAMILY, AlgebraConfig, ServiceFamily
@@ -23,19 +23,77 @@ class BudgetExhausted(Exception):
     """The step budget ran out before a verdict was reached."""
 
 
+STOP, DEAD, BRANCH = 0, 1, 2  # node kinds
+
+
 @dataclass(frozen=True)
 class RegularThread:
-    """Nodes are ("stop",), ("dead",), or ("branch", focus, method, t, e)."""
+    """A regular thread as the parallel node arrays kernels.apply_kernel
+    reads.  Node i is a stop leaf (kind 0), a dead leaf (kind 1) or a
+    branch (kind 2) on the action focus[i].method[i], which continues at
+    then[i] on reply T and at else_[i] on reply F.  Leaves have focus and
+    method None and both successors 0.  The nodes are those reachable from
+    the root, numbered breadth-first from it (the root is node 0), each
+    node's successors in the order then, else; so threads that are equal
+    graphs are equal.
+    """
 
-    nodes: Tuple[tuple, ...]
-    root: int
+    kind: Tuple[int, ...]
+    focus: Tuple[Optional[str], ...]
+    method: Tuple[Optional[str], ...]
+    then: Tuple[int, ...]
+    else_: Tuple[int, ...]
+    # (foci, kinds) of a family layout -> the nodes' (slots, method codes)
+    _codes: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
-    def node(self, i: int) -> tuple:
-        return self.nodes[i]
+    root = 0
+
+    @property
+    def nodes(self) -> Tuple[tuple, ...]:
+        """A read-only view of the nodes as ("stop",), ("dead",) or
+        ("branch", focus, method, then, else) tuples."""
+        rows = zip(self.kind, self.focus, self.method, self.then,
+                   self.else_)
+        return tuple(("branch", f, m, t, e) if k == BRANCH
+                     else _NODE_FORMS[k] for k, f, m, t, e in rows)
 
 
-STOP_THREAD = RegularThread((("stop",),), 0)
-DEAD_THREAD = RegularThread((("dead",),), 0)
+# a leaf's (kind, focus, method, then, else), and its tuple form
+_STOP_NODE = (STOP, None, None, 0, 0)
+_DEAD_NODE = (DEAD, None, None, 0, 0)
+_NODE_FORMS = (("stop",), ("dead",))
+STOP_THREAD = RegularThread(*zip(_STOP_NODE))
+DEAD_THREAD = RegularThread(*zip(_DEAD_NODE))
+
+
+def _number(root, node) -> RegularThread:
+    """The thread of the nodes reachable from the node key root, numbered
+    breadth-first.  node(key) gives the (kind, focus, method, then key,
+    else key) of a key; a leaf's successor keys are not followed.  A
+    thread that is one leaf is STOP_THREAD or DEAD_THREAD itself: about
+    half the threads of short segments are, and apply finds their codes
+    computed for each layout it has met in the process."""
+    index = {root: 0}
+    order = [root]
+    rows = []
+    for key in order:  # order grows as new keys are reached
+        row = node(key)
+        if row[0] == BRANCH:
+            k, f, m, t, e = row
+            if t not in index:
+                index[t] = len(order)
+                order.append(t)
+            if e not in index:
+                index[e] = len(order)
+                order.append(e)
+            row = k, f, m, index[t], index[e]
+        rows.append(row)
+    if rows[0] == _STOP_NODE:
+        return STOP_THREAD
+    if rows[0] == _DEAD_NODE:
+        return DEAD_THREAD
+    return RegularThread(*map(tuple, zip(*rows)))
 
 
 def _jump_targets(c: CanonicalSequence, instrs: tuple) -> list:
@@ -61,111 +119,66 @@ def _jump_targets(c: CanonicalSequence, instrs: tuple) -> list:
 
 
 def extract(c: CanonicalSequence) -> RegularThread:
-    """Thread extraction: one branch node per useful position."""
+    """Thread extraction: one branch node per useful position reached.
+
+    A node's key is the non-jump representative position its jumps resolve
+    to; every halt is the one stop leaf (key 0) and inactivity the one dead
+    leaf (key -1).
+    """
     instrs = (None,) + c.prefix + (c.period or ())
     target = _jump_targets(c, instrs)
-    nodes = []
-    leaves = {}  # "stop"/"dead" -> its one node
+    representative = c.representative
 
-    def leaf(kind: str) -> int:
-        if kind not in leaves:
-            leaves[kind] = len(nodes)
-            nodes.append((kind,))
-        return leaves[kind]
-
-    # Pass 1: nodes for non-jump representative positions.
-    position_node = {}
-    for rep in range(1, len(instrs)):
-        instr = instrs[rep]
-        if isinstance(instr, Halt):
-            position_node[rep] = leaf("stop")
-        elif not isinstance(instr, Jump):
-            position_node[rep] = len(nodes)
-            nodes.append(None)  # patched below
-
-    # Pass 2: wire successors through the resolved jumps.
-    def node_at(pos: int) -> int:
-        rep = c.representative(pos)
+    def key(pos: int) -> int:
+        rep = representative(pos)
         end = None if rep is None else target[rep]
-        return leaf("dead") if end is None else position_node[end]
+        if end is None:
+            return -1
+        return 0 if isinstance(instrs[end], Halt) else end
 
-    for rep, i in position_node.items():
-        instr = instrs[rep]
-        if isinstance(instr, Halt):
-            continue
-        then_i = node_at(rep + 1)
-        else_i = node_at(rep + 2)
+    def node(r: int) -> tuple:
+        if r <= 0:
+            return _STOP_NODE if r == 0 else _DEAD_NODE
+        instr = instrs[r]
+        then_key = key(r + 1)
         if isinstance(instr, Basic):
-            nodes[i] = ("branch", instr.focus, instr.method, then_i, then_i)
-        elif isinstance(instr, PosTest):
-            nodes[i] = ("branch", instr.focus, instr.method, then_i, else_i)
-        else:
-            assert isinstance(instr, NegTest)
-            nodes[i] = ("branch", instr.focus, instr.method, else_i, then_i)
+            return BRANCH, instr.focus, instr.method, then_key, then_key
+        if isinstance(instr, PosTest):
+            return BRANCH, instr.focus, instr.method, then_key, key(r + 2)
+        assert isinstance(instr, NegTest)
+        return BRANCH, instr.focus, instr.method, key(r + 2), then_key
 
-    root = node_at(1)
-    return _trim(RegularThread(tuple(nodes), root))
-
-
-def _trim(t: RegularThread) -> RegularThread:
-    """Drop unreachable nodes and renumber in BFS order from the root."""
-    order = []
-    index = {}
-    queue = deque([t.root])
-    while queue:
-        i = queue.popleft()
-        if i in index:
-            continue
-        index[i] = len(order)
-        order.append(i)
-        node = t.nodes[i]
-        if node[0] == "branch":
-            queue.append(node[3])
-            queue.append(node[4])
-    new_nodes = []
-    for i in order:
-        node = t.nodes[i]
-        if node[0] == "branch":
-            node = (node[0], node[1], node[2], index[node[3]], index[node[4]])
-        new_nodes.append(node)
-    return RegularThread(tuple(new_nodes), 0)
+    return _number(key(1), node)
 
 
 def minimize(t: RegularThread) -> RegularThread:
     """Bisimulation quotient via partition refinement, BFS-canonicalized."""
-    n = len(t.nodes)
+    kind, focus, method, then, else_ = (t.kind, t.focus, t.method, t.then,
+                                        t.else_)
+    n = len(kind)
     labels = {}
-    block = []
-    for i in range(n):
-        node = t.nodes[i]
-        key = (node[0],) if node[0] != "branch" else ("branch", node[1], node[2])
-        block.append(labels.setdefault(key, len(labels)))
+    block = [labels.setdefault(label, len(labels))
+             for label in zip(kind, focus, method)]
     while True:
         sigs = {}
-        refined = []
-        for i in range(n):
-            node = t.nodes[i]
-            if node[0] == "branch":
-                sig = (block[i], block[node[3]], block[node[4]])
-            else:
-                sig = (block[i],)
-            refined.append(sigs.setdefault(sig, len(sigs)))
-        if len(sigs) == len(set(block)):
-            block = refined
-            break
+        refined = [sigs.setdefault((block[i], block[then[i]],
+                                    block[else_[i]]), len(sigs))
+                   for i in range(n)]
+        stable = len(sigs) == len(set(block))
         block = refined
-    rep_of = {}
-    mapped = []
+        if stable:
+            break
+    first = {}  # block -> its first node
     for i in range(n):
-        rep_of.setdefault(block[i], i)
-        mapped.append(rep_of[block[i]])
-    nodes = list(t.nodes)
-    for i in range(n):
-        node = nodes[i]
-        if node[0] == "branch":
-            nodes[i] = (node[0], node[1], node[2], mapped[node[3]],
-                        mapped[node[4]])
-    return _trim(RegularThread(tuple(nodes), mapped[t.root]))
+        first.setdefault(block[i], i)
+
+    def node(b: int) -> tuple:
+        # block[0] is 0 (node 0 is labelled first), so the successors of
+        # a leaf stay 0
+        i = first[b]
+        return kind[i], focus[i], method[i], block[then[i]], block[else_[i]]
+
+    return _number(block[0], node)
 
 
 def bisimilar(a: RegularThread, b: RegularThread) -> bool:
@@ -211,8 +224,13 @@ def apply(t: RegularThread, u: ServiceFamily,
     of another kind than empty, counter and boolreg.
     """
     foci, kinds, contents = kernels.encode_family(u)
-    enc = kernels.encode_thread(t.nodes, foci, kinds)
-    outcome, final = kernels.apply_kernel(*enc, t.root, kinds, contents,
+    layout = (tuple(foci), tuple(kinds))
+    codes = t._codes.get(layout)
+    if codes is None:
+        codes = t._codes[layout] = kernels.action_codes(t.focus, t.method,
+                                                        foci, kinds)
+    outcome, final = kernels.apply_kernel(t.kind, *codes, t.then, t.else_,
+                                          t.root, kinds, contents,
                                           cfg.state_bound)
     if outcome == kernels.BUDGET:
         raise BudgetExhausted("apply step budget exhausted")
@@ -224,12 +242,12 @@ def apply(t: RegularThread, u: ServiceFamily,
 def thread_dump(t: RegularThread) -> str:
     """Adjacency-list dump, one node per line, root first."""
     lines = []
-    for i, node in enumerate(t.nodes):
-        if node[0] == "stop":
+    for i, k in enumerate(t.kind):
+        if k == STOP:
             lines.append(f"n{i}: stop")
-        elif node[0] == "dead":
+        elif k == DEAD:
             lines.append(f"n{i}: dead")
         else:
-            _, focus, method, then_i, else_i = node
-            lines.append(f"n{i}: branch {focus}.{method} -> n{then_i} / n{else_i}")
+            lines.append(f"n{i}: branch {t.focus[i]}.{t.method[i]} -> "
+                         f"n{t.then[i]} / n{t.else_[i]}")
     return "\n".join(lines)

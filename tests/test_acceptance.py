@@ -28,8 +28,7 @@ from pga_hoare.formulas import (And, Eq, FALSE, NatLit, Nnc, Not, Reply,
                                 ReplyLit, ReplyT, TRUE, Var, subst_derive)
 from pga_hoare.judgments import AssertedSeq
 from pga_hoare.proofs import check_proof, parse_proof
-from pga_hoare.segments import (Exited, Halted, _Runner, holds,
-                                run_canonical)
+from pga_hoare.segments import Exited, Halted, holds, run_canonical
 from pga_hoare.services import AlgebraConfig, boolreg, counter, family
 from pga_hoare.syntax import (Basic, Concat, Halt, Instr, Jump, NegTest,
                               OMEGA, PosTest, Power, Repeat, make_canonical,
@@ -37,6 +36,7 @@ from pga_hoare.syntax import (Basic, Concat, Halt, Instr, Jump, NegTest,
 from pga_hoare.threads import apply, extract
 
 import proofgen
+from test_kernels import _tabled
 
 PROOF_DIR = pathlib.Path(__file__).resolve().parent.parent / "proofs"
 
@@ -84,13 +84,13 @@ def test_criterion_2_loop_semantics_enumerated():
         fresh.append(out)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
-    # the runner that holds and sp use, with its outcome table and
-    # accelerated laps shared by all contents, in both orders
+    # the path holds and sp take, with its outcome table and accelerated
+    # laps shared by all contents, in both orders
     for order in (1, -1):
-        runner = _Runner(LOOP, 1, cfg)
-        assert [runner.run(u) for u in states[::order]] == fresh[::order]
+        run = _tabled(LOOP, 1, cfg)
+        assert [run(u) for u in states[::order]] == fresh[::order]
     print(f"criterion 2: PASS contents 0..1000 all halt at zero "
-          f"in {elapsed:.2f}s, alike through one shared runner")
+          f"in {elapsed:.2f}s, alike through one shared table")
 
 
 def test_criterion_3_empirical_soundness():

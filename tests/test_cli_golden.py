@@ -92,8 +92,17 @@ _REJECTED = [
     ["--bound", "24", "--strict", "--format", "structured", "check", _FAULTS],
     ["--bound", "24", "check", "tests/proofs/counter_zero_no_subproof.proof"],
 ]
+# threads that reach both leaves, wrap a jump chain round the period or are
+# dead only (recorded before extract emitted the node arrays directly)
+_THREADS = [
+    fmt + ["thread", text]
+    for text in (COUNTDOWN, "+r.get ; #3 ; ! ; (c.decr ; -c.iszero ; #0)^w",
+                 "(+r.get ; #3 ; !)^w", "#0 ; #0")
+    for fmt in ([], ["--format", "structured"])
+    if fmt or text != COUNTDOWN
+]
 COMMANDS = (_README + _PROOF_CHECKS + _COUNTER_LOOPS + _MORE + _LINES
-            + _REJECTED)
+            + _REJECTED + _THREADS)
 
 # (command, recorded line, line printed now)
 CHANGED = [

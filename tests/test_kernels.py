@@ -14,7 +14,7 @@ import pytest
 
 from pga_hoare import kernels
 from pga_hoare.segments import (BUDGET_OUT, INACTIVE, Exited, Halted,
-                                _Runner, _segment_runs, run_canonical)
+                                _segment_runs, run_canonical)
 from pga_hoare.segments import _outcome as _segment_outcome
 from pga_hoare.services import (EMPTY, EMPTY_FAMILY, AlgebraConfig, Reply,
                                 Service, boolreg, counter, family, svc_step)
@@ -27,6 +27,22 @@ def _step_limit(u, n, cfg):
     """state_bound × n × (max content + 1); empty services count 0."""
     contents = [int(s.content) for _, s in u.entries if s.kind != "empty"]
     return cfg.state_bound * n * (max([0] + contents) + 1)
+
+
+def _tabled(c, b, cfg):
+    """run_canonical(c, b, u, cfg) for many states u by the path holds and
+    sp take: the runs of one family layout (foci and kinds) share one
+    segments._segment_runs, and segments._outcome decodes each result."""
+    layouts = {}
+
+    def run(u):
+        foci, kinds, contents = kernels.encode_family(u)
+        layout = (tuple(foci), tuple(kinds))
+        if layout not in layouts:
+            layouts[layout] = _segment_runs(c, b, foci, kinds, cfg)
+        return _segment_outcome(*layouts[layout].run(contents), foci, kinds)
+
+    return run
 
 
 def _ref_run(c, b, u, cfg, spare=None):
@@ -80,10 +96,11 @@ def _ref_trace(c, b, u, limit):
 
 
 def _ref_apply(t, u, cfg):
-    limit = _step_limit(u, len(t.nodes), cfg)
+    nodes = t.nodes
+    limit = _step_limit(u, len(nodes), cfg)
     cur, steps, seen = t.root, 0, set()
     while True:
-        node = t.nodes[cur]
+        node = nodes[cur]
         if node[0] == "stop":
             return u
         if node[0] == "dead" or (cur, u) in seen:
@@ -163,6 +180,35 @@ def test_kernels_match_the_reference_semantics():
     assert {0, 1} <= set(spare)
 
 
+def test_apply_maps_the_thread_for_each_family_layout():
+    # apply keeps each thread's focus slots and method codes per family
+    # layout (foci and kinds).  One thread goes, in turn, to families in
+    # which its focus is a counter, a register, at slot 0 or 1, absent or
+    # empty, and to the empty family; each result must be the reference's,
+    # whichever layouts the thread met before.
+    families = [family({"c": counter(3)}), family({"c": boolreg(True)}),
+                family({"c": counter(2), "r": boolreg(False)}),
+                family({"r": boolreg(True), "c": counter(1)}),
+                family({"b": boolreg(False), "c": counter(2)}),
+                family({"b": counter(4), "c": boolreg(False)}),
+                family({"r": boolreg(True)}), family({"c": EMPTY}),
+                EMPTY_FAMILY]
+    cfg = AlgebraConfig(state_bound=4)
+    results = set()
+    for text in ("(-c.iszero ; #2 ; ! ; c.decr)^w",
+                 "+c.get ; #3 ; c.set:t ; ! ; c.set:f ; !",
+                 "(-c.iszero ; #3 ; +r.get ; ! ; c.decr ; r.set:t)^w"):
+        t = extract(normalize(parse_sequence(text)))
+        for order in (families, families[::-1], families * 2):
+            for u in order:
+                expected = _outcome(_ref_apply, t, u, cfg)
+                assert _outcome(apply, t, u, cfg) == expected, (text, u)
+                results.add(expected)
+    # counters and registers both run to a family
+    assert {family({"c": counter(0)}), family({"c": boolreg(False)}),
+            family({"c": counter(0), "r": boolreg(True)})} <= results
+
+
 def test_budget_runs_out_one_lap_short():
     # m laps of 4 steps bring c down to 0, and the run cycles only a few
     # steps later: more than the 4 × (m + 1) steps it may take at
@@ -190,8 +236,8 @@ _LAP_ALPHABET = ([f"{sign}c.{m}" for sign in _SIGNS
 
 
 def test_lap_runs_match_the_reference_at_the_budget_edge():
-    # Runs from many states share lap summaries (segments._Runner).  Each
-    # state's reference run is traced once with a budget one step above
+    # Runs from many states share lap summaries (_tabled, the path of holds
+    # and sp).  Each state's reference run is traced once with a budget one step above
     # the largest one tried, which gives its outcome under every state
     # bound: the outcome when its steps fit the bound's limit, a budget-out
     # otherwise.  Contents go from 0 to 3 x period + 2, past every lap
@@ -221,11 +267,11 @@ def test_lap_runs_match_the_reference_at_the_budget_edge():
                       for u in states]
             for k in bounds:
                 cfg = AlgebraConfig(state_bound=k)
-                runner = _Runner(c, b, cfg)
+                run = _tabled(c, b, cfg)
                 for u, (outcome, steps) in zip(states, traces):
                     limit = _step_limit(u, n, cfg)
                     expected = outcome if steps <= limit else BUDGET_OUT
-                    assert runner.run(u) == expected, (text, b, u, k)
+                    assert run(u) == expected, (text, b, u, k)
                     kinds.add(type(expected).__name__)
                     if b > len(c.prefix) and steps > lap:
                         edges[steps - limit] += 1
@@ -251,9 +297,9 @@ def test_laps_that_take_every_step_of_the_cap():
                 for k in (1, 2, 3, 4):
                     cfg = AlgebraConfig(state_bound=k)
                     rng.shuffle(states)
-                    runner = _Runner(c, 1, cfg)
+                    run = _tabled(c, 1, cfg)
                     for u in states:
-                        assert runner.run(u) == _ref_run(c, 1, u, cfg), (
+                        assert run(u) == _ref_run(c, 1, u, cfg), (
                             text, u, k)
 
 
@@ -328,7 +374,7 @@ def test_stretches_match_the_reference_at_the_budget_edge():
     # d takes values around the lap key's thresholds (2 or 3 here, K =
     # period_len where a move passes over the head) and the two that give
     # the first program's budget edges.  Each bound's runs share
-    # one runner, in ascending, descending and shuffled order.  Runs enter
+    # one table, in ascending, descending and shuffled order.  Runs enter
     # at the period's first position.
     rng = random.Random(12)
     bounds = (1, 2, 3)
@@ -350,12 +396,12 @@ def test_stretches_match_the_reference_at_the_budget_edge():
         for k in bounds:
             cfg = AlgebraConfig(state_bound=k)
             for order in (states, states[::-1], shuffled):
-                runner = _Runner(c, head, cfg)
+                run = _tabled(c, head, cfg)
                 for u in order:
                     outcome, steps = traces[u]
                     limit = _step_limit(u, n, cfg)
                     expected = outcome if steps <= limit else BUDGET_OUT
-                    assert runner.run(u) == expected, (text, u, k)
+                    assert run(u) == expected, (text, u, k)
                     kinds.add(type(expected).__name__)
                     if steps > 2 * lap:
                         edges[steps - limit] += 1

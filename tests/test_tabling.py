@@ -1,8 +1,9 @@
 """Tabled exploration must give exactly the outcomes of fresh runs.
 
 holds and strongest_post run every state of a judgment through one
-segments._Runner, whose runs share an outcome table.  Each tabled outcome
-is compared with a fresh run_canonical of the same state, budget-outs
+kernels.SegmentRuns (segments._segment_runs), whose runs share an outcome
+table; test_kernels._tabled takes that path.  Each tabled outcome is
+compared with a fresh run_canonical of the same state, budget-outs
 included.
 """
 
@@ -20,13 +21,13 @@ from pga_hoare.formulas import (TRUE, compile_formula, free_vars,
                                  parse_formula)
 from pga_hoare.judgments import AssertedSeq
 from pga_hoare.segments import (BUDGET_OUT, INACTIVE, Exited, Halted,
-                                NoPostCondition, Verdict, _decide, _Runner,
+                                NoPostCondition, Verdict, _decide,
                                 _segment_runs, holds, run_canonical,
                                 strongest_post)
 from pga_hoare.services import (EMPTY, AlgebraConfig, boolreg, counter,
                                 family)
 from pga_hoare.syntax import foci_of_term, normalize, parse_sequence
-from test_kernels import _ref_trace
+from test_kernels import _ref_trace, _tabled
 
 _SIGNS = ("", "+", "-")
 _COUNTER_ALPHABET = ([f"{sign}{f}.{m}" for f in "cd" for sign in _SIGNS
@@ -70,8 +71,8 @@ def _compare(rng, alphabet, states, cfgs, n_sequences):
         period = len(c.period or ())
         for b in range(1, len(c.prefix) + 2 * period + 1):
             for order in (states, shuffled):
-                runner = _Runner(c, b, cfg)
-                tabled = [runner.run(u) for u in order]
+                run = _tabled(c, b, cfg)
+                tabled = [run(u) for u in order]
                 fresh = [run_canonical(c, b, u, cfg) for u in order]
                 assert tabled == fresh, (text, b, cfg.state_bound)
                 kinds.update(type(o).__name__ for o in fresh)
@@ -120,8 +121,8 @@ def test_lap_runs_match_fresh_runs_across_the_key_threshold():
         for b in range(1, len(c.prefix) + 2 * lap + 1):
             fresh = [run_canonical(c, b, u, cfg) for u in states]
             for order in (1, -1):
-                runner = _Runner(c, b, cfg)
-                tabled = [runner.run(u) for u in states[::order]]
+                run = _tabled(c, b, cfg)
+                tabled = [run(u) for u in states[::order]]
                 assert tabled == fresh[::order], (c, b, cfg.state_bound)
             kinds.update(type(o).__name__ for o in fresh)
     assert kinds == {"Halted", "Inactive", "BudgetOut"}
@@ -143,8 +144,8 @@ def test_laps_that_jump_over_the_head():
         c = normalize(parse_sequence(text))
         states = [family({"c": counter(i)}) for i in range(20)]
         for b in range(1, len(c.prefix) + 2 * len(c.period) + 1):
-            runner = _Runner(c, b, cfg)
-            assert ([runner.run(u) for u in states]
+            run = _tabled(c, b, cfg)
+            assert ([run(u) for u in states]
                     == [run_canonical(c, b, u, cfg) for u in states]), (text, b)
 
 
@@ -163,8 +164,8 @@ def test_budget_edges_inside_summarised_laps():
     halted = Halted(family({"c": counter(0), "d": counter(0)}))
     assert run_canonical(c, 1, exact, cfg) == halted
     for order in ([one_past, exact], [exact, one_past]):
-        runner = _Runner(c, 1, cfg)
-        assert ([runner.run(u) for u in order]
+        run = _tabled(c, 1, cfg)
+        assert ([run(u) for u in order]
                 == [run_canonical(c, 1, u, cfg) for u in order])
 
 
@@ -188,8 +189,8 @@ def test_stretches_that_pass_tabled_states():
             cfg = AlgebraConfig("counter", state_bound=k)
             for order in (states[::3] + states[2::3] + states[1::3],
                           states[::-1]):
-                runner = _Runner(c, 1, cfg)
-                assert ([runner.run(u) for u in order]
+                run = _tabled(c, 1, cfg)
+                assert ([run(u) for u in order]
                         == [run_canonical(c, 1, u, cfg) for u in order]), (
                             text, k)
 
@@ -212,8 +213,8 @@ def test_a_cycle_that_enters_a_stretch_at_two_points():
         cfg = AlgebraConfig("counter", state_bound=k)
         fresh = [run_canonical(c, 2, u, cfg) for u in states]
         for order in (1, -1):
-            runner = _Runner(c, 2, cfg)
-            assert ([runner.run(u) for u in states[::order]]
+            run = _tabled(c, 2, cfg)
+            assert ([run(u) for u in states[::order]]
                     == fresh[::order]), k
         kinds.update(type(o).__name__ for o in fresh)
     assert kinds == {"Inactive", "BudgetOut"}

@@ -1,18 +1,23 @@
 """Thread extraction, bisimulation minimization, and the apply operator."""
 
+import collections
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from pga_hoare.services import (AlgebraConfig, EMPTY, EMPTY_FAMILY, boolreg,
                                 counter, family)
-from pga_hoare.syntax import (Basic, Halt, Jump, NegTest, PosTest,
-                              format_canonical, make_canonical, normalize,
-                              parse_sequence)
+from pga_hoare.syntax import (Basic, CanonicalSequence, Halt, Jump, NegTest,
+                              PosTest, format_canonical, make_canonical,
+                              normalize, parse_sequence)
 from pga_hoare.threads import (BudgetExhausted, DEAD_THREAD, STOP_THREAD,
-                               RegularThread, _trim, apply, bisimilar, embed,
+                               RegularThread, apply, bisimilar, embed,
                                extract, minimize, sigma, thread_dump,
                                thread_of)
+from test_acceptance import _REG_ALPHABET
+from test_parsers import SEQUENCES
 
 
 def _t(text):
@@ -143,12 +148,87 @@ def test_apply_budget_on_unbounded_growth():
 
 
 # ---------------------------------------------------------------------------
-# extract against the former quadratic one
+# extract and minimize against the former tuple-graph ones
 #
-# The reference below is the package's former extraction, kept here as the
-# specification: it looks its leaves up by scanning the node list and
-# follows every jump chain again from its start.  extract, with a leaf
-# table and one memoised jump-resolution array, must give the same thread.
+# The references below are the package's former extraction and
+# minimization, kept here as the specification.  They build a graph of
+# ("stop",), ("dead",) and ("branch", focus, method, then, else) tuples and
+# renumber it breadth-first from the root (_ref_trim).  _ref_extract looks
+# its leaves up by scanning the node list and follows every jump chain
+# again from its start.  extract, which fills the node arrays breadth-first
+# straight from one memoised jump-resolution array, and minimize, which
+# refines partitions over those arrays, must give the same threads.
+
+_KINDS = {"stop": 0, "dead": 1, "branch": 2}
+
+
+def _thread(nodes):
+    """The RegularThread of a tuple graph rooted at node 0."""
+    rows = [(_KINDS[node[0]],) + (tuple(node[1:]) or (None, None, 0, 0))
+            for node in nodes]
+    return RegularThread(*map(tuple, zip(*rows)))
+
+
+def _ref_trim(nodes, root):
+    """Drop unreachable nodes and renumber in BFS order from the root."""
+    order = []
+    index = {}
+    queue = collections.deque([root])
+    while queue:
+        i = queue.popleft()
+        if i in index:
+            continue
+        index[i] = len(order)
+        order.append(i)
+        node = nodes[i]
+        if node[0] == "branch":
+            queue.append(node[3])
+            queue.append(node[4])
+    new_nodes = []
+    for i in order:
+        node = nodes[i]
+        if node[0] == "branch":
+            node = (node[0], node[1], node[2], index[node[3]], index[node[4]])
+        new_nodes.append(node)
+    return _thread(new_nodes)
+
+
+def _ref_minimize(t):
+    nodes = t.nodes
+    n = len(nodes)
+    labels = {}
+    block = []
+    for i in range(n):
+        node = nodes[i]
+        key = ((node[0],) if node[0] != "branch"
+               else ("branch", node[1], node[2]))
+        block.append(labels.setdefault(key, len(labels)))
+    while True:
+        sigs = {}
+        refined = []
+        for i in range(n):
+            node = nodes[i]
+            if node[0] == "branch":
+                sig = (block[i], block[node[3]], block[node[4]])
+            else:
+                sig = (block[i],)
+            refined.append(sigs.setdefault(sig, len(sigs)))
+        if len(sigs) == len(set(block)):
+            block = refined
+            break
+        block = refined
+    rep_of = {}
+    mapped = []
+    for i in range(n):
+        rep_of.setdefault(block[i], i)
+        mapped.append(rep_of[block[i]])
+    quotient = list(nodes)
+    for i in range(n):
+        node = quotient[i]
+        if node[0] == "branch":
+            quotient[i] = (node[0], node[1], node[2], mapped[node[3]],
+                           mapped[node[4]])
+    return _ref_trim(quotient, mapped[t.root])
 
 
 def _ref_resolve(c, pos):
@@ -207,7 +287,7 @@ def _ref_extract(c):
 
     root_rep = _ref_resolve(c, 1)
     root = _leaf("dead") if root_rep is None else position_node[root_rep]
-    return _trim(RegularThread(tuple(nodes), root))
+    return _ref_trim(nodes, root)
 
 
 # mostly jumps, so that chains are long, wrap the period and form cycles;
@@ -245,3 +325,61 @@ def test_extract_matches_reference():
         both += {"dead", "stop"} <= kinds
     # the seeded cases reach both leaves, alone and together
     assert min(dead, stop, both) > 200
+    # criterion 4's embedded segments: every one of up to three
+    # instructions, and a seeded sample of four
+    combos = [combo for length in (1, 2, 3)
+              for combo in itertools.product(_REG_ALPHABET, repeat=length)]
+    combos += [tuple(rng.choice(_REG_ALPHABET) for _ in range(4))
+               for _ in range(300)]
+    for combo in combos:
+        for b in range(1, len(combo) + 1):
+            for e in range(0, 7):
+                suffix = ((Jump(0),) * (e - 1) + (Halt(),)) if e else ()
+                c = make_canonical((Jump(b),) + combo + suffix, None)
+                assert extract(c) == _ref_extract(c), format_canonical(c)
+
+
+@given(SEQUENCES, SEQUENCES)
+@settings(max_examples=150, deadline=None)
+def test_threads_of_generated_sequences_match_the_references(s, t):
+    a, b = normalize(s), normalize(t)
+    threads = []
+    for c in (a, b):
+        got = extract(c)
+        assert got == _ref_extract(c), format_canonical(c)
+        assert minimize(got) == _ref_minimize(got), format_canonical(c)
+        threads.append(got)
+    expected = _ref_minimize(threads[0]) == _ref_minimize(threads[1])
+    assert bisimilar(*threads) == expected
+
+
+def _unrolled(c):
+    """c with its period's first lap moved into the prefix (not in
+    canonical form, which would move it back): the same instruction
+    sequence, whose extracted thread can hold the lap twice."""
+    if c.period is None:
+        return c
+    return CanonicalSequence(c.prefix + c.period, c.period)
+
+
+def test_minimize_and_bisimilar_match_the_reference():
+    rng = random.Random(6)
+    cases = [_random_canonical(rng) for _ in range(4000)]
+    alike = unlike = merged = 0
+    previous = extract(cases[-1])
+    for c in cases:
+        t = extract(c)
+        got = minimize(t)
+        assert got == _ref_minimize(t), format_canonical(c)
+        unrolled = extract(_unrolled(c))
+        merged += len(got.kind) < len(unrolled.kind)
+        assert minimize(unrolled) == _ref_minimize(unrolled) == got
+        assert bisimilar(t, unrolled)
+        expected = _ref_minimize(previous) == _ref_minimize(t)
+        assert bisimilar(previous, t) == expected, format_canonical(c)
+        alike += expected
+        unlike += not expected
+        previous = t
+    # the unrolled laps fold away, and pairs of them are and are not
+    # bisimilar
+    assert min(alike, unlike, merged) > 100, (alike, unlike, merged)
