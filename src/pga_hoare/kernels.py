@@ -9,7 +9,9 @@ Encoding conventions:
   instruction ops:  0 basic, 1 positive test, 2 negative test, 3 jump, 4 halt
   arg1: focus slot for action instructions (-1 if the focus is absent from
         the family), jump offset for jumps
-  arg2: algebra method code for action instructions (-1 unknown method)
+  arg2: algebra method code for action instructions (-1 unknown method);
+        for jumps 1 if the jump stands for an incr on an unobserved
+        counter (see below), else 0
   service kinds:    0 boolreg, 1 counter
   service content:  -1 empty; boolreg 0/1; counter the count
   method codes:     boolreg get/set:t/set:f = 0/1/2
@@ -155,6 +157,40 @@ When instead d >= 0 and d != 0, the key never changes from a state of I:
 every run from I laps for ever, its contents grow and no head state
 repeats, so none is tabled and each is a budget-out.  I is then one class,
 yielded once with its least member, T.
+
+Unobserved counters.  A judgment may leave out of the contents a counter
+that the segment only increments (every action on it, in any form, is
+incr) and that neither P nor Q reads.  encode_canonical encodes each
+action on it as a jump of its fall-through offset, marked in arg2: incr on
+a counter replies T, so +1 for the basic and + forms and +2 for the -
+form.
+Lemma.  Let slot i hold such a counter, e_i its unit vector and v >= 0.
+The runs from u and from u + v*e_i execute the same instructions with the
+same replies: no reply depends on slot i, and every other slot changes
+alike in both.  So they take the same number of steps and end alike, and
+their final contents differ only in slot i.  A (position, contents) node
+repeats in one run exactly when it repeats in the other: slot i never
+falls, so between two equal nodes no action on it ran, in either run.
+The step limit state_bound * n * (max + 1) never falls as v grows.  So a
+run from u that ends halted, exited or inactive within its limit decides
+every u + v*e_i.  A run from u that runs out of budget says nothing about
+the rest of the ray: their limits are larger.
+Without slot i, a run meets a marked jump where the full run increments
+slot i; _walk keeps in seen the steps taken at the latest one.  A node
+without slot i met again with no marked jump since its first visit is a
+node of the full run met again: a cycle, as before.  One met again after
+a marked jump repeats for ever with the marked jump inside, so the full
+run never ends and never repeats a node (slot i grows): every member of
+the ray runs out of budget, and _walk says so at once.  So the per-step
+loop gives, for u without slot i, the outcome, steps and final contents
+(but slot i) of the full run from u + v*e_i for every v, unless it runs
+out of budget.  Only jumps and repeated nodes pay the test.  The outcome
+table, lap keys, stretches and lines above rest on nothing but that loop
+being a deterministic function of the position and the contents, so they
+hold for the contents without slot i; a head state met twice with a
+marked jump between goes, as any head state met twice, to the per-step
+loop.  segments._decide decides a judgment again on every slot when any
+run without the unobserved slots runs out of budget.
 """
 
 from __future__ import annotations
@@ -227,8 +263,13 @@ def _action(focus, method, slot, kinds):
     return s, _METHOD_CODE[kinds[s]].get(method, -1)
 
 
-def encode_canonical(c: CanonicalSequence, foci, kinds):
-    """(ops, arg1, arg2) arrays, one entry per representative position."""
+def encode_canonical(c: CanonicalSequence, foci, kinds, unobserved=()):
+    """(ops, arg1, arg2) arrays, one entry per representative position.
+
+    An action on a focus in unobserved, a counter left out of foci that c
+    only increments, is a marked jump of its fall-through offset (see
+    "Unobserved counters" in the module docstring).
+    """
     slot = {f: i for i, f in enumerate(foci)}
     ops, arg1, arg2 = [], [], []
     for instr in c.prefix + (c.period or ()):
@@ -240,6 +281,10 @@ def encode_canonical(c: CanonicalSequence, foci, kinds):
             ops.append(3)
             arg1.append(instr.offset)
             arg2.append(0)
+        elif instr.focus in unobserved:  # the reply is T
+            ops.append(3)
+            arg1.append(2 if isinstance(instr, NegTest) else 1)
+            arg2.append(1)
         else:
             if isinstance(instr, Basic):
                 ops.append(0)
@@ -302,6 +347,9 @@ def _walk(ops, arg1, arg2, prefix_len, period_len, kinds, contents, rep,
     contents, a list, follows the run.  seen maps each (position, contents)
     met to the steps taken before it; a node met again ends the run in a
     cycle.  It is None without a period, where no position comes twice.
+    At a marked jump (an incr on an unobserved counter) seen[None] takes
+    the steps taken; a node met again after it never ends the full run:
+    the run is out of budget at once (see "Unobserved counters").
     Returns (code, value, steps): code AT_HEAD, HALTED, EXITED (value: the
     exit offset), INACTIVE, CYCLE (value: the steps taken before the
     repeated node was first met) or BUDGET.
@@ -320,6 +368,8 @@ def _walk(ops, arg1, arg2, prefix_len, period_len, kinds, contents, rep,
             if off == 0:
                 return INACTIVE, 0, steps
             pos += off
+            if arg2[i] and seen is not None:
+                seen[None] = steps
         else:
             slot = arg1[i]
             if slot < 0:
@@ -344,6 +394,8 @@ def _walk(ops, arg1, arg2, prefix_len, period_len, kinds, contents, rep,
             key = (rep, tuple(contents))
             first = seen.get(key)
             if first is not None:
+                if first < seen.get(None, 0):
+                    return BUDGET, 0, steps
                 return CYCLE, first, steps
             seen[key] = steps
         if rep == head:

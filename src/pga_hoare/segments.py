@@ -20,7 +20,7 @@ from .formulas import (And, BoolLit, CompiledFormula, EmptyServ, Eq, Formula,
                        compile_formula)
 from .judgments import AssertedSeq
 from .services import AlgebraConfig, ServiceFamily, family_key, format_family
-from .syntax import CanonicalSequence, SequenceTerm, foci_of_term, normalize
+from .syntax import CanonicalSequence, SequenceTerm, focus_methods, normalize
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +113,10 @@ def _outcome(code, off, final, foci, kinds):
 
 
 def _segment_runs(c: CanonicalSequence, b: int, foci, kinds,
-                  cfg: AlgebraConfig):
-    return kernels.SegmentRuns(*kernels.encode_canonical(c, foci, kinds),
-                               len(c.prefix), len(c.period or ()), b, kinds,
-                               cfg.state_bound)
+                  cfg: AlgebraConfig, unobserved=()):
+    return kernels.SegmentRuns(
+        *kernels.encode_canonical(c, foci, kinds, unobserved), len(c.prefix),
+        len(c.period or ()), b, kinds, cfg.state_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -150,20 +150,31 @@ class Verdict:
         return f"UNKNOWN ({self.reason})"
 
 
-def _judgment_space(phi: AssertedSeq, pre: CompiledFormula,
-                    post: CompiledFormula, cfg: AlgebraConfig) -> StateSpace:
+def _judgment_sorts(methods, pre: CompiledFormula, post: CompiledFormula):
+    """(foci, var_sorts) of a judgment whose segment applies methods (see
+    syntax.focus_methods) and whose assertions compile to pre and post."""
     sorts: Dict[str, str] = dict(pre.sorts)
     for name, sort in post.sorts.items():
         if sorts.setdefault(name, sort) != sort:
             raise ValueError(f"variable {name} used at two sorts")
-    term_foci = set(foci_of_term(phi.term))
-    for name in sorted(term_foci):
+    for name in sorted(methods):
         sort = sorts.get(name, "serv")
         if sort != "serv":
             raise ValueError(f"variable {name} used at sorts {sort} and serv")
-    foci = {n for n, s in sorts.items() if s == "serv"} | term_foci
+    foci = {n for n, s in sorts.items() if s == "serv"} | set(methods)
     var_sorts = {n: s for n, s in sorts.items() if s != "serv"}
-    return StateSpace(foci, var_sorts, cfg, phi.pre)
+    return foci, var_sorts
+
+
+def _unobserved(methods, pre: CompiledFormula, post: CompiledFormula,
+                cfg: AlgebraConfig) -> set:
+    """The counters that the segment only increments and that neither P
+    nor Q reads (see "Unobserved counters" in kernels)."""
+    if cfg.algebra != "counter":
+        return set()
+    return {f for f, applied in methods.items()
+            if applied == {"incr"} and f not in pre.sorts
+            and f not in post.sorts}
 
 
 def holds(phi: AssertedSeq, cfg: AlgebraConfig = _DEFAULT_CFG) -> Verdict:
@@ -182,6 +193,10 @@ _POST_UNDECIDED = "postcondition undecided within the quantifier bound"
 _BUDGET_UNDECIDED = "step budget exhausted on some run"
 
 
+class _Fallback(Exception):
+    """A run without the unobserved counters ran out of budget."""
+
+
 def _open_cases(pre: CompiledFormula, space: StateSpace, run):
     """(contents, values, result) per pair at which pre is not False;
     result is None where pre is undecided."""
@@ -197,8 +212,47 @@ def _decide(phi: AssertedSeq, cfg: AlgebraConfig, with_image: bool):
     reach the exit annotation (None otherwise).  The image is complete
     when the verdict is holds.
 
-    The P-states go to the segment loop as content tuples in the one layout
-    of the judgment: every focus holds a service of cfg's algebra.  When P
+    Without the image, the states enumerated leave out the unobserved
+    counters (see "Unobserved counters" in kernels): those that S only
+    increments and that neither P nor Q reads.  A run from the remaining
+    contents then stands for every content of the counters left out, so
+    the verdict is that of the full space: its first failing or undecided
+    state is the one found with 0 in each counter left out, the least of
+    its class in enumeration order, and its outcome comes from one fresh
+    run of that state.  The bounded label is the full space's.  A run
+    without those counters that runs out of budget says nothing about
+    larger contents of them, whose step limits are larger: the judgment is
+    then decided again on every focus.
+    """
+    c = normalize(phi.term)
+    if phi.entry > c.length:
+        return Verdict("fails", reason="entry beyond segment",
+                       witness=None), None
+    pre = compile_formula(phi.pre, cfg)
+    post = compile_formula(phi.post, cfg)
+    methods = focus_methods(c)
+    foci, var_sorts = _judgment_sorts(methods, pre, post)
+    space = StateSpace(foci, var_sorts, cfg, phi.pre)
+    left_out = () if with_image else _unobserved(methods, pre, post, cfg)
+    if left_out:
+        observed = StateSpace(foci - left_out, var_sorts, cfg, phi.pre)
+        try:
+            return _search(c, phi, cfg, pre, post, space, observed,
+                           left_out, False)
+        except _Fallback:
+            pass
+    return _search(c, phi, cfg, pre, post, space, space, (), with_image)
+
+
+def _search(c: CanonicalSequence, phi: AssertedSeq, cfg: AlgebraConfig,
+            pre: CompiledFormula, post: CompiledFormula, space: StateSpace,
+            observed: StateSpace, left_out, with_image: bool):
+    """_decide's (verdict, image), enumerating the states of observed,
+    whose foci are those of space but left_out.  Raises _Fallback on a
+    budget-out when left_out is not empty.
+
+    The P-states go to the segment loop as content tuples in one layout:
+    every focus of observed holds a service of cfg's algebra.  When P
     is closed and no variable needs a value, P is evaluated once and no
     service or env is built per state; when it is True there, the states
     whose contents all reach their lap key's threshold go by lines
@@ -210,22 +264,15 @@ def _decide(phi: AssertedSeq, cfg: AlgebraConfig, with_image: bool):
     A fails verdict gives the first failing state in enumeration order; an
     unknown verdict the first undecided state, and what left it undecided.
     """
-    c = normalize(phi.term)
-    if phi.entry > c.length:
-        return Verdict("fails", reason="entry beyond segment",
-                       witness=None), None
-    pre = compile_formula(phi.pre, cfg)
-    post = compile_formula(phi.post, cfg)
-    space = _judgment_space(phi, pre, post, cfg)
-    foci = space.foci
+    foci = observed.foci
     kinds = [0 if cfg.algebra == "boolreg" else 1] * len(foci)
-    runs = _segment_runs(c, phi.entry, foci, kinds, cfg)
+    runs = _segment_runs(c, phi.entry, foci, kinds, cfg, left_out)
     lines = None
-    if pre.sorts or space.names:
-        cases = _open_cases(pre, space, runs.run)
+    if pre.sorts or observed.names:
+        cases = _open_cases(pre, observed, runs.run)
     else:
         pv = pre.evaluate({})
-        states = space.states() if pv is not False else ()
+        states = observed.states() if pv is not False else ()
         if pv:
             sweep = runs.sweep(cfg.state_bound)
             if sweep is not None:
@@ -249,6 +296,8 @@ def _decide(phi: AssertedSeq, cfg: AlgebraConfig, with_image: bool):
         if code == kernels.INACTIVE:
             return None
         if code == kernels.BUDGET:
+            if left_out:
+                raise _Fallback
             return _BUDGET_UNDECIDED
         if not (code == kernels.HALTED if halting
                 else code == kernels.EXITED and off == phi.exit):
@@ -281,18 +330,27 @@ def _decide(phi: AssertedSeq, cfg: AlgebraConfig, with_image: bool):
                 failed = (contents, (), result)
         elif why and (undecided is None or contents < undecided[0]):
             undecided = (contents, (), why)
+
+    def widened(contents):
+        """The state of space with these contents on observed's foci and 0
+        in each focus left out."""
+        held = dict(zip(foci, contents))
+        return space.state([held.get(f, 0) for f in space.foci])
+
     if failed:
         contents, values, result = failed
+        state = widened(contents)
+        outcome = (run_canonical(c, phi.entry, state, cfg) if left_out
+                   else _outcome(*result, foci, kinds))
         return Verdict("fails", witness=(
-            space.state(contents), space.valuation(values),
-            _outcome(*result, foci, kinds))), None
+            state, space.valuation(values), outcome)), None
     image = None if finals is None else {
         kernels.decode_family(foci, kinds, final) for final in finals}
     if undecided:
         contents, values, reason = undecided
         return Verdict("unknown", reason=reason, bound=cfg.state_bound,
-                       witness=(space.state(contents),
-                                space.valuation(values), reason)), image
+                       witness=(widened(contents), space.valuation(values),
+                                reason)), image
     return Verdict("holds", bounded=not space.exhaustive,
                    bound=cfg.state_bound), image
 

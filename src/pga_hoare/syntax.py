@@ -371,11 +371,10 @@ def term_length(t: SequenceTerm):
     return normalize(t).length
 
 
-def foci_of_term(t: SequenceTerm) -> frozenset:
-    """All foci occurring in the term (vars of an instruction sequence)."""
-    c = normalize(t)
-    out = set()
+def focus_methods(c: CanonicalSequence) -> dict:
+    """Each focus occurring in c -> the set of methods applied to it."""
+    out = {}
     for i in c.prefix + (c.period or ()):
         if isinstance(i, (Basic, PosTest, NegTest)):
-            out.add(i.focus)
-    return frozenset(out)
+            out.setdefault(i.focus, set()).add(i.method)
+    return out

@@ -100,11 +100,14 @@ def _jump_targets(c: CanonicalSequence, instrs: tuple) -> list:
     """For each representative position r (instrs[r] its instruction), that
     of the first non-jump instruction execution reaches from r, or None
     when it becomes inactive (#0, a jump off the end, a cycle of jumps).
-    Each chain is followed once; its positions are marked while it is."""
+    Each chain is followed once, from the first jump whose target is not
+    yet known; its positions are marked while it is."""
     unknown, following = 0, -1
     target = [r if not isinstance(instr, Jump) else unknown
               for r, instr in enumerate(instrs)]
     for start in range(1, len(instrs)):
+        if target[start] != unknown:
+            continue
         chain = []
         r = start
         while r is not None and target[r] == unknown:

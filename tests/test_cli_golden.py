@@ -101,8 +101,19 @@ _THREADS = [
     for fmt in ([], ["--format", "structured"])
     if fmt or text != COUNTDOWN
 ]
+# counters that the segment only increments and the assertions never read:
+# a witness still shows their final contents, and a judgment over such
+# counters alone is still bounded (recorded before holds left them out)
+_UNOBSERVED = [
+    fmt + ["--bound", "6", "holds",
+           f"{{1 | ~(c = nnc(0))}} {TRANSFER} {{0 | false}}"]
+    for fmt in ([], ["--format", "structured"])
+] + [
+    ["--bound", "5", "holds", "{1 | true} (c.incr ; !)^w {0 | true}"],
+    ["--bound", "20", "holds", "{1 | true} (c.incr ; d.incr)^w {0 | false}"],
+]
 COMMANDS = (_README + _PROOF_CHECKS + _COUNTER_LOOPS + _MORE + _LINES
-            + _REJECTED + _THREADS)
+            + _REJECTED + _THREADS + _UNOBSERVED)
 
 # (command, recorded line, line printed now)
 CHANGED = [

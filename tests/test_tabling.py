@@ -19,14 +19,14 @@ from pga_hoare import kernels, segments
 from pga_hoare.cli import main
 from pga_hoare.formulas import (TRUE, compile_formula, free_vars,
                                  parse_formula)
-from pga_hoare.judgments import AssertedSeq
+from pga_hoare.judgments import AssertedSeq, parse_asserted
 from pga_hoare.segments import (BUDGET_OUT, INACTIVE, Exited, Halted,
                                 NoPostCondition, Verdict, _decide,
                                 _segment_runs, holds, run_canonical,
                                 strongest_post)
 from pga_hoare.services import (EMPTY, AlgebraConfig, boolreg, counter,
                                 family)
-from pga_hoare.syntax import foci_of_term, normalize, parse_sequence
+from pga_hoare.syntax import focus_methods, normalize, parse_sequence
 from test_kernels import _ref_trace, _tabled
 
 _SIGNS = ("", "+", "-")
@@ -316,35 +316,54 @@ def _random_post(rng, foci, bound):
     ])
 
 
-def _per_state(c, b, e, post, foci, cfg):
-    """(verdict, image) of {b | true} c {e | post}, one fresh run per state
-    in enumeration order (image None unless the verdict is holds)."""
-    compiled = compile_formula(post, cfg)
-    q = functools.cache(lambda state: compiled(state, {}))
+def _per_state(c, b, e, post, foci, cfg, pre=TRUE):
+    """(verdict, image) of {b | pre} c {e | post}, one fresh run per state
+    in enumeration order (image None unless the verdict is holds).  The
+    free nat variables of pre and post take every value up to the bound,
+    in name order, for each state."""
+    compiled_pre, compiled_post = (compile_formula(f, cfg) for f in (pre, post))
+    names = sorted({n for f in (pre, post)
+                    for n, s in free_vars(f).items() if s == "nat"})
+    q = functools.cache(lambda state, values: compiled_post(
+        state, dict(zip(names, values))))
     image, undecided = set(), None
     for contents in itertools.product(range(cfg.state_bound + 1),
                                       repeat=len(foci)):
         u = family({f: counter(n) for f, n in zip(foci, contents)})
-        o = run_canonical(c, b, u, cfg)
-        if o == INACTIVE:
-            continue
-        if o == BUDGET_OUT:
-            undecided = undecided or (u, _BUDGET)
-            continue
-        if isinstance(o, Halted) if e == 0 else (
-                isinstance(o, Exited) and o.offset == e):
-            image.add(o.state)
-            qv = q(o.state)
-            if qv is None:
-                undecided = undecided or (
-                    u, "postcondition undecided within the quantifier bound")
-            if qv is not False:
+        o = None
+        for values in itertools.product(range(cfg.state_bound + 1),
+                                        repeat=len(names)):
+            valuation = dict(zip(names, values))
+            pv = compiled_pre(u, valuation)
+            if pv is False:
                 continue
-        return Verdict("fails", witness=(u, {}, o)), None
+            if pv is None:
+                undecided = undecided or (
+                    u, valuation,
+                    "precondition undecided within the quantifier bound")
+                continue
+            if o is None:
+                o = run_canonical(c, b, u, cfg)
+            if o == INACTIVE:
+                continue
+            if o == BUDGET_OUT:
+                undecided = undecided or (u, valuation, _BUDGET)
+                continue
+            if isinstance(o, Halted) if e == 0 else (
+                    isinstance(o, Exited) and o.offset == e):
+                image.add(o.state)
+                qv = q(o.state, values)
+                if qv is None:
+                    undecided = undecided or (
+                        u, valuation,
+                        "postcondition undecided within the quantifier bound")
+                if qv is not False:
+                    continue
+            return Verdict("fails", witness=(u, valuation, o)), None
     if undecided:
-        u, reason = undecided
+        u, valuation, reason = undecided
         return Verdict("unknown", reason=reason, bound=cfg.state_bound,
-                       witness=(u, {}, reason)), None
+                       witness=(u, valuation, reason)), None
     return Verdict("holds", bounded=True, bound=cfg.state_bound), image
 
 
@@ -393,7 +412,7 @@ def test_line_sweep_matches_state_by_state_runs(monkeypatch):
     def check(term, b, e, post, cfg):
         c = normalize(term)
         lap = len(c.period)
-        foci = sorted(set(foci_of_term(term))
+        foci = sorted(set(focus_methods(c))
                       | {n for n, s in free_vars(post).items() if s == "serv"})
         expected, image = _per_state(c, b, e, post, foci, cfg)
         phi = AssertedSeq(b, TRUE, term, e, post)
@@ -417,7 +436,7 @@ def test_line_sweep_matches_state_by_state_runs(monkeypatch):
     for i in range(160):
         term = parse_sequence(_line_loop(rng, i, "cde"[:1 + i % 3]))
         c = normalize(term)
-        foci = sorted(foci_of_term(term))
+        foci = sorted(focus_methods(c))
         lap = len(c.period)
         bound = rng.choice([lap - 1, lap, lap + 1, 2 * lap, 3 * lap + 2])
         bound = min(bound, (30, 16, 9)[len(foci) - 1])
@@ -665,3 +684,130 @@ def test_q_reads_a_projection_of_the_finals(monkeypatch, capsys):
     assert len(decoded) == 2 + 11
     assert lines[:12] == ["states: 11"] + [
         f"  {{c = counter(0), d = counter({d})}}" for d in range(11)]
+
+
+# ---------------------------------------------------------------------------
+# judgments with counters that only the segment's incr actions touch, left
+# out of the states that holds enumerates, against state-by-state runs
+
+# "a" sorts before the read foci c and d, "e" and "f" after them
+_HIDDEN = "aef"
+_HIDDEN_FORMS = ("{}.incr", "+{}.incr", "-{}.incr")
+_HIDDEN_CASES = [
+    # (judgment, bound, whether it falls back to every focus)
+    # c and d grow for ever: no run ends, at any content of either
+    ("{1 | true} (c.incr ; d.incr)^w {0 | false}", 3, True),
+    # a cycle through an incr-only action is no cycle of the full run
+    ("{1 | true} (+d.incr ; #1)^w {0 | false}", 2, True),
+    ("{1 | ~c = nnc(1)} c.decr ; (+d.incr ; #1)^w {0 | c = nnc(0)}", 3, True),
+    # from c = 0 and e = 0 the run needs 7 steps against a limit of 6;
+    # with e = 1 the limit is 12 and it halts: the first failing state is
+    # (0, 1), not (1, 0)
+    ("{1 | true} e.incr ; c.incr ; (-c.iszero ; #2 ; ! ; c.decr)^w "
+     "{0 | false}", 1, True),
+    # every focus is left out: the verdict is still bounded
+    ("{1 | true} (c.incr ; !)^w {0 | true}", 5, False),
+    ("{2 | true} c.incr ; -d.incr ; ! ; ! {0 | true}", 4, False),
+]
+
+
+def _hidden_loop(rng, i, read, hidden):
+    """A loop over the read foci with incr actions on each hidden focus
+    inserted into its prefix or its period: every other loop a countdown
+    on a read focus, the others random."""
+    if i % 2:
+        guard = rng.choice(read)
+        body = [rng.choice(_LINE_BODY).format(rng.choice(read))
+                for _ in range(rng.randint(0, 3))]
+        body.insert(rng.randrange(len(body) + 1), f"{rng.choice(read)}.decr")
+        period = [f"-{guard}.iszero", "#2", "!"] + body
+    else:
+        period = [rng.choice(_COUNTER_ALPHABET)
+                  for _ in range(rng.randint(1, 4))]
+    prefix = [rng.choice(_COUNTER_ALPHABET)
+              for _ in range(rng.randint(0, 2))]
+    for f in hidden:
+        for _ in range(rng.randint(1, 2)):
+            part = prefix if rng.random() < 0.3 else period
+            part.insert(rng.randrange(len(part) + 1),
+                        rng.choice(_HIDDEN_FORMS).format(f))
+    return " ; ".join(prefix + [f"({' ; '.join(period)})^w"])
+
+
+def _hidden_pre(rng, x, bound):
+    return rng.choice([
+        "true", "true", f"~{x} = nnc({rng.randint(0, bound)})",
+        f"{x} = nnc({rng.randint(0, bound)}) \\/ {x} = nnc(0)",
+        f"{x} = nnc(n)", f"~{x} = nnc(s(n))",
+    ])
+
+
+def _hidden_post(rng, x, bound):
+    return rng.choice([
+        "true", "false", f"{x} = nnc(0)",
+        f"~{x} = nnc({rng.randint(0, 2 * bound)})", f"~{x} = nnc(n)",
+        "~(forall n:nat. ~c = nnc(n))",
+    ])
+
+
+def test_unobserved_counters_match_state_by_state_runs(monkeypatch):
+    # holds on the foci that P, Q or a test or decrement read must give
+    # the verdict of one fresh run per state of the full box, with its
+    # witness (every focus, the valuation, the outcome), its reason and
+    # its bounded label
+    calls = []  # per search: the foci left out of its states
+    search = segments._search
+
+    def spy(c, phi, cfg, pre, post, space, observed, left_out, with_image):
+        calls.append(tuple(sorted(left_out)))
+        return search(c, phi, cfg, pre, post, space, observed, left_out,
+                      with_image)
+
+    monkeypatch.setattr(segments, "_search", spy)
+    seen = collections.Counter()
+
+    def check(text, bound, qbound):
+        phi = parse_asserted(text)
+        c = normalize(phi.term)
+        foci = sorted(set(focus_methods(c))
+                      | {n for f in (phi.pre, phi.post)
+                         for n, s in free_vars(f).items() if s == "serv"})
+        cfg = AlgebraConfig("counter", state_bound=bound, quant_bound=qbound)
+        expected, _ = _per_state(c, phi.entry, phi.exit, phi.post, foci, cfg,
+                                 phi.pre)
+        del calls[:]
+        assert holds(phi, cfg) == expected, (text, bound, qbound)
+        seen[expected.kind] += 1
+        if calls[0]:
+            seen["fallback" if len(calls) == 2 else "reduced only"] += 1
+            if expected.kind == "fails" and len(calls) == 1:
+                # the witness shows the final contents of the hidden foci
+                seen["witness"] += 1
+        return calls[0]
+
+    for text, bound, fallback in _HIDDEN_CASES:
+        assert check(text, bound, 2 * bound + 1), text
+        assert (len(calls) == 2) == fallback, text
+    rng = random.Random(13)
+    for i in range(240):
+        read = "cd"[:1 + i % 2]
+        hidden = rng.sample(_HIDDEN, 1 + i % 3)
+        bound = rng.randint(1, (6, 5, 3, 2)[len(read) + len(hidden) - 2])
+        term = _hidden_loop(rng, i, read, hidden)
+        c = normalize(parse_sequence(term))
+        b = rng.randint(1, len(c.prefix) + len(c.period))
+        pre = _hidden_pre(rng, rng.choice(read), bound)
+        post = _hidden_post(rng, rng.choice(read), bound)
+        if "n)" in pre:
+            seen["free variable"] += 1
+        elif pre != "true":
+            seen["closed pre"] += 1
+        seen["entry in the prefix" if b <= len(c.prefix)
+             else "entry in the period"] += 1
+        left_out = check(f"{{{b} | {pre}}} {term} {{{rng.randint(0, 2)} | "
+                         f"{post}}}", bound, rng.randint(1, 2 * bound + 1))
+        assert set(hidden) <= set(left_out)
+    assert min(seen[k] for k in (
+        "holds", "fails", "unknown", "reduced only", "fallback", "witness",
+        "free variable", "closed pre", "entry in the prefix",
+        "entry in the period")) > 0, seen
