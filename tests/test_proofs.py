@@ -28,6 +28,11 @@ def test_term_atoms_keeps_repetition_symbolic():
     unrolled = parse_sequence("a.m ; (a.m)^w")
     assert term_atoms(w) != term_atoms(unrolled)
     assert term_atoms(unrolled)[1:] == term_atoms(w)
+    # a power is its body written out count times, and ^0 is #0
+    assert term_atoms(parse_sequence("(a.m ; !)^2")) == term_atoms(
+        parse_sequence("a.m ; ! ; a.m ; !"))
+    assert term_atoms(parse_sequence("(a.m)^0")) == term_atoms(
+        parse_sequence("#0"))
 
 
 def test_axiom_a9_accepted():
@@ -44,6 +49,8 @@ def test_axiom_a10_and_a11():
     assert _check('(A10 {1 | true} "#0" {0 | false})').accepted
     assert _check('(A11 {1 | c = nnc(2)} "!" {0 | c = nnc(2)})').accepted
     assert not _check('(A11 {1 | true} "!" {0 | false})').accepted
+    assert _check('(A10 {1 | true} "#0" {0 | true})').failures == [
+        ("root", "A10: must be {1 | true} #0 {0 | false}")]
 
 
 def test_axiom_a1_schema():
@@ -58,6 +65,11 @@ def test_axiom_a1_schema():
 def test_axiom_a2_divergence_form():
     assert _check('(A2 {1 | r[get](c) = :d} "c.get" {0 | false})').accepted
     assert not _check('(A2 {1 | true} "c.get" {0 | false})').accepted
+    # the divergence axioms end at exit 0, whatever the test's polarity
+    for rule, instr, exit_ in (("A2", "c.get", 1), ("A5", "+c.get", 2),
+                               ("A8", "-c.get", 1)):
+        text = f'({rule} {{1 | r[get](c) = :d}} "{instr}" {{{exit_} | false}})'
+        assert _check(text).failures == [("root", f"{rule}: exit must be 0")]
 
 
 def test_test_axioms_polarity_and_exit():
@@ -87,6 +99,12 @@ def test_r1_concatenation():
     (R1 left right => {1 | true} "#1 ; !" {0 | true})
     '''
     assert _check(ok).accepted
+    # a power concludes about its body written out
+    power = '''
+    step := (A9 {1 | true} "#1" {1 | true})
+    (R1 step step => {1 | true} "(#1)^2" {1 | true})
+    '''
+    assert _check(power).accepted
 
 
 def test_r1_requires_positive_intermediate():
@@ -109,6 +127,11 @@ def test_r2_exit_arithmetic():
     (R2 p => {1 | true} "#2 ; !" {2 | true})
     '''
     assert not _check(wrong).accepted
+    halting = '''
+    p := (A9 {1 | true} "#1" {1 | true})
+    (R2 p => {1 | true} "#1 ; !" {0 | true})
+    '''
+    assert _check(halting).failures == [("root", "R2: requires exit e > 0")]
 
 
 def test_r2_rejects_infinite_tail():
@@ -135,6 +158,16 @@ def test_r3_and_r4():
     (R4 p => {2 | true} "c.incr ; c.incr ; !" {0 | true})
     '''
     assert not _check(r4_bad).accepted
+    for concl, reason in (
+            ('{2 | true} "(#1)^w ; !" {0 | true}',
+             "R4: the prepended segment must be finite"),
+            ('{2 | true} "c.incr ; !" {0 | false}',
+             "R4: exit/formula annotations must carry over")):
+        text = f'''
+        p := (A11 {{1 | true}} "!" {{0 | true}})
+        (R4 p => {concl})
+        '''
+        assert _check(text).failures == [("root", reason)]
 
 
 def test_r6_disjunction():
@@ -167,6 +200,16 @@ def test_r7_invariance_side_condition():
     (R7 p => {1 | (true /\\ d = nnc(0))} "#1" {1 | (true /\\ d = nnc(0))})
     '''
     assert _check(ok).accepted
+    for pre, post, reason in (
+            ("(false /\\ d = nnc(0))", "(true /\\ d = nnc(0))",
+             "R7: left conjuncts must match the premise"),
+            ("(true /\\ d = nnc(0))", "(true /\\ d = nnc(1))",
+             "R7: the invariant must be the same on both sides")):
+        text = f'''
+        p := (A9 {{1 | true}} "#1" {{1 | true}})
+        (R7 p => {{1 | {pre}}} "#1" {{1 | {post}}})
+        '''
+        assert _check(text).failures == [("root", reason)]
     # the invariant mentions a focus of S: rejected
     bad = '''
     p := (A11 {1 | true} "!" {0 | true})
@@ -218,6 +261,13 @@ def test_r8_elimination():
     assert not result.accepted
     assert [reason for _, reason in result.failures] == [
         "R8: variable n used at sorts nat and serv"]
+    # the bound variable is a focus of S
+    focus = '''
+    p := (A2 {1 | r[get](c) = :d} "c.get" {0 | false})
+    (R8 p => {1 | exists c:serv. r[get](c) = :d} "c.get" {0 | false})
+    '''
+    assert _check(focus).failures == [
+        ("root", "R8: the bound variable is a focus of S")]
 
 
 def test_r9_renaming():
@@ -232,6 +282,15 @@ def test_r9_renaming():
     (R9 n c p => {1 | x = nnc(c)} "c.incr" {1 | x = nnc(c)})
     '''
     assert not _check(bad).accepted
+    # each annotation must be the premise's, renamed
+    for pre, post, reason in (
+            ("n", "m", "R9: precondition is not the renamed premise"),
+            ("m", "n", "R9: postcondition is not the renamed premise")):
+        text = f'''
+        p := (A9 {{1 | c = nnc(n)}} "#1" {{1 | c = nnc(n)}})
+        (R9 n m p => {{1 | c = nnc({pre})}} "#1" {{1 | c = nnc({post})}})
+        '''
+        assert _check(text).failures == [("root", reason)]
 
 
 def test_r10_records_bounded_assumptions():
@@ -320,6 +379,22 @@ def test_nested_r5_rejected():
     assert any("repetition rule inside" in reason for _, reason in r.failures)
 
 
+def test_r5_hypotheses_must_repeat_one_finite_body():
+    for hyps, reason in (
+            ('{1 | true} "!" {0 | true}',
+             "R5: hypothesis 1 must assert a repetition S^w"),
+            ('{1 | true} "((!)^w)^w" {0 | true}',
+             "R5: hypothesis 1 body must be finite"),
+            ('{1 | true} "(!)^w" {0 | true} {1 | true} "(#1)^w" {0 | true}',
+             "R5: all hypotheses must share the same S")):
+        subproofs = " ".join(["p"] * hyps.count("{1 |"))
+        text = f'''
+        p := (A11 {{1 | true}} "!" {{0 | true}})
+        (R5 hyps [{hyps}] k 1 subproofs [{subproofs}])
+        '''
+        assert _check(text).failures == [("root", reason)]
+
+
 def test_r5_subproof_must_conclude_unrolled_body():
     text = '''
     inner := (A11 {1 | true} "!" {0 | true})
@@ -339,6 +414,16 @@ def test_repintro():
     (REPINTRO p => {1 | true} "(#2)^w" {2 | true})
     '''
     assert not _check(bad).accepted
+    for concl, reason in (
+            ('{1 | true} "(#0)^w" {0 | true}',
+             "conclusion must be the premise term repeated"),
+            ('{1 | true} "(!)^w" {0 | false}',
+             "entry/formula annotations must carry over")):
+        text = f'''
+        p := (A11 {{1 | true}} "!" {{0 | true}})
+        (REPINTRO p => {concl})
+        '''
+        assert _check(text).failures == [("root", reason)]
 
 
 def test_repintro_matches_equivalent_r5_form():
@@ -357,6 +442,9 @@ def test_parse_errors():
         parse_proof("(A9 {1 | true} \"#1\"")
     with pytest.raises(ProofSyntaxError):
         parse_proof("(R1 nosuch nosuch => {1 | true} \"!\" {0 | true})")
+    with pytest.raises(ProofSyntaxError,
+                       match="R5 index k=2 is not that of a hypothesis"):
+        parse_proof('(R5 hyps [{1 | true} "(!)^w" {0 | true}] k 2 subproofs [])')
 
 
 def test_annotation_errors_are_proof_syntax_errors():
