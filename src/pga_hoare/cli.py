@@ -17,7 +17,8 @@ from .judgments import parse_asserted
 from .proofs import ProofSyntaxError, check_proof, parse_proof
 from .segments import (BudgetOut, Exited, Halted, Inactive, NoPostCondition,
                        format_outcome, holds, run_segment, strongest_post)
-from .services import AlgebraConfig, family_key, format_family, parse_family
+from .services import (AlgebraConfig, Reply, family_key, format_family,
+                       parse_family)
 from .syntax import (OMEGA, SequenceSyntaxError, format_canonical,
                      format_instruction, normalize, parse_sequence)
 from .threads import thread_dump, thread_of
@@ -125,12 +126,19 @@ def _cmd_run(args, cfg) -> int:
 def _cmd_holds(args, cfg) -> int:
     phi = parse_asserted(args.assertion)
     v = holds(phi, cfg)
+    w = v.witness  # (state, valuation, outcome or reason)
     _emit(args, [str(v)], {
         "verdict": v.kind,
         "bounded": v.bounded,
         "bound": v.bound,
         "reason": v.reason,
-        "witness": (format_family(v.witness[0]) if v.witness else None),
+        "witness": format_family(w[0]) if w else None,
+        # nat and bool values as they are, replies as :t, :f or :d; a
+        # variable of sort serv is a focus, so it is in the state instead
+        "valuation": ({name: f":{x.value}" if isinstance(x, Reply) else x
+                       for name, x in w[1].items()} if w else None),
+        "outcome": (_outcome_payload(w[2]) if w and v.kind == "fails"
+                    else None),
     })
     return {"holds": OK, "fails": FAILED, "unknown": UNKNOWN}[v.kind]
 

@@ -12,6 +12,11 @@ and the proof checker keep explicit stacks, but formula trees are compiled
 and evaluated recursively afterwards.  A formula counts each connective,
 quantifier, term operator and pair of parentheses, a sequence its
 parentheses, a proof its nested records.
+
+MAX_LENGTH caps the instructions a sequence term writes out: a power
+such as a.m^1000000000000 is refused (a ValueError) before its body is
+copied, instead of exhausting memory.  Atoms after a repetition count too,
+since proofs compare terms as written.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import re
 
 MAX_DEPTH = 1000
+MAX_LENGTH = 10**7
 TOO_DEEP = "input nested too deeply"
 
 EOF = " "  # no token is whitespace

@@ -39,8 +39,8 @@ from .judgments import AssertedSeq, annotation_of
 from .lexer import EOF, MAX_DEPTH, NAME_START, Tokens, TOO_DEEP
 from .services import AlgebraConfig, Reply
 from .formulas import entails
-from .syntax import (Basic, Concat, Halt, Instr, Jump, NegTest, Power,
-                     PosTest, Repeat, SequenceTerm, sequence_of)
+from .syntax import (REP, Basic, Halt, Jump, NegTest, PosTest, sequence_of,
+                     term_atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -69,50 +69,15 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 # term-level sequence atoms
 
-REP = "rep"
-
-
-def term_atoms(t: SequenceTerm) -> tuple:
-    """The term as a flat tuple of instructions, with ^w kept symbolic.
-
-    A repetition becomes a single (REP, body-atoms) marker, so terms that
-    denote the same sequence but are written differently (S^w versus
-    S ; S^w) stay distinguishable, as the repetition rule requires.
-    """
-    out = []
-    # a stack of terms still to read and markers (kind, start, count) that
-    # close the power or repetition whose body was read into out[start:]
-    stack = [t]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, tuple):
-            kind, start, count = item
-            if kind is Repeat:
-                body = tuple(out[start:])
-                del out[start:]
-                out.append((REP, body))
-            else:
-                out.extend(out[start:] * (count - 1))
-        elif isinstance(item, Instr):
-            out.append(item.instruction)
-        elif isinstance(item, Concat):
-            stack += (item.right, item.left)
-        elif isinstance(item, Power):
-            if item.count == 0:
-                out.append(Jump(0))
-            else:
-                stack += ((Power, len(out), item.count), item.body)
-        elif isinstance(item, Repeat):
-            stack += ((Repeat, len(out), None), item.body)
-        else:
-            raise TypeError(f"not a sequence term: {item!r}")
-    return tuple(out)
+def _is_rep(a) -> bool:
+    """Whether the atom a is a repetition marker (REP, body)."""
+    return isinstance(a, tuple)
 
 
 def atoms_len(atoms: tuple) -> Optional[int]:
     """Number of instructions, or None when a repetition makes it infinite."""
     for a in atoms:
-        if isinstance(a, tuple) and a and a[0] == REP:
+        if _is_rep(a):
             return None
     return len(atoms)
 
@@ -120,7 +85,7 @@ def atoms_len(atoms: tuple) -> Optional[int]:
 def atoms_foci(atoms: tuple) -> frozenset:
     out = set()
     for a in atoms:
-        if isinstance(a, tuple) and a and a[0] == REP:
+        if _is_rep(a):
             out |= atoms_foci(a[1])
         elif isinstance(a, (Basic, PosTest, NegTest)):
             out.add(a.focus)
@@ -315,7 +280,9 @@ def parse_proof(text: str) -> ProofNode:
 class _Checker:
     """Checks a proof tree node by node and records what fails.  The walk
     keeps one explicit stack, so a proof as deep as a chain of thousands of
-    bindings costs no recursion."""
+    bindings costs no recursion.  Premises are resolved to their
+    conclusions in one place, so each rule's method checks only its own
+    side conditions."""
 
     def __init__(self, cfg: AlgebraConfig, strict: bool):
         self.cfg = cfg
@@ -329,14 +296,28 @@ class _Checker:
 
     # -- helpers ----------------------------------------------------------
 
+    def _carry(self, path: str, message: str, a: AssertedSeq,
+               b: AssertedSeq, *fields: str) -> None:
+        """Records message once unless a and b agree on every named field:
+        the term by its atoms, entry and exit, and the formulas pre and
+        post up to alpha-equivalence."""
+        for name in fields:
+            if name == "term":
+                same = term_atoms(a.term) == term_atoms(b.term)
+            elif name in ("pre", "post"):
+                same = alpha_eq(getattr(a, name), getattr(b, name))
+            else:
+                same = getattr(a, name) == getattr(b, name)
+            if not same:
+                self.fail(path, message)
+                return
+
     def _same_seq(self, a: AssertedSeq, b: AssertedSeq, path: str,
                   what: str) -> None:
-        if term_atoms(a.term) != term_atoms(b.term):
-            self.fail(path, f"{what}: sequence terms differ")
-        if a.entry != b.entry or a.exit != b.exit:
-            self.fail(path, f"{what}: entry/exit annotations differ")
-        if not alpha_eq(a.pre, b.pre) or not alpha_eq(a.post, b.post):
-            self.fail(path, f"{what}: formulas differ")
+        self._carry(path, f"{what}: sequence terms differ", a, b, "term")
+        self._carry(path, f"{what}: entry/exit annotations differ", a, b,
+                    "entry", "exit")
+        self._carry(path, f"{what}: formulas differ", a, b, "pre", "post")
 
     # -- the walk ---------------------------------------------------------
 
@@ -376,12 +357,18 @@ class _Checker:
         elif self._ARITY[rule] not in (None, len(node.premises)):
             self.fail(path, f"{rule}: needs {self._ARITY[rule]} premise(s), "
                             f"has {len(node.premises)}")
+        elif rule == "R5":  # R5 resolves and pushes its subproofs itself
+            self._r5(node, path)
         else:
-            getattr(self, f"_{rule.lower()}")(node, path, hyps)
-            if rule != "R5":  # R5 pushes its subproofs itself
-                for i in range(len(node.premises), 0, -1):
-                    self.stack.append(
-                        (node.premises[i - 1], f"{path}.{rule}[{i}]", hyps))
+            premises = [self._conclusion_of(p, hyps) for p in node.premises]
+            missing = [i for i, p in enumerate(premises, 1) if p is None]
+            for i in missing:
+                self.fail(path, f"premise {i} has no usable conclusion")
+            if not missing:
+                getattr(self, f"_{rule.lower()}")(node, path, *premises)
+            for i in range(len(node.premises), 0, -1):
+                self.stack.append(
+                    (node.premises[i - 1], f"{path}.{rule}[{i}]", hyps))
 
     def _conclusion_of(self, node: ProofNode,
                        hyps: Optional[Tuple[AssertedSeq, ...]]
@@ -391,14 +378,6 @@ class _Checker:
                 return None
             return hyps[node.hyp_index - 1]
         return node.conclusion
-
-    def _premise(self, node: ProofNode, i: int,
-                 hyps: Optional[Tuple[AssertedSeq, ...]], path: str
-                 ) -> Optional[AssertedSeq]:
-        c = self._conclusion_of(node.premises[i], hyps)
-        if c is None:
-            self.fail(path, f"premise {i + 1} has no usable conclusion")
-        return c
 
     # -- axioms -----------------------------------------------------------
 
@@ -414,7 +393,7 @@ class _Checker:
     def _axiom(self, node: ProofNode, path: str) -> None:
         c = node.conclusion
         atoms = term_atoms(c.term)
-        if len(atoms) != 1 or (isinstance(atoms[0], tuple) and atoms[0][0] == REP):
+        if len(atoms) != 1 or _is_rep(atoms[0]):
             self.fail(path, f"{node.rule}: the sequence must be one instruction")
             return
         instr = atoms[0]
@@ -469,11 +448,7 @@ class _Checker:
 
     # -- concatenation rules ----------------------------------------------
 
-    def _r1(self, node, path, hyps) -> None:
-        p1 = self._premise(node, 0, hyps, path)
-        p2 = self._premise(node, 1, hyps, path)
-        if p1 is None or p2 is None:
-            return
+    def _r1(self, node, path, p1, p2) -> None:
         c = node.conclusion
         if p1.exit <= 0 or p1.exit != p2.entry:
             self.fail(path, "R1: intermediate exit/entry must match and be > 0")
@@ -481,15 +456,12 @@ class _Checker:
             self.fail(path, "R1: intermediate formulas differ")
         if term_atoms(c.term) != term_atoms(p1.term) + term_atoms(p2.term):
             self.fail(path, "R1: conclusion is not the premises' concatenation")
-        if c.entry != p1.entry or not alpha_eq(c.pre, p1.pre):
-            self.fail(path, "R1: entry annotation must come from premise 1")
-        if c.exit != p2.exit or not alpha_eq(c.post, p2.post):
-            self.fail(path, "R1: exit annotation must come from premise 2")
+        self._carry(path, "R1: entry annotation must come from premise 1",
+                    c, p1, "entry", "pre")
+        self._carry(path, "R1: exit annotation must come from premise 2",
+                    c, p2, "exit", "post")
 
-    def _r2(self, node, path, hyps) -> None:
-        p = self._premise(node, 0, hyps, path)
-        if p is None:
-            return
+    def _r2(self, node, path, p) -> None:
         c = node.conclusion
         a_c, a_p = term_atoms(c.term), term_atoms(p.term)
         if a_c[: len(a_p)] != a_p or len(a_c) == len(a_p):
@@ -503,28 +475,20 @@ class _Checker:
             self.fail(path, "R2: requires exit e > 0")
         if p.exit != c.exit + tail_len:
             self.fail(path, "R2: premise exit must be e + len(S2)")
-        if (c.entry != p.entry or not alpha_eq(c.pre, p.pre)
-                or not alpha_eq(c.post, p.post)):
-            self.fail(path, "R2: entry/formula annotations must carry over")
+        self._carry(path, "R2: entry/formula annotations must carry over",
+                    c, p, "entry", "pre", "post")
 
-    def _r3(self, node, path, hyps) -> None:
-        p = self._premise(node, 0, hyps, path)
-        if p is None:
-            return
+    def _r3(self, node, path, p) -> None:
         c = node.conclusion
         a_c, a_p = term_atoms(c.term), term_atoms(p.term)
         if a_c[: len(a_p)] != a_p or len(a_c) == len(a_p):
             self.fail(path, "R3: the premise term must be a proper prefix")
         if p.exit != 0 or c.exit != 0:
             self.fail(path, "R3: both exits must be 0")
-        if (c.entry != p.entry or not alpha_eq(c.pre, p.pre)
-                or not alpha_eq(c.post, p.post)):
-            self.fail(path, "R3: entry/formula annotations must carry over")
+        self._carry(path, "R3: entry/formula annotations must carry over",
+                    c, p, "entry", "pre", "post")
 
-    def _r4(self, node, path, hyps) -> None:
-        p = self._premise(node, 0, hyps, path)
-        if p is None:
-            return
+    def _r4(self, node, path, p) -> None:
         c = node.conclusion
         a_c, a_p = term_atoms(c.term), term_atoms(p.term)
         if len(a_c) <= len(a_p) or a_c[len(a_c) - len(a_p):] != a_p:
@@ -536,13 +500,12 @@ class _Checker:
             return
         if c.entry != p.entry + head_len:
             self.fail(path, "R4: entry must shift by len(S1)")
-        if (c.exit != p.exit or not alpha_eq(c.pre, p.pre)
-                or not alpha_eq(c.post, p.post)):
-            self.fail(path, "R4: exit/formula annotations must carry over")
+        self._carry(path, "R4: exit/formula annotations must carry over",
+                    c, p, "exit", "pre", "post")
 
     # -- repetition -------------------------------------------------------
 
-    def _r5(self, node, path, hyps) -> None:
+    def _r5(self, node, path) -> None:
         if len(node.premises) != len(node.hyps):
             self.fail(path, "R5: one subproof per hypothesis is required")
             return
@@ -552,8 +515,7 @@ class _Checker:
         bodies = set()
         for i, h in enumerate(node.hyps, 1):
             atoms = term_atoms(h.term)
-            if (len(atoms) != 1 or not isinstance(atoms[0], tuple)
-                    or atoms[0][0] != REP):
+            if len(atoms) != 1 or not _is_rep(atoms[0]):
                 self.fail(path, f"R5: hypothesis {i} must assert a repetition S^w")
                 return
             if atoms_len(atoms[0][1]) is None:
@@ -592,10 +554,7 @@ class _Checker:
             self.fail(path, "subproof conclusion must match its hypothesis")
         self.stack.append((sub, path, hyps))
 
-    def _repintro(self, node, path, hyps) -> None:
-        p = self._premise(node, 0, hyps, path)
-        if p is None:
-            return
+    def _repintro(self, node, path, p) -> None:
         c = node.conclusion
         body = term_atoms(p.term)
         if atoms_len(body) is None:
@@ -605,17 +564,12 @@ class _Checker:
             self.fail(path, "conclusion must be the premise term repeated")
         if p.exit != 0 or c.exit != 0:
             self.fail(path, "repetition introduction requires exit 0")
-        if (c.entry != p.entry or not alpha_eq(c.pre, p.pre)
-                or not alpha_eq(c.post, p.post)):
-            self.fail(path, "entry/formula annotations must carry over")
+        self._carry(path, "entry/formula annotations must carry over",
+                    c, p, "entry", "pre", "post")
 
     # -- structural rules -------------------------------------------------
 
-    def _r6(self, node, path, hyps) -> None:
-        p1 = self._premise(node, 0, hyps, path)
-        p2 = self._premise(node, 1, hyps, path)
-        if p1 is None or p2 is None:
-            return
+    def _r6(self, node, path, p1, p2) -> None:
         c = node.conclusion
         if not isinstance(c.pre, Or):
             self.fail(path, "R6: precondition must be a disjunction")
@@ -623,15 +577,10 @@ class _Checker:
         if not (alpha_eq(c.pre.left, p1.pre) and alpha_eq(c.pre.right, p2.pre)):
             self.fail(path, "R6: disjuncts must match the premises")
         for i, p in enumerate((p1, p2), 1):
-            if (term_atoms(c.term) != term_atoms(p.term)
-                    or c.entry != p.entry or c.exit != p.exit
-                    or not alpha_eq(c.post, p.post)):
-                self.fail(path, f"R6: premise {i} must differ only in P")
+            self._carry(path, f"R6: premise {i} must differ only in P",
+                        c, p, "term", "entry", "exit", "post")
 
-    def _r7(self, node, path, hyps) -> None:
-        p = self._premise(node, 0, hyps, path)
-        if p is None:
-            return
+    def _r7(self, node, path, p) -> None:
         c = node.conclusion
         if not (isinstance(c.pre, And) and isinstance(c.post, And)):
             self.fail(path, "R7: both annotations must be conjunctions")
@@ -646,14 +595,10 @@ class _Checker:
                 self.fail(path, "R7: the invariant mentions a focus of S")
         except SortError as exc:
             self.fail(path, f"R7: {exc}")
-        if (term_atoms(c.term) != term_atoms(p.term)
-                or c.entry != p.entry or c.exit != p.exit):
-            self.fail(path, "R7: sequence and entry/exit must carry over")
+        self._carry(path, "R7: sequence and entry/exit must carry over",
+                    c, p, "term", "entry", "exit")
 
-    def _r8(self, node, path, hyps) -> None:
-        p = self._premise(node, 0, hyps, path)
-        if p is None:
-            return
+    def _r8(self, node, path, p) -> None:
         c = node.conclusion
         if not isinstance(c.pre, Exists):
             self.fail(path, "R8: precondition must be existential")
@@ -668,15 +613,10 @@ class _Checker:
                 self.fail(path, "R8: the bound variable occurs free in Q")
         except SortError as exc:
             self.fail(path, f"R8: {exc}")
-        if (term_atoms(c.term) != term_atoms(p.term)
-                or c.entry != p.entry or c.exit != p.exit
-                or not alpha_eq(c.post, p.post)):
-            self.fail(path, "R8: sequence and exit annotation must carry over")
+        self._carry(path, "R8: sequence and exit annotation must carry over",
+                    c, p, "term", "entry", "exit", "post")
 
-    def _r9(self, node, path, hyps) -> None:
-        p = self._premise(node, 0, hyps, path)
-        if p is None:
-            return
+    def _r9(self, node, path, p) -> None:
         c = node.conclusion
         if node.rename is None:
             self.fail(path, "R9: missing the variable pair")
@@ -689,18 +629,13 @@ class _Checker:
             self.fail(path, "R9: precondition is not the renamed premise")
         if not alpha_eq(c.post, substitute(p.post, x, Var(y))):
             self.fail(path, "R9: postcondition is not the renamed premise")
-        if (term_atoms(c.term) != term_atoms(p.term)
-                or c.entry != p.entry or c.exit != p.exit):
-            self.fail(path, "R9: sequence and entry/exit must carry over")
+        self._carry(path, "R9: sequence and entry/exit must carry over",
+                    c, p, "term", "entry", "exit")
 
-    def _r10(self, node, path, hyps) -> None:
-        p = self._premise(node, 0, hyps, path)
-        if p is None:
-            return
+    def _r10(self, node, path, p) -> None:
         c = node.conclusion
-        if (term_atoms(c.term) != term_atoms(p.term)
-                or c.entry != p.entry or c.exit != p.exit):
-            self.fail(path, "R10: sequence and entry/exit must carry over")
+        self._carry(path, "R10: sequence and entry/exit must carry over",
+                    c, p, "term", "entry", "exit")
         if node.obligations is not None:
             ob_pre, ob_post = node.obligations
             if not alpha_eq(ob_pre, Implies(c.pre, p.pre)):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .lexer import EOF, MAX_DEPTH, NAME_START, Tokens, TOO_DEEP
+from .lexer import EOF, MAX_DEPTH, MAX_LENGTH, NAME_START, Tokens, TOO_DEEP
 
 OMEGA = float("inf")
 
@@ -325,23 +325,35 @@ def format_canonical(c: CanonicalSequence) -> str:
 # normalization
 
 
-def _flatten(t: SequenceTerm) -> CanonicalSequence:
-    """Prefix and period of t, read left to right into one list.
+REP = "rep"
 
-    The first repetition to close ends the sequence: whatever follows an
-    infinite part is never reached.  A stack item is a term still to read
-    or a marker (kind, start, count) closing the power or repetition whose
-    body was read into out[start:].
+
+def term_atoms(t: SequenceTerm) -> tuple:
+    """The term as a flat tuple of instructions, with ^w kept symbolic.
+
+    A repetition becomes a single (REP, body-atoms) marker, so terms that
+    denote the same sequence but are written differently (S^w versus
+    S ; S^w) stay distinguishable, as the proof rules require; these
+    markers are the only tuples among the atoms.  A power whose atoms,
+    written out, would pass MAX_LENGTH is refused with a ValueError.
     """
     out = []
+    # a stack of terms still to read and markers (kind, start, count) that
+    # close the power or repetition whose body was read into out[start:]
     stack = [t]
     while stack:
         item = stack.pop()
         if isinstance(item, tuple):
             kind, start, count = item
             if kind is Repeat:
-                return CanonicalSequence(tuple(out[:start]), tuple(out[start:]))
-            out.extend(out[start:] * (count - 1))
+                body = tuple(out[start:])
+                del out[start:]
+                out.append((REP, body))
+            elif start + (len(out) - start) * count > MAX_LENGTH:
+                raise ValueError(
+                    f"sequence longer than {MAX_LENGTH} instructions")
+            else:
+                out.extend(out[start:] * (count - 1))
         elif isinstance(item, Instr):
             out.append(item.instruction)
         elif isinstance(item, Concat):
@@ -355,7 +367,28 @@ def _flatten(t: SequenceTerm) -> CanonicalSequence:
             stack += ((Repeat, len(out), None), item.body)
         else:
             raise TypeError(f"not a sequence term: {item!r}")
-    return CanonicalSequence(tuple(out), None)
+    return tuple(out)
+
+
+def _flatten(t: SequenceTerm) -> CanonicalSequence:
+    """Prefix and period of t, cut from its atoms.
+
+    The first repetition ends the sequence: whatever follows an infinite
+    part is never reached.  The prefix is everything before it, descending
+    into the repetitions nested first in its body, and the period is the
+    innermost body.
+    """
+    atoms, prefix = term_atoms(t), None
+    while True:
+        for i, a in enumerate(atoms):
+            if isinstance(a, tuple):
+                prefix = (prefix or ()) + atoms[:i]
+                atoms = a[1]
+                break
+        else:
+            if prefix is None:
+                return CanonicalSequence(atoms, None)
+            return CanonicalSequence(prefix, atoms)
 
 
 def normalize(t: SequenceTerm) -> CanonicalSequence:

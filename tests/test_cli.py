@@ -12,7 +12,7 @@ import pytest
 import pga_hoare
 from pga_hoare.cli import main
 from pga_hoare.formulas import parse_formula
-from pga_hoare.lexer import MAX_DEPTH
+from pga_hoare.lexer import MAX_DEPTH, MAX_LENGTH
 from pga_hoare.proofs import parse_proof
 from pga_hoare.syntax import parse_sequence
 
@@ -140,6 +140,23 @@ def test_deep_nesting_is_a_usage_error(capsys):
         captured = capsys.readouterr()
         assert captured.err == "error: input nested too deeply\n"
         assert captured.out == ""
+
+
+def test_powers_past_max_length_are_usage_errors(tmp_path, capsys):
+    # a power is refused before its body is copied, whether the count is
+    # huge or the nested powers only multiply past MAX_LENGTH together
+    proof = tmp_path / "huge.proof"
+    proof.write_text('(A11 {1 | true} "a.m^1000000000000" {0 | true})')
+    for argv in (["normalize", "a.m^1000000000000"],
+                 ["holds", "{1 | true} a.m^1000000000000 {1 | true}"],
+                 ["check", str(proof)],
+                 ["normalize", "(a.m ; !)^%d" % (MAX_LENGTH // 2 + 1)],
+                 ["thread", "((a.m)^10000)^10000"]):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: sequence longer than {MAX_LENGTH} instructions\n")
 
 
 def test_sp_lists_every_state_of_the_image(capsys):
@@ -332,6 +349,41 @@ def test_unknown_verdicts_name_the_first_undecided_state(capsys):
         # the text output does not show the witness
         assert main(argv) == 2
         assert capsys.readouterr().out == f"UNKNOWN ({reason})\n"
+
+
+def test_structured_witnesses_carry_valuation_and_outcome(capsys):
+    # what the text form prints after "from": the valuation and the outcome
+    transfer = "(-c.iszero ; #2 ; ! ; c.decr ; d.incr)^w"
+    status, data = _structured(["--bound", "6", "holds",
+                                "{1 | ~(c = nnc(0))} %s {0 | false}"
+                                % transfer], capsys)
+    assert status == 1
+    assert (data["witness"], data["valuation"], data["outcome"]) == (
+        "{c = counter(1), d = counter(0)}", {},
+        {"outcome": "halted", "state": "{c = counter(0), d = counter(1)}"})
+    status, data = _structured(["--bound", "3", "holds",
+                                "{1 | (n = 2 /\\ b = false) /\\ x = :f} "
+                                "c.incr ; ! {0 | false}"], capsys)
+    assert status == 1
+    assert data["valuation"] == {"b": False, "n": 2, "x": ":f"}
+    assert data["outcome"] == {"outcome": "halted",
+                               "state": "{c = counter(1)}"}
+    # an unknown verdict's witness has a valuation but no outcome
+    status, data = _structured(["--bound", "20", "holds",
+                                "{1 | true} (c.incr)^w {0 | false}"], capsys)
+    assert status == 2
+    assert (data["valuation"], data["outcome"]) == ({}, None)
+
+
+def test_structured_run_outcomes(capsys):
+    family = "{c = counter(0)}"
+    for seq, status, payload in (
+            ("!", 0, {"outcome": "halted", "state": family}),
+            ("c.incr", 0, {"outcome": "exited", "offset": 1,
+                           "state": "{c = counter(1)}"}),
+            ("(#1)^w", 0, {"outcome": "inactive"}),
+            ("(c.incr)^w", 2, {"outcome": "budget-exhausted"})):
+        assert _structured(["run", seq, family], capsys) == (status, payload)
 
 
 def test_a_focus_used_at_another_sort_is_a_usage_error(capsys):

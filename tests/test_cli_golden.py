@@ -4,7 +4,8 @@
 standard error (lines marked `[stderr]`) and its exit status, as printed
 before lap summaries were added to the segment loop.  Every command must
 still print exactly that, apart from the lines listed in CHANGED: each is a
-deliberate change of behaviour, not of speed.
+deliberate change of behaviour, not of speed, and may print several lines
+in place of one.
 
 To print the transcript of the code on the import path (from the
 repository root):
@@ -115,7 +116,7 @@ _UNOBSERVED = [
 COMMANDS = (_README + _PROOF_CHECKS + _COUNTER_LOOPS + _MORE + _LINES
             + _REJECTED + _THREADS + _UNOBSERVED)
 
-# (command, recorded line, line printed now)
+# (command, recorded line, line printed now or the lines in its place)
 CHANGED = [
     # an unknown verdict names the first state that made it unknown
     (["--bound", "20", "--format", "structured", "holds",
@@ -134,6 +135,35 @@ CHANGED = [
     (["--bound", "30", "sp", "true", "c.decr ; (c.incr ; c.incr ; +d.decr)^w",
       "--entry", "4"], "[exit 1]", "[exit 2]"),
 ]
+
+
+def _witness_keys(argv, bounded, reason, valuation, halted_in=None):
+    """The CHANGED entries of a structured holds: after "bounded", the
+    outcome of a fails witness's run; after "reason", the witness's
+    valuation.  Each is null when there is no witness."""
+    outcome = (['  "outcome": null,'] if halted_in is None else
+               ['  "outcome": {', '    "outcome": "halted",',
+                f'    "state": "{halted_in}"', '  },'])
+    return [(argv, f'  "bounded": {bounded},',
+             [f'  "bounded": {bounded},', *outcome]),
+            (argv, f'  "reason": {reason},',
+             [f'  "reason": {reason},', f'  "valuation": {valuation},'])]
+
+
+# the structured holds output shows the witness's valuation and outcome,
+# as the text output does
+CHANGED += (
+    # holds, no witness
+    _witness_keys(_COUNTER_LOOPS[1], "true", "null", "null")
+    + _witness_keys(_COUNTER_LOOPS[3], "true", "null", "null")
+    # fails, halting in the witness's final state
+    + _witness_keys(_COUNTER_LOOPS[7], "false", "null", "{}",
+                    "{c = counter(0)}")
+    + _witness_keys(_UNOBSERVED[1], "false", "null", "{}",
+                    "{c = counter(0), d = counter(1)}")
+    # unknown: a witness without a fails outcome
+    + [entry for argv in (_MORE[5], _LINES[4]) for entry in _witness_keys(
+        argv, "false", '"step budget exhausted on some run"', "{}")])
 
 
 def _header(argv):
@@ -169,7 +199,8 @@ def test_outputs_match_the_recorded_transcript():
         expected = list(recorded[_header(argv)])
         for changed, old, new in CHANGED:
             if changed == argv:
-                expected[expected.index(old)] = new
+                i = expected.index(old)
+                expected[i:i + 1] = [new] if isinstance(new, str) else new
         assert transcript(argv) == expected, _header(argv)
 
 

@@ -577,7 +577,8 @@ def test_hand_built_trees_without_premises_or_conclusion_are_rejected():
 # rule names, unknown ones included: a lower-case rule, and names of the
 # checker's own helpers
 _RULES = ([f"A{i}" for i in range(12)] + [f"R{i}" for i in range(12)]
-          + ["HYP", "REPINTRO", "r1", "NODE", "PREMISE", "SAME_SEQ"])
+          + ["HYP", "REPINTRO", "r1", "NODE", "PREMISE", "SAME_SEQ",
+             "CARRY"])
 
 
 def _subtrees(root):
