@@ -163,11 +163,11 @@ def _primitive_root(word: tuple) -> tuple:
 
 def make_canonical(prefix, period) -> CanonicalSequence:
     """Build the unique canonical form: primitive period, minimal prefix."""
-    prefix = list(prefix)
     if period is None:
         if not prefix:
             raise ValueError("empty sequence")
         return CanonicalSequence(tuple(prefix), None)
+    prefix = list(prefix)
     period = list(_primitive_root(tuple(period)))
     # Rotating the last prefix instruction into the period keeps the denoted
     # sequence unchanged; repeat until the prefix is minimal.
@@ -370,8 +370,9 @@ def term_atoms(t: SequenceTerm) -> tuple:
     return tuple(out)
 
 
-def _flatten(t: SequenceTerm) -> CanonicalSequence:
-    """Prefix and period of t, cut from its atoms.
+def _flatten(t: SequenceTerm) -> tuple:
+    """(prefix, period) of t, cut from its atoms; period is None when t is
+    finite.
 
     The first repetition ends the sequence: whatever follows an infinite
     part is never reached.  The prefix is everything before it, descending
@@ -386,14 +387,11 @@ def _flatten(t: SequenceTerm) -> CanonicalSequence:
                 atoms = a[1]
                 break
         else:
-            if prefix is None:
-                return CanonicalSequence(atoms, None)
-            return CanonicalSequence(prefix, atoms)
+            return (atoms, None) if prefix is None else (prefix, atoms)
 
 
 def normalize(t: SequenceTerm) -> CanonicalSequence:
-    flat = _flatten(t)
-    return make_canonical(flat.prefix, flat.period)
+    return make_canonical(*_flatten(t))
 
 
 def seq_equal(a: SequenceTerm, b: SequenceTerm) -> bool:
