@@ -352,15 +352,8 @@ def test_unknown_verdicts_name_the_first_undecided_state(capsys):
 
 
 def test_structured_witnesses_carry_valuation_and_outcome(capsys):
-    # what the text form prints after "from": the valuation and the outcome
-    transfer = "(-c.iszero ; #2 ; ! ; c.decr ; d.incr)^w"
-    status, data = _structured(["--bound", "6", "holds",
-                                "{1 | ~(c = nnc(0))} %s {0 | false}"
-                                % transfer], capsys)
-    assert status == 1
-    assert (data["witness"], data["valuation"], data["outcome"]) == (
-        "{c = counter(1), d = counter(0)}", {},
-        {"outcome": "halted", "state": "{c = counter(0), d = counter(1)}"})
+    # what the text form prints after "from"; the transcript has the
+    # witnesses without free variables
     status, data = _structured(["--bound", "3", "holds",
                                 "{1 | (n = 2 /\\ b = false) /\\ x = :f} "
                                 "c.incr ; ! {0 | false}"], capsys)
@@ -368,11 +361,6 @@ def test_structured_witnesses_carry_valuation_and_outcome(capsys):
     assert data["valuation"] == {"b": False, "n": 2, "x": ":f"}
     assert data["outcome"] == {"outcome": "halted",
                                "state": "{c = counter(1)}"}
-    # an unknown verdict's witness has a valuation but no outcome
-    status, data = _structured(["--bound", "20", "holds",
-                                "{1 | true} (c.incr)^w {0 | false}"], capsys)
-    assert status == 2
-    assert (data["valuation"], data["outcome"]) == ({}, None)
 
 
 def test_structured_run_outcomes(capsys):
