@@ -13,10 +13,11 @@ and evaluated recursively afterwards.  A formula counts each connective,
 quantifier, term operator and pair of parentheses, a sequence its
 parentheses, a proof its nested records.
 
-MAX_LENGTH caps the instructions a sequence term writes out: a power
-such as a.m^1000000000000 is refused (a ValueError) before its body is
-copied, instead of exhausting memory.  Atoms after a repetition count too,
-since proofs compare terms as written.
+MAX_LENGTH caps the instructions a sequence term writes out, those held
+in repetition bodies included: a power such as a.m^1000000000000 is
+refused (a ValueError) before its body is copied, instead of exhausting
+memory.  Normalizing stops at the first repetition, since nothing after
+it is reached; proofs compare terms as written, so they count the rest.
 """
 
 from __future__ import annotations

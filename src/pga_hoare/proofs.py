@@ -39,8 +39,8 @@ from .judgments import AssertedSeq, annotation_of
 from .lexer import EOF, MAX_DEPTH, NAME_START, Tokens, TOO_DEEP
 from .services import AlgebraConfig, Reply
 from .formulas import entails
-from .syntax import (REP, Basic, Halt, Jump, NegTest, PosTest, sequence_of,
-                     term_atoms)
+from .syntax import (REP, Basic, Halt, Jump, NegTest, PosTest, is_rep,
+                     sequence_of, term_atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -69,15 +69,10 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 # term-level sequence atoms
 
-def _is_rep(a) -> bool:
-    """Whether the atom a is a repetition marker (REP, body)."""
-    return isinstance(a, tuple)
-
-
 def atoms_len(atoms: tuple) -> Optional[int]:
     """Number of instructions, or None when a repetition makes it infinite."""
     for a in atoms:
-        if _is_rep(a):
+        if is_rep(a):
             return None
     return len(atoms)
 
@@ -85,7 +80,7 @@ def atoms_len(atoms: tuple) -> Optional[int]:
 def atoms_foci(atoms: tuple) -> frozenset:
     out = set()
     for a in atoms:
-        if _is_rep(a):
+        if is_rep(a):
             out |= atoms_foci(a[1])
         elif isinstance(a, (Basic, PosTest, NegTest)):
             out.add(a.focus)
@@ -393,7 +388,7 @@ class _Checker:
     def _axiom(self, node: ProofNode, path: str) -> None:
         c = node.conclusion
         atoms = term_atoms(c.term)
-        if len(atoms) != 1 or _is_rep(atoms[0]):
+        if len(atoms) != 1 or is_rep(atoms[0]):
             self.fail(path, f"{node.rule}: the sequence must be one instruction")
             return
         instr = atoms[0]
@@ -515,7 +510,7 @@ class _Checker:
         bodies = set()
         for i, h in enumerate(node.hyps, 1):
             atoms = term_atoms(h.term)
-            if len(atoms) != 1 or not _is_rep(atoms[0]):
+            if len(atoms) != 1 or not is_rep(atoms[0]):
                 self.fail(path, f"R5: hypothesis {i} must assert a repetition S^w")
                 return
             if atoms_len(atoms[0][1]) is None:

@@ -328,16 +328,25 @@ def format_canonical(c: CanonicalSequence) -> str:
 REP = "rep"
 
 
-def term_atoms(t: SequenceTerm) -> tuple:
+def is_rep(atom) -> bool:
+    """Whether an atom of term_atoms is a repetition marker (REP, body)."""
+    return isinstance(atom, tuple)
+
+
+def term_atoms(t: SequenceTerm, to_first_rep: bool = False) -> tuple:
     """The term as a flat tuple of instructions, with ^w kept symbolic.
 
     A repetition becomes a single (REP, body-atoms) marker, so terms that
     denote the same sequence but are written differently (S^w versus
     S ; S^w) stay distinguishable, as the proof rules require; these
-    markers are the only tuples among the atoms.  A power whose atoms,
-    written out, would pass MAX_LENGTH is refused with a ValueError.
+    markers are the only tuples among the atoms.  With to_first_rep the
+    atoms end at the first repetition to close, since nothing after an
+    infinite part is reached.  A power that would take the atoms written,
+    those held in repetition bodies included, past MAX_LENGTH is refused
+    with a ValueError before its copies are made.
     """
     out = []
+    hidden = 0  # atoms moved into repetition bodies, less one per marker
     # a stack of terms still to read and markers (kind, start, count) that
     # close the power or repetition whose body was read into out[start:]
     stack = [t]
@@ -347,9 +356,12 @@ def term_atoms(t: SequenceTerm) -> tuple:
             kind, start, count = item
             if kind is Repeat:
                 body = tuple(out[start:])
-                del out[start:]
-                out.append((REP, body))
-            elif start + (len(out) - start) * count > MAX_LENGTH:
+                hidden += len(body) - 1
+                out[start:] = [(REP, body)]
+                if to_first_rep:
+                    break
+            elif (len(out) + hidden + (len(out) - start) * (count - 1)
+                    > MAX_LENGTH):
                 raise ValueError(
                     f"sequence longer than {MAX_LENGTH} instructions")
             else:
@@ -371,23 +383,15 @@ def term_atoms(t: SequenceTerm) -> tuple:
 
 
 def _flatten(t: SequenceTerm) -> tuple:
-    """(prefix, period) of t, cut from its atoms; period is None when t is
-    finite.
+    """(prefix, period) of t; period is None when t is finite.
 
-    The first repetition ends the sequence: whatever follows an infinite
-    part is never reached.  The prefix is everything before it, descending
-    into the repetitions nested first in its body, and the period is the
-    innermost body.
+    The first repetition to close ends the sequence: its body, which holds
+    no repetition, is the period, and the atoms before it are the prefix.
     """
-    atoms, prefix = term_atoms(t), None
-    while True:
-        for i, a in enumerate(atoms):
-            if isinstance(a, tuple):
-                prefix = (prefix or ()) + atoms[:i]
-                atoms = a[1]
-                break
-        else:
-            return (atoms, None) if prefix is None else (prefix, atoms)
+    atoms = term_atoms(t, to_first_rep=True)
+    if atoms and is_rep(atoms[-1]):
+        return atoms[:-1], atoms[-1][1]
+    return atoms, None
 
 
 def normalize(t: SequenceTerm) -> CanonicalSequence:

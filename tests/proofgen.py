@@ -15,7 +15,7 @@ from pga_hoare.formulas import (And, BoolLit, DeriveT, Eq, Exists, FALSE,
 from pga_hoare.judgments import AssertedSeq, format_asserted
 from pga_hoare.proofs import ProofNode, term_atoms
 from pga_hoare.syntax import (Basic, Concat, Halt, Instr, Jump, NegTest,
-                              PosTest, Repeat, concat_all)
+                              PosTest, Repeat, concat_all, is_rep)
 
 FOCI = ("r", "q")
 METHODS = ("get", "set:t", "set:f")
@@ -90,7 +90,7 @@ def _random_tail(rng, n):
 def _grow(rng, node: ProofNode):
     """One random applicable rule application on top of node, or None."""
     c = node.conclusion
-    finite = all(not isinstance(a, tuple) for a in term_atoms(c.term))
+    finite = not any(map(is_rep, term_atoms(c.term)))
     moves = []
 
     if c.exit == 0 and finite:

@@ -14,6 +14,7 @@ from pga_hoare.cli import main
 from pga_hoare.formulas import parse_formula
 from pga_hoare.lexer import MAX_DEPTH, MAX_LENGTH
 from pga_hoare.proofs import parse_proof
+from pga_hoare import syntax
 from pga_hoare.syntax import parse_sequence
 
 PROOF = str(pathlib.Path(__file__).resolve().parent.parent
@@ -157,6 +158,32 @@ def test_powers_past_max_length_are_usage_errors(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == (
             f"error: sequence longer than {MAX_LENGTH} instructions\n")
+    # normalize stops at the first repetition, so a tail past it is not
+    # written out
+    assert main(["normalize", "(a.m)^w ; b.m^1000000000000"]) == 0
+    assert capsys.readouterr().out == "period: a.m\nlen: omega\n"
+
+
+def test_repetition_bodies_count_towards_max_length(tmp_path, capsys,
+                                                    monkeypatch):
+    # the atoms held in each repetition body count, not just one per
+    # repetition; with a cap of 1000 the test stays small
+    monkeypatch.setattr(syntax, "MAX_LENGTH", 1000)
+    term = " ; ".join(["(a.m^600)^w"] * 3)
+    with pytest.raises(ValueError, match="longer than 1000"):
+        syntax.term_atoms(syntax.parse_sequence(term))
+    proof = tmp_path / "reps.proof"
+    proof.write_text(f'(A11 {{1 | true}} "{term}" {{0 | true}})')
+    assert main(["check", str(proof)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sequence longer than 1000 instructions\n"
+    # copies of one repetition share its body
+    atoms = syntax.term_atoms(syntax.parse_sequence("((a.m^600)^w)^300"))
+    assert len(atoms) == 300 and len(atoms[0][1]) == 600
+    for argv in (["normalize", term], ["thread", term]):
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().err == ""
 
 
 def test_sp_lists_every_state_of_the_image(capsys):
