@@ -13,13 +13,13 @@ be trusted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Optional, Tuple, Union
 
 from .services import (EMPTY, AlgebraConfig, Reply, Service, ServiceFamily,
                        boolreg, counter, svc_step)
 from .lexer import EOF, MAX_DEPTH, Tokens, TOO_DEEP
+from .records import record
 
 SORTS = ("nat", "bool", "serv", "repl")
 
@@ -38,58 +38,58 @@ class SortError(ValueError):
 # terms
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class NatLit:
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class BoolLit:
     value: bool
 
 
-@dataclass(frozen=True)
+@record
 class ReplyLit:
     value: Reply
 
 
-@dataclass(frozen=True)
+@record
 class Succ:
     arg: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class Pred:
     arg: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class Nnc:
     arg: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class RegOf:
     arg: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class EmptyServ:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class DeriveT:
     method: str
     arg: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class ReplyT:
     method: str
     arg: "Term"
@@ -103,53 +103,53 @@ Term = Union[Var, NatLit, BoolLit, ReplyLit, Succ, Pred, Nnc, RegOf,
 # formulas
 
 
-@dataclass(frozen=True)
+@record
 class TrueF:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class FalseF:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Not:
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Eq:
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@record
 class Exists:
     var: str
     sort: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Forall:
     var: str
     sort: str
@@ -984,7 +984,7 @@ def eval_formula(f: Formula, state: ServiceFamily, cfg: AlgebraConfig,
 # entailment oracle
 
 
-@dataclass(frozen=True)
+@record
 class EntailVerdict:
     kind: str  # valid | invalid | bounded | unknown
     witness: Optional[Tuple[ServiceFamily, dict]] = None

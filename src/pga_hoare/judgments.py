@@ -9,16 +9,16 @@ annotation groups, optionally double-quoted:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import List
 
 from .formulas import Formula, format_formula, formula_of
 from .lexer import Tokens
+from .records import record
 from .syntax import SequenceSyntaxError, SequenceTerm, format_term, sequence_at
 
 
-@dataclass(frozen=True)
+@record
 class AssertedSeq:
     entry: int
     pre: Formula

@@ -27,7 +27,6 @@ root of the proof is the last binding (or the last bare record).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
@@ -37,6 +36,7 @@ from .formulas import (And, Eq, Exists, FALSE, Formula, Implies, Not, Or,
                        subst_derive, substitute)
 from .judgments import AssertedSeq, annotation_of
 from .lexer import EOF, MAX_DEPTH, NAME_START, Tokens, TOO_DEEP
+from .records import factory, record
 from .services import AlgebraConfig, Reply
 from .formulas import entails
 from .syntax import (REP, Basic, Halt, Jump, NegTest, PosTest, is_rep,
@@ -47,7 +47,7 @@ from .syntax import (REP, Basic, Halt, Jump, NegTest, PosTest, is_rep,
 # proof trees
 
 
-@dataclass(frozen=True)
+@record
 class ProofNode:
     rule: str  # A1..A11, R1..R10, HYP, REPINTRO
     conclusion: Optional[AssertedSeq] = None
@@ -59,11 +59,11 @@ class ProofNode:
     obligations: Optional[Tuple[Formula, Formula]] = None  # R10 only
 
 
-@dataclass
+@record(frozen=False)
 class CheckResult:
     accepted: bool
-    failures: List[Tuple[str, str]] = field(default_factory=list)
-    assumptions: List[str] = field(default_factory=list)
+    failures: List[Tuple[str, str]] = factory(list)
+    assumptions: List[str] = factory(list)
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +78,15 @@ def atoms_len(atoms: tuple) -> Optional[int]:
 
 
 def atoms_foci(atoms: tuple) -> frozenset:
-    out = set()
-    for a in atoms:
-        if is_rep(a):
-            out |= atoms_foci(a[1])
-        elif isinstance(a, (Basic, PosTest, NegTest)):
-            out.add(a.focus)
+    """The foci of the atoms' instructions, repetition bodies included;
+    nested bodies wait on a stack, so depth costs no recursion."""
+    out, stack = set(), [atoms]
+    while stack:
+        for a in stack.pop():
+            if is_rep(a):
+                stack.append(a[1])
+            elif isinstance(a, (Basic, PosTest, NegTest)):
+                out.add(a.focus)
     return frozenset(out)
 
 
@@ -285,11 +288,23 @@ class _Checker:
         self.failures: List[Tuple[str, str]] = []
         self.assumptions: List[str] = []
         self.stack = []
+        # id(term) -> (term, its atoms), for this check only; holding the
+        # term keeps its id from being reused while the table lives
+        self.atoms_table = {}
 
     def fail(self, path: str, reason: str):
         self.failures.append((path, reason))
 
     # -- helpers ----------------------------------------------------------
+
+    def atoms(self, term) -> tuple:
+        """term_atoms(term), computed once per term object: a proof names
+        a premise's term again in its conclusion and in the rules above.
+        Keyed by identity, since hashing a term walks all of it."""
+        hit = self.atoms_table.get(id(term))
+        if hit is None:
+            hit = self.atoms_table[id(term)] = (term, term_atoms(term))
+        return hit[1]
 
     def _carry(self, path: str, message: str, a: AssertedSeq,
                b: AssertedSeq, *fields: str) -> None:
@@ -298,7 +313,7 @@ class _Checker:
         post up to alpha-equivalence."""
         for name in fields:
             if name == "term":
-                same = term_atoms(a.term) == term_atoms(b.term)
+                same = self.atoms(a.term) == self.atoms(b.term)
             elif name in ("pre", "post"):
                 same = alpha_eq(getattr(a, name), getattr(b, name))
             else:
@@ -387,7 +402,7 @@ class _Checker:
 
     def _axiom(self, node: ProofNode, path: str) -> None:
         c = node.conclusion
-        atoms = term_atoms(c.term)
+        atoms = self.atoms(c.term)
         if len(atoms) != 1 or is_rep(atoms[0]):
             self.fail(path, f"{node.rule}: the sequence must be one instruction")
             return
@@ -449,7 +464,7 @@ class _Checker:
             self.fail(path, "R1: intermediate exit/entry must match and be > 0")
         if not alpha_eq(p1.post, p2.pre):
             self.fail(path, "R1: intermediate formulas differ")
-        if term_atoms(c.term) != term_atoms(p1.term) + term_atoms(p2.term):
+        if self.atoms(c.term) != self.atoms(p1.term) + self.atoms(p2.term):
             self.fail(path, "R1: conclusion is not the premises' concatenation")
         self._carry(path, "R1: entry annotation must come from premise 1",
                     c, p1, "entry", "pre")
@@ -458,7 +473,7 @@ class _Checker:
 
     def _r2(self, node, path, p) -> None:
         c = node.conclusion
-        a_c, a_p = term_atoms(c.term), term_atoms(p.term)
+        a_c, a_p = self.atoms(c.term), self.atoms(p.term)
         if a_c[: len(a_p)] != a_p or len(a_c) == len(a_p):
             self.fail(path, "R2: the premise term must be a proper prefix")
             return
@@ -475,7 +490,7 @@ class _Checker:
 
     def _r3(self, node, path, p) -> None:
         c = node.conclusion
-        a_c, a_p = term_atoms(c.term), term_atoms(p.term)
+        a_c, a_p = self.atoms(c.term), self.atoms(p.term)
         if a_c[: len(a_p)] != a_p or len(a_c) == len(a_p):
             self.fail(path, "R3: the premise term must be a proper prefix")
         if p.exit != 0 or c.exit != 0:
@@ -485,7 +500,7 @@ class _Checker:
 
     def _r4(self, node, path, p) -> None:
         c = node.conclusion
-        a_c, a_p = term_atoms(c.term), term_atoms(p.term)
+        a_c, a_p = self.atoms(c.term), self.atoms(p.term)
         if len(a_c) <= len(a_p) or a_c[len(a_c) - len(a_p):] != a_p:
             self.fail(path, "R4: the premise term must be a proper suffix")
             return
@@ -509,7 +524,7 @@ class _Checker:
             return
         bodies = set()
         for i, h in enumerate(node.hyps, 1):
-            atoms = term_atoms(h.term)
+            atoms = self.atoms(h.term)
             if len(atoms) != 1 or not is_rep(atoms[0]):
                 self.fail(path, f"R5: hypothesis {i} must assert a repetition S^w")
                 return
@@ -541,7 +556,7 @@ class _Checker:
         if sc is None:
             self.fail(path, "subproof has no usable conclusion")
             return
-        if term_atoms(sc.term) != unrolled:
+        if self.atoms(sc.term) != unrolled:
             self.fail(path, "subproof must conclude about S ; S^w")
         if (sc.entry != h.entry or sc.exit != 0
                 or not alpha_eq(sc.pre, h.pre)
@@ -551,11 +566,11 @@ class _Checker:
 
     def _repintro(self, node, path, p) -> None:
         c = node.conclusion
-        body = term_atoms(p.term)
+        body = self.atoms(p.term)
         if atoms_len(body) is None:
             self.fail(path, "repetition introduction needs a finite body")
             return
-        if term_atoms(c.term) != ((REP, body),):
+        if self.atoms(c.term) != ((REP, body),):
             self.fail(path, "conclusion must be the premise term repeated")
         if p.exit != 0 or c.exit != 0:
             self.fail(path, "repetition introduction requires exit 0")
@@ -586,7 +601,7 @@ class _Checker:
         if not alpha_eq(invariant, c.post.right):
             self.fail(path, "R7: the invariant must be the same on both sides")
         try:
-            if free_foci(invariant) & atoms_foci(term_atoms(c.term)):
+            if free_foci(invariant) & atoms_foci(self.atoms(c.term)):
                 self.fail(path, "R7: the invariant mentions a focus of S")
         except SortError as exc:
             self.fail(path, f"R7: {exc}")
@@ -601,7 +616,7 @@ class _Checker:
         x = c.pre.var
         if not alpha_eq(c.pre.body, p.pre):
             self.fail(path, "R8: the body must match the premise precondition")
-        if x in atoms_foci(term_atoms(c.term)):
+        if x in atoms_foci(self.atoms(c.term)):
             self.fail(path, "R8: the bound variable is a focus of S")
         try:
             if x in free_vars(c.post):
@@ -617,7 +632,7 @@ class _Checker:
             self.fail(path, "R9: missing the variable pair")
             return
         x, y = node.rename
-        foci = atoms_foci(term_atoms(c.term))
+        foci = atoms_foci(self.atoms(c.term))
         if x in foci or y in foci:
             self.fail(path, "R9: renamed variables must not be foci of S")
         if not alpha_eq(c.pre, substitute(p.pre, x, Var(y))):

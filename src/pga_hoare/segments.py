@@ -10,7 +10,6 @@ the judgment's state graph is explored once rather than once per state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, Optional
 
@@ -19,6 +18,7 @@ from .formulas import (And, BoolLit, CompiledFormula, EmptyServ, Eq, Formula,
                        NatLit, Nnc, Or, RegOf, StateSpace, Var, FALSE, TRUE,
                        compile_formula)
 from .judgments import AssertedSeq
+from .records import record
 from .services import AlgebraConfig, ServiceFamily, family_key, format_family
 from .syntax import CanonicalSequence, SequenceTerm, focus_methods, normalize
 
@@ -27,12 +27,12 @@ from .syntax import CanonicalSequence, SequenceTerm, focus_methods, normalize
 # outcomes
 
 
-@dataclass(frozen=True)
+@record
 class Halted:
     state: ServiceFamily
 
 
-@dataclass(frozen=True)
+@record
 class Exited:
     offset: int
     state: ServiceFamily
@@ -42,12 +42,12 @@ class Exited:
             raise ValueError("exit offset must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class Inactive:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class BudgetOut:
     """The step budget ran out before the run converged or cycled."""
 
@@ -123,7 +123,7 @@ def _segment_runs(c: CanonicalSequence, b: int, foci, kinds,
 # the semantic checker
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     kind: str  # holds | fails | unknown
     bounded: bool = False

@@ -10,9 +10,10 @@ to the empty service.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, Optional, Tuple
+
+from .records import record
 
 
 class Reply(Enum):
@@ -21,7 +22,7 @@ class Reply(Enum):
     D = "d"
 
 
-@dataclass(frozen=True)
+@record
 class Service:
     kind: str
     content: object = None
@@ -32,7 +33,7 @@ EMPTY = Service("empty")
 
 # Services are immutable, so equal ones may be shared.  counter(n) and
 # boolreg(v) return interned instances: the first _INTERNED counters and
-# both registers are built once, which saves building a dataclass instance
+# both registers are built once, which saves building a Service record
 # per state enumerated, per decoded content and per formula term.
 _INTERNED = 1 << 12
 _COUNTERS = []  # _COUNTERS[n] is counter(n); it only grows, under _GROW
@@ -92,7 +93,7 @@ def svc_step(s: Service, m: str) -> Tuple[Reply, Service]:
 # service families
 
 
-@dataclass(frozen=True)
+@record
 class ServiceFamily:
     """Immutable finite map from focus name to service."""
 
@@ -149,7 +150,7 @@ def fam_encapsulate(hidden: Iterable[str], u: ServiceFamily) -> ServiceFamily:
 # algebra configuration
 
 
-@dataclass(frozen=True)
+@record
 class AlgebraConfig:
     """Which built-in algebra interprets foci, and the enumeration bounds.
 

@@ -10,10 +10,10 @@ equality a componentwise comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .lexer import EOF, MAX_DEPTH, MAX_LENGTH, NAME_START, Tokens, TOO_DEEP
+from .records import record
 
 OMEGA = float("inf")
 
@@ -30,30 +30,30 @@ class SequenceSyntaxError(ValueError):
 # primitive instructions
 
 
-@dataclass(frozen=True)
+@record
 class Basic:
     focus: str
     method: str
 
 
-@dataclass(frozen=True)
+@record
 class PosTest:
     focus: str
     method: str
 
 
-@dataclass(frozen=True)
+@record
 class NegTest:
     focus: str
     method: str
 
 
-@dataclass(frozen=True)
+@record
 class Jump:
     offset: int
 
 
-@dataclass(frozen=True)
+@record
 class Halt:
     pass
 
@@ -67,24 +67,24 @@ HALT = Halt()
 # sequence terms
 
 
-@dataclass(frozen=True)
+@record
 class Instr:
     instruction: Instruction
 
 
-@dataclass(frozen=True)
+@record
 class Concat:
     left: "SequenceTerm"
     right: "SequenceTerm"
 
 
-@dataclass(frozen=True)
+@record
 class Power:
     body: "SequenceTerm"
     count: int
 
 
-@dataclass(frozen=True)
+@record
 class Repeat:
     body: "SequenceTerm"
 
@@ -102,7 +102,7 @@ def concat_all(terms: list) -> SequenceTerm:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class CanonicalSequence:
     """Minimal prefix plus optional primitive period.
 

@@ -9,10 +9,10 @@ completion; divergence yields the empty family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from . import kernels
+from .records import record
 from .services import EMPTY_FAMILY, AlgebraConfig, ServiceFamily
 from .syntax import (Basic, CanonicalSequence, Concat, Halt, Instr, Jump,
                      NegTest, PosTest, SequenceTerm, concat_all,
@@ -26,7 +26,7 @@ class BudgetExhausted(Exception):
 STOP, DEAD, BRANCH = 0, 1, 2  # node kinds
 
 
-@dataclass(frozen=True)
+@record
 class RegularThread:
     """A regular thread as the parallel node arrays kernels.apply_kernel
     reads.  Node i is a stop leaf (kind 0), a dead leaf (kind 1) or a
@@ -43,11 +43,13 @@ class RegularThread:
     method: Tuple[Optional[str], ...]
     then: Tuple[int, ...]
     else_: Tuple[int, ...]
-    # (foci, kinds) of a family layout -> the nodes' (slots, method codes)
-    _codes: dict = field(default_factory=dict, init=False, compare=False,
-                         repr=False)
 
     root = 0
+
+    def __post_init__(self):
+        # (foci, kinds) of a family layout -> the nodes' (slots, method
+        # codes); not a field, so equality, hash and repr leave it out
+        object.__setattr__(self, "_codes", {})
 
     @property
     def nodes(self) -> Tuple[tuple, ...]:

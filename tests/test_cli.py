@@ -318,6 +318,21 @@ def test_deep_input_is_capped_without_recursion(capsys):
     assert capsys.readouterr().out == "prefix: a.m\nlen: 1\n"
 
 
+def test_rules_read_the_foci_of_deeply_repeated_terms(tmp_path, capsys):
+    # R8 collects the foci of its conclusion's term, here a.m under 990
+    # nested repetitions, which normalize accepts; the proof is rejected
+    # for its premise's term, not refused as nested too deeply
+    deep = "(" * 990 + "a.m" + ")^w" * 990
+    assert main(["normalize", deep]) == 0
+    capsys.readouterr()
+    proof = tmp_path / "deep.proof"
+    proof.write_text('(R8 (A11 {1 | true} "!" {0 | true})\n'
+                     f' => {{1 | exists n:nat. true}} "{deep}" {{0 | true}})\n')
+    assert main(["check", str(proof)]) == 1
+    assert capsys.readouterr().out == (
+        "REJECTED\n  root: R8: sequence and exit annotation must carry over\n")
+
+
 def test_family_counter_contents_are_digit_runs(capsys):
     # int() took "1_0" and "+3" as counts; a count is a run of digits
     for value in ("1_0", "+3", "-1", "٣", "3.0", ""):

@@ -1,7 +1,6 @@
 """Proof parsing and the rule-by-rule checker."""
 
 import collections
-import dataclasses
 import operator
 import pathlib
 import random
@@ -10,6 +9,7 @@ import pytest
 
 from pga_hoare.proofs import (ProofNode, ProofSyntaxError, check_proof,
                               parse_proof, term_atoms)
+from pga_hoare.records import replace
 from pga_hoare.services import AlgebraConfig
 from pga_hoare.syntax import parse_sequence
 
@@ -529,9 +529,8 @@ def test_failures_come_in_preorder_with_r5_checks_in_place():
     root = parse_proof(text)
     # a conclusion other than the k-th hypothesis, which no file can give
     loop = root.premises[0]
-    loop = dataclasses.replace(
-        loop, conclusion=dataclasses.replace(loop.conclusion, exit=1))
-    root = dataclasses.replace(root, premises=(loop, root.premises[1]))
+    loop = replace(loop, conclusion=replace(loop.conclusion, exit=1))
+    root = replace(root, premises=(loop, root.premises[1]))
     assert check_proof(root, CFG).failures == [
         ("root.R1[1]", "R5: hypothesis 2 must have exit 0"),
         ("root.R1[1].R5.sub[1]",
@@ -599,9 +598,9 @@ def _mutate(rng, node, pool):
     premises = list(node.premises)
     pick = rng.randrange(9)
     if pick == 0:
-        return dataclasses.replace(node, rule=rng.choice(_RULES))
+        return replace(node, rule=rng.choice(_RULES))
     if pick == 1:
-        return dataclasses.replace(node, conclusion=rng.choice(conclusions))
+        return replace(node, conclusion=rng.choice(conclusions))
     if pick == 2:
         if premises:
             del premises[rng.randrange(len(premises))]
@@ -616,20 +615,20 @@ def _mutate(rng, node, pool):
         else:
             premises.append(hyp)
     elif pick == 5:
-        return dataclasses.replace(node, k=rng.randint(-1, len(node.hyps) + 1),
-                                   hyp_index=rng.randint(-1, 3))
+        return replace(node, k=rng.randint(-1, len(node.hyps) + 1),
+                       hyp_index=rng.randint(-1, 3))
     elif pick == 6:
         hyps = [h for h in node.hyps if rng.random() < 0.5]
         hyps += [c for c in rng.sample(conclusions, 2) if c is not None]
-        return dataclasses.replace(node, hyps=tuple(hyps))
+        return replace(node, hyps=tuple(hyps))
     elif pick == 7:
-        return dataclasses.replace(node, rename=rng.choice(
+        return replace(node, rename=rng.choice(
             [None, ("n", "m"), ("c", "n"), ("n", "c")]))
     else:
         obligations = node.obligations
-        return dataclasses.replace(node, obligations=rng.choice(
+        return replace(node, obligations=rng.choice(
             [None, obligations and obligations[::-1]]))
-    return dataclasses.replace(node, premises=tuple(premises))
+    return replace(node, premises=tuple(premises))
 
 
 def _replace_at(root, target, new):
@@ -643,7 +642,7 @@ def _replace_at(root, target, new):
         premises = tuple(done.get(id(p), p) for p in node.premises)
         done[id(node)] = (node if all(map(operator.is_, premises,
                                           node.premises))
-                          else dataclasses.replace(node, premises=premises))
+                          else replace(node, premises=premises))
     return done[id(root)]
 
 
