@@ -432,99 +432,112 @@ def format_formula(f: Formula) -> str:
 # operator -> the sort of its argument
 _ARG_SORTS = {Succ: "nat", Pred: "nat", Nnc: "nat", RegOf: "bool",
               DeriveT: "serv", ReplyT: "serv"}
+# term other than a variable -> its sort
+_TERM_SORTS = {NatLit: "nat", Succ: "nat", Pred: "nat", BoolLit: "bool",
+               ReplyLit: "repl", ReplyT: "repl", Nnc: "serv", RegOf: "serv",
+               EmptyServ: "serv", DeriveT: "serv"}
 
 
-def _term_vars(t: Term, sort_hint: Optional[str], out: Dict[str, Optional[str]]):
-    """Collect t's variables into out, with the sorts the operators around
-    them give.  Raises SortError for an operator applied to a term of
-    another sort."""
-    while not isinstance(t, Var):
-        hint = _ARG_SORTS.get(type(t))
-        if hint is None:
-            return
-        sort = _term_sort(t.arg, {})
-        if sort is not None and sort != hint:
-            raise SortError(f"ill-sorted term {format_term(t)}: "
-                            f"argument of sort {sort}, expected {hint}")
-        t, sort_hint = t.arg, hint
-    prev = out.get(t.name)
-    if prev is None:
-        out[t.name] = sort_hint
-    elif sort_hint is not None and prev != sort_hint:
-        raise SortError(f"variable {t.name} used at sorts {prev} and {sort_hint}")
+def free_vars(f: Formula, foci=()) -> Dict[str, str]:
+    """Free variables and their sorts, in reading order, inferred by
+    unification (Robinson, JACM 1965) in one walk on an explicit stack:
+    equations join free variables into the classes of a union-find, and a
+    class takes the sort an operator, a quantifier or a term fixes for a
+    member; if nothing does, serv when it holds one of foci, else a
+    SortError, as is a clash.  Free serv variables are exactly the foci."""
+    parent: Dict[str, str] = {}  # free variable -> the next one of its class
+    fixed: Dict[str, str] = {}  # root of a class -> the sort fixed for it
 
+    def root(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
-def _term_sort(t: Term, env: Dict[str, Optional[str]]) -> Optional[str]:
-    if isinstance(t, Var):
-        return env.get(t.name)
-    if isinstance(t, (NatLit, Succ, Pred)):
-        return "nat"
-    if isinstance(t, BoolLit):
-        return "bool"
-    if isinstance(t, (ReplyLit, ReplyT)):
-        return "repl"
-    if isinstance(t, (Nnc, RegOf, EmptyServ, DeriveT)):
-        return "serv"
-    return None
-
-
-def _collect(f: Formula, bound: Dict[str, str], out: Dict[str, Optional[str]]):
-    if isinstance(f, (TrueF, FalseF)):
-        return
-    if isinstance(f, Not):
-        _collect(f.body, bound, out)
-    elif isinstance(f, (And, Or, Implies)):
-        _collect(f.left, bound, out)
-        _collect(f.right, bound, out)
-    elif isinstance(f, (Exists, Forall)):
-        saved = bound.get(f.var)
-        bound[f.var] = f.sort
-        _collect(f.body, bound, out)
-        if saved is None:
-            del bound[f.var]
-        else:
-            bound[f.var] = saved
-    elif isinstance(f, Eq):
-        local: Dict[str, Optional[str]] = {}
-        _term_vars(f.left, None, local)
-        _term_vars(f.right, None, local)
-        lsort = _term_sort(f.left, {**local, **bound})
-        rsort = _term_sort(f.right, {**local, **bound})
-        sort = lsort or rsort
-        if lsort and rsort and lsort != rsort:
-            raise SortError(f"ill-sorted equality: {lsort} = {rsort}")
-        for side in (f.left, f.right):
-            if isinstance(side, Var) and side.name not in local:
-                local[side.name] = None
-        if sort is not None:
-            for side in (f.left, f.right):
-                if isinstance(side, Var):
-                    local[side.name] = sort
-        for name, s in local.items():
-            if name in bound:
-                if s is not None and bound[name] != s:
-                    raise SortError(f"bound variable {name} used at sort {s}, "
-                                    f"declared {bound[name]}")
-                continue
-            prev = out.get(name)
-            if prev is None:
-                out[name] = s
-            elif s is not None and prev != s:
-                raise SortError(f"variable {name} used at sorts {prev} and {s}")
-
-
-def free_vars(f: Formula) -> Dict[str, str]:
-    """Free variables with their inferred sorts.
-
-    Free service-sorted variables are exactly the foci.  Raises SortError if
-    a variable's sort cannot be determined or is used inconsistently.
-    """
-    out: Dict[str, Optional[str]] = {}
-    _collect(f, {}, out)
-    for name, sort in out.items():
-        if sort is None:
+    stack = [(f, {})]  # (formula, bound variable -> declared sort)
+    while stack:
+        g, bound = stack.pop()
+        kind = type(g)
+        if kind is Eq:
+            local = {}  # the equation's variables -> the sorts it fixes
+            for t in (g.left, g.right):
+                hint, arg_sort = None, _ARG_SORTS.get(type(t))
+                while arg_sort is not None:
+                    sort = _TERM_SORTS.get(type(t.arg), arg_sort)
+                    if sort != arg_sort:
+                        raise SortError(f"ill-sorted term {format_term(t)}: "
+                                        f"argument of sort {sort}, "
+                                        f"expected {arg_sort}")
+                    t, hint = t.arg, arg_sort
+                    arg_sort = _ARG_SORTS.get(type(t))
+                if type(t) is Var:
+                    name = t.name
+                    if name not in bound and name not in parent:
+                        parent[name] = name
+                    prev = local[name] = local.get(name) or hint
+                    if hint and prev != hint:
+                        raise SortError(f"variable {name} used at sorts "
+                                        f"{prev} and {hint}")
+            # each side's sort as this equation alone fixes it
+            left, right = g.left, g.right
+            lsort = (bound.get(left.name) or local[left.name]
+                     if type(left) is Var else _TERM_SORTS.get(type(left)))
+            rsort = (bound.get(right.name) or local[right.name]
+                     if type(right) is Var else _TERM_SORTS.get(type(right)))
+            if lsort and rsort and lsort != rsort:
+                raise SortError(f"ill-sorted equality: {lsort} = {rsort}")
+            eq_sort = lsort or rsort
+            for t in (left, right):
+                if eq_sort and type(t) is Var:
+                    local[t.name] = eq_sort
+            for name, sort in local.items():
+                if sort is None:
+                    continue
+                if name in bound:
+                    if bound[name] != sort:
+                        raise SortError(f"bound variable {name} used at sort "
+                                        f"{sort}, declared {bound[name]}")
+                elif fixed.setdefault(root(name), sort) != sort:
+                    raise SortError(f"variable {name} used at sorts "
+                                    f"{fixed[root(name)]} and {sort}")
+            if not eq_sort and len(local) == 2:
+                # x = y, two free variables: join their classes
+                a, b = root(left.name), root(right.name)
+                sa, sb = fixed.get(a), fixed.get(b)
+                if sa and sb and sa != sb:
+                    raise SortError(f"ill-sorted equality: {sa} = {sb}")
+                parent[b] = a
+                if sb:
+                    fixed[a] = sb
+        elif kind is And or kind is Or or kind is Implies:
+            stack += ((g.right, bound), (g.left, bound))
+        elif kind is Not:
+            stack.append((g.body, bound))
+        elif kind is Exists or kind is Forall:
+            stack.append((g.body, {**bound, g.var: g.sort}))
+    focal = {root(x) for x in foci if x in parent} if foci else ()
+    out = {}
+    for name in parent:
+        x = root(name)
+        out[name] = fixed.get(x) or ("serv" if x in focal else None)
+        if out[name] is None:
             raise SortError(f"cannot infer the sort of variable {name}")
-    return dict(out)  # type: ignore[arg-type]
+    return out
+
+
+def joint_sorts(p_sorts: Dict[str, str], q_sorts: Dict[str, str], foci=()):
+    """(foci, var_sorts) of P's and Q's free variables, whose sorts must
+    agree: the variables of sort serv and the given foci of a sequence,
+    which must be of no other sort; var_sorts maps the other variables."""
+    sorts = dict(p_sorts)
+    for name, sort in q_sorts.items():
+        if sorts.setdefault(name, sort) != sort:
+            raise SortError(f"variable {name} used at two sorts")
+    for name in sorted(foci):
+        if sorts.get(name, "serv") != "serv":
+            raise SortError(f"variable {name} used at sorts {sorts[name]} "
+                            f"and serv")
+    return ({n for n, s in sorts.items() if s == "serv"} | set(foci),
+            {n: s for n, s in sorts.items() if s != "serv"})
 
 
 def free_foci(f: Formula) -> frozenset:
@@ -960,12 +973,13 @@ class CompiledFormula:
         return self.evaluate(env)
 
 
-def compile_formula(f: Formula, cfg: AlgebraConfig) -> CompiledFormula:
+def compile_formula(f: Formula, cfg: AlgebraConfig,
+                    foci=()) -> CompiledFormula:
     """Compile f for repeated evaluation under cfg.
 
-    Sort inference runs once, here; it raises SortError as free_vars does.
+    Sort inference runs once, here, as free_vars(f, foci) does it.
     """
-    sorts = free_vars(f)
+    sorts = free_vars(f, foci)
     return CompiledFormula(sorts, _compile(f, cfg))
 
 
@@ -994,12 +1008,14 @@ class EntailVerdict:
 class StateSpace:
     """The (state, valuation) pairs that a bounded check enumerates.
 
-    States give each focus a service of cfg's domain; valuations give the
+    States give each focus a service of cfg's algebra; valuations give the
     other variables values of their sorts, nat ones up to state_bound.
     Foci and variables go in name order, the last name varying fastest.
 
-    A state's contents are the indices of its services in `services`: a
-    counter's count, a register's 0 or 1, as the kernels encode them.
+    A state is enumerated as its contents, one per focus, as the kernels
+    encode them (see AlgebraConfig.state_contents).  A content becomes a
+    service only where an env or a state is built, so a large state_bound
+    costs no memory.
 
     Pairs at which `pre` is False by the one-point rule are left out: when
     a top-level conjunct of pre equates a chain of s(·)/nnc(·) around a
@@ -1010,7 +1026,7 @@ class StateSpace:
 
     def __init__(self, foci, var_sorts, cfg: AlgebraConfig,
                  pre: Formula = TRUE):
-        self.services, serv_exhaustive = cfg.service_domain()
+        self.contents, self.service, serv_exhaustive = cfg.state_contents()
         self.foci = sorted(foci)
         self.names = sorted(var_sorts)
         self.bound = cfg.state_bound
@@ -1035,19 +1051,18 @@ class StateSpace:
 
     def states(self):
         """The contents of every state, in enumeration order."""
-        return itertools.product(range(len(self.services)),
-                                 repeat=len(self.foci))
+        return itertools.product(self.contents, repeat=len(self.foci))
 
     def pairs(self):
         """Yield (env, contents, values) per pair: the state's contents and
         the variables' values; env binds each focus to its service and each
         variable to its value.  One env serves all the pairs of a state;
         copy what must outlive a step."""
-        names, fixers, bound = self.names, self.fixers, self.bound
-        for services, contents in zip(
-                itertools.product(self.services, repeat=len(self.foci)),
-                self.states()):
-            env = dict(zip(self.foci, services))
+        foci, names, fixers, bound = (self.foci, self.names, self.fixers,
+                                      self.bound)
+        service = self.service
+        for contents in self.states():
+            env = dict(zip(foci, map(service, contents)))
             domains = self.domains
             if fixers:
                 domains = list(domains)
@@ -1059,9 +1074,8 @@ class StateSpace:
                 yield env, contents, values
 
     def state(self, contents) -> ServiceFamily:
-        services = self.services
-        return ServiceFamily(tuple((f, services[i])
-                                   for f, i in zip(self.foci, contents)))
+        return ServiceFamily(tuple(zip(self.foci, map(self.service,
+                                                      contents))))
 
     def valuation(self, values) -> Dict[str, object]:
         return dict(zip(self.names, values))
@@ -1077,12 +1091,7 @@ def entails(p: Formula, q: Formula, cfg: AlgebraConfig) -> EntailVerdict:
     if alpha_eq(p, q):
         return EntailVerdict("valid")
     cp, cq = compile_formula(p, cfg), compile_formula(q, cfg)
-    sorts = dict(cp.sorts)
-    for name, sort in cq.sorts.items():
-        if sorts.setdefault(name, sort) != sort:
-            raise SortError(f"variable {name} used at two sorts")
-    foci = {n for n, s in sorts.items() if s == "serv"}
-    var_sorts = {n: s for n, s in sorts.items() if s != "serv"}
+    foci, var_sorts = joint_sorts(cp.sorts, cq.sorts)
     space = StateSpace(foci, var_sorts, cfg, p)
     p_at, q_at = cp.evaluate, cq.evaluate
     undecided = False

@@ -1,5 +1,6 @@
 """The one tokenizer behind every parser: sequences, formulas, asserted
-sequences and proof files are all read from the `Tokens` of their text.
+sequences, family literals and proof files are all read from the `Tokens`
+of their text.
 
 A token is a string: a brace group with no brace inside or a quoted text
 (read when a parser reaches it), a symbol, a digit run, a word, a "//"

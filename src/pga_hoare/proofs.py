@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 from .formulas import (And, Eq, Exists, FALSE, Formula, Implies, Not, Or,
                        ReplyLit, ReplyT, SortError, TRUE, Var, alpha_eq,
                        format_formula, formula_of, free_foci, free_vars,
-                       subst_derive, substitute)
+                       joint_sorts, subst_derive, substitute)
 from .judgments import AssertedSeq, annotation_of
 from .lexer import EOF, MAX_DEPTH, NAME_START, Tokens, TOO_DEEP
 from .records import factory, record
@@ -291,6 +291,8 @@ class _Checker:
         # id(term) -> (term, its atoms), for this check only; holding the
         # term keeps its id from being reused while the table lives
         self.atoms_table = {}
+        # a body's key (see _interned) -> this check's marker for the body
+        self.markers = {}
 
     def fail(self, path: str, reason: str):
         self.failures.append((path, reason))
@@ -303,8 +305,37 @@ class _Checker:
         Keyed by identity, since hashing a term walks all of it."""
         hit = self.atoms_table.get(id(term))
         if hit is None:
-            hit = self.atoms_table[id(term)] = (term, term_atoms(term))
+            atoms = term_atoms(term)
+            if tuple in map(type, atoms):  # it holds a repetition marker
+                atoms = self._interned(atoms)
+            hit = self.atoms_table[id(term)] = (term, atoms)
         return hit[1]
+
+    def _interned(self, atoms: tuple) -> tuple:
+        """atoms with each repetition marker (REP, body) replaced by this
+        check's one marker for an equal body.  Equal atoms then hold the
+        same marker objects, so comparing them stops at identity instead
+        of recursing once per nesting level.  Inner bodies are interned
+        first, on an explicit stack, so a body's key holds its own markers
+        by id and hashing it is shallow."""
+        stack = [(iter(atoms), [])]
+        while True:
+            rest, out = stack[-1]
+            for a in rest:
+                if is_rep(a):
+                    stack.append((iter(a[1]), []))
+                    break
+                out.append(a)
+            else:
+                stack.pop()
+                body = tuple(out)
+                if not stack:
+                    return body
+                key = tuple(id(a) if is_rep(a) else a for a in body)
+                marker = self.markers.get(key)
+                if marker is None:
+                    marker = self.markers[key] = (REP, body)
+                stack[-1][1].append(marker)
 
     def _carry(self, path: str, message: str, a: AssertedSeq,
                b: AssertedSeq, *fields: str) -> None:
@@ -328,6 +359,16 @@ class _Checker:
         self._carry(path, f"{what}: entry/exit annotations differ", a, b,
                     "entry", "exit")
         self._carry(path, f"{what}: formulas differ", a, b, "pre", "post")
+
+    def check_annotations(self, c: AssertedSeq) -> None:
+        """Records a sort clash in c's annotations, read as holds reads
+        them: the foci of c's term are of sort serv.  Each rule sort-checks
+        only the annotations it reads, and an axiom reads none."""
+        foci = atoms_foci(self.atoms(c.term))
+        try:
+            joint_sorts(free_vars(c.pre, foci), free_vars(c.post, foci), foci)
+        except SortError as exc:
+            self.fail("root", f"annotations: {exc}")
 
     # -- the walk ---------------------------------------------------------
 
@@ -681,5 +722,7 @@ def check_proof(p: ProofNode, cfg: AlgebraConfig = AlgebraConfig(),
         checker.fail("root", "a proof cannot be a bare hypothesis")
     else:
         checker.check(p)
+        if not checker.failures:
+            checker.check_annotations(p.conclusion)
     return CheckResult(not checker.failures, checker.failures,
                        checker.assumptions)

@@ -11,12 +11,12 @@ the judgment's state graph is explored once rather than once per state.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, Optional
+from typing import Optional
 
 from . import kernels
 from .formulas import (And, BoolLit, CompiledFormula, EmptyServ, Eq, Formula,
                        NatLit, Nnc, Or, RegOf, StateSpace, Var, FALSE, TRUE,
-                       compile_formula)
+                       compile_formula, joint_sorts)
 from .judgments import AssertedSeq
 from .records import record
 from .services import AlgebraConfig, ServiceFamily, family_key, format_family
@@ -150,22 +150,6 @@ class Verdict:
         return f"UNKNOWN ({self.reason})"
 
 
-def _judgment_sorts(methods, pre: CompiledFormula, post: CompiledFormula):
-    """(foci, var_sorts) of a judgment whose segment applies methods (see
-    syntax.focus_methods) and whose assertions compile to pre and post."""
-    sorts: Dict[str, str] = dict(pre.sorts)
-    for name, sort in post.sorts.items():
-        if sorts.setdefault(name, sort) != sort:
-            raise ValueError(f"variable {name} used at two sorts")
-    for name in sorted(methods):
-        sort = sorts.get(name, "serv")
-        if sort != "serv":
-            raise ValueError(f"variable {name} used at sorts {sort} and serv")
-    foci = {n for n, s in sorts.items() if s == "serv"} | set(methods)
-    var_sorts = {n: s for n, s in sorts.items() if s != "serv"}
-    return foci, var_sorts
-
-
 def _unobserved(methods, pre: CompiledFormula, post: CompiledFormula,
                 cfg: AlgebraConfig) -> set:
     """The counters that the segment only increments and that neither P
@@ -228,10 +212,10 @@ def _decide(phi: AssertedSeq, cfg: AlgebraConfig, with_image: bool):
     if phi.entry > c.length:
         return Verdict("fails", reason="entry beyond segment",
                        witness=None), None
-    pre = compile_formula(phi.pre, cfg)
-    post = compile_formula(phi.post, cfg)
     methods = focus_methods(c)
-    foci, var_sorts = _judgment_sorts(methods, pre, post)
+    pre = compile_formula(phi.pre, cfg, methods)
+    post = compile_formula(phi.post, cfg, methods)
+    foci, var_sorts = joint_sorts(pre.sorts, post.sorts, methods)
     space = StateSpace(foci, var_sorts, cfg, phi.pre)
     left_out = () if with_image else _unobserved(methods, pre, post, cfg)
     if left_out:
@@ -272,11 +256,11 @@ def _search(c: CanonicalSequence, phi: AssertedSeq, cfg: AlgebraConfig,
         cases = _open_cases(pre, observed, runs.run)
     else:
         pv = pre.evaluate({})
-        states = observed.states() if pv is not False else ()
-        if pv:
-            sweep = runs.sweep(cfg.state_bound)
-            if sweep is not None:
-                states, lines = sweep
+        sweep = runs.sweep(cfg.state_bound) if pv else None
+        if sweep is not None:
+            states, lines = sweep
+        else:  # a product copies its ranges, so only where no sweep is
+            states = observed.states() if pv is not False else ()
         cases = ((contents, (), runs.run(contents) if pv else None)
                  for contents in states)
     halting = phi.exit == 0

@@ -13,6 +13,7 @@ import threading
 from enum import Enum
 from typing import Dict, Iterable, Optional, Tuple
 
+from .lexer import NAME_START, Tokens
 from .records import record
 
 
@@ -168,18 +169,25 @@ class AlgebraConfig:
         if self.state_bound < 1 or self.quant_bound < 1:
             raise ValueError("bounds must be at least 1")
 
-    def service_domain(self):
-        """(services, exhaustive): the enumerable service values.
-
-        For counters the domain is truncated at state_bound, so it is not
-        exhaustive; verdicts derived from it are bounded.
-        """
+    def state_contents(self):
+        """(contents, service, exhaustive): the contents that a focus takes
+        in enumerated states (a counter's count up to state_bound, a
+        register's 0 and 1), the map from a content to its service (a
+        table lookup where services are interned), and whether they cover
+        the algebra.  For counters they do not; verdicts derived from them
+        are bounded."""
         if self.algebra == "boolreg":
-            return list(_REGISTERS), True
+            return range(2), _REGISTERS.__getitem__, True
         if self.state_bound < _INTERNED:
             counter(self.state_bound)
-            return _COUNTERS[:self.state_bound + 1], False
-        return [counter(n) for n in range(self.state_bound + 1)], False
+            return range(self.state_bound + 1), _COUNTERS.__getitem__, False
+        return range(self.state_bound + 1), counter, False
+
+    def service_domain(self):
+        """(services, exhaustive): the services of state_contents, as a
+        list, for quantifiers over serv."""
+        contents, service, exhaustive = self.state_contents()
+        return list(map(service, contents)), exhaustive
 
     def methods(self):
         if self.algebra == "boolreg":
@@ -191,36 +199,50 @@ class AlgebraConfig:
 # family literals: {c = counter(3), r = bool(true), d = empty}
 
 
+def _service_of(value: list, text: str) -> Service:
+    """The service that a family entry's value tokens write; text is the
+    value as written, for messages."""
+    if value == ["empty"]:
+        return EMPTY
+    kind, arg = value[0], value[2:-1]
+    if kind not in ("counter", "bool") or value[1:2] != ["("] \
+            or value[-1] != ")":
+        raise ValueError(f"unknown service literal: {text!r}")
+    if kind == "counter" and len(arg) == 1 and arg[0].isascii() \
+            and arg[0].isdigit():
+        return counter(int(arg[0]))
+    if kind == "bool" and arg in (["true"], ["false"]):
+        return boolreg(arg == ["true"])
+    raise ValueError(f"bad {kind} literal: {text!r}")
+
+
 def parse_family(text: str) -> ServiceFamily:
-    body = text.strip()
-    if not (body.startswith("{") and body.endswith("}")):
+    """The family that a literal such as {c = counter(3), d = empty}
+    writes, read from the lexer's tokens."""
+    outer = Tokens(text)
+    group = outer.toks[0]  # a brace group is one token, a lone "{" another
+    if len(outer.toks) != 2 or group[0] != "{" or group == "{":
         raise ValueError(f"family literal must be brace-delimited: {text!r}")
-    body = body[1:-1].strip()
-    items: Dict[str, Service] = {}
-    if not body:
+    src = outer.inner(0)
+    toks = src.toks[:-1]  # without EOF
+    if not toks:
         return EMPTY_FAMILY
-    for part in body.split(","):
-        name, _, value = part.partition("=")
-        name = name.strip()
-        value = value.strip()
-        if not name or not value:
-            raise ValueError(f"malformed family entry: {part!r}")
-        if name in items:
-            raise ValueError(f"focus {name} is given twice")
-        if value == "empty":
-            items[name] = EMPTY
-        elif value.startswith("counter(") and value.endswith(")"):
-            inner = value[8:-1].strip()
-            if not (inner.isascii() and inner.isdigit()):
-                raise ValueError(f"bad counter literal: {value!r}")
-            items[name] = counter(int(inner))
-        elif value.startswith("bool(") and value.endswith(")"):
-            inner = value[5:-1].strip()
-            if inner not in ("true", "false"):
-                raise ValueError(f"bad bool literal: {value!r}")
-            items[name] = boolreg(inner == "true")
-        else:
-            raise ValueError(f"unknown service literal: {value!r}")
+
+    def written(lo: int, hi: int) -> str:
+        """The text of tokens lo to hi - 1."""
+        if lo >= hi:
+            return ""
+        return text[src.start(lo):src.start(hi - 1) + len(toks[hi - 1])]
+
+    items: Dict[str, Service] = {}
+    commas = [i for i, tok in enumerate(toks) if tok == ","]
+    for lo, hi in zip([0] + [i + 1 for i in commas], commas + [len(toks)]):
+        entry = toks[lo:hi]
+        if len(entry) < 3 or entry[1] != "=" or entry[0][0] not in NAME_START:
+            raise ValueError(f"malformed family entry: {written(lo, hi)!r}")
+        if entry[0] in items:
+            raise ValueError(f"focus {entry[0]} is given twice")
+        items[entry[0]] = _service_of(entry[2:], written(lo + 2, hi))
     return family(items)
 
 

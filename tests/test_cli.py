@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -490,3 +491,93 @@ def test_a_family_literal_gives_each_focus_once(capsys):
     assert main(["run", "c.incr", "{c = counter(1), d = counter(5)}"]) == 0
     assert capsys.readouterr().out == (
         "exited at offset 1 in {c = counter(2), d = counter(5)}\n")
+
+
+def test_sort_inference_joins_equated_variables(capsys):
+    # an equation between two free variables joins their sorts: n = b with
+    # n nat and b bool is ill-sorted, n = m gives m the sort of n, and the
+    # foci of S are of sort serv when nothing else fixes them
+    for argv, status, out, err in (
+            (["--bound", "3", "holds",
+              '{1 | n = s(0) /\\ b = true /\\ n = b} "!" {0 | false}'],
+             3, "", "error: ill-sorted equality: nat = bool\n"),
+            (["--bound", "3", "holds", '{1 | n = 0 /\\ n = m} "!" {0 | true}'],
+             0, "HOLDS (bounded, B=3)\n", ""),
+            (["--bound", "3", "holds",
+              '{1 | c = d} "c.incr ; d.incr ; !" {0 | true}'],
+             0, "HOLDS (bounded, B=3)\n", ""),
+            (["--bound", "3", "holds", '{1 | c = m} "c.incr ; !" {0 | m = c}'],
+             1, "FAILS (from {c = counter(0), m = counter(0)}: halted in "
+                "{c = counter(1), m = counter(0)})\n", "")):
+        assert main(argv) == status, argv
+        assert capsys.readouterr() == (out, err), argv
+
+
+def test_check_sort_checks_the_root_annotations(tmp_path, capsys):
+    # an axiom reads no annotation's sorts, so the root's are checked as
+    # holds checks them; an R10 obligation finds n = b ill-sorted itself
+    r10 = ('p := (A9 {1 | n = s(0) /\\ b = true /\\ n = b} "#1" '
+           '{1 | n = s(0) /\\ b = true /\\ n = b})\n'
+           '(R10 "(n = s(0) /\\ b = true) -> (n = s(0) /\\ b = true /\\ n = b)"'
+           ' p\n "(n = s(0) /\\ b = true /\\ n = b) -> '
+           '(n = s(0) /\\ b = true /\\ n = b)"\n'
+           ' => {1 | n = s(0) /\\ b = true} "#1" '
+           '{1 | n = s(0) /\\ b = true /\\ n = b})\n')
+    proof = tmp_path / "sorts.proof"
+    for text, failure in (
+            ('(A11 {1 | n = b} "!" {0 | n = b})',
+             "root: annotations: cannot infer the sort of variable n"),
+            ('(A9 {1 | s(empty) = 0} "#1" {1 | s(empty) = 0})',
+             "root: annotations: ill-sorted term s(empty): argument of sort "
+             "serv, expected nat"),
+            ('(A11 {1 | c = 0} "!" {0 | c = 0})\n'
+             '(R3 (A11 {1 | c = 0} "!" {0 | c = 0})'
+             ' => {1 | c = 0} "! ; c.incr" {0 | c = 0})',
+             "root: annotations: variable c used at sorts nat and serv"),
+            (r10, "root: R10: obligation P -> P': ill-sorted equality: "
+                  "nat = bool")):
+        proof.write_text(text)
+        assert main(["--bound", "4", "check", str(proof)]) == 1
+        assert capsys.readouterr().out == f"REJECTED\n  {failure}\n"
+    proof.write_text('(A11 {1 | c = d} "!" {0 | c = d})')
+    assert main(["check", str(proof)]) == 1
+    assert capsys.readouterr().out == (
+        "REJECTED\n  root: annotations: cannot infer the sort of variable c\n")
+    proof.write_text('(R3 (A11 {1 | c = d} "!" {0 | c = d})'
+                     ' => {1 | c = d} "! ; c.incr ; d.incr" {0 | c = d})')
+    assert main(["check", str(proof)]) == 0
+    assert capsys.readouterr().out == "ACCEPTED\n"
+
+
+def test_equal_deeply_repeated_terms_compare_without_recursion(tmp_path,
+                                                               capsys):
+    # the premise and the conclusion write a.m under 990 nested
+    # repetitions with different spacing: two terms, equal atoms, whose
+    # markers the checker shares, so R8 compares them by identity
+    deep = "(" * 990 + "a.m" + ")^w" * 990
+    spaced = "( " * 990 + "a.m" + " )^w" * 990
+    proof = tmp_path / "deep.proof"
+    proof.write_text(f'(R8 (A11 {{1 | true}} "{deep}" {{0 | true}})\n'
+                     f' => {{1 | exists n:nat. true}} "{spaced}" {{0 | true}})\n')
+    assert main(["check", str(proof)]) == 1
+    assert capsys.readouterr().out == (
+        "REJECTED\n  root.R8[1]: A11: the sequence must be one instruction\n")
+
+
+def test_a_large_bound_costs_no_memory(capsys):
+    # the counter domain is a range of contents: sweeping the transfer
+    # builds no list of B + 1 services
+    transfer = ("{1 | true} (-c.iszero ; #2 ; ! ; c.decr ; d.incr)^w "
+                "{0 | c = nnc(0)}")
+    tracemalloc.start()
+    try:
+        assert main(["--bound", "1000000", "holds", transfer]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    started = time.perf_counter()
+    assert main(["--bound", "1000000000", "holds", transfer]) == 0
+    assert time.perf_counter() - started < 5
+    assert capsys.readouterr().out == (
+        "HOLDS (bounded, B=1000000)\nHOLDS (bounded, B=1000000000)\n")

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -699,3 +700,60 @@ def test_lexer_matches_reference():
         assert got == expected, repr(text)
         errors += got[0] == "error"
     assert 100 < errors < len(texts) - 100
+
+
+# ---------------------------------------------------------------------------
+# sort inference by unification
+
+
+@pytest.mark.parametrize("cfg", _SMALL, ids=lambda c: c.algebra)
+def test_sort_inference_ignores_conjunct_order(cfg):
+    rng = random.Random(17)
+    formulas = _random_formulas(17, cfg, 200)
+    for _ in range(300):
+        a, b = rng.choice(formulas), rng.choice(formulas)
+        assert free_vars(And(a, b)) == free_vars(And(b, a)), (
+            format_formula(a), format_formula(b))
+
+
+_SORTED_TERMS = {"nat": NatLit(0), "bool": BoolLit(True),
+                 "repl": ReplyLit(Reply.T), "serv": EmptyServ()}
+
+
+def test_sort_inference_joins_chains_of_variables_in_any_order():
+    # x0 = x1 /\ ... /\ x3 = t, conjuncts in every order and each equation
+    # either way round: every xi takes the sort of t
+    rng = random.Random(4)
+    names = ["x0", "x1", "x2", "x3"]
+    for sort, t in _SORTED_TERMS.items():
+        links = [(Var(a), Var(b)) for a, b in zip(names, names[1:])]
+        links.append((Var(names[-1]), t))
+        for order in itertools.permutations(links):
+            eqs = [Eq(*pair) if rng.random() < 0.5 else Eq(*pair[::-1])
+                   for pair in order]
+            f = eqs[0]
+            for eq in eqs[1:]:
+                f = And(f, eq)
+            assert free_vars(f) == dict.fromkeys(names, sort)
+    # an equation between two variables of different sorts is ill-sorted
+    with pytest.raises(SortError, match="ill-sorted equality: nat = bool"):
+        free_vars(parse_formula("n = 0 /\\ b = true /\\ n = b"))
+    # unfixed classes: foci make theirs serv; the others cannot be inferred
+    assert free_vars(parse_formula("c = d /\\ m = d"), {"c"}) == {
+        "c": "serv", "d": "serv", "m": "serv"}
+    with pytest.raises(SortError, match="sort of variable m$"):
+        free_vars(parse_formula("c = d /\\ m = n"), {"d"})
+
+
+def test_sort_inference_of_long_chains_needs_no_recursion():
+    f = Eq(Var("x0"), Var("x1"))
+    for i in range(1, 998):
+        f = And(f, Eq(Var(f"x{i}"), Var(f"x{i + 1}")))
+    f = And(f, Eq(Var("x998"), NatLit(0)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        sorts = free_vars(f)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sorts == {f"x{i}": "nat" for i in range(999)}

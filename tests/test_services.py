@@ -114,3 +114,23 @@ def test_family_key_orders_contents_by_value():
     assert [format_family(u) for u in sorted(states, key=family_key)] == [
         "{r = bool(false)}", "{r = bool(true)}", "{r = counter(1)}",
         "{r = empty}"]
+
+
+def test_family_literals_are_read_from_tokens():
+    # spacing between tokens does not matter; messages quote the text
+    assert parse_family(" {c=counter( 7 ),d = bool( false )} ") == family(
+        {"c": counter(7), "d": boolreg(False)})
+    assert parse_family("{ }") == EMPTY_FAMILY
+    for text, message in (
+            ("{c = }", "malformed family entry: 'c ='"),
+            ("{1x = empty}", "malformed family entry: '1x = empty'"),
+            ("{c = empty,}", "malformed family entry: ''"),
+            ("{c = counter(3}", "unknown service literal: 'counter(3'"),
+            ("{c = bool(1)}", "bad bool literal: 'bool(1)'"),
+            ("{c = empty} {d = empty}", "family literal must be "
+                                        "brace-delimited: "
+                                        "'{c = empty} {d = empty}'"),
+            ("{", "family literal must be brace-delimited: '{'")):
+        with pytest.raises(ValueError) as caught:
+            parse_family(text)
+        assert str(caught.value) == message

@@ -663,8 +663,8 @@ def test_q_reads_a_projection_of_the_finals(monkeypatch, capsys):
     compile_q = segments.compile_formula
     decode = kernels.decode_family
 
-    def counting(f, cfg):
-        compiled = compile_q(f, cfg)
+    def counting(f, cfg, foci=()):
+        compiled = compile_q(f, cfg, foci)
         evaluate = compiled.evaluate
         compiled.evaluate = lambda env: evaluated.append(f) or evaluate(env)
         return compiled
