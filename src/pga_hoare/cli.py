@@ -2,7 +2,8 @@
 
 Subcommands: normalize, thread, run, holds, sp, check.  Exit status 0 means
 success / Holds / accepted, 1 Fails / rejected, 2 Unknown / budget
-exhausted, 3 usage or parse error.
+exhausted, 3 usage or parse error.  Each command imports the modules it
+runs when it runs, so `normalize` loads no formula or proof code.
 """
 
 from __future__ import annotations
@@ -12,16 +13,10 @@ import functools
 import json
 import sys
 
-from .formulas import FormulaSyntaxError, format_formula, parse_formula
-from .judgments import parse_asserted
-from .proofs import ProofSyntaxError, check_proof, parse_proof
-from .segments import (BudgetOut, Exited, Halted, Inactive, NoPostCondition,
-                       format_outcome, holds, run_segment, strongest_post)
+from .lexer import ParseError
+# every command builds an AlgebraConfig, so services is loaded for all
 from .services import (AlgebraConfig, Reply, family_key, format_family,
                        parse_family)
-from .syntax import (OMEGA, SequenceSyntaxError, format_canonical,
-                     format_instruction, normalize, parse_sequence)
-from .threads import thread_dump, thread_of
 
 OK, FAILED, UNKNOWN, USAGE = 0, 1, 2, 3
 
@@ -77,6 +72,8 @@ def _emit(args, text_lines, payload) -> None:
 
 
 def _cmd_normalize(args, cfg) -> int:
+    from .syntax import (OMEGA, format_canonical, format_instruction,
+                         normalize, parse_sequence)
     c = normalize(parse_sequence(args.sequence))
     lines = []
     if c.prefix:
@@ -98,6 +95,8 @@ def _cmd_normalize(args, cfg) -> int:
 
 
 def _cmd_thread(args, cfg) -> int:
+    from .syntax import parse_sequence
+    from .threads import thread_dump, thread_of
     t = thread_of(parse_sequence(args.sequence))
     _emit(args, [thread_dump(t)],
           {"root": t.root, "nodes": [list(n) for n in t.nodes]})
@@ -105,6 +104,7 @@ def _cmd_thread(args, cfg) -> int:
 
 
 def _outcome_payload(o):
+    from .segments import Exited, Halted, Inactive
     if isinstance(o, Halted):
         return {"outcome": "halted", "state": format_family(o.state)}
     if isinstance(o, Exited):
@@ -116,6 +116,8 @@ def _outcome_payload(o):
 
 
 def _cmd_run(args, cfg) -> int:
+    from .segments import BudgetOut, format_outcome, run_segment
+    from .syntax import parse_sequence
     s = parse_sequence(args.sequence)
     u = parse_family(args.family)
     o = run_segment(s, args.entry, u, cfg)
@@ -124,6 +126,8 @@ def _cmd_run(args, cfg) -> int:
 
 
 def _cmd_holds(args, cfg) -> int:
+    from .judgments import parse_asserted
+    from .segments import holds
     phi = parse_asserted(args.assertion)
     v = holds(phi, cfg)
     w = v.witness  # (state, valuation, outcome or reason)
@@ -144,6 +148,9 @@ def _cmd_holds(args, cfg) -> int:
 
 
 def _cmd_sp(args, cfg) -> int:
+    from .formulas import format_formula, parse_formula
+    from .segments import NoPostCondition, strongest_post
+    from .syntax import parse_sequence
     pre = parse_formula(args.pre)
     s = parse_sequence(args.sequence)
     try:
@@ -159,6 +166,7 @@ def _cmd_sp(args, cfg) -> int:
 
 
 def _cmd_check(args, cfg) -> int:
+    from .proofs import check_proof, parse_proof
     with open(args.path, encoding="utf-8") as fh:
         proof = parse_proof(fh.read())
     result = check_proof(proof, cfg, strict=args.strict)
@@ -196,16 +204,17 @@ def main(argv=None) -> int:
     try:
         cfg = AlgebraConfig(args.algebra, args.bound, args.qbound)
         return _COMMANDS[args.command](args, cfg)
-    except (SequenceSyntaxError, FormulaSyntaxError, ProofSyntaxError) as exc:
+    except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except RecursionError:
-        # parsing and printing keep their own stacks; what still recurses
-        # is the compiling and evaluation of formulas near MAX_DEPTH (a
-        # chain of about 990 conjuncts)
+        # parsing, printing and chains of conjunctions or disjunctions keep
+        # their own stacks or a logarithmic depth; what still recurses near
+        # MAX_DEPTH is the compiling and evaluation of nested negations,
+        # implications and quantifiers, and the checker's alpha_eq
         print("error: input nested too deeply", file=sys.stderr)
         return USAGE
 

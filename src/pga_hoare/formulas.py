@@ -18,16 +18,14 @@ from typing import Dict, Optional, Tuple, Union
 
 from .services import (EMPTY, AlgebraConfig, Reply, Service, ServiceFamily,
                        boolreg, counter, svc_step)
-from .lexer import EOF, MAX_DEPTH, Tokens, TOO_DEEP
+from .lexer import EOF, MAX_DEPTH, ParseError, Tokens, TOO_DEEP, numeral
 from .records import record
 
 SORTS = ("nat", "bool", "serv", "repl")
 
 
-class FormulaSyntaxError(ValueError):
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
+class FormulaSyntaxError(ParseError):
+    pass
 
 
 class SortError(ValueError):
@@ -181,7 +179,7 @@ def _as_lexed(tok: str):
     if tok == EOF:
         return ("eof", None)
     if tok[0].isdecimal():
-        return ("num", int(tok))
+        return ("num", numeral(tok))
     return ("ident", tok) if _is_name(tok) else None
 
 
@@ -248,7 +246,7 @@ def _term_at(src: Tokens, i: int):
     if tok[0].isalpha() or tok[0] == "_":
         term = _CONSTANTS.get(tok) or Var(tok)
     elif tok[0].isdecimal():
-        term = NatLit(int(tok))
+        term = NatLit(numeral(tok))
     elif tok == ":" and toks[i + 1] in _REPLIES:
         i += 1
         term = _REPLIES[toks[i]]
@@ -444,7 +442,8 @@ def free_vars(f: Formula, foci=()) -> Dict[str, str]:
     equations join free variables into the classes of a union-find, and a
     class takes the sort an operator, a quantifier or a term fixes for a
     member; if nothing does, serv when it holds one of foci, else a
-    SortError, as is a clash.  Free serv variables are exactly the foci."""
+    SortError, as is a clash or a quantifier over a sort outside SORTS.
+    Free serv variables are exactly the foci."""
     parent: Dict[str, str] = {}  # free variable -> the next one of its class
     fixed: Dict[str, str] = {}  # root of a class -> the sort fixed for it
 
@@ -513,6 +512,8 @@ def free_vars(f: Formula, foci=()) -> Dict[str, str]:
         elif kind is Not:
             stack.append((g.body, bound))
         elif kind is Exists or kind is Forall:
+            if g.sort not in SORTS:
+                raise SortError(f"unknown sort {g.sort!r}")
             stack.append((g.body, {**bound, g.var: g.sort}))
     focal = {root(x) for x in foci if x in parent} if foci else ()
     out = {}
@@ -538,10 +539,6 @@ def joint_sorts(p_sorts: Dict[str, str], q_sorts: Dict[str, str], foci=()):
                             f"and serv")
     return ({n for n, s in sorts.items() if s == "serv"} | set(foci),
             {n: s for n, s in sorts.items() if s != "serv"})
-
-
-def free_foci(f: Formula) -> frozenset:
-    return frozenset(n for n, s in free_vars(f).items() if s == "serv")
 
 
 # ---------------------------------------------------------------------------
@@ -753,8 +750,8 @@ def _compile_eq(f: Eq):
 # needs to be tried: the one-point rule, ∃x.(x = t ∧ φ) ≡ φ[t/x] and
 # ∀x.(x = t → φ) ≡ φ[t/x].  A value left out could neither decide a result
 # nor leave it undecided (False dominates None), so results, witnesses and
-# their enumeration order are unchanged.  Narrowing applies only to formulas
-# whose evaluation cannot raise (_total), so no exception is skipped either.
+# their enumeration order are unchanged.  A formula that free_vars accepts
+# cannot raise when evaluated, so no exception is skipped either.
 
 
 def _operands(f: Formula, cls) -> list:
@@ -767,26 +764,6 @@ def _operands(f: Formula, cls) -> list:
         else:
             out.append(g)
     return out
-
-
-def _total(f: Formula) -> bool:
-    """Whether evaluating f cannot raise, given values for its variables.
-
-    free_vars has checked the sort of every operator's argument, so f can
-    raise only where a quantifier's sort is unknown.
-    """
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, (Exists, Forall)):
-            if g.sort not in SORTS:
-                return False
-            stack.append(g.body)
-        elif isinstance(g, Not):
-            stack.append(g.body)
-        elif isinstance(g, (And, Or, Implies)):
-            stack += (g.left, g.right)
-    return True
 
 
 def _inverse(t: Term, name: str):
@@ -839,8 +816,6 @@ def _narrowed_domain(f, bound: int):
     has the same value everywhere, so the domain's first value stands for
     all of them."""
     var = f.var
-    if not _total(f.body):
-        return None
 
     def admits(names):
         return var not in names
@@ -868,6 +843,31 @@ def _narrowed_domain(f, bound: int):
     return values
 
 
+def _conjunction(left, right):
+    def conjunction(env):
+        a = left(env)
+        if a is False:
+            return False
+        b = right(env)
+        if b is False:
+            return False
+        return None if a is None or b is None else True
+    return conjunction
+
+
+def _disjunction(left, right, decider=True):
+    """left or right; with decider False, left implies right."""
+    def disjunction(env):
+        a = left(env)
+        if a is decider:
+            return True
+        b = right(env)
+        if b is True:
+            return True
+        return None if a is None or b is None else False
+    return disjunction
+
+
 def _compile(f: Formula, cfg: AlgebraConfig):
     """A closure env -> True/False/None computing f's three-valued value."""
     if isinstance(f, TrueF):
@@ -883,38 +883,24 @@ def _compile(f: Formula, cfg: AlgebraConfig):
             v = body(env)
             return None if v is None else not v
         return negation
-    if isinstance(f, (And, Or, Implies)):
-        left, right = _compile(f.left, cfg), _compile(f.right, cfg)
-        if isinstance(f, And):
-            def conjunction(env):
-                a = left(env)
-                if a is False:
-                    return False
-                b = right(env)
-                if b is False:
-                    return False
-                return None if a is None or b is None else True
-            return conjunction
+    if isinstance(f, (And, Or)):
+        # the chain's operands, left to right, as a balanced tree of binary
+        # closures: the same evaluation order and the same short cuts as
+        # the chain as written, at a depth logarithmic in its length
+        parts = [_compile(g, cfg) for g in _operands(f, type(f))]
+        join = _conjunction if isinstance(f, And) else _disjunction
+        while len(parts) > 1:
+            odd = parts[-1:] if len(parts) % 2 else []
+            parts = [join(a, b) for a, b in zip(parts[::2], parts[1::2])] + odd
+        return parts[0]
+    if isinstance(f, Implies):
         # a -> b is ~a \/ b: the left operand decides when it is False
-        decider = isinstance(f, Or)
-
-        def disjunction(env):
-            a = left(env)
-            if a is decider:
-                return True
-            b = right(env)
-            if b is True:
-                return True
-            return None if a is None or b is None else False
-        return disjunction
+        return _disjunction(_compile(f.left, cfg), _compile(f.right, cfg),
+                            False)
     if isinstance(f, (Exists, Forall)):
         body = _compile(f.body, cfg)
         var, sort = f.var, f.sort
-        try:
-            values, exhaustive = sort_domain(sort, cfg)
-        except SortError:
-            # an unknown sort raises only if the quantifier is reached
-            return lambda env: sort_domain(sort, cfg)
+        values, exhaustive = sort_domain(sort, cfg)
         values = tuple(values)
         narrowed = (_narrowed_domain(f, cfg.quant_bound) if sort == "nat"
                     else None)
@@ -1042,7 +1028,7 @@ class StateSpace:
         self.fixers = []  # (index of a nat variable, its fixer)
         nats = [i for i, name in enumerate(self.names)
                 if var_sorts[name] == "nat"]
-        if nats and _total(pre):
+        if nats:
             valued = frozenset(self.names)
             for i in nats:
                 fix = _fixer(pre, self.names[i], valued.isdisjoint)
@@ -1081,18 +1067,22 @@ class StateSpace:
         return dict(zip(self.names, values))
 
 
-def entails(p: Formula, q: Formula, cfg: AlgebraConfig) -> EntailVerdict:
+def entails(p: Formula, q: Formula, cfg: AlgebraConfig,
+            foci=()) -> EntailVerdict:
     """Does p -> q hold in the algebra, for all states and valuations?
 
-    boolreg with no nat variables is decided exactly; otherwise the check is
-    bounded: `bounded` means no countermodel exists within the bounds,
-    `unknown` means some case was undecided even within the bounds.
+    foci, those of a sequence, are of sort serv, as in holds; only those
+    that p or q reads are enumerated.  boolreg with no nat variables is
+    decided exactly; otherwise the check is bounded: `bounded` means no
+    countermodel exists within the bounds, `unknown` means some case was
+    undecided even within the bounds.
     """
     if alpha_eq(p, q):
         return EntailVerdict("valid")
-    cp, cq = compile_formula(p, cfg), compile_formula(q, cfg)
-    foci, var_sorts = joint_sorts(cp.sorts, cq.sorts)
-    space = StateSpace(foci, var_sorts, cfg, p)
+    cp, cq = compile_formula(p, cfg, foci), compile_formula(q, cfg, foci)
+    serv, var_sorts = joint_sorts(cp.sorts, cq.sorts, foci)
+    space = StateSpace(serv & (cp.sorts.keys() | cq.sorts.keys()), var_sorts,
+                       cfg, p)
     p_at, q_at = cp.evaluate, cq.evaluate
     undecided = False
     for env, contents, values in space.pairs():

@@ -10,10 +10,9 @@ annotation groups, optionally double-quoted:
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import List
 
 from .formulas import Formula, format_formula, formula_of
-from .lexer import Tokens
+from .lexer import Tokens, numeral
 from .records import record
 from .syntax import SequenceSyntaxError, SequenceTerm, format_term, sequence_at
 
@@ -48,7 +47,7 @@ def annotation_of(src: Tokens):
     if not (toks[0][0].isdecimal() and toks[1] == "|"):
         raise ValueError("annotation needs 'point | formula' with a natural "
                          f"number as point (at position {src.start(0)})")
-    return int(toks[0]), formula_of(src, 2)
+    return numeral(toks[0]), formula_of(src, 2)
 
 
 def parse_annotation(inner: str):
@@ -85,11 +84,3 @@ def parse_asserted(text: str) -> AssertedSeq:
     if i != end:
         raise SequenceSyntaxError("trailing input", src.start(i))
     return AssertedSeq(b, pre_formula, term, e, post_formula)
-
-
-def expand_multi_exit(b: int, pre: Formula, term: SequenceTerm,
-                      exits: List[int], post: Formula) -> List[AssertedSeq]:
-    """The multi-exit shorthand: one asserted sequence per listed exit."""
-    if not exits:
-        raise ValueError("at least one exit offset is required")
-    return [AssertedSeq(b, pre, term, e, post) for e in exits]

@@ -550,8 +550,10 @@ class SegmentRuns:
     run(contents) returns what run_segment_kernel(..., contents,
     state_bound) returns, with the final contents as a tuple.  A run whose
     entry lies in the period advances stretch by stretch (see the module
-    docstring); any other run takes the per-step loop, reading and writing
-    the outcome table (see run_segment_kernel).
+    docstring), reading and writing the outcome table.  Any other run takes
+    the per-step loop without a table: jumps go forward, so no run comes
+    back to an entry outside the period, and a start state is met again
+    only when it is run again.
     """
 
     def __init__(self, ops, arg1, arg2, prefix_len, period_len, entry,
@@ -572,7 +574,8 @@ class SegmentRuns:
 
     def run(self, contents):
         if not self.head:
-            return self._stepwise(contents)
+            return run_segment_kernel(*self.code, self.entry, self.kinds,
+                                      contents, self.state_bound)
         table, laps, keys = self.table, self.laps, self.keys
         limit = _step_limit(self.state_bound, self.n, contents)
         marks = {}  # head states met in this run -> steps taken before each

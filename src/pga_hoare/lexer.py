@@ -8,17 +8,28 @@ comment, any other character, or EOF.  Each grammar rejects the tokens it
 has no use for; only proof files skip comments.  Method names such as
 "set:t" are adjacent tokens; a formula reads ":=" as ":" "=".
 
-MAX_DEPTH caps nesting at Python's default recursion limit: the parsers
-and the proof checker keep explicit stacks, but formula trees are compiled
-and evaluated recursively afterwards.  A formula counts each connective,
-quantifier, term operator and pair of parentheses, a sequence its
-parentheses, a proof its nested records.
+Every syntax error is a ParseError, which the command line reports as a
+parse error without loading the parser that raised it.
+
+MAX_DEPTH caps nesting at Python's default recursion limit.  The parsers,
+the printers and the proof checker's walk keep explicit stacks, and a
+chain of conjunctions or disjunctions is compiled into a balanced tree of
+closures; but negations, implications and quantifiers are still compiled
+and evaluated recursively, and formulas are compared (alpha_eq) and
+substituted recursively.  A formula counts each connective, quantifier,
+term operator and pair of parentheses, a sequence its parentheses, a
+proof its nested records.
 
 MAX_LENGTH caps the instructions a sequence term writes out, those held
 in repetition bodies included: a power such as a.m^1000000000000 is
 refused (a ValueError) before its body is copied, instead of exhausting
 memory.  Normalizing stops at the first repetition, since nothing after
 it is reached; proofs compare terms as written, so they count the rest.
+
+MAX_DIGITS caps the digits of a numeral (a count, jump, entry or exit
+point, hypothesis index, counter content or natural number literal), well
+below the 4,300 digits past which Python refuses to convert a string to
+an int; `numeral` refuses a longer one with a ValueError of its own.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ import re
 
 MAX_DEPTH = 1000
 MAX_LENGTH = 10**7
+MAX_DIGITS = 1000
 TOO_DEEP = "input nested too deeply"
 
 EOF = " "  # no token is whitespace
@@ -37,6 +49,23 @@ _TOKEN = re.compile(r"\s*(\{[^{}]*\}|\"[^\"]*\"|[A-Za-z_]\w*|:=|=>"
                     r"|\w+|\S)")
 
 NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+
+
+class ParseError(ValueError):
+    """Malformed text, with the position of the offending token when
+    known."""
+
+    def __init__(self, message: str, pos=None):
+        super().__init__(message if pos is None
+                         else f"{message} (at position {pos})")
+        self.pos = pos
+
+
+def numeral(tok: str) -> int:
+    """The value of a digit-run token of at most MAX_DIGITS digits."""
+    if len(tok) > MAX_DIGITS:
+        raise ValueError(f"numeral longer than {MAX_DIGITS} digits")
+    return int(tok)
 
 
 class Tokens:

@@ -32,13 +32,13 @@ from typing import Dict, List, Optional, Tuple
 
 from .formulas import (And, Eq, Exists, FALSE, Formula, Implies, Not, Or,
                        ReplyLit, ReplyT, SortError, TRUE, Var, alpha_eq,
-                       format_formula, formula_of, free_foci, free_vars,
+                       entails, format_formula, formula_of, free_vars,
                        joint_sorts, subst_derive, substitute)
 from .judgments import AssertedSeq, annotation_of
-from .lexer import EOF, MAX_DEPTH, NAME_START, Tokens, TOO_DEEP
+from .lexer import (EOF, MAX_DEPTH, NAME_START, ParseError, Tokens, TOO_DEEP,
+                    numeral)
 from .records import factory, record
 from .services import AlgebraConfig, Reply
-from .formulas import entails
 from .syntax import (REP, Basic, Halt, Jump, NegTest, PosTest, is_rep,
                      sequence_of, term_atoms)
 
@@ -94,7 +94,7 @@ def atoms_foci(atoms: tuple) -> frozenset:
 # proof file parsing
 
 
-class ProofSyntaxError(ValueError):
+class ProofSyntaxError(ParseError):
     pass
 
 
@@ -133,7 +133,7 @@ class _ProofParser:
         if first in NAME_START and tok.isascii():
             return ("ident", tok)
         if first.isdecimal():
-            return ("num", int(tok))
+            return ("num", numeral(tok))
         if tok == EOF:
             self.i = i
             return None
@@ -641,8 +641,9 @@ class _Checker:
         invariant = c.pre.right
         if not alpha_eq(invariant, c.post.right):
             self.fail(path, "R7: the invariant must be the same on both sides")
+        foci = atoms_foci(self.atoms(c.term))
         try:
-            if free_foci(invariant) & atoms_foci(self.atoms(c.term)):
+            if free_vars(invariant, foci).keys() & foci:
                 self.fail(path, "R7: the invariant mentions a focus of S")
         except SortError as exc:
             self.fail(path, f"R7: {exc}")
@@ -657,10 +658,11 @@ class _Checker:
         x = c.pre.var
         if not alpha_eq(c.pre.body, p.pre):
             self.fail(path, "R8: the body must match the premise precondition")
-        if x in atoms_foci(self.atoms(c.term)):
+        foci = atoms_foci(self.atoms(c.term))
+        if x in foci:
             self.fail(path, "R8: the bound variable is a focus of S")
         try:
-            if x in free_vars(c.post):
+            if x in free_vars(c.post, foci):
                 self.fail(path, "R8: the bound variable occurs free in Q")
         except SortError as exc:
             self.fail(path, f"R8: {exc}")
@@ -693,10 +695,11 @@ class _Checker:
                 self.fail(path, "R10: first obligation must be P -> P'")
             if not alpha_eq(ob_post, Implies(p.post, c.post)):
                 self.fail(path, "R10: second obligation must be Q' -> Q")
+        foci = atoms_foci(self.atoms(c.term))
         for what, lhs, rhs in (("P -> P'", c.pre, p.pre),
                                ("Q' -> Q", p.post, c.post)):
             try:
-                verdict = entails(lhs, rhs, self.cfg)
+                verdict = entails(lhs, rhs, self.cfg, foci)
             except SortError as exc:
                 self.fail(path, f"R10: obligation {what}: {exc}")
                 continue

@@ -183,11 +183,15 @@ class _Fallback(Exception):
 
 def _open_cases(pre: CompiledFormula, space: StateSpace, run):
     """(contents, values, result) per pair at which pre is not False;
-    result is None where pre is undecided."""
+    result is None where pre is undecided.  Each state runs once: its
+    pairs come one after another, with one contents object."""
+    ran = result = None
     for env, contents, values in space.pairs():
         pv = pre.evaluate(env)
+        if pv and contents is not ran:
+            ran, result = contents, run(contents)
         if pv is not False:
-            yield contents, values, run(contents) if pv else None
+            yield contents, values, result if pv else None
 
 
 def _decide(phi: AssertedSeq, cfg: AlgebraConfig, with_image: bool):

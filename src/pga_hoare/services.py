@@ -3,17 +3,16 @@
 A service processes methods: it yields a reply (T, F, or D) and a derived
 service.  Reply D means the method could not be processed; the service then
 degenerates to the empty service, which replies D to everything.  Families
-map focus names to services; composing two families collapses clashing foci
-to the empty service.
+map focus names to services.
 """
 
 from __future__ import annotations
 
 import threading
 from enum import Enum
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .lexer import NAME_START, Tokens
+from .lexer import NAME_START, Tokens, numeral
 from .records import record
 
 
@@ -134,19 +133,6 @@ def family(items: Dict[str, Service]) -> ServiceFamily:
     return ServiceFamily(tuple(sorted(items.items())))
 
 
-def fam_compose(u: ServiceFamily, v: ServiceFamily) -> ServiceFamily:
-    """Union of the maps; a focus present in both collapses to empty."""
-    out = dict(u.entries)
-    for f, s in v.entries:
-        out[f] = EMPTY if f in out else s
-    return family(out)
-
-
-def fam_encapsulate(hidden: Iterable[str], u: ServiceFamily) -> ServiceFamily:
-    hidden = set(hidden)
-    return ServiceFamily(tuple((f, s) for f, s in u.entries if f not in hidden))
-
-
 # ---------------------------------------------------------------------------
 # algebra configuration
 
@@ -210,7 +196,7 @@ def _service_of(value: list, text: str) -> Service:
         raise ValueError(f"unknown service literal: {text!r}")
     if kind == "counter" and len(arg) == 1 and arg[0].isascii() \
             and arg[0].isdigit():
-        return counter(int(arg[0]))
+        return counter(numeral(arg[0]))
     if kind == "bool" and arg in (["true"], ["false"]):
         return boolreg(arg == ["true"])
     raise ValueError(f"bad {kind} literal: {text!r}")

@@ -12,18 +12,15 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .lexer import EOF, MAX_DEPTH, MAX_LENGTH, NAME_START, Tokens, TOO_DEEP
+from .lexer import (EOF, MAX_DEPTH, MAX_LENGTH, NAME_START, ParseError,
+                    Tokens, TOO_DEEP, numeral)
 from .records import record
 
 OMEGA = float("inf")
 
 
-class SequenceSyntaxError(ValueError):
+class SequenceSyntaxError(ParseError):
     """Raised on malformed sequence text; carries the offending position."""
-
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
 
 
 # ---------------------------------------------------------------------------
@@ -177,18 +174,6 @@ def make_canonical(prefix, period) -> CanonicalSequence:
     return CanonicalSequence(tuple(prefix), tuple(period))
 
 
-def drop_canonical(c: CanonicalSequence, k: int) -> CanonicalSequence:
-    """The canonical sequence with the first k instructions removed."""
-    if k >= c.length:
-        raise ValueError("cannot drop the whole sequence")
-    if c.period is None:
-        return make_canonical(c.prefix[k:], None)
-    if k <= len(c.prefix):
-        return make_canonical(c.prefix[k:], c.period)
-    shift = (k - len(c.prefix)) % len(c.period)
-    return make_canonical((), c.period[shift:] + c.period[:shift])
-
-
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -202,7 +187,7 @@ def _instruction_at(src: Tokens, i: int):
     if tok == "#":
         if not toks[i + 1][0].isdecimal():
             raise SequenceSyntaxError("expected a jump offset", src.start(i + 1))
-        return Jump(int(toks[i + 1])), i + 2
+        return Jump(numeral(toks[i + 1])), i + 2
     cls = {"+": PosTest, "-": NegTest}.get(tok, Basic)
     i += cls is not Basic
     focus = toks[i]  # if not EOF, a token follows, and if "." another
@@ -243,7 +228,7 @@ def sequence_at(src: Tokens, i: int):
                 if tok == "w":
                     term = Repeat(term)
                 elif tok[0].isdecimal():
-                    term = Power(term, int(tok))
+                    term = Power(term, numeral(tok))
                 else:
                     raise SequenceSyntaxError("expected w or a count",
                                               src.start(i + 1))
@@ -396,14 +381,6 @@ def _flatten(t: SequenceTerm) -> tuple:
 
 def normalize(t: SequenceTerm) -> CanonicalSequence:
     return make_canonical(*_flatten(t))
-
-
-def seq_equal(a: SequenceTerm, b: SequenceTerm) -> bool:
-    return normalize(a) == normalize(b)
-
-
-def term_length(t: SequenceTerm):
-    return normalize(t).length
 
 
 def focus_methods(c: CanonicalSequence) -> dict:

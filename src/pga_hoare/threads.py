@@ -156,40 +156,6 @@ def extract(c: CanonicalSequence) -> RegularThread:
     return _number(key(1), node)
 
 
-def minimize(t: RegularThread) -> RegularThread:
-    """Bisimulation quotient via partition refinement, BFS-canonicalized."""
-    kind, focus, method, then, else_ = (t.kind, t.focus, t.method, t.then,
-                                        t.else_)
-    n = len(kind)
-    labels = {}
-    block = [labels.setdefault(label, len(labels))
-             for label in zip(kind, focus, method)]
-    while True:
-        sigs = {}
-        refined = [sigs.setdefault((block[i], block[then[i]],
-                                    block[else_[i]]), len(sigs))
-                   for i in range(n)]
-        stable = len(sigs) == len(set(block))
-        block = refined
-        if stable:
-            break
-    first = {}  # block -> its first node
-    for i in range(n):
-        first.setdefault(block[i], i)
-
-    def node(b: int) -> tuple:
-        # block[0] is 0 (node 0 is labelled first), so the successors of
-        # a leaf stay 0
-        i = first[b]
-        return kind[i], focus[i], method[i], block[then[i]], block[else_[i]]
-
-    return _number(block[0], node)
-
-
-def bisimilar(a: RegularThread, b: RegularThread) -> bool:
-    return minimize(a) == minimize(b)
-
-
 def sigma(e: int) -> SequenceTerm:
     """The exit-observation suffix: e-1 inactivity jumps then termination."""
     if e < 1:

@@ -13,7 +13,7 @@ import pytest
 import pga_hoare
 from pga_hoare.cli import main
 from pga_hoare.formulas import parse_formula
-from pga_hoare.lexer import MAX_DEPTH, MAX_LENGTH
+from pga_hoare.lexer import MAX_DEPTH, MAX_DIGITS, MAX_LENGTH
 from pga_hoare.proofs import parse_proof
 from pga_hoare import syntax
 from pga_hoare.syntax import parse_sequence
@@ -231,13 +231,56 @@ def test_thread_of_long_sequences(capsys):
     assert out.count("\n") == 2 * 33_334 + 1
 
 
-def _fresh(argv):
-    """stdout and status of argv in a new interpreter."""
+def _run_fresh(argv, flags=()):
+    """The finished `python [flags] -m pga_hoare.cli argv`."""
     env = dict(os.environ,
                PYTHONPATH=str(pathlib.Path(pga_hoare.__file__).parent.parent))
-    done = subprocess.run([sys.executable, "-m", "pga_hoare.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *flags, "-m", "pga_hoare.cli",
+                           *argv], capture_output=True, text=True, env=env)
+
+
+def _fresh(argv):
+    """stdout and status of argv in a new interpreter."""
+    done = _run_fresh(argv)
     return done.stdout, done.returncode
+
+
+def _fresh_loads(argv):
+    """stdout and status of argv in a new interpreter, and the modules of
+    pga_hoare that it imported, as -X importtime lists them."""
+    done = _run_fresh(argv, ["-X", "importtime"])
+    names = {line.rsplit("|", 1)[1].strip()
+             for line in done.stderr.splitlines()
+             if line.startswith("import time:")}
+    return done.stdout, done.returncode, {
+        name.split(".")[1] for name in names
+        if name.startswith("pga_hoare.")}
+
+
+def test_each_command_loads_only_what_it_runs(capsys):
+    # cli imports a command's modules when the command runs, and the
+    # package loads none of its modules on import
+    holds_example = ("{1 | true} (-c.iszero ; #2 ; ! ; c.decr)^w "
+                     "{0 | c = nnc(0)}")
+    for argv, left_out in (
+            (["normalize", "(a.m ; !)^2"],
+             {"formulas", "judgments", "segments", "kernels", "proofs",
+              "threads"}),
+            (["thread", "(-c.iszero ; #2 ; ! ; c.decr)^w"],
+             {"formulas", "proofs"}),
+            (["run", "(-c.iszero ; #2 ; ! ; c.decr)^w", "{c = counter(3)}"],
+             {"proofs", "threads"}),
+            (["--bound", "24", "holds", holds_example], {"proofs", "threads"}),
+            (["--bound", "24", "sp", "true", "c.decr", "--exit", "1"],
+             {"proofs", "threads"}),
+            (["--bound", "24", "check", PROOF],
+             {"segments", "kernels", "threads"})):
+        out, status, loaded = _fresh_loads(argv)
+        here = main(argv)
+        assert (out, status) == (capsys.readouterr().out, here), argv
+        # every command parses and builds an AlgebraConfig
+        assert {"lexer", "services"} <= loaded, (argv, loaded)
+        assert not loaded & left_out, (argv, loaded & left_out)
 
 
 def test_repeated_calls_match_fresh_ones(capsys):
@@ -581,3 +624,113 @@ def test_a_large_bound_costs_no_memory(capsys):
     assert time.perf_counter() - started < 5
     assert capsys.readouterr().out == (
         "HOLDS (bounded, B=1000000)\nHOLDS (bounded, B=1000000000)\n")
+
+
+def test_rules_read_sorts_with_the_foci_of_the_term(tmp_path, capsys):
+    # R10's obligations, R7's invariant and R8's Q are sort-checked with
+    # the foci of the node's term of sort serv, as holds checks them
+    premise = ('a := (A11 {1 | c = d} "!" {0 | c = d})\n'
+               'b := (R3 a => {1 | c = d} "! ; c.incr ; d.incr" {0 | c = d})\n')
+    r10 = premise + ('(R10 "(c = d /\\ true) -> c = d" b "c = d -> c = d"'
+                     ' => {1 | c = d /\\ true} "! ; c.incr ; d.incr" '
+                     '{0 | c = d})\n')
+    r7 = ('a := (A11 {1 | true} "!" {0 | true})\n'
+          'b := (R3 a => {1 | true} "! ; c.incr ; d.incr" {0 | true})\n'
+          '(R7 b => {1 | true /\\ c = d} "! ; c.incr ; d.incr" '
+          '{0 | true /\\ c = d})\n')
+    r8 = premise + ('(R8 b => {1 | exists n:nat. c = d} "! ; c.incr ; d.incr"'
+                    ' {0 | c = d})\n')
+    proof = tmp_path / "foci.proof"
+    for text, argv, status, out in (
+            (r10, ["--bound", "3"], 0,
+             "ACCEPTED, 1 bounded entailment assumption\n"
+             "  assumed: root: P -> P': c = d /\\ true -> c = d "
+             "(bounded, B=3)\n"),
+            (r10, ["--bound", "3", "--strict"], 1,
+             "REJECTED\n  root: R10: obligation P -> P' is bounded\n"),
+            (r7, [], 1,
+             "REJECTED\n  root: R7: the invariant mentions a focus of S\n"),
+            (r8, [], 0, "ACCEPTED\n")):
+        proof.write_text(text)
+        assert main([*argv, "check", str(proof)]) == status, text
+        assert capsys.readouterr().out == out, text
+    assert main(["--bound", "3", "holds", '{1 | c = d /\\ true} '
+                 '"! ; c.incr ; d.incr" {0 | c = d}']) == 0
+    assert capsys.readouterr().out == "HOLDS (bounded, B=3)\n"
+
+
+def test_runs_that_never_come_back_keep_no_table(capsys):
+    # without a period no run returns to its entry, so the runs of the
+    # states keep no outcome table; what remains is Q's memo
+    tracemalloc.start()
+    try:
+        assert main(["--bound", "20000", "holds",
+                     '{1 | true} "c.incr ; !" {0 | ~c = nnc(0)}']) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == "HOLDS (bounded, B=20000)\n"
+    assert peak < 5_000_000, peak
+
+
+def test_long_chains_of_conjuncts_and_disjuncts_get_a_verdict():
+    # a chain is compiled as a balanced tree, so the longest chain the
+    # parser accepts is evaluated in a fresh interpreter's stack
+    n = MAX_DEPTH - 2
+    conjuncts = " /\\ ".join(["c = nnc(0)"] * n)
+    disjuncts = " \\/ ".join(["c = nnc(0)"] * n)
+    assert _fresh(["--bound", "3", "holds",
+                   "{1 | %s} ! {0 | true}" % conjuncts]) == (
+        "HOLDS (bounded, B=3)\n", 0)
+    assert _fresh(["--bound", "3", "sp", disjuncts, "c.incr", "--exit", "1"]
+                  ) == ("states: 1\n  {c = counter(1)}\nformula: c = nnc(1)\n",
+                        0)
+    with pytest.raises(ValueError, match="^input nested too deeply$"):
+        parse_formula(conjuncts + " /\\ true")
+
+
+def test_over_long_numerals_are_refused_with_the_cap(tmp_path, capsys):
+    # every place a numeral is read refuses one longer than MAX_DIGITS,
+    # below Python's own limit on converting a string to an int
+    long = "9" * 5000
+    proof = tmp_path / "hyp.proof"
+    proof.write_text(f"(HYP {long})\n")
+    for argv in (["holds", "{1 | c = nnc(%s)} ! {0 | true}" % long],
+                 ["sp", "true " + long, "!"],
+                 ["normalize", "#" + long],
+                 ["normalize", "a.m^" + long],
+                 ["holds", "{%s | true} ! {0 | true}" % long],
+                 ["check", str(proof)],
+                 ["run", "!", "{c = counter(%s)}" % long]):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr() == (
+            "", f"error: numeral longer than {MAX_DIGITS} digits\n"), argv
+    assert main(["normalize", "#" + "0" * (MAX_DIGITS - 1) + "1"]) == 0
+    assert capsys.readouterr().out == "prefix: #1\nlen: 1\n"
+
+
+def test_package_names_resolve_on_first_access():
+    # importing pga_hoare loads none of its modules; each documented name
+    # loads its own, and the names without a caller are gone
+    code = """if True:
+        import sys
+        import pga_hoare
+        loaded = sorted(m for m in sys.modules if m.startswith("pga_hoare."))
+        print(loaded)
+        from pga_hoare import normalize
+        print(sorted(m for m in sys.modules if m.startswith("pga_hoare.")))
+        for name in pga_hoare.__all__:
+            getattr(pga_hoare, name)
+        gone = ("minimize", "bisimilar", "fam_compose", "fam_encapsulate",
+                "expand_multi_exit", "seq_equal", "term_length",
+                "drop_canonical", "free_foci")
+        print([name for name in gone if hasattr(pga_hoare, name)])
+        from pga_hoare import cli, proofs, segments, services, syntax, threads
+        print(cli.main is pga_hoare.cli.main)
+        """
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(pga_hoare.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout == ("[]\n['pga_hoare.lexer', 'pga_hoare.records', "
+                           "'pga_hoare.syntax']\n[]\nTrue\n")

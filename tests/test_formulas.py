@@ -14,7 +14,7 @@ from pga_hoare.formulas import (And, BoolLit, DeriveT, EmptyServ,
                                 Succ, TRUE, TrueF, Var, _formula_tokens,
                                 alpha_eq,
                                 compile_formula, entails, eval_formula,
-                                format_formula, free_foci, free_vars,
+                                format_formula, free_vars,
                                 parse_formula, rename, sort_domain,
                                 subst_derive, substitute)
 from pga_hoare.lexer import Tokens
@@ -61,14 +61,21 @@ def test_format_parse_roundtrip():
 def test_free_vars_and_sorts():
     f = parse_formula("c = nnc(n) \\/ d = nnc(0)")
     assert free_vars(f) == {"c": "serv", "d": "serv", "n": "nat"}
-    assert free_foci(f) == {"c", "d"}
-    assert free_foci(TRUE) == frozenset()
-    assert free_foci(parse_formula("r[get](r) = :t")) == {"r"}
+    assert free_vars(TRUE) == {}
+    assert free_vars(parse_formula("r[get](r) = :t")) == {"r": "serv"}
 
 
 def test_sort_inference_rejects_clashes():
     with pytest.raises(SortError):
         free_vars(parse_formula("x = nnc(0) /\\ x = 0"))
+
+
+def test_sort_inference_refuses_unknown_sorts():
+    # only hand-built trees have one; the parser refuses it
+    unknown = Exists("x", "stack", Not(Exists("y", "nat", TRUE)))
+    for f in (unknown, And(TRUE, Forall("n", "nat", unknown))):
+        with pytest.raises(SortError, match="^unknown sort 'stack'$"):
+            free_vars(f)
 
 
 def test_substitute_derive_for_focus():

@@ -3,7 +3,7 @@
 import pytest
 
 from pga_hoare.formulas import FALSE, TRUE, Not, parse_formula
-from pga_hoare.judgments import AssertedSeq, expand_multi_exit, parse_asserted
+from pga_hoare.judgments import AssertedSeq, parse_asserted
 from pga_hoare.segments import (BudgetOut, Exited, Halted, Inactive, holds,
                                 run_segment, strongest_post)
 from pga_hoare.services import AlgebraConfig, boolreg, counter, family
@@ -157,14 +157,6 @@ def test_holds_free_nat_variable_solved_from_a_focus():
 def test_holds_inactive_satisfies_any_exit():
     assert holds(parse_asserted('{1 | true} "#0" {5 | false}'), CFG).is_holds
     assert holds(parse_asserted('{1 | true} "#0" {0 | false}'), CFG).is_holds
-
-
-def test_multi_exit_expansion():
-    seqs = expand_multi_exit(1, TRUE, parse_sequence("+r.get"), [1, 2], FALSE)
-    assert [s.exit for s in seqs] == [1, 2]
-    assert all(s.entry == 1 for s in seqs)
-    with pytest.raises(ValueError):
-        expand_multi_exit(1, TRUE, parse_sequence("!"), [], FALSE)
 
 
 def test_parse_asserted_quoted_and_bare():

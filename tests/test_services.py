@@ -1,11 +1,10 @@
-"""Service behaviour, family composition, and the algebra configuration."""
+"""Service behaviour, service families, and the algebra configuration."""
 
 import pytest
 
 from pga_hoare.services import (EMPTY, EMPTY_FAMILY, AlgebraConfig, Reply,
-                                boolreg, counter, fam_compose, fam_encapsulate,
-                                family, family_key, format_family,
-                                parse_family, svc_step)
+                                boolreg, counter, family, family_key,
+                                format_family, parse_family, svc_step)
 
 
 def test_counter_methods():
@@ -42,21 +41,6 @@ def test_family_lookup_and_update():
     v = u.with_service("c", counter(2))
     assert v.get("c") == counter(2)
     assert u.get("c") == counter(1)
-
-
-def test_compose_clash_gives_empty_service():
-    u = family({"c": counter(1)})
-    v = family({"c": counter(2), "r": boolreg(False)})
-    w = fam_compose(u, v)
-    assert w.get("c") == EMPTY
-    assert w.get("r") == boolreg(False)
-
-
-def test_compose_unit_and_encapsulate():
-    u = family({"c": counter(1)})
-    assert fam_compose(u, EMPTY_FAMILY) == u
-    assert fam_encapsulate(["c"], u) == EMPTY_FAMILY
-    assert fam_encapsulate(["x"], u) == u
 
 
 def test_family_literal_roundtrip():
