@@ -95,6 +95,9 @@ class ReplyT:
 
 Term = Union[Var, NatLit, BoolLit, ReplyLit, Succ, Pred, Nnc, RegOf,
              EmptyServ, DeriveT, ReplyT]
+# a term is a chain of operators around one of these
+_LEAVES = frozenset((Var, NatLit, BoolLit, ReplyLit, EmptyServ))
+_STEP_PART = {DeriveT: 1, ReplyT: 0}  # the derived service, or the reply
 
 
 # ---------------------------------------------------------------------------
@@ -613,30 +616,28 @@ def subst_derive(f: Formula, focus: str, method: str) -> Formula:
     return substitute(f, focus, DeriveT(method, Var(focus)))
 
 
-def rename(f: Formula, old: str, new: str) -> Formula:
-    return substitute(f, old, Var(new))
-
-
 def _alpha_term(a: Term, b: Term, env_a: Dict[str, int], env_b: Dict[str, int]) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Var):
-        ia, ib = env_a.get(a.name), env_b.get(b.name)
-        if ia is None and ib is None:
-            return a.name == b.name
-        return ia == ib
-    if isinstance(a, (NatLit, BoolLit, ReplyLit)):
-        return a == b
-    if isinstance(a, EmptyServ):
-        return True
-    if isinstance(a, (DeriveT, ReplyT)):
-        return a.method == b.method and _alpha_term(a.arg, b.arg, env_a, env_b)
-    return _alpha_term(a.arg, b.arg, env_a, env_b)
+    """Terms are chains around one leaf: compared link by link."""
+    while type(a) is type(b):
+        if type(a) is Var:
+            ia, ib = env_a.get(a.name), env_b.get(b.name)
+            if ia is None and ib is None:
+                return a.name == b.name
+            return ia == ib
+        if type(a) in _LEAVES:
+            return type(a) is EmptyServ or a.value == b.value
+        if type(a) in _STEP_PART and a.method != b.method:
+            return False
+        a, b = a.arg, b.arg
+    return False
 
 
 def _alpha(a: Formula, b: Formula, env_a, env_b, depth: int) -> bool:
     if type(a) is not type(b):
         return False
+    if type(a) is Eq:
+        return (_alpha_term(a.left, b.left, env_a, env_b)
+                and _alpha_term(a.right, b.right, env_a, env_b))
     if isinstance(a, (TrueF, FalseF)):
         return True
     if isinstance(a, Not):
@@ -644,9 +645,6 @@ def _alpha(a: Formula, b: Formula, env_a, env_b, depth: int) -> bool:
     if isinstance(a, (And, Or, Implies)):
         return (_alpha(a.left, b.left, env_a, env_b, depth)
                 and _alpha(a.right, b.right, env_a, env_b, depth))
-    if isinstance(a, Eq):
-        return (_alpha_term(a.left, b.left, env_a, env_b)
-                and _alpha_term(a.right, b.right, env_a, env_b))
     if isinstance(a, (Exists, Forall)):
         if a.sort != b.sort:
             return False
@@ -691,67 +689,85 @@ _OPEN = object()  # the compile-time value of a term that is not closed
 _UNBOUND = object()
 
 
-def _succ(n):
-    return n + 1
+_UNARY = {Pred: lambda n: max(0, n - 1), Nnc: counter, RegOf: boolreg}
 
 
-def _pred(n):
-    return max(0, n - 1)
-
-
-_UNARY = {Succ: _succ, Pred: _pred, Nnc: counter, RegOf: boolreg}
-
-
-def _constant(value):
-    return (lambda env: value), value
-
-
-def _compile_term(t: Term):
-    """(closure, value): value is the term's value if it is closed and
-    evaluates without error, else _OPEN."""
-    if isinstance(t, Var):
-        name = t.name
-        return (lambda env: env[name]), _OPEN
-    if isinstance(t, (NatLit, BoolLit, ReplyLit)):
-        return _constant(t.value)
-    if isinstance(t, EmptyServ):
-        return _constant(EMPTY)
-    if isinstance(t, DeriveT):
-        method = t.method
-        op = lambda s: svc_step(s, method)[1]
-    elif isinstance(t, ReplyT):
-        method = t.method
-        op = lambda s: svc_step(s, method)[0]
-    else:
-        op = _UNARY.get(type(t))
-        if op is None:
-            raise TypeError(f"not a term: {t!r}")
-    arg, value = _compile_term(t.arg)
-    if value is not _OPEN:
-        return _constant(op(value))
-    return (lambda env: op(arg(env))), _OPEN
+def _chain(t: Term):
+    """(name, ops, value): a term is a chain of operators around one leaf;
+    ops are the chain's operators from the leaf out, a run of k s(·) one
+    that adds k.  name is the leaf variable's, or None when t is closed
+    and value its value (_OPEN otherwise)."""
+    ops, k = [], 0
+    while True:
+        kind = type(t)
+        if kind is Succ:
+            k += 1
+        else:
+            if k:
+                ops.append(k.__add__)
+                k = 0
+            if kind in _LEAVES:
+                break
+            if kind in _UNARY:
+                ops.append(_UNARY[kind])
+            elif kind in _STEP_PART:
+                ops.append(lambda s, m=t.method, i=_STEP_PART[kind]:
+                           svc_step(s, m)[i])
+            else:
+                raise TypeError(f"not a term: {t!r}")
+        t = t.arg
+    ops.reverse()
+    if type(t) is Var:
+        return t.name, ops, _OPEN
+    value = EMPTY if type(t) is EmptyServ else t.value
+    for op in ops:
+        value = op(value)
+    return None, (), value
 
 
 def _compile_eq(f: Eq):
-    left, lv = _compile_term(f.left)
-    right, rv = _compile_term(f.right)
-    if lv is not _OPEN and rv is not _OPEN:
-        same = lv == rv
-        return lambda env: same
-    if rv is not _OPEN:
-        return lambda env: left(env) == rv
-    if lv is not _OPEN:
-        return lambda env: lv == right(env)
-    return lambda env: left(env) == right(env)
+    """One closure that reads each side's variable from env and runs its
+    chain; a closed side is a constant."""
+    lname, lops, lv = _chain(f.left)
+    rname, rops, rv = _chain(f.right)
+    if lname is None:
+        if rname is None:
+            same = lv == rv
+            return lambda env: same
+        lname, lops, rname, rv = rname, rops, None, lv
+    # counters below 4096, both registers and EMPTY are interned, so
+    # identity decides most service equations
+    if rname is None and isinstance(rv, Service):
+        kind, content = rv.kind, rv.content
+
+        def against_service(env):
+            v = env[lname]
+            for op in lops:
+                v = op(v)
+            return v is rv or (v.content == content and v.kind == kind)
+        return against_service
+
+    def eq(env):
+        a = env[lname]
+        for op in lops:
+            a = op(a)
+        if rname is None:
+            return a == rv
+        b = env[rname]
+        for op in rops:
+            b = op(b)
+        return a is b or a == b
+    return eq
 
 
-# One-point narrowing.  Where a conjunct n = t fixes a nat variable n, every
-# other value of n makes the conjunction False, so only the value it fixes
-# needs to be tried: the one-point rule, ∃x.(x = t ∧ φ) ≡ φ[t/x] and
-# ∀x.(x = t → φ) ≡ φ[t/x].  A value left out could neither decide a result
-# nor leave it undecided (False dominates None), so results, witnesses and
-# their enumeration order are unchanged.  A formula that free_vars accepts
-# cannot raise when evaluated, so no exception is skipped either.
+# One-point narrowing.  Where a conjunct n = t fixes a nat variable or a
+# focus n, every other value of n makes the conjunction False, so only the
+# value it fixes needs to be tried: the one-point rule, ∃x.(x = t ∧ φ) ≡
+# φ[t/x] and ∀x.(x = t → φ) ≡ φ[t/x].  A value left out could neither
+# decide a result nor leave it undecided (False dominates None), so
+# results, witnesses and their enumeration order are unchanged.  A formula
+# that free_vars accepts cannot raise when evaluated, so no exception is
+# skipped either.
 
 
 def _operands(f: Formula, cls) -> list:
@@ -766,55 +782,55 @@ def _operands(f: Formula, cls) -> list:
     return out
 
 
-def _inverse(t: Term, name: str):
-    """For t a chain of s(·) and nnc(·) around the variable `name`: a
-    function from a value v to the value of `name` at which t equals v, or
-    to None when there is none.  None when t has another shape."""
-    steps = []
-    while isinstance(t, (Succ, Nnc)):
-        steps.append(isinstance(t, Nnc))
-        t = t.arg
-    if not (isinstance(t, Var) and t.name == name):
-        return None
-
-    def invert(v):
-        for is_nnc in steps:
-            if is_nnc:
-                if not (isinstance(v, Service) and v.kind == "counter"):
-                    return None
-                v = v.content
-            elif isinstance(v, int) and v >= 1:
-                v -= 1
-            else:
-                return None
-        return v
-    return invert
-
-
 def _fixer(f: Formula, name: str, admits):
     """A closure env -> the only value of `name` at which the conjunction f
     can be true, or None when no value can.  It solves the first conjunct
-    of f that equates a chain around `name` (see _inverse) with a term
-    whose variables `admits` accepts.  None when no conjunct qualifies."""
+    of f that equates `name`, s^k(name) or nnc(s^k(name)) (the chains of
+    s(·) and nnc(·) that are well sorted) with a term whose variables
+    `admits` accepts, by undoing the chain.  None when no conjunct
+    qualifies."""
     for g in _operands(f, And):
         if not isinstance(g, Eq):
             continue
         for side, other in ((g.left, g.right), (g.right, g.left)):
-            invert = _inverse(side, name)
-            if invert is not None and admits(_repl_free(other)):
-                value = _compile_term(other)[0]
-                return lambda env: invert(value(env))
+            nnc, k = type(side) is Nnc, 0
+            if nnc:
+                side = side.arg
+            while type(side) is Succ:
+                side, k = side.arg, k + 1
+            if not (type(side) is Var and side.name == name):
+                continue
+            leaf, ops, fixed = _chain(other)
+            if not admits(() if leaf is None else (leaf,)):
+                continue
+
+            def fix(env):
+                v = fixed
+                if leaf is not None:
+                    v = env[leaf]
+                    for op in ops:
+                        v = op(v)
+                if nnc:
+                    if type(v) is not Service or v.kind != "counter":
+                        return None
+                    v = v.content
+                elif not k:
+                    return v
+                return v - k if v >= k else None
+            return fix
     return None
 
 
 def _narrowed_domain(f, bound: int):
-    """For a quantifier f over nat: a closure env -> the sorted values up to
-    bound at which f's body can decide f, or None when the one-point rule
-    does not apply.  It applies to ∃ over a disjunction whose disjuncts
-    that mention the variable each have a fixing conjunct, and to ∀ over an
+    """For a quantifier f over nat: a closure env -> the values up to bound
+    at which f's body can decide f, or None when the one-point rule does
+    not apply.  It applies to ∃ over a disjunction whose disjuncts that
+    mention the variable each have a fixing conjunct, and to ∀ over an
     implication whose antecedent has one.  A disjunct free of the variable
     has the same value everywhere, so the domain's first value stands for
-    all of them."""
+    all of them.  A quantifier's value does not depend on the order in
+    which its domain is tried, so the solved values come first, where the
+    body is decided most often, and none is sorted or made unique."""
     var = f.var
 
     def admits(names):
@@ -834,12 +850,14 @@ def _narrowed_domain(f, bound: int):
         return None
 
     def values(env):
-        found = {0} if anywhere else set()
+        found = []
         for fix in fixers:
             v = fix(env)
             if v is not None and v <= bound:
-                found.add(v)
-        return sorted(found)
+                found.append(v)
+        if anywhere:
+            found.append(0)
+        return found
     return values
 
 
@@ -870,43 +888,43 @@ def _disjunction(left, right, decider=True):
 
 def _compile(f: Formula, cfg: AlgebraConfig):
     """A closure env -> True/False/None computing f's three-valued value."""
-    if isinstance(f, TrueF):
-        return lambda env: True
-    if isinstance(f, FalseF):
-        return lambda env: False
-    if isinstance(f, Eq):
+    kind = type(f)
+    if kind is Eq:
         return _compile_eq(f)
-    if isinstance(f, Not):
+    if kind is TrueF:
+        return lambda env: True
+    if kind is FalseF:
+        return lambda env: False
+    if kind is Not:
         body = _compile(f.body, cfg)
 
         def negation(env):
             v = body(env)
             return None if v is None else not v
         return negation
-    if isinstance(f, (And, Or)):
+    if kind is And or kind is Or:
         # the chain's operands, left to right, as a balanced tree of binary
         # closures: the same evaluation order and the same short cuts as
         # the chain as written, at a depth logarithmic in its length
-        parts = [_compile(g, cfg) for g in _operands(f, type(f))]
-        join = _conjunction if isinstance(f, And) else _disjunction
+        parts = [_compile(g, cfg) for g in _operands(f, kind)]
+        join = _conjunction if kind is And else _disjunction
         while len(parts) > 1:
             odd = parts[-1:] if len(parts) % 2 else []
             parts = [join(a, b) for a, b in zip(parts[::2], parts[1::2])] + odd
         return parts[0]
-    if isinstance(f, Implies):
+    if kind is Implies:
         # a -> b is ~a \/ b: the left operand decides when it is False
         return _disjunction(_compile(f.left, cfg), _compile(f.right, cfg),
                             False)
-    if isinstance(f, (Exists, Forall)):
+    if kind is Exists or kind is Forall:
         body = _compile(f.body, cfg)
         var, sort = f.var, f.sort
         values, exhaustive = sort_domain(sort, cfg)
-        values = tuple(values)
         narrowed = (_narrowed_domain(f, cfg.quant_bound) if sort == "nat"
                     else None)
         # ∃ stops at the first True, ∀ at the first False; without one, a
         # None or a truncated domain leaves the value undecided
-        decider = isinstance(f, Exists)
+        decider = kind is Exists
         otherwise = (not decider) if exhaustive else None
 
         def quantifier(env):
@@ -1003,17 +1021,25 @@ class StateSpace:
     service only where an env or a state is built, so a large state_bound
     costs no memory.
 
-    Pairs at which `pre` is False by the one-point rule are left out: when
-    a top-level conjunct of pre equates a chain of s(·)/nnc(·) around a
+    Pairs at which `pre` is False by the one-point rule are left out.
+    When a top-level conjunct of pre equates a focus with a closed term,
+    the focus takes only that term's value, if it is a state content, and
+    no content otherwise (an nnc(k) beyond state_bound, a service of the
+    other kind, empty).  When one equates a chain of s(·)/nnc(·) around a
     free nat variable with a term over foci and constants, that variable
-    takes only the value solving it, if it lies within state_bound.  The
-    other pairs come in the same order as without narrowing.
+    takes only the value solving it, if it lies within state_bound.  Every
+    pair left out makes that conjunct, and so pre, False: False dominates
+    the three-valued conjunction, so a pair left out neither decides a
+    result nor leaves it undecided.  The other pairs come in the same
+    order as without narrowing, so first witnesses and first undecided
+    pairs are unchanged.
     """
 
     def __init__(self, foci, var_sorts, cfg: AlgebraConfig,
                  pre: Formula = TRUE):
         self.contents, self.service, serv_exhaustive = cfg.state_contents()
         self.foci = sorted(foci)
+        self.focus_domains = [self._fixed_content(pre, f) for f in self.foci]
         self.names = sorted(var_sorts)
         self.bound = cfg.state_bound
         self.exhaustive = serv_exhaustive or not self.foci
@@ -1025,30 +1051,50 @@ class StateSpace:
                 values, exhaustive = sort_domain(var_sorts[name], cfg)
             self.domains.append(values)
             self.exhaustive = self.exhaustive and exhaustive
-        self.fixers = []  # (index of a nat variable, its fixer)
-        nats = [i for i, name in enumerate(self.names)
-                if var_sorts[name] == "nat"]
-        if nats:
-            valued = frozenset(self.names)
-            for i in nats:
-                fix = _fixer(pre, self.names[i], valued.isdisjoint)
-                if fix is not None:
-                    self.fixers.append((i, fix))
+        valued = frozenset(self.names)
+        # (index of a nat variable, its fixer)
+        self.fixers = [(i, fix) for i, name in enumerate(self.names)
+                       if var_sorts[name] == "nat"
+                       and (fix := _fixer(pre, name, valued.isdisjoint))]
+
+    def _fixed_content(self, pre: Formula, focus: str):
+        """The contents that focus takes: those of the algebra, or the one
+        that a top-level conjunct `focus = t` of pre, t closed, fixes."""
+        fix = _fixer(pre, focus, lambda names: not names)
+        if fix is None:
+            return self.contents
+        value = fix({})  # a closed term's value reads no env
+        k = value.content  # None for empty
+        if isinstance(k, int) and int(k) in self.contents and (
+                self.service(int(k)) == value):
+            return (int(k),)
+        return ()
 
     def states(self):
         """The contents of every state, in enumeration order."""
-        return itertools.product(self.contents, repeat=len(self.foci))
+        return itertools.product(*self.focus_domains)
 
     def pairs(self):
         """Yield (env, contents, values) per pair: the state's contents and
         the variables' values; env binds each focus to its service and each
-        variable to its value.  One env serves all the pairs of a state;
-        copy what must outlive a step."""
+        variable to its value.  One env serves all the pairs; copy what
+        must outlive a step."""
         foci, names, fixers, bound = (self.foci, self.names, self.fixers,
                                       self.bound)
-        service = self.service
+        service, env = self.service, {}
+        # with every variable fixed, a state has at most one pair
+        fixed = ([(names[i], fix) for i, fix in fixers]
+                 if len(fixers) == len(names) else None)
         for contents in self.states():
-            env = dict(zip(foci, map(service, contents)))
+            env.update(zip(foci, map(service, contents)))
+            if fixed is not None:
+                for name, fix in fixed:
+                    v = env[name] = fix(env)
+                    if v is None or v > bound:
+                        break
+                else:
+                    yield env, contents, tuple(map(env.__getitem__, names))
+                continue
             domains = self.domains
             if fixers:
                 domains = list(domains)

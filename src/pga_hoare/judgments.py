@@ -50,11 +50,6 @@ def annotation_of(src: Tokens):
     return numeral(toks[0]), formula_of(src, 2)
 
 
-def parse_annotation(inner: str):
-    """The text between the braces of one annotation: (point, formula)."""
-    return annotation_of(Tokens(inner))
-
-
 def parse_asserted(text: str) -> AssertedSeq:
     """{b | P} S {e | Q}, with S optionally in double quotes.  The last
     brace group is {e | Q}, and quotes matter only around the whole of S.

@@ -251,6 +251,10 @@ def _search(c: CanonicalSequence, phi: AssertedSeq, cfg: AlgebraConfig,
     strongest_post only.
     A fails verdict gives the first failing state in enumeration order; an
     unknown verdict the first undecided state, and what left it undecided.
+    Where P fixes a focus or solves a nat variable (see StateSpace), the
+    pairs enumerated skip only pairs at which P is False, which neither
+    fail the judgment nor leave it undecided: the first failing and first
+    undecided states are those of the full box.
     """
     foci = observed.foci
     kinds = [0 if cfg.algebra == "boolreg" else 1] * len(foci)

@@ -8,7 +8,6 @@ map focus names to services.
 
 from __future__ import annotations
 
-import threading
 from enum import Enum
 from typing import Dict, Optional, Tuple
 
@@ -36,56 +35,48 @@ EMPTY = Service("empty")
 # both registers are built once, which saves building a Service record
 # per state enumerated, per decoded content and per formula term.
 _INTERNED = 1 << 12
-_COUNTERS = []  # _COUNTERS[n] is counter(n); it only grows, under _GROW
-_GROW = threading.Lock()
 _REGISTERS = (Service("boolreg", False), Service("boolreg", True))
 
 
-def counter(n: int) -> Service:
-    if 0 <= n < len(_COUNTERS):
-        return _COUNTERS[n]
-    if n < 0:
-        raise ValueError("counter content must be a natural number")
-    if n >= _INTERNED:
-        return Service("counter", n)
-    with _GROW:
-        _COUNTERS.extend(Service("counter", i)
-                         for i in range(len(_COUNTERS), n + 1))
-    return _COUNTERS[n]
+class _Counters(dict):
+    """n -> counter(n), holding those below _INTERNED once built: a
+    counter built before is found by the dict lookup alone."""
+
+    def __missing__(self, n):
+        if n < 0:
+            raise ValueError("counter content must be a natural number")
+        if n >= _INTERNED:
+            return Service("counter", n)
+        # setdefault is atomic: threads that build one counter share it
+        return self.setdefault(n, Service("counter", n))
+
+
+_COUNTERS = _Counters()
+counter = _COUNTERS.__getitem__  # counter(n) -> the counter holding n
 
 
 def boolreg(value: bool) -> Service:
     return _REGISTERS[1 if value else 0]
 
 
-def _counter_step(s: Service, m: str):
-    n = s.content
-    if m == "incr":
-        return Reply.T, counter(n + 1)
-    if m == "decr":
-        # decr at zero replies F and leaves the content unchanged
-        return (Reply.T, counter(n - 1)) if n > 0 else (Reply.F, s)
-    if m == "iszero":
-        return (Reply.T if n == 0 else Reply.F), s
-    return Reply.D, EMPTY
-
-
-def _boolreg_step(s: Service, m: str):
-    if m == "get":
-        return (Reply.T if s.content else Reply.F), s
-    if m == "set:t":
-        return Reply.T, boolreg(True)
-    if m == "set:f":
-        return Reply.T, boolreg(False)
-    return Reply.D, EMPTY
-
-
 def svc_step(s: Service, m: str) -> Tuple[Reply, Service]:
     """Process method m: the reply and the derived service."""
     if s.kind == "counter":
-        return _counter_step(s, m)
-    if s.kind == "boolreg":
-        return _boolreg_step(s, m)
+        n = s.content
+        if m == "incr":
+            return Reply.T, counter(n + 1)
+        if m == "decr":
+            # decr at zero replies F and leaves the content unchanged
+            return (Reply.T, counter(n - 1)) if n > 0 else (Reply.F, s)
+        if m == "iszero":
+            return (Reply.T if n == 0 else Reply.F), s
+    elif s.kind == "boolreg":
+        if m == "get":
+            return (Reply.T if s.content else Reply.F), s
+        if m == "set:t":
+            return Reply.T, boolreg(True)
+        if m == "set:f":
+            return Reply.T, boolreg(False)
     return Reply.D, EMPTY
 
 
@@ -107,14 +98,6 @@ class ServiceFamily:
             if f == focus:
                 return s
         return None
-
-    def foci(self) -> frozenset:
-        return frozenset(f for f, _ in self.entries)
-
-    def with_service(self, focus: str, service: Service) -> "ServiceFamily":
-        items = dict(self.entries)
-        items[focus] = service
-        return family(items)
 
     def __str__(self) -> str:
         return format_family(self)
@@ -164,9 +147,6 @@ class AlgebraConfig:
         are bounded."""
         if self.algebra == "boolreg":
             return range(2), _REGISTERS.__getitem__, True
-        if self.state_bound < _INTERNED:
-            counter(self.state_bound)
-            return range(self.state_bound + 1), _COUNTERS.__getitem__, False
         return range(self.state_bound + 1), counter, False
 
     def service_domain(self):
@@ -174,11 +154,6 @@ class AlgebraConfig:
         list, for quantifiers over serv."""
         contents, service, exhaustive = self.state_contents()
         return list(map(service, contents)), exhaustive
-
-    def methods(self):
-        if self.algebra == "boolreg":
-            return ["get", "set:t", "set:f"]
-        return ["incr", "decr", "iszero"]
 
 
 # ---------------------------------------------------------------------------

@@ -112,10 +112,6 @@ class CanonicalSequence:
     period: Optional[tuple]
 
     @property
-    def is_finite(self) -> bool:
-        return self.period is None
-
-    @property
     def length(self):
         return len(self.prefix) if self.period is None else OMEGA
 
@@ -138,15 +134,6 @@ class CanonicalSequence:
         if self.period is None:
             return None
         return len(self.prefix) + (i - len(self.prefix) - 1) % len(self.period) + 1
-
-    def first(self, n: int) -> tuple:
-        """The first n instructions (n may exceed the length; truncated)."""
-        out = []
-        i = 1
-        while i <= n and i <= self.length:
-            out.append(self.instruction_at(i))
-            i += 1
-        return tuple(out)
 
 
 def _primitive_root(word: tuple) -> tuple:

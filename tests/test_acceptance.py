@@ -213,13 +213,14 @@ def _rewrite_pair(rng):
 def _words_equal(a, b):
     """Exact equality of the denoted (eventually periodic) sequences."""
     ca, cb = normalize(a), normalize(b)
-    if ca.is_finite != cb.is_finite:
+    if (ca.period is None) != (cb.period is None):
         return False
-    if ca.is_finite:
+    if ca.period is None:
         return ca.prefix == cb.prefix
     n = (max(len(ca.prefix), len(cb.prefix))
          + math.lcm(len(ca.period), len(cb.period)))
-    return ca.first(n) == cb.first(n)
+    return all(ca.instruction_at(i) == cb.instruction_at(i)
+               for i in range(1, n + 1))
 
 
 def test_criterion_6_equational_laws():

@@ -626,6 +626,23 @@ def test_a_large_bound_costs_no_memory(capsys):
         "HOLDS (bounded, B=1000000)\nHOLDS (bounded, B=1000000000)\n")
 
 
+def test_fixed_focus_at_a_large_bound_costs_no_memory(capsys):
+    # P fixes the countdown's counter at 5: one state runs, whatever B is,
+    # and no range of B + 1 contents is copied
+    countdown = ("{1 | c = nnc(5)} (-c.iszero ; #2 ; ! ; c.decr)^w "
+                 "{0 | c = nnc(0)}")
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        assert main(["--bound", "1000000000", "holds", countdown]) == 0
+        took = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert took < 1 and peak < 2_000_000, (took, peak)
+    assert capsys.readouterr().out == "HOLDS (bounded, B=1000000000)\n"
+
+
 def test_rules_read_sorts_with_the_foci_of_the_term(tmp_path, capsys):
     # R10's obligations, R7's invariant and R8's Q are sort-checked with
     # the foci of the node's term of sort serv, as holds checks them

@@ -15,7 +15,7 @@ from pga_hoare.formulas import (And, BoolLit, DeriveT, EmptyServ,
                                 alpha_eq,
                                 compile_formula, entails, eval_formula,
                                 format_formula, free_vars,
-                                parse_formula, rename, sort_domain,
+                                parse_formula, sort_domain,
                                 subst_derive, substitute)
 from pga_hoare.lexer import Tokens
 from pga_hoare.services import (EMPTY, AlgebraConfig, Reply, boolreg, counter,
@@ -82,6 +82,11 @@ def test_substitute_derive_for_focus():
     f = parse_formula("c = nnc(0)")
     g = subst_derive(f, "c", "decr")
     assert alpha_eq(g, parse_formula("d[decr](c) = nnc(0)"))
+
+
+def rename(f, old, new):
+    """f with the free variable old renamed to new, as R9 renames it."""
+    return substitute(f, old, Var(new))
 
 
 def test_rename_free_only():
@@ -361,10 +366,14 @@ _SMALL = [AlgebraConfig("counter", state_bound=3, quant_bound=3),
           AlgebraConfig("boolreg", state_bound=2, quant_bound=2)]
 
 
+_METHODS = {"counter": ["incr", "decr", "iszero"],
+            "boolreg": ["get", "set:t", "set:f"]}
+
+
 class _Gen:
     def __init__(self, rng, cfg):
         self.rng = rng
-        self.methods = cfg.methods() + ["nosuch"]
+        self.methods = _METHODS[cfg.algebra] + ["nosuch"]
 
     def term(self, sort, depth):
         rng = self.rng
@@ -481,7 +490,7 @@ def test_compiled_evaluation_raises_as_reference(cfg):
     for f in _random_formulas(5, cfg, 300):
         pairs = _space(f, cfg)
         state, valuation = pairs[rng.randrange(len(pairs))]
-        names = sorted(state.foci() | set(valuation))
+        names = sorted({f for f, _ in state.entries} | set(valuation))
         if names:
             drop = rng.choice(names)
             state = family({k: v for k, v in state.entries if k != drop})
@@ -531,6 +540,11 @@ def test_compiled_closed_terms_and_shadowing():
     assert compile_formula(f, CFG)(st, {"n": 1}) is False
     closed = parse_formula("d[decr](nnc(s(0))) = nnc(0) /\\ r[iszero](empty) = :d")
     assert eval_formula(closed, family({}), CFG) is True
+    # counters from 4096 on are not interned: equal, not identical
+    for text in ("c = nnc(5000)", "d[incr](c) = nnc(5001)",
+                 "nnc(s(n)) = d[incr](c)"):
+        assert compile_formula(parse_formula(text), CFG)(
+            family({"c": counter(5000)}), {"n": 5000}) is True, text
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +653,90 @@ def test_one_point_needs_a_total_formula():
     expected = _outcome(_ref_eval_formula, f, family({}), _EDGE)
     assert expected[:2] == ("raised", SortError)
     assert _outcome(eval_formula, f, family({}), _EDGE) == expected
+
+
+# ---------------------------------------------------------------------------
+# one-point narrowing of foci
+#
+# A top-level conjunct `f = t` of P, t closed, fixes the focus f: entails
+# enumerates only the states that give f t's value, and none when that
+# value is no state content.  The reference enumerates every state.
+
+_BOOL_EDGE = AlgebraConfig("boolreg", state_bound=2, quant_bound=2)
+_FIXED_FOCUS_PRES = [
+    "c = nnc(2)",  # in bound
+    "nnc(s(s(0))) = c",  # the focus on the right
+    "c = nnc(3)",  # at the state bound
+    "c = nnc(4)",  # one past it
+    "c = d[incr](nnc(3))",
+    "c = reg(true)", "reg(false) = c", "c = d[set:t](reg(false))",
+    "c = empty",
+    "c = nnc(1) /\\ c = nnc(2)",  # two clashing conjuncts
+    "c = reg(true) /\\ c = reg(false)",
+    "d = nnc(0) /\\ (n = 1 /\\ (c = nnc(2) /\\ ~d = c))",  # in a chain
+    "(true /\\ reg(true) = d) /\\ (c = d \\/ c = reg(false))",
+    "c = nnc(1) /\\ d = nnc(s(n))",  # a focus fixed, a variable solved
+    "~c = nnc(1) /\\ c = nnc(1)",
+    "c = nnc(1) \\/ d = nnc(1)",  # no top-level conjunct: nothing fixed
+]
+_FIXED_FOCUS_POSTS = ["c = nnc(2)", "~c = d", "c = reg(true)", "false",
+                      "exists n:nat. c = nnc(s(n))", "d[incr](c) = nnc(n)",
+                      "r[get](c) = :t \\/ d = c"]
+
+
+@pytest.mark.parametrize("cfg", [_EDGE, _BOOL_EDGE], ids=lambda c: c.algebra)
+def test_fixed_focus_entails_matches_reference(cfg):
+    kinds = set()
+    for pre in map(parse_formula, _FIXED_FOCUS_PRES):
+        for post in map(parse_formula, _FIXED_FOCUS_POSTS):
+            expected = _outcome(_ref_entails, pre, post, cfg)
+            assert _outcome(entails, pre, post, cfg) == expected, (
+                format_formula(pre), format_formula(post))
+            kinds.add(expected[1] if expected[0] == "raised"
+                      else expected[1].kind)
+    assert {"valid", "invalid", "bounded"} <= kinds, kinds
+    # random P and Q, P joined either way round with a closed focus
+    # equation either way round
+    rng = random.Random(19)
+    formulas = _random_formulas(23, cfg, 120, depth=3)
+    closed = [parse_formula(f"c = {t}").right for t in (
+        "nnc(0)", "nnc(2)", "nnc(7)", "reg(true)", "reg(false)", "empty",
+        "d[decr](nnc(1))")]
+    for _ in range(300):
+        p, q = rng.choice(formulas), rng.choice(formulas)
+        focus, t = Var(rng.choice(_NAMES["serv"])), rng.choice(closed)
+        eq = Eq(focus, t) if rng.random() < 0.5 else Eq(t, focus)
+        p = And(eq, p) if rng.random() < 0.5 else And(p, eq)
+        expected = _outcome(_ref_entails, p, q, cfg)
+        assert _outcome(entails, p, q, cfg) == expected, (
+            format_formula(p), format_formula(q))
+
+
+def test_fixed_focus_leaves_out_the_other_states():
+    # only the states at which the fixing conjunct holds are enumerated
+    def states(text, cfg, foci=("c", "d")):
+        return list(StateSpace(set(foci), {}, cfg, parse_formula(text))
+                    .states())
+    assert states("c = nnc(2)", _EDGE) == [(2, d) for d in range(4)]
+    assert states("d = nnc(s(0)) /\\ true", _EDGE) == [(c, 1)
+                                                       for c in range(4)]
+    assert states("nnc(1) = c /\\ d = nnc(3)", _EDGE) == [(1, 3)]
+    assert states("c = nnc(1) /\\ c = nnc(2)", _EDGE) == [(1, d)
+                                                          for d in range(4)]
+    for text in ("c = nnc(4)", "c = reg(true)", "c = empty",
+                 "d = d[incr](nnc(3))"):
+        assert states(text, _EDGE) == [], text
+    assert states("c = reg(true)", _BOOL_EDGE) == [(1, 0), (1, 1)]
+    for text in ("c = nnc(0)", "c = empty", "c = d[incr](reg(true))"):
+        assert states(text, _BOOL_EDGE) == [], text
+    # a conjunct that is not at the top level, or not closed, fixes nothing
+    for text in ("c = nnc(1) \\/ d = nnc(1)", "~c = nnc(1)", "c = d",
+                 "c = nnc(n)"):
+        assert len(states(text, _EDGE)) == 16, text
+    # the first qualifying conjunct fixes the focus; a later clash is
+    # decided by evaluating P
+    assert entails(parse_formula("c = nnc(1) /\\ c = nnc(2)"), FALSE,
+                   _EDGE).kind == "bounded"
 
 
 # ---------------------------------------------------------------------------

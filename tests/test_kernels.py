@@ -86,7 +86,7 @@ def _ref_trace(c, b, u, limit):
         reply, derived = svc_step(service, instr.method)
         if reply == Reply.D:
             return INACTIVE, steps
-        u = u.with_service(instr.focus, derived)
+        u = family({**dict(u.entries), instr.focus: derived})
         if isinstance(instr, Basic):
             pos += 1
         elif isinstance(instr, PosTest):
@@ -116,7 +116,7 @@ def _ref_apply(t, u, cfg):
         reply, derived = svc_step(service, method)
         if reply == Reply.D:
             return EMPTY_FAMILY
-        u = u.with_service(focus, derived)
+        u = family({**dict(u.entries), focus: derived})
         cur = then_i if reply == Reply.T else else_i
 
 

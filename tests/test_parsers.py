@@ -17,8 +17,9 @@ from pga_hoare.formulas import (SORTS, And, BoolLit, DeriveT, EmptyServ, Eq,
                                 Reply, ReplyLit, ReplyT, Succ, TRUE, Var,
                                 format_formula, parse_formula)
 from pga_hoare.formulas import format_term as format_formula_term
-from pga_hoare.judgments import (AssertedSeq, format_asserted,
-                                 parse_annotation, parse_asserted)
+from pga_hoare.judgments import (AssertedSeq, annotation_of, format_asserted,
+                                 parse_asserted)
+from pga_hoare.lexer import Tokens
 from pga_hoare.proofs import ProofNode, ProofSyntaxError, parse_proof
 from pga_hoare.syntax import (Basic, Halt, Instr, Jump, NegTest, PosTest,
                               Power, Repeat, SequenceSyntaxError, concat_all,
@@ -27,6 +28,12 @@ from pga_hoare.syntax import (Basic, Halt, Instr, Jump, NegTest, PosTest,
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROOF_FILES = sorted(ROOT.glob("proofs/*.proof")) + [
     ROOT / "perfbench" / "counter_zero.proof"]
+
+
+def parse_annotation(inner):
+    """The text between the braces of one annotation: (point, formula)."""
+    return annotation_of(Tokens(inner))
+
 
 PARSERS = {
     "proof": (parse_proof, ref_parse_proof),

@@ -38,7 +38,7 @@ def test_family_lookup_and_update():
     assert u.get("c") == counter(1)
     assert u.get("x") is None
     assert "r" in u
-    v = u.with_service("c", counter(2))
+    v = family({**dict(u.entries), "c": counter(2)})
     assert v.get("c") == counter(2)
     assert u.get("c") == counter(1)
 

@@ -127,9 +127,15 @@ def _terms(depth=3):
     )
 
 
+def _first(c, n):
+    """The first n instructions of c, fewer if c is shorter."""
+    return tuple(c.instruction_at(i) for i in range(1, min(n, c.length) + 1))
+
+
 def _first_words_equal(a, b, n=64):
     ca, cb = normalize(a), normalize(b)
-    return ca.is_finite == cb.is_finite and ca.first(n) == cb.first(n)
+    return ((ca.period is None) == (cb.period is None)
+            and _first(ca, n) == _first(cb, n))
 
 
 @given(_terms(), _terms(), _terms())

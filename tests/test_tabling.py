@@ -627,7 +627,7 @@ def test_a_line_past_its_budget_yields_every_member_with_its_run():
     assert fresh[10, 8][0] == kernels.HALTED
 
 
-def test_two_counters_that_grow_for_ever_take_linear_time():
+def test_two_counters_that_grow_for_ever_take_linear_time(monkeypatch):
     # c and d grow by one a lap: every state of [1, B]^2 keeps the key
     # (1, 1) for ever, a budget-out class answered by its least member,
     # and only the 2B + 1 states with a 0 run
@@ -638,19 +638,63 @@ def test_two_counters_that_grow_for_ever_take_linear_time():
         cfg = AlgebraConfig("counter", state_bound=bound)
         assert holds(phi, cfg) == _per_state(
             normalize(phi.term), 1, 0, phi.post, ["c", "d"], cfg)[0]
-    took = {}
+    # linear time, counted rather than timed: one run of the empty state
+    # without the two unobserved counters runs out of budget, and the
+    # search over both foci then runs the 2B + 1 states with a 0
     for bound in (600, 1200):
+        ran = []
+        run = kernels.SegmentRuns.run
+        monkeypatch.setattr(kernels.SegmentRuns, "run",
+                            lambda self, contents: ran.append(contents)
+                            or run(self, contents))
         cfg = AlgebraConfig("counter", state_bound=bound)
-        best = None
-        for _ in range(3):
-            started = time.perf_counter()
-            verdict = holds(phi, cfg)
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None else min(best, elapsed)
-        took[bound] = best
-        assert verdict == Verdict("unknown", reason=_BUDGET, bound=bound,
-                                  witness=(zero, {}, _BUDGET))
-    assert took[1200] < 3 * took[600], took
+        assert holds(phi, cfg) == Verdict("unknown", reason=_BUDGET,
+                                          bound=bound,
+                                          witness=(zero, {}, _BUDGET))
+        monkeypatch.undo()
+        assert collections.Counter(map(len, ran)) == {0: 1, 2: 2 * bound + 1}
+        assert all(0 in contents for contents in ran if contents)
+
+
+_FIXED_FOCUS_PRES = ["d = nnc(0)", "nnc(2) = c /\\ true", "d = nnc(9)",
+                     "c = reg(true)", "c = empty", "c = nnc(1) /\\ c = nnc(2)",
+                     "true /\\ (d = nnc(1) /\\ ~c = d)",
+                     "c = nnc(s(0)) /\\ d = nnc(n)", "d = nnc(3) -> c = d"]
+
+
+def test_fixed_focus_directs_holds_and_sp(monkeypatch):
+    # a closed focus conjunct of P: holds and sp against one fresh run per
+    # state of the full box, and each state P allows runs once
+    transfer = parse_sequence("(-c.iszero ; #2 ; ! ; c.decr ; d.incr)^w")
+    c = normalize(transfer)
+    ran = []
+    run = kernels.SegmentRuns.run
+    monkeypatch.setattr(kernels.SegmentRuns, "run",
+                        lambda self, contents: ran.append(contents)
+                        or run(self, contents))
+    seen = collections.Counter()
+    for bound in (1, 3, 4):
+        cfg = AlgebraConfig("counter", state_bound=bound,
+                            quant_bound=bound + 1)
+        for pre in map(parse_formula, _FIXED_FOCUS_PRES):
+            for post in map(parse_formula, ("c = nnc(0)", "d = nnc(2)",
+                                            "true", "~d = nnc(n)")):
+                expected, image = _per_state(c, 1, 0, post, ["c", "d"], cfg,
+                                             pre)
+                assert holds(AssertedSeq(1, pre, transfer, 0, post),
+                             cfg) == expected, (pre, post, bound)
+                seen[expected.kind] += 1
+                if post == TRUE and image is not None:
+                    assert strongest_post(pre, transfer, 1, 0,
+                                          cfg)[0] == image
+                    seen["image"] += 1
+    assert min(seen[k] for k in ("holds", "fails", "image")) > 0, seen
+    # with P `d = nnc(0)`, only the B + 1 states with d = 0 run
+    del ran[:]
+    phi = parse_asserted("{1 | d = nnc(0)} (-c.iszero ; #2 ; ! ; c.decr ; "
+                         "d.incr)^w {0 | c = nnc(0)}")
+    assert holds(phi, AlgebraConfig("counter", state_bound=30)).is_holds
+    assert ran == [(content, 0) for content in range(31)]
 
 
 def test_q_reads_a_projection_of_the_finals(monkeypatch, capsys):
