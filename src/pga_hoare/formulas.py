@@ -352,20 +352,15 @@ def parse_formula(text: str) -> Formula:
 # printing
 
 
-_TERM_OP_TEXT = {Succ: "s", Pred: "p", Nnc: "nnc", RegOf: "reg"}
+_TERM_OP_TEXT = {Succ: "s", Pred: "p", Nnc: "nnc", RegOf: "reg", DeriveT: "d",
+                 ReplyT: "r"}
 
 
 def format_term(t: Term) -> str:
     opened, depth = "", 0  # the operators around the innermost term
-    while True:
-        name = _TERM_OP_TEXT.get(type(t))
-        if name is None:
-            if isinstance(t, DeriveT):
-                name = f"d[{t.method}]"
-            elif isinstance(t, ReplyT):
-                name = f"r[{t.method}]"
-            else:
-                break
+    while (name := _TERM_OP_TEXT.get(type(t))) is not None:
+        if type(t) in _STEP_PART:
+            name += f"[{t.method}]"
         opened += name + "("
         depth += 1
         t = t.arg
@@ -549,21 +544,18 @@ def joint_sorts(p_sorts: Dict[str, str], q_sorts: Dict[str, str], foci=()):
 
 
 def _subst_term(t: Term, name: str, repl: Term) -> Term:
-    if isinstance(t, Var):
+    if type(t) is Var:
         return repl if t.name == name else t
-    if isinstance(t, (Succ, Pred, Nnc, RegOf)):
-        return type(t)(_subst_term(t.arg, name, repl))
-    if isinstance(t, (DeriveT, ReplyT)):
-        return type(t)(t.method, _subst_term(t.arg, name, repl))
-    return t
+    if type(t) in _LEAVES:
+        return t
+    arg = _subst_term(t.arg, name, repl)
+    return type(t)(t.method, arg) if type(t) in _STEP_PART else type(t)(arg)
 
 
 def _repl_free(t: Term) -> frozenset:
-    if isinstance(t, Var):
-        return frozenset([t.name])
-    if isinstance(t, (Succ, Pred, Nnc, RegOf, DeriveT, ReplyT)):
-        return _repl_free(t.arg)
-    return frozenset()
+    while type(t) not in _LEAVES:
+        t = t.arg
+    return frozenset([t.name] if type(t) is Var else ())
 
 
 def _fresh(base: str, avoid) -> str:
@@ -673,13 +665,15 @@ class MissingFocusError(KeyError):
 
 
 def sort_domain(sort: str, cfg: AlgebraConfig):
-    """(values, exhaustive) for quantification over the given sort."""
+    """(values, exhaustive) for quantification over the given sort.
+    values can be iterated any number of times; nat and serv values are
+    made as they are iterated, so a large bound costs no memory."""
     if sort == "bool":
         return [False, True], True
     if sort == "repl":
         return [Reply.T, Reply.F, Reply.D], True
     if sort == "nat":
-        return list(range(cfg.quant_bound + 1)), False
+        return range(cfg.quant_bound + 1), False
     if sort == "serv":
         return cfg.service_domain()
     raise SortError(f"unknown sort {sort!r}")
@@ -1071,8 +1065,10 @@ class StateSpace:
         return ()
 
     def states(self):
-        """The contents of every state, in enumeration order."""
-        return itertools.product(*self.focus_domains)
+        """The contents of every state, in enumeration order; one focus's
+        domain is not copied, as a product copies it."""
+        domains = self.focus_domains
+        return (zip if len(domains) == 1 else itertools.product)(*domains)
 
     def pairs(self):
         """Yield (env, contents, values) per pair: the state's contents and
@@ -1118,10 +1114,11 @@ def entails(p: Formula, q: Formula, cfg: AlgebraConfig,
     """Does p -> q hold in the algebra, for all states and valuations?
 
     foci, those of a sequence, are of sort serv, as in holds; only those
-    that p or q reads are enumerated.  boolreg with no nat variables is
-    decided exactly; otherwise the check is bounded: `bounded` means no
-    countermodel exists within the bounds, `unknown` means some case was
-    undecided even within the bounds.
+    that p or q reads are enumerated, one counter's contents one per run
+    that p and q cannot tell apart (see cutoff).  boolreg with no nat
+    variables is decided exactly; otherwise the check is bounded:
+    `bounded` means no countermodel exists within the bounds, `unknown`
+    means some case was undecided even within the bounds.
     """
     if alpha_eq(p, q):
         return EntailVerdict("valid")
@@ -1129,6 +1126,9 @@ def entails(p: Formula, q: Formula, cfg: AlgebraConfig,
     serv, var_sorts = joint_sorts(cp.sorts, cq.sorts, foci)
     space = StateSpace(serv & (cp.sorts.keys() | cq.sorts.keys()), var_sorts,
                        cfg, p)
+    if cfg.algebra == "counter":
+        from .cutoff import cut
+        cut(space, p, q, cfg)
     p_at, q_at = cp.evaluate, cq.evaluate
     undecided = False
     for env, contents, values in space.pairs():

@@ -172,6 +172,7 @@ def holds(phi: AssertedSeq, cfg: AlgebraConfig = _DEFAULT_CFG) -> Verdict:
 
 
 _UNSEEN = object()
+_MEMO_CAP = 1 << 12
 _PRE_UNDECIDED = "precondition undecided within the quantifier bound"
 _POST_UNDECIDED = "postcondition undecided within the quantifier bound"
 _BUDGET_UNDECIDED = "step budget exhausted on some run"
@@ -277,7 +278,10 @@ def _search(c: CanonicalSequence, phi: AssertedSeq, cfg: AlgebraConfig,
     q_slots = [i for i, f in enumerate(foci) if f in post.sorts]
     q_foci, q_kinds = [foci[i] for i in q_slots], [kinds[i] for i in q_slots]
     project = itemgetter(*q_slots) if q_slots else lambda final: ()
-    post_values = {}  # (final contents on Q's foci, values) -> value of Q
+    # (final contents on Q's foci, values) -> value of Q, for at most
+    # _MEMO_CAP keys: a full memo is emptied, so runs that each end in a
+    # new final keep no table of them
+    post_values = {}
 
     def judge(result, values):
         """False when the run breaks the judgment, a reason when it leaves
@@ -299,6 +303,8 @@ def _search(c: CanonicalSequence, phi: AssertedSeq, cfg: AlgebraConfig,
         key = (project(final), values)
         qv = post_values.get(key, _UNSEEN)
         if qv is _UNSEEN:
+            if len(post_values) == _MEMO_CAP:
+                post_values.clear()
             state = kernels.decode_family(q_foci, q_kinds,
                                           [final[i] for i in q_slots])
             qv = post_values[key] = post(state, space.valuation(values))

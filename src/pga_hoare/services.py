@@ -150,10 +150,24 @@ class AlgebraConfig:
         return range(self.state_bound + 1), counter, False
 
     def service_domain(self):
-        """(services, exhaustive): the services of state_contents, as a
-        list, for quantifiers over serv."""
-        contents, service, exhaustive = self.state_contents()
-        return list(map(service, contents)), exhaustive
+        """(services, exhaustive): the services of state_contents, for
+        quantifiers over serv.  Counters are built on each pass over
+        them, so a large state_bound costs no memory."""
+        if self.algebra == "boolreg":
+            return _REGISTERS, True
+        return _Counted(self.state_bound + 1), False
+
+
+class _Counted:
+    """counter(0), ..., counter(n - 1), built afresh on each pass."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __iter__(self):
+        return map(counter, range(self.n))
 
 
 # ---------------------------------------------------------------------------

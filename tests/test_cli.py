@@ -11,10 +11,12 @@ import tracemalloc
 import pytest
 
 import pga_hoare
+from pga_hoare import formulas
 from pga_hoare.cli import main
 from pga_hoare.formulas import parse_formula
 from pga_hoare.lexer import MAX_DEPTH, MAX_DIGITS, MAX_LENGTH
-from pga_hoare.proofs import parse_proof
+from pga_hoare.proofs import check_proof, parse_proof
+from pga_hoare.services import AlgebraConfig
 from pga_hoare import syntax
 from pga_hoare.syntax import parse_sequence
 
@@ -643,6 +645,69 @@ def test_fixed_focus_at_a_large_bound_costs_no_memory(capsys):
     assert capsys.readouterr().out == "HOLDS (bounded, B=1000000000)\n"
 
 
+def test_cutoff_makes_the_proof_check_independent_of_the_bound(
+        monkeypatch, capsys):
+    # each obligation that enumerates tries only the contents near 0, its
+    # numerals and qbound, so the pairs are as many at every B, and the
+    # verdicts and labels are those of the full enumeration
+    count = [0]
+    pairs = formulas.StateSpace.pairs
+
+    def counted(space):
+        for pair in pairs(space):
+            count[0] += 1
+            yield pair
+    monkeypatch.setattr(formulas.StateSpace, "pairs", counted)
+    proof = parse_proof(pathlib.Path(PROOF).read_text())
+    seen = {}
+    for bound in (48, 500, 10 ** 9):
+        count[0] = 0
+        result = check_proof(proof, AlgebraConfig("counter", bound,
+                                                  bound + 3))
+        assert result.accepted and len(result.assumptions) == 5
+        seen[bound] = (count[0], [line.replace(f"B={bound})", "B=…)")
+                                  for line in result.assumptions])
+    assert seen[48] == seen[500] == seen[10 ** 9], seen
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        assert main(["--bound", "1000000000", "--qbound", "1000000003",
+                     "check", PROOF]) == 0
+        took = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert took < 1 and peak < 2_000_000, (took, peak)
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "ACCEPTED, 5 bounded entailment assumptions"
+    assert [line.replace("B=1000000000)", "B=…)") for line in out[1:]] == [
+        "  assumed: " + line for line in seen[48][1]]
+    assert main(["--bound", "1000000000", "--strict", "check", PROOF]) == 1
+    assert capsys.readouterr().out.startswith("REJECTED")
+
+
+def test_quantifier_domains_at_a_large_bound_cost_no_memory(capsys):
+    # a nat quantifier ranges over a range up to qbound and a serv one
+    # builds its counters as it goes: neither is a list
+    tracemalloc.start()
+    try:
+        for argv in (["--bound", "3", "--qbound", "1000000000", "holds",
+                      '{1 | true} "!" {0 | exists n:nat. c = nnc(n)}'],
+                     ["--bound", "3", "--qbound", "1000000000", "holds",
+                      '{1 | true} "c.incr ; !" {0 | exists n:nat. n = n}'],
+                     ["--bound", "1000000000", "holds",
+                      '{1 | c = nnc(0)} "!" {0 | exists x:serv. x = c}']):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
+    assert capsys.readouterr().out == (
+        "HOLDS (bounded, B=3)\nHOLDS (bounded, B=3)\n"
+        "HOLDS (bounded, B=1000000000)\n")
+
+
 def test_rules_read_sorts_with_the_foci_of_the_term(tmp_path, capsys):
     # R10's obligations, R7's invariant and R8's Q are sort-checked with
     # the foci of the node's term of sort serv, as holds checks them
@@ -678,15 +743,16 @@ def test_rules_read_sorts_with_the_foci_of_the_term(tmp_path, capsys):
 
 def test_runs_that_never_come_back_keep_no_table(capsys):
     # without a period no run returns to its entry, so the runs of the
-    # states keep no outcome table; what remains is Q's memo
+    # states keep no outcome table; Q's memo is emptied when full, and a
+    # single focus's contents are not copied into a product
     tracemalloc.start()
     try:
-        assert main(["--bound", "20000", "holds",
+        assert main(["--bound", "200000", "holds",
                      '{1 | true} "c.incr ; !" {0 | ~c = nnc(0)}']) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert capsys.readouterr().out == "HOLDS (bounded, B=20000)\n"
+    assert capsys.readouterr().out == "HOLDS (bounded, B=200000)\n"
     assert peak < 5_000_000, peak
 
 

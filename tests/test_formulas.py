@@ -3,9 +3,11 @@
 import itertools
 import random
 import sys
+from functools import partial
 
 import pytest
 
+from pga_hoare import cutoff
 from pga_hoare.formulas import (And, BoolLit, DeriveT, EmptyServ,
                                 EntailVerdict, Eq, Exists, FALSE, FalseF,
                                 Forall, FormulaSyntaxError, Implies,
@@ -737,6 +739,252 @@ def test_fixed_focus_leaves_out_the_other_states():
     # decided by evaluating P
     assert entails(parse_formula("c = nnc(1) /\\ c = nnc(2)"), FALSE,
                    _EDGE).kind == "bounded"
+
+
+# ---------------------------------------------------------------------------
+# the cutoff for an isolated counter (pga_hoare.cutoff)
+#
+# entails tries the first content of each run of contents that p and q
+# cannot tell apart; the uncut space, which is checked against the
+# reference above, tries them all.  The pairs come from inside the cut's
+# fragment.
+
+_SHIFT_METHODS = ["incr", "decr", "decr", "iszero", "get"]
+_REPLY_METHODS = ["incr", "decr", "iszero", "get"]
+
+
+def _chain(make, t, k):
+    for _ in range(k):
+        t = make(t)
+    return t
+
+
+class _Fragment:
+    """Random p, q with the one focus c, free nat variables n and m fixed
+    by top-level conjuncts of p, narrowed nat quantifiers (nested too),
+    s/p/d[m]/r[m] chains and small numerals.  Half of the pairs are lean:
+    one fixer, and atoms that change value at the very edge of a special
+    interval, or that have no shifting link."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def nat(self, scope, depth):
+        rng = self.rng
+        if depth > 0 and rng.random() < 0.5:
+            return rng.choice([Succ, Succ, Pred])(self.nat(scope, depth - 1))
+        if scope and rng.random() < 0.7:
+            return Var(rng.choice(scope))
+        return NatLit(rng.choice([0, 0, 1, 2, 3, 4, 5, 6, 7, 8]))
+
+    def serv(self, scope, depth):
+        rng = self.rng
+        r = rng.random()
+        if depth > 0 and r < 0.5:
+            return DeriveT(rng.choice(_SHIFT_METHODS),
+                           self.serv(scope, depth - 1))
+        if depth > 0 and r < 0.75:
+            return Nnc(self.nat(scope, depth - 1))
+        return Var("c") if rng.random() < 0.9 else EmptyServ()
+
+    def atom(self, scope):
+        rng = self.rng
+        r = rng.random()
+        if r < 0.45:
+            return Eq(self.serv(scope, 3), self.serv(scope, 3))
+        if r < 0.75:
+            return Eq(self.nat(scope, 3), self.nat(scope, 3))
+        return Eq(ReplyT(rng.choice(_REPLY_METHODS), self.serv(scope, 2)),
+                  ReplyLit(rng.choice(list(Reply))))
+
+    def fixer(self, x, scope):
+        """An equation that fixes x from the other variables in scope."""
+        rng = self.rng
+        others = [v for v in scope if v != x]
+        side = _chain(Succ, Var(x), rng.choice([0, 0, 1, 1, 2]))
+        if rng.random() < 0.6:
+            side, other = Nnc(side), self.serv(others, 3)
+        else:
+            other = self.nat(others, 3)
+        return Eq(side, other) if rng.random() < 0.5 else Eq(other, side)
+
+    def quantifier(self, scope, depth):
+        rng = self.rng
+        x = rng.choice(["i", "j", "k"])
+        inner = scope + [x]
+        if rng.random() < 0.3:
+            guard = self.fixer(x, scope)
+            if rng.random() < 0.5:
+                guard = And(guard, self.formula(inner, depth - 1))
+            return Forall(x, "nat", Implies(guard,
+                                            self.formula(inner, depth - 1)))
+        disjuncts = []
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            r = rng.random()
+            if r < 0.2:  # free of x: 0 stands for every value
+                disjuncts.append(self.formula(
+                    [v for v in scope if v != x], depth - 1))
+            elif r < 0.6:
+                disjuncts.append(self.fixer(x, scope))
+            else:
+                disjuncts.append(And(self.fixer(x, scope),
+                                     self.formula(inner, depth - 1)))
+        body = disjuncts[0]
+        for d in disjuncts[1:]:
+            body = Or(body, d)
+        return Exists(x, "nat", body)
+
+    def formula(self, scope, depth):
+        rng = self.rng
+        r = rng.random()
+        if depth <= 0 or r < 0.3:
+            return self.atom(scope)
+        if r < 0.4:
+            return Not(self.formula(scope, depth - 1))
+        if r < 0.65:
+            return rng.choice([And, Or, Implies])(
+                self.formula(scope, depth - 1), self.formula(scope, depth - 1))
+        if r < 0.95:
+            return self.quantifier(scope, depth)
+        return Exists("b", "bool", Or(Eq(Var("b"), BoolLit(True)),
+                                      self.formula(scope, depth - 1)))
+
+    def edge(self):
+        """An atom over c and n: c or n at most a (floors at 0), a
+        quantifier over n + j or c - a that leaves qbound behind, or an
+        atom with no shifting link."""
+        rng = self.rng
+        r = rng.random()
+        a = rng.randint(1, 3)
+        if r < 0.15:
+            return Eq(_chain(partial(DeriveT, "decr"), Var("c"), a),
+                      Nnc(NatLit(0)))
+        if r < 0.3:
+            return Eq(_chain(Pred, Var("n"), a), NatLit(0))
+        if r < 0.5:
+            if rng.random() < 0.5:
+                fixed = _chain(partial(DeriveT, "decr"), Var("c"), a)
+            else:
+                fixed = Nnc(_chain(Succ, Var("n"), rng.randint(0, 2)))
+            return Exists("k", "nat", Eq(Nnc(Var("k")), fixed))
+        if r < 0.75:
+            return Eq(Var("c"), Nnc(NatLit(rng.randint(0, 6))))
+        if r < 0.9:
+            return Eq(Var("n"), NatLit(rng.randint(0, 6)))
+        return Eq(ReplyT(rng.choice(["iszero", "decr"]), Var("c")),
+                  ReplyLit(rng.choice(list(Reply))))
+
+    def lean(self):
+        rng = self.rng
+        j = rng.choice([0, 0, 1, 2])
+        if rng.random() < 0.5:  # n = c - j
+            p = Eq(Var("c"), Nnc(_chain(Succ, Var("n"), j)))
+        else:  # n = c + j
+            p = Eq(Nnc(Var("n")), _chain(partial(DeriveT, "incr"), Var("c"),
+                                         j))
+        if rng.random() < 0.3:
+            p = And(p, self.edge())
+        q = self.edge()
+        for _ in range(rng.randint(0, 2)):
+            q = rng.choice([Or, Or, And])(q, self.edge())
+        return p, (Not(q) if rng.random() < 0.3 else q)
+
+    def pair(self):
+        rng = self.rng
+        if rng.random() < 0.5:
+            return self.lean()
+        free = rng.sample(["n", "m"], rng.choice([0, 1, 1, 2]))
+        conjuncts = [self.fixer(v, []) for v in free]
+        conjuncts.append(self.formula(free, 2))
+        rng.shuffle(conjuncts)
+        p = conjuncts[0]
+        for g in conjuncts[1:]:
+            p = And(p, g)
+        return p, self.formula(free, 3)
+
+
+def test_cutoff_matches_full_enumeration_in_its_fragment(monkeypatch):
+    # qbound above B, around B and further below, so that unknown
+    # verdicts come from both ends; a special interval one shorter at
+    # either end fails here
+    configs = [AlgebraConfig("counter", 30, q) for q in (33, 31, 30, 29, 24)]
+    real, cuts = cutoff.cut, []
+
+    def spied(space, *args):
+        domains = space.focus_domains
+        real(space, *args)
+        cuts.append(space.focus_domains is not domains)
+
+    gen = _Fragment(random.Random(29))
+    kinds = set()
+    for _ in range(500):
+        p, q = gen.pair()
+        for cfg in configs:
+            monkeypatch.setattr(cutoff, "cut", lambda *args: None)
+            expected = _outcome(entails, p, q, cfg, ("c",))
+            monkeypatch.setattr(cutoff, "cut", spied)
+            assert _outcome(entails, p, q, cfg, ("c",)) == expected, (
+                cfg.quant_bound, format_formula(p), format_formula(q))
+            kinds.add(expected[1].kind if expected[0] == "value"
+                      else expected[1])
+    assert {"invalid", "bounded", "unknown"} <= kinds, kinds
+    assert sum(cuts) > len(cuts) * 0.6, (sum(cuts), len(cuts))
+
+
+def test_cutoff_tries_the_special_contents_in_its_fragment_only(monkeypatch):
+    seen, pairs = [], StateSpace.pairs
+
+    def spied(space):
+        seen.append(space.focus_domains)
+        return pairs(space)
+    monkeypatch.setattr(StateSpace, "pairs", spied)
+
+    def domain(p, q, cfg, foci=("c",)):
+        seen.clear()
+        entails(parse_formula(p), parse_formula(q), cfg, foci)
+        return seen[0]
+
+    cfg = AlgebraConfig("counter", 48, 51)
+    # Λ = 1 (the s), 0 the only numeral, qbound past B: 0 to L = 2
+    assert domain("true", "exists n:nat. (c = nnc(0) \\/ c = nnc(s(n)))",
+                  cfg) == [[0, 1, 2]]
+    # Λ = 4, numerals 0 and 3, qbound below B: [0, 8] and [37, 45]
+    assert domain("c = nnc(s(s(n)))",
+                  "exists k:nat. nnc(k) = d[decr](nnc(s(n))) \\/ n = 3",
+                  AlgebraConfig("counter", 48, 40)) == [
+        [*range(9), *range(37, 46)]]
+    # Λ = 2: a run [3, 6] between 0 and the numeral 9, and one [12, 1000]
+    assert domain("c = nnc(s(n))", "p(n) = 9",
+                  AlgebraConfig("counter", 1000, 2000)) == [
+        [0, 1, 2, 3, *range(7, 13)]]
+    # a run [2, 10] below a qbound far below B, and one [13, 1000] above it
+    assert domain("true", "exists n:nat. c = nnc(s(n))",
+                  AlgebraConfig("counter", 1000, 11)) == [
+        [0, 1, 2, 11, 12, 13]]
+    # outside the fragment every content is tried
+    for p, q, foci in (("true", "c = d", ("c", "d")),  # two foci
+                       ("c = nnc(n)", "c = nnc(m)", ("c",)),  # m unfixed
+                       ("c = nnc(n)", "b = true", ("c",)),  # a bool
+                       ("true", "exists n:nat. ~c = nnc(n)", ("c",)),
+                       ("true", "exists x:serv. x = c", ("c",)),
+                       ("c = nnc(5)", "false", ("c",))):  # c pinned
+        assert all(len(d) in (1, 49) for d in domain(p, q, cfg, foci)), p
+    assert domain("true", "exists n:nat. c = nnc(n)", BCFG,
+                  ("c",)) == [range(2)]
+    # the special contents end where the formulas change value: the
+    # first countermodel is at Λ + 1, one undecided content at Q - Λ + 1
+    # (n > B leaves out the next), and q holds at Q + Λ and not after
+    v = entails(TRUE, parse_formula("d[decr](d[decr](d[decr](c))) = nnc(0)"),
+                cfg)
+    assert v.kind == "invalid" and v.witness[0] == family({"c": counter(4)})
+    for qbound, kind in ((48, "unknown"), (49, "bounded")):
+        assert entails(parse_formula("nnc(n) = d[incr](c)"),
+                       parse_formula("exists m:nat. nnc(m) = nnc(s(n))"),
+                       AlgebraConfig("counter", 48, qbound)).kind == kind
+    q = parse_formula("exists m:nat. nnc(m) = d[decr](d[decr](c))")
+    for qbound, kind in ((45, "unknown"), (46, "bounded")):
+        assert entails(TRUE, q, AlgebraConfig("counter", 48, qbound)
+                       ).kind == kind
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def test_service_domains():
     assert exhaustive and set(services) == {boolreg(False), boolreg(True)}
     services, exhaustive = AlgebraConfig("counter", state_bound=5).service_domain()
     assert not exhaustive
-    assert services == [counter(n) for n in range(6)]
+    assert list(services) == [counter(n) for n in range(6)]
 
 
 def test_services_are_shared_up_to_a_cap():
