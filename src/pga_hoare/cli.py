@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .lexer import ParseError
@@ -64,11 +65,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, text_lines, payload) -> None:
-    if args.format == "structured":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+    # where the reader closes the pipe early, the rest goes to os.devnull
+    # (the Python documentation's note on SIGPIPE), so exit stays quiet
+    try:
+        if args.format == "structured":
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _cmd_normalize(args, cfg) -> int:

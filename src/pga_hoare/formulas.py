@@ -425,118 +425,9 @@ def format_formula(f: Formula) -> str:
 # free variables and sorts
 
 
-# operator -> the sort of its argument
-_ARG_SORTS = {Succ: "nat", Pred: "nat", Nnc: "nat", RegOf: "bool",
-              DeriveT: "serv", ReplyT: "serv"}
-# term other than a variable -> its sort
-_TERM_SORTS = {NatLit: "nat", Succ: "nat", Pred: "nat", BoolLit: "bool",
-               ReplyLit: "repl", ReplyT: "repl", Nnc: "serv", RegOf: "serv",
-               EmptyServ: "serv", DeriveT: "serv"}
-
-
 def free_vars(f: Formula, foci=()) -> Dict[str, str]:
-    """Free variables and their sorts, in reading order, inferred by
-    unification (Robinson, JACM 1965) in one walk on an explicit stack:
-    equations join free variables into the classes of a union-find, and a
-    class takes the sort an operator, a quantifier or a term fixes for a
-    member; if nothing does, serv when it holds one of foci, else a
-    SortError, as is a clash or a quantifier over a sort outside SORTS.
-    Free serv variables are exactly the foci."""
-    parent: Dict[str, str] = {}  # free variable -> the next one of its class
-    fixed: Dict[str, str] = {}  # root of a class -> the sort fixed for it
-
-    def root(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    stack = [(f, {})]  # (formula, bound variable -> declared sort)
-    while stack:
-        g, bound = stack.pop()
-        kind = type(g)
-        if kind is Eq:
-            local = {}  # the equation's variables -> the sorts it fixes
-            for t in (g.left, g.right):
-                hint, arg_sort = None, _ARG_SORTS.get(type(t))
-                while arg_sort is not None:
-                    sort = _TERM_SORTS.get(type(t.arg), arg_sort)
-                    if sort != arg_sort:
-                        raise SortError(f"ill-sorted term {format_term(t)}: "
-                                        f"argument of sort {sort}, "
-                                        f"expected {arg_sort}")
-                    t, hint = t.arg, arg_sort
-                    arg_sort = _ARG_SORTS.get(type(t))
-                if type(t) is Var:
-                    name = t.name
-                    if name not in bound and name not in parent:
-                        parent[name] = name
-                    prev = local[name] = local.get(name) or hint
-                    if hint and prev != hint:
-                        raise SortError(f"variable {name} used at sorts "
-                                        f"{prev} and {hint}")
-            # each side's sort as this equation alone fixes it
-            left, right = g.left, g.right
-            lsort = (bound.get(left.name) or local[left.name]
-                     if type(left) is Var else _TERM_SORTS.get(type(left)))
-            rsort = (bound.get(right.name) or local[right.name]
-                     if type(right) is Var else _TERM_SORTS.get(type(right)))
-            if lsort and rsort and lsort != rsort:
-                raise SortError(f"ill-sorted equality: {lsort} = {rsort}")
-            eq_sort = lsort or rsort
-            for t in (left, right):
-                if eq_sort and type(t) is Var:
-                    local[t.name] = eq_sort
-            for name, sort in local.items():
-                if sort is None:
-                    continue
-                if name in bound:
-                    if bound[name] != sort:
-                        raise SortError(f"bound variable {name} used at sort "
-                                        f"{sort}, declared {bound[name]}")
-                elif fixed.setdefault(root(name), sort) != sort:
-                    raise SortError(f"variable {name} used at sorts "
-                                    f"{fixed[root(name)]} and {sort}")
-            if not eq_sort and len(local) == 2:
-                # x = y, two free variables: join their classes
-                a, b = root(left.name), root(right.name)
-                sa, sb = fixed.get(a), fixed.get(b)
-                if sa and sb and sa != sb:
-                    raise SortError(f"ill-sorted equality: {sa} = {sb}")
-                parent[b] = a
-                if sb:
-                    fixed[a] = sb
-        elif kind is And or kind is Or or kind is Implies:
-            stack += ((g.right, bound), (g.left, bound))
-        elif kind is Not:
-            stack.append((g.body, bound))
-        elif kind is Exists or kind is Forall:
-            if g.sort not in SORTS:
-                raise SortError(f"unknown sort {g.sort!r}")
-            stack.append((g.body, {**bound, g.var: g.sort}))
-    focal = {root(x) for x in foci if x in parent} if foci else ()
-    out = {}
-    for name in parent:
-        x = root(name)
-        out[name] = fixed.get(x) or ("serv" if x in focal else None)
-        if out[name] is None:
-            raise SortError(f"cannot infer the sort of variable {name}")
-    return out
-
-
-def joint_sorts(p_sorts: Dict[str, str], q_sorts: Dict[str, str], foci=()):
-    """(foci, var_sorts) of P's and Q's free variables, whose sorts must
-    agree: the variables of sort serv and the given foci of a sequence,
-    which must be of no other sort; var_sorts maps the other variables."""
-    sorts = dict(p_sorts)
-    for name, sort in q_sorts.items():
-        if sorts.setdefault(name, sort) != sort:
-            raise SortError(f"variable {name} used at two sorts")
-    for name in sorted(foci):
-        if sorts.get(name, "serv") != "serv":
-            raise SortError(f"variable {name} used at sorts {sorts[name]} "
-                            f"and serv")
-    return ({n for n, s in sorts.items() if s == "serv"} | set(foci),
-            {n: s for n, s in sorts.items() if s != "serv"})
+    """Free variables and their sorts, in reading order (see analysis)."""
+    return analysis.analyze(f, foci).sorts
 
 
 # ---------------------------------------------------------------------------
@@ -776,72 +667,43 @@ def _operands(f: Formula, cls) -> list:
     return out
 
 
-def _fixer(f: Formula, name: str, admits):
-    """A closure env -> the only value of `name` at which the conjunction f
-    can be true, or None when no value can.  It solves the first conjunct
-    of f that equates `name`, s^k(name) or nnc(s^k(name)) (the chains of
-    s(·) and nnc(·) that are well sorted) with a term whose variables
-    `admits` accepts, by undoing the chain.  None when no conjunct
-    qualifies."""
-    for g in _operands(f, And):
-        if not isinstance(g, Eq):
-            continue
-        for side, other in ((g.left, g.right), (g.right, g.left)):
-            nnc, k = type(side) is Nnc, 0
-            if nnc:
-                side = side.arg
-            while type(side) is Succ:
-                side, k = side.arg, k + 1
-            if not (type(side) is Var and side.name == name):
-                continue
-            leaf, ops, fixed = _chain(other)
-            if not admits(() if leaf is None else (leaf,)):
-                continue
+def _fix(nnc: bool, k: int, other: Term):
+    """A closure env -> the only value of x at which a conjunct equating
+    nnc(s^k(x)) (nnc True) or s^k(x) with `other` can be true, or None
+    when no value can: the chain undone."""
+    leaf, ops, fixed = _chain(other)
 
-            def fix(env):
-                v = fixed
-                if leaf is not None:
-                    v = env[leaf]
-                    for op in ops:
-                        v = op(v)
-                if nnc:
-                    if type(v) is not Service or v.kind != "counter":
-                        return None
-                    v = v.content
-                elif not k:
-                    return v
-                return v - k if v >= k else None
-            return fix
-    return None
+    def fix(env):
+        v = fixed
+        if leaf is not None:
+            v = env[leaf]
+            for op in ops:
+                v = op(v)
+        if nnc:
+            if type(v) is not Service or v.kind != "counter":
+                return None
+            v = v.content
+        elif not k:
+            return v
+        return v - k if v >= k else None
+    return fix
 
 
-def _narrowed_domain(f, bound: int):
-    """For a quantifier f over nat: a closure env -> the values up to bound
-    at which f's body can decide f, or None when the one-point rule does
-    not apply.  It applies to ∃ over a disjunction whose disjuncts that
-    mention the variable each have a fixing conjunct, and to ∀ over an
-    implication whose antecedent has one.  A disjunct free of the variable
-    has the same value everywhere, so the domain's first value stands for
-    all of them.  A quantifier's value does not depend on the order in
-    which its domain is tried, so the solved values come first, where the
-    body is decided most often, and none is sorted or made unique."""
-    var = f.var
-
-    def admits(names):
-        return var not in names
-    fixers, anywhere = [], False
-    if isinstance(f, Forall):
-        if not isinstance(f.body, Implies):
-            return None
-        fixers.append(_fixer(f.body.left, var, admits))
-    else:
-        for d in _operands(f.body, Or):
-            if var in _formula_var_names(d):
-                fixers.append(_fixer(d, var, admits))
-            else:
-                anywhere = True
-    if None in fixers:
+def _narrowed_domain(narrowing, bound: int):
+    """For a quantifier over nat with this narrowing (see analysis):
+    a closure env -> the values up to bound at which its body can decide
+    it, or None when the one-point rule does not apply.  It applies to ∃
+    over a disjunction whose disjuncts that mention the variable each
+    have a fixing conjunct, and to ∀ over an implication whose antecedent
+    has one.  A disjunct free of the variable has the same value
+    everywhere, so the domain's first value stands for all of them.  A
+    quantifier's value does not depend on the order in which its domain
+    is tried, so the solved values come first, where the body is decided
+    most often, and none is sorted or made unique."""
+    if narrowing is None:
         return None
+    conjuncts, anywhere = narrowing
+    fixers = [_fix(*c) for c in conjuncts]
 
     def values(env):
         found = []
@@ -880,8 +742,9 @@ def _disjunction(left, right, decider=True):
     return disjunction
 
 
-def _compile(f: Formula, cfg: AlgebraConfig):
-    """A closure env -> True/False/None computing f's three-valued value."""
+def _compile(f: Formula, cfg: AlgebraConfig, narrowings):
+    """A closure env -> True/False/None computing f's three-valued value;
+    narrowings are f's (see analysis.Facts)."""
     kind = type(f)
     if kind is Eq:
         return _compile_eq(f)
@@ -890,7 +753,7 @@ def _compile(f: Formula, cfg: AlgebraConfig):
     if kind is FalseF:
         return lambda env: False
     if kind is Not:
-        body = _compile(f.body, cfg)
+        body = _compile(f.body, cfg, narrowings)
 
         def negation(env):
             v = body(env)
@@ -900,7 +763,7 @@ def _compile(f: Formula, cfg: AlgebraConfig):
         # the chain's operands, left to right, as a balanced tree of binary
         # closures: the same evaluation order and the same short cuts as
         # the chain as written, at a depth logarithmic in its length
-        parts = [_compile(g, cfg) for g in _operands(f, kind)]
+        parts = [_compile(g, cfg, narrowings) for g in _operands(f, kind)]
         join = _conjunction if kind is And else _disjunction
         while len(parts) > 1:
             odd = parts[-1:] if len(parts) % 2 else []
@@ -908,14 +771,14 @@ def _compile(f: Formula, cfg: AlgebraConfig):
         return parts[0]
     if kind is Implies:
         # a -> b is ~a \/ b: the left operand decides when it is False
-        return _disjunction(_compile(f.left, cfg), _compile(f.right, cfg),
-                            False)
+        return _disjunction(_compile(f.left, cfg, narrowings),
+                            _compile(f.right, cfg, narrowings), False)
     if kind is Exists or kind is Forall:
-        body = _compile(f.body, cfg)
+        body = _compile(f.body, cfg, narrowings)
         var, sort = f.var, f.sort
         values, exhaustive = sort_domain(sort, cfg)
-        narrowed = (_narrowed_domain(f, cfg.quant_bound) if sort == "nat"
-                    else None)
+        narrowed = (_narrowed_domain(narrowings[id(f)], cfg.quant_bound)
+                    if sort == "nat" else None)
         # ∃ stops at the first True, ∀ at the first False; without one, a
         # None or a truncated domain leaves the value undecided
         decider = kind is Exists
@@ -944,15 +807,17 @@ def _compile(f: Formula, cfg: AlgebraConfig):
 class CompiledFormula:
     """A formula compiled for one configuration by compile_formula.
 
-    `sorts` maps its free variables to their sorts.  `evaluate(env)` takes
-    an env holding every free variable; calling the compiled formula with a
-    state and a valuation builds that env first.
+    `facts` are its analysis.Facts, and `sorts` maps its free variables
+    to their sorts.  `evaluate(env)` takes an env holding every free
+    variable; calling the compiled formula with a state and a valuation
+    builds that env first.
     """
 
-    __slots__ = ("sorts", "evaluate")
+    __slots__ = ("facts", "sorts", "evaluate")
 
-    def __init__(self, sorts: Dict[str, str], evaluate):
-        self.sorts = sorts
+    def __init__(self, facts, evaluate):
+        self.facts = facts
+        self.sorts = facts.sorts
         self.evaluate = evaluate
 
     def __call__(self, state: ServiceFamily,
@@ -975,10 +840,10 @@ def compile_formula(f: Formula, cfg: AlgebraConfig,
                     foci=()) -> CompiledFormula:
     """Compile f for repeated evaluation under cfg.
 
-    Sort inference runs once, here, as free_vars(f, foci) does it.
+    f is analysed once, here, as free_vars(f, foci) analyses it.
     """
-    sorts = free_vars(f, foci)
-    return CompiledFormula(sorts, _compile(f, cfg))
+    facts = analysis.analyze(f, foci)
+    return CompiledFormula(facts, _compile(f, cfg, facts.narrowings))
 
 
 def eval_formula(f: Formula, state: ServiceFamily, cfg: AlgebraConfig,
@@ -1027,37 +892,48 @@ class StateSpace:
     result nor leaves it undecided.  The other pairs come in the same
     order as without narrowing, so first witnesses and first undecided
     pairs are unchanged.
+
+    pre and post are the analysis.Facts of the formulas: the conjuncts
+    that fix a focus or a variable come from pre's fixes, found by the one
+    walk of pre, so the space searches no formula itself.  With post, the
+    space is that of pre -> post, and where analysis.cut applies, its one
+    focus takes only the cut's contents.
     """
 
-    def __init__(self, foci, var_sorts, cfg: AlgebraConfig,
-                 pre: Formula = TRUE):
+    def __init__(self, foci, var_sorts, cfg: AlgebraConfig, pre, post=None):
         self.contents, self.service, serv_exhaustive = cfg.state_contents()
         self.foci = sorted(foci)
-        self.focus_domains = [self._fixed_content(pre, f) for f in self.foci]
+        fixes = pre.fixes
+        self.focus_domains = [self._fixed_content(fixes.get(f, ()))
+                              for f in self.foci]
         self.names = sorted(var_sorts)
         self.bound = cfg.state_bound
         self.exhaustive = serv_exhaustive or not self.foci
-        self.domains = []
-        for name in self.names:
+        self.domains, self.fixers = [], []
+        for i, name in enumerate(self.names):
             if var_sorts[name] == "nat":
                 values, exhaustive = range(cfg.state_bound + 1), False
+                # (index, fixer) from the first conjunct whose other side
+                # reads foci and constants only
+                fix = next((c for c in fixes.get(name, ())
+                            if c[3] not in var_sorts), None)
+                if fix:
+                    self.fixers.append((i, _fix(*fix[:3])))
             else:
                 values, exhaustive = sort_domain(var_sorts[name], cfg)
             self.domains.append(values)
             self.exhaustive = self.exhaustive and exhaustive
-        valued = frozenset(self.names)
-        # (index of a nat variable, its fixer)
-        self.fixers = [(i, fix) for i, name in enumerate(self.names)
-                       if var_sorts[name] == "nat"
-                       and (fix := _fixer(pre, name, valued.isdisjoint))]
+        if post is not None and (contents := analysis.cut(self, pre, post,
+                                                          cfg)):
+            self.focus_domains = [contents]
 
-    def _fixed_content(self, pre: Formula, focus: str):
-        """The contents that focus takes: those of the algebra, or the one
-        that a top-level conjunct `focus = t` of pre, t closed, fixes."""
-        fix = _fixer(pre, focus, lambda names: not names)
-        if fix is None:
+    def _fixed_content(self, conjuncts):
+        """The contents that a focus takes: those of the algebra, or the
+        one that the first of its conjuncts `focus = t`, t closed, fixes."""
+        closed = next((c[2] for c in conjuncts if c[3] is None), None)
+        if closed is None:
             return self.contents
-        value = fix({})  # a closed term's value reads no env
+        value = _chain(closed)[2]
         k = value.content  # None for empty
         if isinstance(k, int) and int(k) in self.contents and (
                 self.service(int(k)) == value):
@@ -1115,7 +991,7 @@ def entails(p: Formula, q: Formula, cfg: AlgebraConfig,
 
     foci, those of a sequence, are of sort serv, as in holds; only those
     that p or q reads are enumerated, one counter's contents one per run
-    that p and q cannot tell apart (see cutoff).  boolreg with no nat
+    that p and q cannot tell apart (see analysis).  boolreg with no nat
     variables is decided exactly; otherwise the check is bounded:
     `bounded` means no countermodel exists within the bounds, `unknown`
     means some case was undecided even within the bounds.
@@ -1123,12 +999,9 @@ def entails(p: Formula, q: Formula, cfg: AlgebraConfig,
     if alpha_eq(p, q):
         return EntailVerdict("valid")
     cp, cq = compile_formula(p, cfg, foci), compile_formula(q, cfg, foci)
-    serv, var_sorts = joint_sorts(cp.sorts, cq.sorts, foci)
+    serv, var_sorts = analysis.joint_sorts(cp.sorts, cq.sorts, foci)
     space = StateSpace(serv & (cp.sorts.keys() | cq.sorts.keys()), var_sorts,
-                       cfg, p)
-    if cfg.algebra == "counter":
-        from .cutoff import cut
-        cut(space, p, q, cfg)
+                       cfg, cp.facts, cq.facts)
     p_at, q_at = cp.evaluate, cq.evaluate
     undecided = False
     for env, contents, values in space.pairs():
@@ -1146,3 +1019,7 @@ def entails(p: Formula, q: Formula, cfg: AlgebraConfig,
     if space.exhaustive:
         return EntailVerdict("valid")
     return EntailVerdict("bounded", bound=cfg.state_bound)
+
+
+# analysis reads this module's classes, so it is imported once they exist
+from . import analysis  # noqa: E402

@@ -30,10 +30,11 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
+from .analysis import joint_sorts
 from .formulas import (And, Eq, Exists, FALSE, Formula, Implies, Not, Or,
                        ReplyLit, ReplyT, SortError, TRUE, Var, alpha_eq,
                        entails, format_formula, formula_of, free_vars,
-                       joint_sorts, subst_derive, substitute)
+                       subst_derive, substitute)
 from .judgments import AssertedSeq, annotation_of
 from .lexer import (EOF, MAX_DEPTH, NAME_START, ParseError, Tokens, TOO_DEEP,
                     numeral)

@@ -14,9 +14,10 @@ from operator import itemgetter
 from typing import Optional
 
 from . import kernels
+from .analysis import joint_sorts
 from .formulas import (And, BoolLit, CompiledFormula, EmptyServ, Eq, Formula,
                        NatLit, Nnc, Or, RegOf, StateSpace, Var, FALSE, TRUE,
-                       compile_formula, joint_sorts)
+                       compile_formula)
 from .judgments import AssertedSeq
 from .records import record
 from .services import AlgebraConfig, ServiceFamily, family_key, format_family
@@ -221,10 +222,10 @@ def _decide(phi: AssertedSeq, cfg: AlgebraConfig, with_image: bool):
     pre = compile_formula(phi.pre, cfg, methods)
     post = compile_formula(phi.post, cfg, methods)
     foci, var_sorts = joint_sorts(pre.sorts, post.sorts, methods)
-    space = StateSpace(foci, var_sorts, cfg, phi.pre)
+    space = StateSpace(foci, var_sorts, cfg, pre.facts)
     left_out = () if with_image else _unobserved(methods, pre, post, cfg)
     if left_out:
-        observed = StateSpace(foci - left_out, var_sorts, cfg, phi.pre)
+        observed = StateSpace(foci - left_out, var_sorts, cfg, pre.facts)
         try:
             return _search(c, phi, cfg, pre, post, space, observed,
                            left_out, False)

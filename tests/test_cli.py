@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs and exit statuses."""
 
+import collections
 import json
 import os
 import pathlib
@@ -233,12 +234,20 @@ def test_thread_of_long_sequences(capsys):
     assert out.count("\n") == 2 * 33_334 + 1
 
 
-def _run_fresh(argv, flags=()):
-    """The finished `python [flags] -m pga_hoare.cli argv`."""
+def _run_fresh(argv, flags=(), lines=None):
+    """The finished `python [flags] -m pga_hoare.cli argv`; with lines,
+    its reader takes that many lines of stdout and then closes the pipe."""
     env = dict(os.environ,
                PYTHONPATH=str(pathlib.Path(pga_hoare.__file__).parent.parent))
-    return subprocess.run([sys.executable, *flags, "-m", "pga_hoare.cli",
-                           *argv], capture_output=True, text=True, env=env)
+    cmd = [sys.executable, *flags, "-m", "pga_hoare.cli", *argv]
+    if lines is None:
+        return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env=env) as proc:
+        out = "".join(proc.stdout.readline() for _ in range(lines))
+        proc.stdout.close()
+        err = proc.stderr.read()
+        return subprocess.CompletedProcess(cmd, proc.wait(), out, err)
 
 
 def _fresh(argv):
@@ -257,6 +266,15 @@ def _fresh_loads(argv):
     return done.stdout, done.returncode, {
         name.split(".")[1] for name in names
         if name.startswith("pga_hoare.")}
+
+
+def test_a_reader_that_closes_the_pipe_early_ends_the_output():
+    # 838 KB of states: the reader closes the pipe after the first line;
+    # the command stops writing and exits with its verdict's status
+    done = _run_fresh(["--bound", "20000", "sp", "true", "c.decr", "--exit",
+                       "1"], lines=1)
+    assert (done.stdout, done.stderr, done.returncode) == (
+        "states: 20000\n", "", 0)
 
 
 def test_each_command_loads_only_what_it_runs(capsys):
@@ -685,6 +703,59 @@ def test_cutoff_makes_the_proof_check_independent_of_the_bound(
         "  assumed: " + line for line in seen[48][1]]
     assert main(["--bound", "1000000000", "--strict", "check", PROOF]) == 1
     assert capsys.readouterr().out.startswith("REJECTED")
+
+
+def test_one_analysis_per_formula_in_the_proof_check(monkeypatch):
+    # one check of the golden proof at B=48, Q=51: each obligation that
+    # reaches a state space walks P and Q once each, and the space, the
+    # cut and the compiler read those walks' records; each of the two nat
+    # quantifiers has its narrowing built once
+    from pga_hoare import analysis
+    walked, spaces, cuts, counts = [], [], [], collections.Counter()
+    analyze, cut = analysis.analyze, analysis.cut
+    init = formulas.StateSpace.__init__
+
+    def walk(f, foci=()):
+        walked.append(analyze(f, foci))
+        return walked[-1]
+
+    def cut_from(space, p, q, cfg):
+        cuts.append((p, q))
+        return cut(space, p, q, cfg)
+
+    def build(space, foci, var_sorts, cfg, pre, post=None):
+        spaces.append((pre, post))
+        init(space, foci, var_sorts, cfg, pre, post)
+
+    def counted(name):
+        real = getattr(formulas, name)
+
+        def spied(*args):
+            counts[name] += 1
+            return real(*args)
+        return spied
+    monkeypatch.setattr(analysis, "analyze", walk)
+    monkeypatch.setattr(analysis, "cut", cut_from)
+    monkeypatch.setattr(formulas.StateSpace, "__init__", build)
+    for name in ("_narrowed_domain", "_formula_var_names"):
+        monkeypatch.setattr(formulas, name, counted(name))
+    proof = parse_proof(pathlib.Path(PROOF).read_text())
+    result = check_proof(proof, AlgebraConfig("counter", 48, 51))
+    assert result.accepted and len(result.assumptions) == 5
+    # five of the ten obligations are settled by alpha-equivalence; the
+    # other five walk P and Q once each, and the checker's own sort
+    # checks walk four formulas
+    assert len(spaces) == 5 and len(walked) == 2 * 5 + 4
+    # P's top-level conjuncts are found once per space, by the walk whose
+    # record the space reads
+    records = {id(w) for w in walked}
+    assert all(id(pre) in records and id(post) in records
+               for pre, post in spaces)
+    assert len({id(pre) for pre, _ in spaces}) == 5
+    # the cut reads the same two records and is given no formula to walk
+    assert len(cuts) == 5 and all(
+        p is pre and q is post for (p, q), (pre, post) in zip(cuts, spaces))
+    assert dict(counts) == {"_narrowed_domain": 2}
 
 
 def test_quantifier_domains_at_a_large_bound_cost_no_memory(capsys):

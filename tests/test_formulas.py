@@ -7,7 +7,7 @@ from functools import partial
 
 import pytest
 
-from pga_hoare import cutoff
+from pga_hoare import analysis
 from pga_hoare.formulas import (And, BoolLit, DeriveT, EmptyServ,
                                 EntailVerdict, Eq, Exists, FALSE, FalseF,
                                 Forall, FormulaSyntaxError, Implies,
@@ -611,7 +611,8 @@ def test_one_point_nnc_facing_other_services():
         assert _same_value("forall n:nat. (nnc(n) = c -> false)",
                            st, _EDGE) is None
     for text in ("c = nnc(n)", "c = nnc(s(n))"):
-        space = StateSpace({"c"}, {"n": "nat"}, BCFG, parse_formula(text))
+        space = StateSpace({"c"}, {"n": "nat"}, BCFG,
+                           analysis.analyze(parse_formula(text)))
         assert list(space.pairs()) == []
 
 
@@ -717,7 +718,8 @@ def test_fixed_focus_entails_matches_reference(cfg):
 def test_fixed_focus_leaves_out_the_other_states():
     # only the states at which the fixing conjunct holds are enumerated
     def states(text, cfg, foci=("c", "d")):
-        return list(StateSpace(set(foci), {}, cfg, parse_formula(text))
+        return list(StateSpace(set(foci), {}, cfg,
+                               analysis.analyze(parse_formula(text), foci))
                     .states())
     assert states("c = nnc(2)", _EDGE) == [(2, d) for d in range(4)]
     assert states("d = nnc(s(0)) /\\ true", _EDGE) == [(c, 1)
@@ -742,7 +744,7 @@ def test_fixed_focus_leaves_out_the_other_states():
 
 
 # ---------------------------------------------------------------------------
-# the cutoff for an isolated counter (pga_hoare.cutoff)
+# the cutoff for an isolated counter (pga_hoare.analysis.cut)
 #
 # entails tries the first content of each run of contents that p and q
 # cannot tell apart; the uncut space, which is checked against the
@@ -908,21 +910,21 @@ def test_cutoff_matches_full_enumeration_in_its_fragment(monkeypatch):
     # verdicts come from both ends; a special interval one shorter at
     # either end fails here
     configs = [AlgebraConfig("counter", 30, q) for q in (33, 31, 30, 29, 24)]
-    real, cuts = cutoff.cut, []
+    real, cuts = analysis.cut, []
 
-    def spied(space, *args):
-        domains = space.focus_domains
-        real(space, *args)
-        cuts.append(space.focus_domains is not domains)
+    def spied(*args):
+        contents = real(*args)
+        cuts.append(contents is not None)
+        return contents
 
     gen = _Fragment(random.Random(29))
     kinds = set()
     for _ in range(500):
         p, q = gen.pair()
         for cfg in configs:
-            monkeypatch.setattr(cutoff, "cut", lambda *args: None)
+            monkeypatch.setattr(analysis, "cut", lambda *args: None)
             expected = _outcome(entails, p, q, cfg, ("c",))
-            monkeypatch.setattr(cutoff, "cut", spied)
+            monkeypatch.setattr(analysis, "cut", spied)
             assert _outcome(entails, p, q, cfg, ("c",)) == expected, (
                 cfg.quant_bound, format_formula(p), format_formula(q))
             kinds.add(expected[1].kind if expected[0] == "value"
