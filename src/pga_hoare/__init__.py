@@ -9,7 +9,7 @@ from importlib import import_module
 
 _NAMES = {
     "formulas": "EntailVerdict alpha_eq entails eval_formula format_formula "
-                "parse_formula substitute",
+                "parse_formula",
     "judgments": "AssertedSeq format_asserted parse_asserted",
     "proofs": "CheckResult ProofNode check_proof parse_proof",
     "segments": "BudgetOut Exited Halted Inactive Verdict holds run_canonical "

@@ -218,10 +218,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except RecursionError:
-        # parsing, printing and chains of conjunctions or disjunctions keep
-        # their own stacks or a logarithmic depth; what still recurses near
-        # MAX_DEPTH is the compiling and evaluation of nested negations,
-        # implications and quantifiers, and the checker's alpha_eq
+        # parsing, printing, the checker's comparisons, negation runs and
+        # chains of connectives keep their own stacks or a logarithmic
+        # depth; what still recurses near MAX_DEPTH is the compiling and
+        # evaluation of nests of quantifiers and of alternating connectives
         print("error: input nested too deeply", file=sys.stderr)
         return USAGE
 

@@ -431,114 +431,68 @@ def free_vars(f: Formula, foci=()) -> Dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# substitution and alpha-equivalence
+# alpha-equivalence, under a substitution
+#
+# Bound variables compare by the depth of the quantifier that binds them,
+# free ones by name (de Bruijn, "Lambda calculus notation with nameless
+# dummies", Indag. Math. 1972).  A substituted term is then compared where
+# it stands, its variables free whatever binds around it, so substitution
+# avoids capture without renaming and builds no formula.
 
 
-def _subst_term(t: Term, name: str, repl: Term) -> Term:
-    if type(t) is Var:
-        return repl if t.name == name else t
-    if type(t) in _LEAVES:
-        return t
-    arg = _subst_term(t.arg, name, repl)
-    return type(t)(t.method, arg) if type(t) in _STEP_PART else type(t)(arg)
-
-
-def _repl_free(t: Term) -> frozenset:
-    while type(t) not in _LEAVES:
-        t = t.arg
-    return frozenset([t.name] if type(t) is Var else ())
-
-
-def _fresh(base: str, avoid) -> str:
-    i = 0
-    cand = base
-    while cand in avoid:
-        i += 1
-        cand = f"{base}_{i}"
-    return cand
-
-
-def _formula_var_names(f: Formula) -> frozenset:
-    if isinstance(f, (TrueF, FalseF)):
-        return frozenset()
-    if isinstance(f, Not):
-        return _formula_var_names(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return _formula_var_names(f.left) | _formula_var_names(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return _formula_var_names(f.body) | {f.var}
-    return _repl_free(f.left) | _repl_free(f.right)
-
-
-def substitute(f: Formula, name: str, repl: Term) -> Formula:
-    """Capture-avoiding substitution of repl for free occurrences of name."""
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    if isinstance(f, Not):
-        return Not(substitute(f.body, name, repl))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(substitute(f.left, name, repl),
-                       substitute(f.right, name, repl))
-    if isinstance(f, Eq):
-        return Eq(_subst_term(f.left, name, repl),
-                  _subst_term(f.right, name, repl))
-    if isinstance(f, (Exists, Forall)):
-        if f.var == name:
-            return f
-        if f.var in _repl_free(repl):
-            avoid = _formula_var_names(f.body) | _repl_free(repl) | {name}
-            fresh = _fresh(f.var, avoid)
-            body = substitute(f.body, f.var, Var(fresh))
-            return type(f)(fresh, f.sort, substitute(body, name, repl))
-        return type(f)(f.var, f.sort, substitute(f.body, name, repl))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def subst_derive(f: Formula, focus: str, method: str) -> Formula:
-    """P with the focus replaced by its derived service: P<d[m](f)/f>."""
-    return substitute(f, focus, DeriveT(method, Var(focus)))
-
-
-def _alpha_term(a: Term, b: Term, env_a: Dict[str, int], env_b: Dict[str, int]) -> bool:
-    """Terms are chains around one leaf: compared link by link."""
-    while type(a) is type(b):
-        if type(a) is Var:
-            ia, ib = env_a.get(a.name), env_b.get(b.name)
-            if ia is None and ib is None:
-                return a.name == b.name
-            return ia == ib
-        if type(a) in _LEAVES:
-            return type(a) is EmptyServ or a.value == b.value
-        if type(a) in _STEP_PART and a.method != b.method:
+def _alpha_term(a: Term, b: Term, bound_a, bound_b, name, repl) -> bool:
+    """Terms are chains around one leaf: compared link by link.  Where b's
+    chain reaches a `name` that b's side does not bind, the rest of a's
+    chain is compared with repl's, under no binder."""
+    while True:
+        kind = type(b)
+        if kind is Var and b.name == name and name not in bound_b:
+            b, bound_b, name = repl, {}, None
+            continue
+        if type(a) is not kind:
+            return False
+        if kind is Var:
+            ia, ib = bound_a.get(a.name), bound_b.get(b.name)
+            return a.name == b.name if ia is None and ib is None else ia == ib
+        if kind in _LEAVES:
+            return kind is EmptyServ or a.value == b.value
+        if kind in _STEP_PART and a.method != b.method:
             return False
         a, b = a.arg, b.arg
-    return False
 
 
-def _alpha(a: Formula, b: Formula, env_a, env_b, depth: int) -> bool:
-    if type(a) is not type(b):
-        return False
-    if type(a) is Eq:
-        return (_alpha_term(a.left, b.left, env_a, env_b)
-                and _alpha_term(a.right, b.right, env_a, env_b))
-    if isinstance(a, (TrueF, FalseF)):
+def alpha_eq(a: Formula, b: Formula, name: Optional[str] = None,
+             repl: Optional[Term] = None) -> bool:
+    """Is a alpha-equivalent to b, or, given name and repl, to b[repl/name],
+    b with repl for the free occurrences of name, capture avoided?  The
+    walk keeps its own stack of pairs still to compare, so nesting costs
+    no recursion."""
+    if a is b and name is None:
         return True
-    if isinstance(a, Not):
-        return _alpha(a.body, b.body, env_a, env_b, depth)
-    if isinstance(a, (And, Or, Implies)):
-        return (_alpha(a.left, b.left, env_a, env_b, depth)
-                and _alpha(a.right, b.right, env_a, env_b, depth))
-    if isinstance(a, (Exists, Forall)):
-        if a.sort != b.sort:
+    todo = [(a, b, {}, {}, 0)]  # with each side's binders and their depth
+    while todo:
+        a, b, bound_a, bound_b, depth = todo.pop()
+        kind = type(a)
+        if kind is not type(b):
             return False
-        env_a2 = {**env_a, a.var: depth}
-        env_b2 = {**env_b, b.var: depth}
-        return _alpha(a.body, b.body, env_a2, env_b2, depth + 1)
-    raise TypeError(f"not a formula: {a!r}")
-
-
-def alpha_eq(a: Formula, b: Formula) -> bool:
-    return _alpha(a, b, {}, {}, 0)
+        if kind is Eq:
+            if not (_alpha_term(a.left, b.left, bound_a, bound_b, name, repl)
+                    and _alpha_term(a.right, b.right, bound_a, bound_b, name,
+                                    repl)):
+                return False
+        elif kind is Not:
+            todo.append((a.body, b.body, bound_a, bound_b, depth))
+        elif kind in _CONNECTIVE_TEXT:
+            todo += ((a.right, b.right, bound_a, bound_b, depth),
+                     (a.left, b.left, bound_a, bound_b, depth))
+        elif kind in _QUANTIFIER_TEXT:
+            if a.sort != b.sort:
+                return False
+            todo.append((a.body, b.body, {**bound_a, a.var: depth},
+                         {**bound_b, b.var: depth}, depth + 1))
+        elif kind is not TrueF and kind is not FalseF:
+            raise TypeError(f"not a formula: {a!r}")
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +671,23 @@ def _narrowed_domain(narrowing, bound: int):
     return values
 
 
+def _negation(body):
+    def negation(env):
+        v = body(env)
+        return None if v is None else not v
+    return negation
+
+
+def _balanced(parts, join):
+    """The closures of a chain's operands, left to right, as a balanced
+    tree of binary closures: the same evaluation order and the same short
+    cuts as the chain as written, at a depth logarithmic in its length."""
+    while len(parts) > 1:
+        odd = parts[-1:] if len(parts) % 2 else []
+        parts = [join(a, b) for a, b in zip(parts[::2], parts[1::2])] + odd
+    return parts[0]
+
+
 def _conjunction(left, right):
     def conjunction(env):
         a = left(env)
@@ -753,26 +724,28 @@ def _compile(f: Formula, cfg: AlgebraConfig, narrowings):
     if kind is FalseF:
         return lambda env: False
     if kind is Not:
-        body = _compile(f.body, cfg, narrowings)
-
-        def negation(env):
-            v = body(env)
-            return None if v is None else not v
-        return negation
+        # a run of k negations is one when k is odd, none when it is even
+        odd = False
+        while type(f) is Not:
+            f, odd = f.body, not odd
+        body = _compile(f, cfg, narrowings)
+        return _negation(body) if odd else body
     if kind is And or kind is Or:
-        # the chain's operands, left to right, as a balanced tree of binary
-        # closures: the same evaluation order and the same short cuts as
-        # the chain as written, at a depth logarithmic in its length
-        parts = [_compile(g, cfg, narrowings) for g in _operands(f, kind)]
-        join = _conjunction if kind is And else _disjunction
-        while len(parts) > 1:
-            odd = parts[-1:] if len(parts) % 2 else []
-            parts = [join(a, b) for a, b in zip(parts[::2], parts[1::2])] + odd
-        return parts[0]
+        return _balanced([_compile(g, cfg, narrowings)
+                          for g in _operands(f, kind)],
+                         _conjunction if kind is And else _disjunction)
     if kind is Implies:
-        # a -> b is ~a \/ b: the left operand decides when it is False
-        return _disjunction(_compile(f.left, cfg, narrowings),
-                            _compile(f.right, cfg, narrowings), False)
+        # a -> b is ~a \/ b: the left operand decides when it is False; a
+        # chain a1 -> (a2 -> ... -> c) is ~a1 \/ ~a2 \/ ... \/ c
+        if type(f.right) is not Implies:
+            return _disjunction(_compile(f.left, cfg, narrowings),
+                                _compile(f.right, cfg, narrowings), False)
+        parts = []
+        while type(f) is Implies:
+            parts.append(_negation(_compile(f.left, cfg, narrowings)))
+            f = f.right
+        return _balanced(parts + [_compile(f, cfg, narrowings)],
+                         _disjunction)
     if kind is Exists or kind is Forall:
         body = _compile(f.body, cfg, narrowings)
         var, sort = f.var, f.sort

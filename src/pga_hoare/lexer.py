@@ -12,13 +12,14 @@ Every syntax error is a ParseError, which the command line reports as a
 parse error without loading the parser that raised it.
 
 MAX_DEPTH caps nesting at Python's default recursion limit.  The parsers,
-the printers and the proof checker's walk keep explicit stacks, and a
-chain of conjunctions or disjunctions is compiled into a balanced tree of
-closures; but negations, implications and quantifiers are still compiled
-and evaluated recursively, and formulas are compared (alpha_eq) and
-substituted recursively.  A formula counts each connective, quantifier,
-term operator and pair of parentheses, a sequence its parentheses, a
-proof its nested records.
+the printers, the proof checker's walk and its comparison of formulas
+(alpha_eq, which substitutes as it compares) keep explicit stacks; a
+chain of conjunctions, disjunctions or implications is compiled into a
+balanced tree of closures, and a run of negations into one negation or
+none.  What still recurses is compiling and evaluating nests of
+quantifiers and of alternating connectives.  A formula counts each
+connective, quantifier, term operator and pair of parentheses, a
+sequence its parentheses, a proof its nested records.
 
 MAX_LENGTH caps the instructions a sequence term writes out, those held
 in repetition bodies included: a power such as a.m^1000000000000 is

@@ -31,10 +31,10 @@ from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from .analysis import joint_sorts
-from .formulas import (And, Eq, Exists, FALSE, Formula, Implies, Not, Or,
-                       ReplyLit, ReplyT, SortError, TRUE, Var, alpha_eq,
-                       entails, format_formula, formula_of, free_vars,
-                       subst_derive, substitute)
+from .formulas import (And, DeriveT, Eq, Exists, FALSE, Formula, Implies,
+                       Not, Or, ReplyLit, ReplyT, SortError, TRUE, Var,
+                       alpha_eq, entails, format_formula, formula_of,
+                       free_vars)
 from .judgments import AssertedSeq, annotation_of
 from .lexer import (EOF, MAX_DEPTH, NAME_START, ParseError, Tokens, TOO_DEEP,
                     numeral)
@@ -465,9 +465,10 @@ class _Checker:
                 guard: Formula = Not(Eq(reply_eq, ReplyLit(Reply.D)))
             else:
                 guard = Eq(reply_eq, ReplyLit(reply))
-            expected = And(guard,
-                           subst_derive(c.post, instr.focus, instr.method))
-            if not alpha_eq(c.pre, expected):
+            # P is the guard and Q<d[m](f)/f>
+            derived = DeriveT(instr.method, Var(instr.focus))
+            if not (type(c.pre) is And and alpha_eq(c.pre.left, guard)
+                    and alpha_eq(c.pre.right, c.post, instr.focus, derived)):
                 self.fail(path, f"{rule}: precondition does not match the schema")
         elif rule in self._DIV_AXIOMS:
             if not isinstance(instr, self._DIV_AXIOMS[rule]):
@@ -679,9 +680,9 @@ class _Checker:
         foci = atoms_foci(self.atoms(c.term))
         if x in foci or y in foci:
             self.fail(path, "R9: renamed variables must not be foci of S")
-        if not alpha_eq(c.pre, substitute(p.pre, x, Var(y))):
+        if not alpha_eq(c.pre, p.pre, x, Var(y)):
             self.fail(path, "R9: precondition is not the renamed premise")
-        if not alpha_eq(c.post, substitute(p.post, x, Var(y))):
+        if not alpha_eq(c.post, p.post, x, Var(y)):
             self.fail(path, "R9: postcondition is not the renamed premise")
         self._carry(path, "R9: sequence and entry/exit must carry over",
                     c, p, "term", "entry", "exit")

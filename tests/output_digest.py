@@ -4,6 +4,9 @@ answer, to show that a change leaves every answer as it was.
     python3 tests/output_digest.py
 
 Run it on two versions of the code and compare the lines it prints.
+`tests/output_digest.txt` holds the lines it prints for this version, and
+CI compares the two; a change that alters an answer on purpose updates
+the file.
 
 - entails: (kind, witness, bound) of 22,000 seeded `entails` pairs.
   12,000 are random formulas at small bounds (counter B=3/Q=3, boolreg

@@ -17,6 +17,8 @@ from pga_hoare.proofs import ProofNode, term_atoms
 from pga_hoare.syntax import (Basic, Concat, Halt, Instr, Jump, NegTest,
                               PosTest, Repeat, concat_all, is_rep)
 
+from refparsers import ref_subst_derive
+
 FOCI = ("r", "q")
 METHODS = ("get", "set:t", "set:f")
 
@@ -42,11 +44,6 @@ def random_formula(rng, depth=2):
     return op(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
 
 
-def _subst_derive(p, focus, method):
-    from pga_hoare.formulas import subst_derive
-    return subst_derive(p, focus, method)
-
-
 def random_axiom(rng) -> ProofNode:
     kind = rng.choice(["A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
                        "A9", "A10", "A11"])
@@ -55,7 +52,8 @@ def random_axiom(rng) -> ProofNode:
     p = random_formula(rng)
     reply = ReplyT(m, Var(f))
     if kind == "A1":
-        pre = And(Not(Eq(reply, ReplyLit(Reply.D))), _subst_derive(p, f, m))
+        pre = And(Not(Eq(reply, ReplyLit(Reply.D))),
+                  ref_subst_derive(p, f, m))
         concl = AssertedSeq(1, pre, Instr(Basic(f, m)), 1, p)
     elif kind in ("A2", "A5", "A8"):
         instr = {"A2": Basic, "A5": PosTest, "A8": NegTest}[kind](f, m)
@@ -66,7 +64,7 @@ def random_axiom(rng) -> ProofNode:
             "A3": (PosTest, Reply.T, 1), "A4": (PosTest, Reply.F, 2),
             "A6": (NegTest, Reply.T, 2), "A7": (NegTest, Reply.F, 1),
         }[kind]
-        pre = And(Eq(reply, ReplyLit(rep)), _subst_derive(p, f, m))
+        pre = And(Eq(reply, ReplyLit(rep)), ref_subst_derive(p, f, m))
         concl = AssertedSeq(1, pre, Instr(instr_cls(f, m)), exit_, p)
     elif kind == "A9":
         off = rng.randint(1, 4)

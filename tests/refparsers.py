@@ -13,7 +13,12 @@ run of digits.  The former `int(point.strip())` also accepted "+1", "1_0"
 and "-0".
 
 The formula printer is kept here too, as it was before it walked with its
-own stack: it recursed once per connective and term operator.
+own stack: it recursed once per connective and term operator.  So are
+the capture-avoiding substitution, which renamed a binder that would
+capture, and the alpha-equivalence that the checker applied to the
+substituted formula, both recursive: `test_formulas.py` checks the
+checker's one walk, which substitutes as it compares, against them, and
+the proof generators write axiom instances with `ref_subst_derive`.
 """
 
 import re
@@ -671,3 +676,118 @@ def _ref_wrap(f: Formula) -> str:
     if isinstance(f, (TrueF, FalseF, Eq, Not)):
         return ref_format_formula(f)
     return f"({ref_format_formula(f)})"
+
+
+# ---------------------------------------------------------------------------
+# substitution and alpha-equivalence
+
+_LEAVES = (Var, NatLit, BoolLit, ReplyLit, EmptyServ)
+_STEP_PART = (DeriveT, ReplyT)
+
+
+def _subst_term(t: Term, name: str, repl: Term) -> Term:
+    if type(t) is Var:
+        return repl if t.name == name else t
+    if type(t) in _LEAVES:
+        return t
+    arg = _subst_term(t.arg, name, repl)
+    return type(t)(t.method, arg) if type(t) in _STEP_PART else type(t)(arg)
+
+
+def _repl_free(t: Term) -> frozenset:
+    while type(t) not in _LEAVES:
+        t = t.arg
+    return frozenset([t.name] if type(t) is Var else ())
+
+
+def _fresh(base: str, avoid) -> str:
+    i = 0
+    cand = base
+    while cand in avoid:
+        i += 1
+        cand = f"{base}_{i}"
+    return cand
+
+
+def _formula_var_names(f: Formula) -> frozenset:
+    if isinstance(f, (TrueF, FalseF)):
+        return frozenset()
+    if isinstance(f, Not):
+        return _formula_var_names(f.body)
+    if isinstance(f, (And, Or, Implies)):
+        return _formula_var_names(f.left) | _formula_var_names(f.right)
+    if isinstance(f, (Exists, Forall)):
+        return _formula_var_names(f.body) | {f.var}
+    return _repl_free(f.left) | _repl_free(f.right)
+
+
+def ref_substitute(f: Formula, name: str, repl: Term) -> Formula:
+    """Capture-avoiding substitution of repl for free occurrences of name."""
+    if isinstance(f, (TrueF, FalseF)):
+        return f
+    if isinstance(f, Not):
+        return Not(ref_substitute(f.body, name, repl))
+    if isinstance(f, (And, Or, Implies)):
+        return type(f)(ref_substitute(f.left, name, repl),
+                       ref_substitute(f.right, name, repl))
+    if isinstance(f, Eq):
+        return Eq(_subst_term(f.left, name, repl),
+                  _subst_term(f.right, name, repl))
+    if isinstance(f, (Exists, Forall)):
+        if f.var == name:
+            return f
+        if f.var in _repl_free(repl):
+            avoid = _formula_var_names(f.body) | _repl_free(repl) | {name}
+            fresh = _fresh(f.var, avoid)
+            body = ref_substitute(f.body, f.var, Var(fresh))
+            return type(f)(fresh, f.sort, ref_substitute(body, name, repl))
+        return type(f)(f.var, f.sort, ref_substitute(f.body, name, repl))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def ref_subst_derive(f: Formula, focus: str, method: str) -> Formula:
+    """P with the focus replaced by its derived service: P<d[m](f)/f>."""
+    return ref_substitute(f, focus, DeriveT(method, Var(focus)))
+
+
+def _alpha_term(a: Term, b: Term, env_a: Dict[str, int],
+                env_b: Dict[str, int]) -> bool:
+    """Terms are chains around one leaf: compared link by link."""
+    while type(a) is type(b):
+        if type(a) is Var:
+            ia, ib = env_a.get(a.name), env_b.get(b.name)
+            if ia is None and ib is None:
+                return a.name == b.name
+            return ia == ib
+        if type(a) in _LEAVES:
+            return type(a) is EmptyServ or a.value == b.value
+        if type(a) in _STEP_PART and a.method != b.method:
+            return False
+        a, b = a.arg, b.arg
+    return False
+
+
+def _alpha(a: Formula, b: Formula, env_a, env_b, depth: int) -> bool:
+    if type(a) is not type(b):
+        return False
+    if type(a) is Eq:
+        return (_alpha_term(a.left, b.left, env_a, env_b)
+                and _alpha_term(a.right, b.right, env_a, env_b))
+    if isinstance(a, (TrueF, FalseF)):
+        return True
+    if isinstance(a, Not):
+        return _alpha(a.body, b.body, env_a, env_b, depth)
+    if isinstance(a, (And, Or, Implies)):
+        return (_alpha(a.left, b.left, env_a, env_b, depth)
+                and _alpha(a.right, b.right, env_a, env_b, depth))
+    if isinstance(a, (Exists, Forall)):
+        if a.sort != b.sort:
+            return False
+        env_a2 = {**env_a, a.var: depth}
+        env_b2 = {**env_b, b.var: depth}
+        return _alpha(a.body, b.body, env_a2, env_b2, depth + 1)
+    raise TypeError(f"not a formula: {a!r}")
+
+
+def ref_alpha_eq(a: Formula, b: Formula) -> bool:
+    return _alpha(a, b, {}, {}, 0)

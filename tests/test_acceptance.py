@@ -25,7 +25,7 @@ import random
 import time
 
 from pga_hoare.formulas import (And, Eq, FALSE, NatLit, Nnc, Not, Reply,
-                                ReplyLit, ReplyT, TRUE, Var, subst_derive)
+                                ReplyLit, ReplyT, TRUE, Var)
 from pga_hoare.judgments import AssertedSeq
 from pga_hoare.proofs import check_proof, parse_proof
 from pga_hoare.segments import Exited, Halted, holds, run_canonical
@@ -36,6 +36,7 @@ from pga_hoare.syntax import (Basic, Concat, Halt, Instr, Jump, NegTest,
 from pga_hoare.threads import apply, extract
 
 import proofgen
+from refparsers import ref_subst_derive
 from test_kernels import _tabled
 
 PROOF_DIR = pathlib.Path(__file__).resolve().parent.parent / "proofs"
@@ -262,7 +263,7 @@ def _axiom_instances(axiom, p, focus, method):
     reply = ReplyT(method, Var(focus))
     if axiom == "A1":
         pre = And(Not(Eq(reply, ReplyLit(Reply.D))),
-                  subst_derive(p, focus, method))
+                  ref_subst_derive(p, focus, method))
         return AssertedSeq(1, pre, Instr(Basic(focus, method)), 1, p)
     if axiom in ("A2", "A5", "A8"):
         cls = {"A2": Basic, "A5": PosTest, "A8": NegTest}[axiom]
@@ -272,7 +273,7 @@ def _axiom_instances(axiom, p, focus, method):
                        "A4": (PosTest, Reply.F, 2),
                        "A6": (NegTest, Reply.T, 2),
                        "A7": (NegTest, Reply.F, 1)}[axiom]
-    pre = And(Eq(reply, ReplyLit(rep)), subst_derive(p, focus, method))
+    pre = And(Eq(reply, ReplyLit(rep)), ref_subst_derive(p, focus, method))
     return AssertedSeq(1, pre, Instr(cls(focus, method)), exit_, p)
 
 

@@ -339,7 +339,7 @@ def test_annotation_points_are_natural_numbers(tmp_path, capsys):
     assert captured.err.startswith("parse error: annotation needs")
 
 
-def test_deep_input_is_capped_without_recursion(capsys):
+def test_deep_input_is_capped_without_recursion(tmp_path, capsys):
     # every parser keeps its own stack; past MAX_DEPTH levels the input is
     # a usage error, below it the answer comes out
     n = 100_000
@@ -380,6 +380,35 @@ def test_deep_input_is_capped_without_recursion(capsys):
         assert capsys.readouterr().out == "HOLDS (bounded, B=4)\n"
     assert main(["normalize", "(" * m + "a.m" + ")" * m]) == 0
     assert capsys.readouterr().out == "prefix: a.m\nlen: 1\n"
+    # a run of negations compiles to one negation or none, and a chain of
+    # implications to a balanced tree: 990 levels get their verdict
+    k = 990
+    for q, status, out in (
+            ("~" * k + "c = nnc(0)", 1,
+             "FAILS (from {c = counter(0)}: halted in {c = counter(1)})\n"),
+            (" -> ".join(["c = nnc(0)"] * k), 0, "HOLDS (bounded, B=3)\n")):
+        assert main(["--bound", "3", "holds",
+                     '{1 | true} "c.incr ; !" {0 | %s}' % q]) == status
+        assert capsys.readouterr().out == out
+    # the checker compares 990 levels, substituted or not, without a frame
+    # per level; two spacings make two formula objects of one formula
+    def deep(left, right):
+        return "~" * k + f"{left} = nnc({right})"
+    one, other = deep("c", 0), deep("c ", 0)
+    r9 = '(R9 n m (A11 {1 | %s} "!" {0 | %s}) => {1 | %s} "!" {0 | %s})'
+    premise = (deep("c", "n"), deep("c ", "n"), deep("c", "m"))
+    for text, out in (
+            ('(A11 {1 | %s} "!" {0 | %s})' % (one, other), "ACCEPTED\n"),
+            ('(A9 {1 | %s} "#1" {1 | %s})' % (one, other), "ACCEPTED\n"),
+            ('(A1 {1 | ~r[incr](c) = :d /\\ %s} "c.incr" {1 | %s})'
+             % (deep("d[incr](c)", 0), one), "ACCEPTED\n"),
+            (r9 % (*premise, deep("c", "m")), "ACCEPTED\n"),
+            (r9 % (*premise, deep("c", "n")), "REJECTED\n"
+             "  root: R9: postcondition is not the renamed premise\n")):
+        proof = tmp_path / "deep.proof"
+        proof.write_text(text)
+        assert main(["check", str(proof)]) == (out != "ACCEPTED\n")
+        assert capsys.readouterr().out == out
 
 
 def test_rules_read_the_foci_of_deeply_repeated_terms(tmp_path, capsys):
@@ -737,8 +766,8 @@ def test_one_analysis_per_formula_in_the_proof_check(monkeypatch):
     monkeypatch.setattr(analysis, "analyze", walk)
     monkeypatch.setattr(analysis, "cut", cut_from)
     monkeypatch.setattr(formulas.StateSpace, "__init__", build)
-    for name in ("_narrowed_domain", "_formula_var_names"):
-        monkeypatch.setattr(formulas, name, counted(name))
+    monkeypatch.setattr(formulas, "_narrowed_domain",
+                        counted("_narrowed_domain"))
     proof = parse_proof(pathlib.Path(PROOF).read_text())
     result = check_proof(proof, AlgebraConfig("counter", 48, 51))
     assert result.accepted and len(result.assumptions) == 5

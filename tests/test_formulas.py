@@ -17,11 +17,12 @@ from pga_hoare.formulas import (And, BoolLit, DeriveT, EmptyServ,
                                 alpha_eq,
                                 compile_formula, entails, eval_formula,
                                 format_formula, free_vars,
-                                parse_formula, sort_domain,
-                                subst_derive, substitute)
+                                parse_formula, sort_domain)
 from pga_hoare.lexer import Tokens
 from pga_hoare.services import (EMPTY, AlgebraConfig, Reply, boolreg, counter,
                                 family, svc_step)
+
+from refparsers import ref_alpha_eq, ref_subst_derive, ref_substitute
 
 CFG = AlgebraConfig("counter", state_bound=16, quant_bound=16)
 BCFG = AlgebraConfig("boolreg")
@@ -82,28 +83,48 @@ def test_sort_inference_refuses_unknown_sorts():
 
 def test_substitute_derive_for_focus():
     f = parse_formula("c = nnc(0)")
-    g = subst_derive(f, "c", "decr")
-    assert alpha_eq(g, parse_formula("d[decr](c) = nnc(0)"))
+    g = ref_subst_derive(f, "c", "decr")
+    expected = parse_formula("d[decr](c) = nnc(0)")
+    assert alpha_eq(g, expected)
+    # the walk compares with f<d[decr](c)/c> without building it; the
+    # substituted c is not substituted again
+    assert alpha_eq(expected, f, "c", DeriveT("decr", Var("c")))
+    assert not alpha_eq(f, f, "c", DeriveT("decr", Var("c")))
+    assert not alpha_eq(parse_formula("d[decr](d[decr](c)) = nnc(0)"), f,
+                        "c", DeriveT("decr", Var("c")))
 
 
 def rename(f, old, new):
     """f with the free variable old renamed to new, as R9 renames it."""
-    return substitute(f, old, Var(new))
+    return ref_substitute(f, old, Var(new))
 
 
 def test_rename_free_only():
     f = parse_formula("c = nnc(n)")
-    assert alpha_eq(rename(f, "n", "m"), parse_formula("c = nnc(m)"))
+    renamed = parse_formula("c = nnc(m)")
+    assert alpha_eq(rename(f, "n", "m"), renamed)
+    assert alpha_eq(renamed, f, "n", Var("m"))
+    assert not alpha_eq(f, f, "n", Var("m"))
     bound = parse_formula("exists n:nat. c = nnc(n)")
     assert rename(bound, "n", "m") == bound
+    assert alpha_eq(bound, bound, "n", Var("m"))
+    assert not alpha_eq(parse_formula("exists n:nat. c = nnc(m)"), bound,
+                        "n", Var("m"))
 
 
 def test_substitution_avoids_capture():
     # substituting n for x must not let n be captured by the quantifier
     f = parse_formula("exists n:nat. x = nnc(n)")
-    g = substitute(f, "x", Nnc(Var("n")))
+    g = ref_substitute(f, "x", Nnc(Var("n")))
     assert isinstance(g, Exists) and g.var != "n"
     assert "n" in free_vars(g)
+    # the walk reads the substituted n as free: the binder is renamed in
+    # any text that it equals
+    assert alpha_eq(g, f, "x", Nnc(Var("n")))
+    assert alpha_eq(parse_formula("exists m:nat. nnc(n) = nnc(m)"), f, "x",
+                    Nnc(Var("n")))
+    assert not alpha_eq(parse_formula("exists n:nat. nnc(n) = nnc(n)"), f,
+                        "x", Nnc(Var("n")))
 
 
 def test_alpha_equivalence():
@@ -200,7 +221,7 @@ def test_eval_respects_derive_substitution():
             for m in ("get", "set:t", "set:f"):
                 u = family({"r": boolreg(val)})
                 stepped = family({"r": svc_step(boolreg(val), m)[1]})
-                g = subst_derive(f, "r", m)
+                g = ref_subst_derive(f, "r", m)
                 assert eval_formula(g, u, BCFG) == eval_formula(f, stepped, BCFG)
 
 
@@ -531,6 +552,36 @@ def test_entails_matches_reference(cfg):
     expected = _outcome(_ref_entails, *clash, cfg)
     assert expected[1] is SortError
     assert _outcome(entails, *clash, cfg) == expected
+
+
+@pytest.mark.parametrize("cfg", _SMALL, ids=lambda c: c.algebra)
+def test_substituting_walk_matches_reference(cfg):
+    # alpha_eq(a, b, x, t) compares a with b[t/x] without building it; the
+    # former capture-avoiding substitution and recursive comparison are
+    # the reference.  The repl terms include variables that b binds, so
+    # that the reference renames binders.  The generator draws the same
+    # shapes in both algebras from one seed, so each has its own.
+    seed = {"counter": 31, "boolreg": 37}[cfg.algebra]
+    rng = random.Random(seed)
+    gen = _Gen(rng, cfg)
+    formulas = _random_formulas(seed, cfg, 400)
+    names = [x for group in _NAMES.values() for x in group]
+    captured = 0
+    for b in formulas:
+        copy = parse_formula(format_formula(b))  # equal, not identical
+        for a in (b, copy, rng.choice(formulas)):
+            assert alpha_eq(a, b) == ref_alpha_eq(a, b), (a, b)
+        for x in names:
+            for t in (DeriveT("decr", Var("c")), Succ(Var("n")),
+                      Var(rng.choice(names)),
+                      gen.term(rng.choice(list(_NAMES)), 2)):
+                expected = ref_substitute(b, x, t)
+                # the reference names a renamed binder n_1, n_2, ...
+                captured += "_" in format_formula(expected)
+                for a in (expected, b, rng.choice(formulas)):
+                    assert alpha_eq(a, b, x, t) == ref_alpha_eq(a, expected), (
+                        format_formula(a), format_formula(b), x, t)
+    assert captured > 100
 
 
 def test_compiled_closed_terms_and_shadowing():
