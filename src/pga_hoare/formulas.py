@@ -736,16 +736,14 @@ def _compile(f: Formula, cfg: AlgebraConfig, narrowings):
                          _conjunction if kind is And else _disjunction)
     if kind is Implies:
         # a -> b is ~a \/ b: the left operand decides when it is False; a
-        # chain a1 -> (a2 -> ... -> c) is ~a1 \/ ~a2 \/ ... \/ c
-        if type(f.right) is not Implies:
-            return _disjunction(_compile(f.left, cfg, narrowings),
-                                _compile(f.right, cfg, narrowings), False)
+        # chain a1 -> (a2 -> ... -> c) is ~a1 \/ ... \/ (a_{n-1} -> c)
         parts = []
-        while type(f) is Implies:
+        while type(f.right) is Implies:
             parts.append(_negation(_compile(f.left, cfg, narrowings)))
             f = f.right
-        return _balanced(parts + [_compile(f, cfg, narrowings)],
-                         _disjunction)
+        return _balanced(parts + [_disjunction(
+            _compile(f.left, cfg, narrowings),
+            _compile(f.right, cfg, narrowings), False)], _disjunction)
     if kind is Exists or kind is Forall:
         body = _compile(f.body, cfg, narrowings)
         var, sort = f.var, f.sort
