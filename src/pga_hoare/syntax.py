@@ -354,7 +354,7 @@ def term_atoms(t: SequenceTerm, to_first_rep: bool = False) -> tuple:
     return tuple(out)
 
 
-def _flatten(t: SequenceTerm) -> tuple:
+def flatten(t: SequenceTerm) -> tuple:
     """(prefix, period) of t; period is None when t is finite.
 
     The first repetition to close ends the sequence: its body, which holds
@@ -367,7 +367,7 @@ def _flatten(t: SequenceTerm) -> tuple:
 
 
 def normalize(t: SequenceTerm) -> CanonicalSequence:
-    return make_canonical(*_flatten(t))
+    return make_canonical(*flatten(t))
 
 
 def focus_methods(c: CanonicalSequence) -> dict:

@@ -1,10 +1,18 @@
-"""Regular threads: extraction from canonical sequences and application.
+"""Regular threads: embedding, extraction from canonical sequences, and
+application.
 
-A regular thread is a finite graph of Stop/Dead leaves and binary action
-branches, held as the node arrays the apply loop reads.  Extraction
-resolves jump chains ahead of time, so the thread has one node per useful
-representative position.  Applying a thread to a service family runs it to
-completion; divergence yields the empty family.
+A segment S entered at b with exit offset e means the thread of the word
+#b ; S ; sigma(e), where sigma(e) = #0^(e-1) ; ! turns exit at offset e
+into termination (e = 0 appends nothing).  `embed` makes that word from
+one read of S's instructions, with no term built.  A regular thread is a
+finite graph of Stop/Dead leaves and binary action branches, held as the
+node arrays the apply loop reads.  Extraction resolves the jump chain of
+every position in one loop from the last position down, then numbers the
+nodes reachable from the root breadth-first, so the thread has one node
+per useful representative position.  Applying a thread to a service
+family runs it to completion; divergence yields the empty family.  None
+of this shares code with the segment interpreter, so that the two
+semantics check each other.
 """
 
 from __future__ import annotations
@@ -12,11 +20,12 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from . import kernels
+from .lexer import MAX_LENGTH
 from .records import record
 from .services import EMPTY_FAMILY, AlgebraConfig, ServiceFamily
-from .syntax import (Basic, CanonicalSequence, Concat, Halt, Instr, Jump,
-                     NegTest, PosTest, SequenceTerm, concat_all,
-                     normalize)
+from .syntax import (HALT, CanonicalSequence, Halt, Instr, Jump, NegTest,
+                     PosTest, SequenceTerm, concat_all, flatten,
+                     make_canonical, normalize)
 
 
 class BudgetExhausted(Exception):
@@ -69,112 +78,149 @@ STOP_THREAD = RegularThread(*zip(_STOP_NODE))
 DEAD_THREAD = RegularThread(*zip(_DEAD_NODE))
 
 
-def _number(root, node) -> RegularThread:
-    """The thread of the nodes reachable from the node key root, numbered
-    breadth-first.  node(key) gives the (kind, focus, method, then key,
-    else key) of a key; a leaf's successor keys are not followed.  A
-    thread that is one leaf is STOP_THREAD or DEAD_THREAD itself: about
-    half the threads of short segments are, and apply finds their codes
-    computed for each layout it has met in the process."""
-    index = {root: 0}
-    order = [root]
-    rows = []
-    for key in order:  # order grows as new keys are reached
-        row = node(key)
-        if row[0] == BRANCH:
-            k, f, m, t, e = row
-            if t not in index:
-                index[t] = len(order)
-                order.append(t)
-            if e not in index:
-                index[e] = len(order)
-                order.append(e)
-            row = k, f, m, index[t], index[e]
-        rows.append(row)
-    if rows[0] == _STOP_NODE:
-        return STOP_THREAD
-    if rows[0] == _DEAD_NODE:
-        return DEAD_THREAD
-    return RegularThread(*map(tuple, zip(*rows)))
+_FOLLOWING = -2  # the key of a jump on the chain being followed
 
 
 def _jump_targets(c: CanonicalSequence, instrs: tuple) -> list:
-    """For each representative position r (instrs[r] its instruction), that
-    of the first non-jump instruction execution reaches from r, or None
-    when it becomes inactive (#0, a jump off the end, a cycle of jumps).
-    Each chain is followed once, from the first jump whose target is not
-    yet known; its positions are marked while it is."""
-    unknown, following = 0, -1
-    target = [r if not isinstance(instr, Jump) else unknown
-              for r, instr in enumerate(instrs)]
-    for start in range(1, len(instrs)):
-        if target[start] != unknown:
+    """The node key of each absolute position 1..n+2, where instrs[r] is
+    the instruction at representative position r for r in 1..n: r itself
+    when the first non-jump instruction execution reaches from r is at r,
+    0 when that is a halt, and -1 when execution becomes inactive (#0, a
+    jump off the end, a cycle of jumps).  Positions n+1 and n+2 lie past
+    the end of a finite sequence and at the period's start otherwise.
+
+    One loop resolves the positions from the last one down, so a jump to
+    a later position takes that position's key.  Only a jump that wraps
+    inside the period to an earlier position follows its chain, marking
+    each jump on it until the chain reaches a position already resolved,
+    a non-jump or a marked jump (a cycle); every jump on it then gets the
+    key found."""
+    n = len(instrs) - 1
+    first = len(c.prefix) + 1  # the period's first position
+    lap = n + 1 - first  # the period's length, 0 when there is none
+    keys = [None] * (n + 3)
+    for r in range(n, 0, -1):
+        if keys[r] is not None:  # on a chain a later jump wrapped into
             continue
-        chain = []
-        r = start
-        while r is not None and target[r] == unknown:
-            target[r] = following
-            chain.append(r)
-            offset = instrs[r].offset
-            r = c.representative(r + offset) if offset else None
-        end = None if r is None or target[r] == following else target[r]
-        for r in chain:
-            target[r] = end
-    return target
+        instr = instrs[r]
+        if instr.__class__ is not Jump:
+            keys[r] = 0 if instr.__class__ is Halt else r
+            continue
+        to = r + instr.offset
+        if to > n:
+            if not lap:
+                keys[r] = -1
+                continue
+            to = first + (to - first) % lap
+        if to > r:
+            keys[r] = keys[to]
+            continue
+        if to == r:  # #0, or a jump of whole laps
+            keys[r] = -1
+            continue
+        keys[r] = _FOLLOWING
+        chain = [r]
+        while True:
+            key = keys[to]
+            if key is not None:
+                break
+            instr = instrs[to]
+            if instr.__class__ is not Jump:
+                key = 0 if instr.__class__ is Halt else to
+                break
+            keys[to] = _FOLLOWING
+            chain.append(to)
+            to += instr.offset
+            if to > n:  # a chain that moves lies in the period
+                to = first + (to - first) % lap
+        if key == _FOLLOWING:
+            key = -1
+        for q in chain:
+            keys[q] = key
+    if lap:  # past the end, the period starts again
+        keys[n + 1] = keys[first]
+        keys[n + 2] = keys[first + 1 % lap]
+    else:
+        keys[n + 1] = keys[n + 2] = -1
+    return keys
 
 
 def extract(c: CanonicalSequence) -> RegularThread:
-    """Thread extraction: one branch node per useful position reached.
+    """Thread extraction: one branch node per useful position reached,
+    numbered breadth-first from the root.
 
     A node's key is the non-jump representative position its jumps resolve
     to; every halt is the one stop leaf (key 0) and inactivity the one dead
-    leaf (key -1).
+    leaf (key -1).  A thread that is one leaf is STOP_THREAD or DEAD_THREAD
+    itself: about half the threads of short segments are, and apply finds
+    their codes computed for each layout it has met in the process.
     """
     instrs = (None,) + c.prefix + (c.period or ())
-    target = _jump_targets(c, instrs)
-    representative = c.representative
-
-    def key(pos: int) -> int:
-        rep = representative(pos)
-        end = None if rep is None else target[rep]
-        if end is None:
-            return -1
-        return 0 if isinstance(instrs[end], Halt) else end
-
-    def node(r: int) -> tuple:
+    keys = _jump_targets(c, instrs)
+    root = keys[1]
+    if root <= 0:
+        return STOP_THREAD if root == 0 else DEAD_THREAD
+    index = {root: 0}
+    order = [root]
+    rows = []
+    for r in order:  # order grows as new keys are reached
         if r <= 0:
-            return _STOP_NODE if r == 0 else _DEAD_NODE
+            rows.append(_STOP_NODE if r == 0 else _DEAD_NODE)
+            continue
         instr = instrs[r]
-        then_key = key(r + 1)
-        if isinstance(instr, Basic):
-            return BRANCH, instr.focus, instr.method, then_key, then_key
-        if isinstance(instr, PosTest):
-            return BRANCH, instr.focus, instr.method, then_key, key(r + 2)
-        assert isinstance(instr, NegTest)
-        return BRANCH, instr.focus, instr.method, key(r + 2), then_key
+        then_key = else_key = keys[r + 1]
+        if instr.__class__ is PosTest:
+            else_key = keys[r + 2]
+        elif instr.__class__ is NegTest:
+            then_key = keys[r + 2]
+        if then_key not in index:
+            index[then_key] = len(order)
+            order.append(then_key)
+        if else_key not in index:
+            index[else_key] = len(order)
+            order.append(else_key)
+        rows.append((BRANCH, instr.focus, instr.method, index[then_key],
+                     index[else_key]))
+    return RegularThread(*map(tuple, zip(*rows)))
 
-    return _number(key(1), node)
+
+_ABORT = Jump(0)  # shared by every exit word
+
+
+def _exit_word(e: int, written: int) -> tuple:
+    """sigma(e) for e >= 1 as a word of e instructions to follow `written`
+    others, refused before it is made when the two together would pass
+    MAX_LENGTH."""
+    if written + e > MAX_LENGTH:
+        raise ValueError(f"sequence longer than {MAX_LENGTH} instructions")
+    return (_ABORT,) * (e - 1) + (HALT,)
 
 
 def sigma(e: int) -> SequenceTerm:
     """The exit-observation suffix: e-1 inactivity jumps then termination."""
     if e < 1:
         raise ValueError("sigma is defined for positive e")
-    return concat_all([Instr(Jump(0))] * (e - 1) + [Instr(Halt())])
+    return concat_all([Instr(i) for i in _exit_word(e, 0)])
 
 
 def embed(s: SequenceTerm, b: int, e: int) -> CanonicalSequence:
-    """The segment as entered at its bth instruction with exit offset e.
+    """The segment as entered at its bth instruction with exit offset e:
+    the canonical form of #b ; S ; sigma(e), or of #b ; S when e = 0.
 
     e = 0 observes termination inside the segment; e > 0 turns exit at
-    offset e into observable termination.
+    offset e into observable termination.  The word is made from S's
+    atoms with no term built; when S ends in a repetition, sigma is never
+    reached and the repetition's prefix and period follow #b.
     """
     if b < 1:
         raise ValueError("entry point must be positive")
-    term: SequenceTerm = Concat(Instr(Jump(b)), s)
-    if e > 0:
-        term = Concat(term, sigma(e))
-    return normalize(term)
+    if e < 0:
+        raise ValueError("exit offset must be a natural number")
+    prefix, period = flatten(s)
+    word = (Jump(b),) + prefix
+    if period is None and e:
+        word += _exit_word(e, len(word))
+    return make_canonical(word, period)
 
 
 def thread_of(s: SequenceTerm) -> RegularThread:

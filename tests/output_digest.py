@@ -1,5 +1,6 @@
-"""Two sha256 digests of what the entailment oracle and the proof checker
-answer, to show that a change leaves every answer as it was.
+"""Three sha256 digests of what the entailment oracle, the proof checker
+and the thread semantics answer, to show that a change leaves every
+answer as it was.
 
     python3 tests/output_digest.py
 
@@ -17,6 +18,13 @@ the file.
   are the proof files' trees mutated at seeds 7 and 8, under counter
   B=2/Q=2 or boolreg, strict or not.  1,500 are generated proofs under
   boolreg.  45 are the three proof files at 15 (B, Q) pairs.
+- threads: the node arrays of `extract(embed(S, b, e))`, then `apply` of
+  that thread to two families, for every entry b up to two past S's
+  representative positions and every exit e in 0..6.  S is each
+  criterion-4 register segment of up to three instructions, applied to
+  r = false and r = true under boolreg, and 300 seeded counter segments
+  with powers and repetitions, applied to c = 0 and c = 2 under counter
+  B=20.
 
 An exception counts by its type and message.  The generators are the
 tests' own.  The name does not start with test_, so pytest does not
@@ -33,15 +41,22 @@ import sys
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
+import itertools  # noqa: E402
+
 import proofgen  # noqa: E402
+from test_acceptance import _REG_ALPHABET  # noqa: E402
 from test_formulas import (_NAMES, _Fragment, _outcome,  # noqa: E402
                            _random_formulas)
 from test_proofs import _mutate, _replace_at, _subtrees  # noqa: E402
+from test_threads import random_term  # noqa: E402
 
 from pga_hoare.formulas import (And, Eq, Var, entails,  # noqa: E402
                                 parse_formula)
 from pga_hoare.proofs import check_proof, parse_proof  # noqa: E402
-from pga_hoare.services import AlgebraConfig  # noqa: E402
+from pga_hoare.services import (AlgebraConfig, boolreg,  # noqa: E402
+                                counter, family)
+from pga_hoare.syntax import Instr, concat_all, normalize  # noqa: E402
+from pga_hoare.threads import apply, embed, extract  # noqa: E402
 
 _CLOSED = ["nnc(0)", "nnc(2)", "nnc(7)", "reg(true)", "reg(false)", "empty",
            "d[decr](nnc(1))"]
@@ -99,6 +114,31 @@ def _tree_lines():
                 yield _outcome(_checked, root, cfg, False)
 
 
+def _embedded(s, b, e):
+    return extract(embed(s, b, e))
+
+
+def _thread_lines():
+    registers = ([family({"r": boolreg(v)}) for v in (False, True)],
+                 AlgebraConfig("boolreg"))
+    counters = ([family({"c": counter(n)}) for n in (0, 2)],
+                AlgebraConfig("counter", 20))
+    segments = [(concat_all([Instr(i) for i in combo]), registers)
+                for length in (1, 2, 3)
+                for combo in itertools.product(_REG_ALPHABET, repeat=length)]
+    rng = random.Random(31)
+    segments += [(random_term(rng), counters) for _ in range(300)]
+    for s, (states, cfg) in segments:
+        c = normalize(s)
+        for b in range(1, len(c.prefix) + len(c.period or ()) + 3):
+            for e in range(7):
+                outcome = _outcome(_embedded, s, b, e)
+                yield outcome
+                if outcome[0] == "value":
+                    for u in states:
+                        yield _outcome(apply, outcome[1], u, cfg)
+
+
 def _digest(outcomes) -> str:
     h, n = hashlib.sha256(), 0
     for how, *what in outcomes:
@@ -114,3 +154,4 @@ def _digest(outcomes) -> str:
 if __name__ == "__main__":
     print("entails", _digest(_entails_lines()))
     print("trees  ", _digest(_tree_lines()))
+    print("threads", _digest(_thread_lines()))

@@ -3,14 +3,18 @@
 import collections
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 
+from pga_hoare import threads
+from pga_hoare.lexer import MAX_LENGTH
 from pga_hoare.services import (AlgebraConfig, EMPTY, EMPTY_FAMILY, boolreg,
                                 counter, family)
-from pga_hoare.syntax import (Basic, CanonicalSequence, Halt, Jump, NegTest,
-                              PosTest, format_canonical, make_canonical,
+from pga_hoare.syntax import (Basic, CanonicalSequence, Concat, Halt, Instr,
+                              Jump, NegTest, PosTest, Power, Repeat,
+                              format_canonical, format_term, make_canonical,
                               normalize, parse_sequence)
 from pga_hoare.threads import (BudgetExhausted, DEAD_THREAD, STOP_THREAD,
                                RegularThread, apply, embed, extract, sigma,
@@ -105,6 +109,94 @@ def test_embed_entry_and_exit():
     c = embed(parse_sequence("c.incr"), 1, 1)
     u = apply(extract(c), family({"c": counter(0)}))
     assert u.get("c") == counter(1)
+
+
+def test_exit_offsets_are_validated(monkeypatch):
+    s = parse_sequence("c.incr ; !")
+    with pytest.raises(ValueError,
+                       match="^exit offset must be a natural number$"):
+        embed(s, 1, -2)
+    # an exit word past MAX_LENGTH is refused before it is made
+    too_long = f"^sequence longer than {MAX_LENGTH} instructions$"
+    tracemalloc.start()
+    try:
+        for call in (lambda: embed(s, 1, 10**12), lambda: sigma(10**12),
+                     lambda: embed(s, 1, MAX_LENGTH - 2)):
+            with pytest.raises(ValueError, match=too_long):
+                call()
+        # sigma is never reached past a repetition, however far the exit
+        assert (embed(parse_sequence("(c.incr)^w"), 1, 10**12)
+                == embed(parse_sequence("(c.incr)^w"), 1, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    # the embedded word may be MAX_LENGTH long, no longer
+    monkeypatch.setattr(threads, "MAX_LENGTH", 1000)
+    assert len(embed(s, 1, 997).prefix) == 1000
+    with pytest.raises(ValueError, match="^sequence longer than 1000 "):
+        embed(s, 1, 998)
+    assert len(normalize(sigma(1000)).prefix) == 1000
+    with pytest.raises(ValueError, match="^sequence longer than 1000 "):
+        sigma(1001)
+
+
+# ---------------------------------------------------------------------------
+# embed against the term it stands for
+
+
+def _ref_embed(s, b, e):
+    """The former embed, kept as the specification: the canonical form of
+    the term #b ; S ; sigma(e), or #b ; S when e = 0."""
+    term = Concat(Instr(Jump(b)), s)
+    if e > 0:
+        term = Concat(term, sigma(e))
+    return normalize(term)
+
+
+_COUNTER_ALPHABET = ([Basic("c", "incr"), Basic("c", "decr"),
+                      PosTest("c", "iszero"), NegTest("c", "iszero"), Halt()]
+                     + [Jump(k) for k in range(5)])
+
+
+def random_term(rng, depth=3):
+    """A seeded counter segment of instructions, jumps among them, joined
+    by concatenation, powers (count 0 included) and repetitions, nested
+    up to depth deep."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.35:
+        return Instr(rng.choice(_COUNTER_ALPHABET))
+    if roll < 0.7:
+        return Concat(random_term(rng, depth - 1),
+                      random_term(rng, depth - 1))
+    if roll < 0.85:
+        return Power(random_term(rng, depth - 1), rng.randrange(4))
+    return Repeat(random_term(rng, depth - 1))
+
+
+def _check_embed(s) -> bool:
+    """Assert that embed agrees with _ref_embed on s at every entry up to
+    two past its representative positions and every exit 0..7, and
+    return whether s is infinite."""
+    c = normalize(s)
+    for b in range(1, len(c.prefix) + len(c.period or ()) + 3):
+        for e in range(8):
+            assert embed(s, b, e) == _ref_embed(s, b, e), (
+                format_term(s), b, e)
+    return c.period is not None
+
+
+@given(SEQUENCES)
+@settings(max_examples=150, deadline=None)
+def test_embed_matches_the_term_on_generated_sequences(s):
+    _check_embed(s)
+
+
+def test_embed_matches_the_term_on_random_segments():
+    rng = random.Random(23)
+    periodic = sum(_check_embed(random_term(rng)) for _ in range(500))
+    # both the finite words and the ones ending in a repetition occur
+    assert 100 < periodic < 400, periodic
 
 
 def test_apply_stop_returns_family():
@@ -309,9 +401,51 @@ def _random_canonical(rng):
     return make_canonical(prefix, period)
 
 
+def _chained_finite(rng):
+    """A finite word of mostly forward jumps: its chains end on a later
+    non-jump, a #0 or a !, or past the end, at L+1 or L+2."""
+    n = rng.randint(1, 8)
+    word = [rng.choice(_ALPHABET) for _ in range(n)]
+    for i in range(n):  # word[i] is at position i + 1
+        if rng.random() < 0.6:
+            word[i] = Jump(rng.randint(1, n + 1 - i))
+    return make_canonical(word, None)
+
+
+def _wrapping_periodic(rng):
+    """A word whose period is mostly jumps of up to two laps: chains that
+    wrap back round the period, onto a non-jump or into a cycle."""
+    prefix = [rng.choice(_ALPHABET) for _ in range(rng.randrange(3))]
+    lap = rng.randint(1, 6)
+    period = [Jump(rng.randint(1, 2 * lap)) if rng.random() < 0.7
+              else rng.choice(_ALPHABET) for _ in range(lap)]
+    return make_canonical(prefix, period)
+
+
+def _lands_past_the_end(c):
+    """Whether some jump of the finite word c lands on position L+1."""
+    end = len(c.prefix) + 1
+    return any(isinstance(instr, Jump) and r + instr.offset == end
+               for r, instr in enumerate(c.prefix, 1))
+
+
+def _wraps_in_the_period(c):
+    """Whether some jump of c's period lands at or before itself."""
+    lap = len(c.period)
+    return any(isinstance(instr, Jump) and 0 < instr.offset
+               and (i + instr.offset) % lap <= i
+               for i, instr in enumerate(c.period))
+
+
 def test_extract_matches_reference():
     rng = random.Random(6)
     cases = [_random_canonical(rng) for _ in range(4000)]
+    # chains that end past a finite word and chains that wrap a period
+    chained = [_chained_finite(rng) for _ in range(1500)]
+    wrapping = [_wrapping_periodic(rng) for _ in range(1500)]
+    assert sum(map(_lands_past_the_end, chained)) > 300
+    assert sum(map(_wraps_in_the_period, wrapping)) > 300
+    cases += chained + wrapping
     cases += [normalize(parse_sequence(text)) for text in (
         "#0", "(#1)^w", "(#2 ; #2)^w", "#3 ; ! ; (#4 ; ! ; c.incr)^w",
         "+r.get ; ! ; ! ; (#3 ; #0 ; -r.get)^w", "(! ; #2 ; #0)^w")]
