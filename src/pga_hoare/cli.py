@@ -2,17 +2,17 @@
 
 Subcommands: normalize, thread, run, holds, sp, check.  Exit status 0 means
 success / Holds / accepted, 1 Fails / rejected, 2 Unknown / budget
-exhausted, 3 usage or parse error.  Each command imports the modules it
-runs when it runs, so `normalize` loads no formula or proof code.
+exhausted, 3 usage or parse error.  One loop reads argv against one table
+of the documented options (`parse_args`).  Each command imports the
+modules it runs when it runs, so `normalize` loads no formula or proof
+code, and text output loads no `json`.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
-import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .lexer import ParseError
 # every command builds an AlgebraConfig, so services is loaded for all
@@ -21,47 +21,48 @@ from .services import (AlgebraConfig, Reply, family_key, format_family,
 
 OK, FAILED, UNKNOWN, USAGE = 0, 1, 2, 3
 
+USAGE_TEXT = """\
+usage: pga [--algebra {counter,boolreg}] [--bound B] [--qbound Q] [--strict]
+           [--format {text,structured}] COMMAND ARGUMENT... [OPTION]...
+"""
 
-@functools.cache  # parsing leaves the parser as it was
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="pga",
-        description="Instruction sequence semantics and asserted-sequence "
-                    "proof checking.")
-    ap.add_argument("--algebra", choices=["counter", "boolreg"],
-                    default="counter")
-    ap.add_argument("--bound", type=int, default=100, metavar="B",
-                    help="state enumeration bound for counter contents")
-    ap.add_argument("--qbound", type=int, default=32, metavar="Q",
-                    help="bound for quantifiers over the naturals")
-    ap.add_argument("--strict", action="store_true",
-                    help="reject entailments that are only valid up to the bound")
-    ap.add_argument("--format", choices=["text", "structured"], default="text")
-    sub = ap.add_subparsers(dest="command", required=True)
+HELP_TEXT = USAGE_TEXT + """
+Instruction sequence semantics and asserted-sequence proof checking.
 
-    p = sub.add_parser("normalize", help="print the canonical form and length")
-    p.add_argument("sequence")
+commands:
+  normalize SEQUENCE       print the canonical form and length
+  thread SEQUENCE          print the extracted thread
+  run SEQUENCE FAMILY      run a segment against a service family, such as
+                           '{c = counter(3)}'; takes --entry
+  holds ASSERTION          semantically check an asserted sequence, such as
+                           '{1 | true} "!" {0 | true}'
+  sp PRE SEQUENCE          strongest post-condition of PRE under SEQUENCE;
+                           takes --entry and --exit
+  check PATH               check a proof file
 
-    p = sub.add_parser("thread", help="print the extracted thread")
-    p.add_argument("sequence")
+options (the global ones go before the command, a command's own after it):
+  -h, --help               print this text and exit
+  --algebra A              counter (the default) or boolreg
+  --bound B                state enumeration bound for counter contents
+                           (default 100)
+  --qbound Q               bound for quantifiers over the naturals
+                           (default 32)
+  --strict                 reject entailments that are only valid up to the
+                           bound
+  --format F               text (the default) or structured (JSON)
+  --entry B                entry instruction (default 1)
+  --exit E                 exit offset (default 0)
 
-    p = sub.add_parser("run", help="run a segment against a service family")
-    p.add_argument("sequence")
-    p.add_argument("family", help="e.g. '{c = counter(3)}'")
-    p.add_argument("--entry", type=int, default=1, metavar="B")
+An option's value follows it or is joined to it (--bound=24), and the
+last of a repeated option counts.  Every token after "--" is an argument.
+Exit status: 0 success, holds or accepted; 1 fails or rejected; 2 unknown;
+3 usage or parse error.
+"""
 
-    p = sub.add_parser("holds", help="semantically check an asserted sequence")
-    p.add_argument("assertion", help='e.g. \'{1 | true} "!" {0 | true}\'')
 
-    p = sub.add_parser("sp", help="strongest post-condition of P under S")
-    p.add_argument("pre")
-    p.add_argument("sequence")
-    p.add_argument("--entry", type=int, default=1, metavar="B")
-    p.add_argument("--exit", type=int, default=0, metavar="E")
-
-    p = sub.add_parser("check", help="check a proof file")
-    p.add_argument("path")
-    return ap
+class UsageError(Exception):
+    """A command line that names no command, an unknown option or a
+    wrong count of arguments, or gives an option a value it cannot take."""
 
 
 def _emit(args, text_lines, payload) -> None:
@@ -69,6 +70,7 @@ def _emit(args, text_lines, payload) -> None:
     # (the Python documentation's note on SIGPIPE), so exit stays quiet
     try:
         if args.format == "structured":
+            import json  # text output, the common case, never loads it
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
             for line in text_lines:
@@ -193,24 +195,116 @@ def _cmd_check(args, cfg) -> int:
     return OK if result.accepted else FAILED
 
 
+# The documented options in one table: each command's function,
+# positionals and own options, and under None the global options.  An
+# option maps to its default and to how its value is read: int, a tuple of
+# choices, or None for a flag, which takes no value.
+_ENTRY = {"--entry": (1, int)}
 _COMMANDS = {
-    "normalize": _cmd_normalize,
-    "thread": _cmd_thread,
-    "run": _cmd_run,
-    "holds": _cmd_holds,
-    "sp": _cmd_sp,
-    "check": _cmd_check,
+    None: (None, (), {"--algebra": ("counter", ("counter", "boolreg")),
+                      "--bound": (100, int),
+                      "--qbound": (32, int),
+                      "--strict": (False, None),
+                      "--format": ("text", ("text", "structured"))}),
+    "normalize": (_cmd_normalize, ("sequence",), {}),
+    "thread": (_cmd_thread, ("sequence",), {}),
+    "run": (_cmd_run, ("sequence", "family"), _ENTRY),
+    "holds": (_cmd_holds, ("assertion",), {}),
+    "sp": (_cmd_sp, ("pre", "sequence"), {**_ENTRY, "--exit": (0, int)}),
+    "check": (_cmd_check, ("path",), {}),
 }
+
+
+def _value(option: str, read, text: str):
+    if read is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise UsageError(f"argument {option}: invalid int value: "
+                             f"{text!r}") from None
+    if text not in read:
+        raise UsageError(f"argument {option}: invalid choice: {text!r} "
+                         f"(choose from {', '.join(read)})")
+    return text
+
+
+def parse_args(argv):
+    """The options, command and arguments of argv as attributes, or None
+    when argv asks for help.
+
+    A token is an option only where the table names it: a global option
+    before the command, one of the command's own anywhere after it, and
+    none after "--", so a sequence such as -c.iszero is an argument.  A
+    value that an option cannot take is refused where it is read; a
+    token such as --x that names no option there, and a missing or
+    surplus argument, only at the end, so that -h after them still asks
+    for help.
+    """
+    _, wanted, options = _COMMANDS[None]
+    values = {name[2:]: default for name, (default, _) in options.items()}
+    command, given, unknown, ended = None, [], [], False
+    tokens = iter(argv)
+    for tok in tokens:
+        if not ended:
+            if tok in ("-h", "--help"):
+                return None
+            name, joined, text = tok.partition("=")
+            if name in options:
+                read = options[name][1]
+                if read is None:
+                    if joined:
+                        raise UsageError(f"argument {name}: ignored explicit "
+                                         f"argument {text!r}")
+                    values[name[2:]] = True
+                    continue
+                if not joined:
+                    text = next(tokens, None)
+                    if text is None:
+                        raise UsageError(f"argument {name}: expected one "
+                                         "argument")
+                values[name[2:]] = _value(name, read, text)
+                continue
+            if tok == "--" and command is not None:
+                ended = True
+                continue
+            # a "--" before the command is refused as a command below
+            if tok.startswith("--") and tok != "--":
+                unknown.append(tok)
+                continue
+        if command is not None:
+            given.append(tok)
+            continue
+        if tok not in _COMMANDS:
+            names = ", ".join(name for name in _COMMANDS if name)
+            raise UsageError(f"invalid command: {tok!r} (choose from {names})")
+        command = tok
+        _, wanted, options = _COMMANDS[tok]
+        values.update((name[2:], default)
+                      for name, (default, _) in options.items())
+    if command is None:
+        raise UsageError("no command given")
+    if len(given) < len(wanted):
+        raise UsageError("missing arguments: "
+                         + " ".join(wanted[len(given):]))
+    if unknown or len(given) > len(wanted):
+        raise UsageError("unrecognized arguments: "
+                         + " ".join(unknown + given[len(wanted):]))
+    values.update(zip(wanted, given), command=command)
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv, argparse.Namespace())
-    except SystemExit as exc:
-        return USAGE if exc.code not in (0, None) else 0
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print(f"{USAGE_TEXT}error: {exc}", file=sys.stderr)
+        return USAGE
+    if args is None:
+        print(HELP_TEXT, end="")
+        return OK
     try:
         cfg = AlgebraConfig(args.algebra, args.bound, args.qbound)
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command][0](args, cfg)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE

@@ -44,10 +44,13 @@ TOO_DEEP = "input nested too deeply"
 
 EOF = " "  # no token is whitespace
 
-# "->" wins over "-", and "/\" over "//"
+# "->" wins over "-", and "/\" over "//"; plain text is read by the same
+# pattern less its quoted-text and "//" alternatives
 _TOKEN = re.compile(r"\s*(\{[^{}]*\}|\"[^\"]*\"|[A-Za-z_]\w*|:=|=>"
                     r"|[~()\[\]=.:;^!#+\"{}|]|->|-|/\\|\\/|//[^\n]*|\d+"
                     r"|\w+|\S)")
+_PLAIN = re.compile(r"\s*(\{[^{}]*\}|[A-Za-z_]\w*|:=|=>"
+                    r"|[~()\[\]=.:;^!#+\"{}|]|->|-|/\\|\\/|\d+|\w+|\S)")
 
 NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 
@@ -74,35 +77,26 @@ class Tokens:
     counted in the outermost text, are found only when asked for.  Plain
     text has no quoted texts and no comments."""
 
-    __slots__ = ("text", "begin", "end", "toks", "_outer", "_starts")
+    __slots__ = ("text", "begin", "end", "toks", "_outer", "_starts",
+                 "_pattern")
 
     def __init__(self, text: str, begin: int = 0, end=None, outer=None,
                  plain: bool = False):
         self.end = end = len(text) if end is None else end
         self.text, self.begin = text, begin
         self._outer, self._starts = outer, None
+        # a quote or "//" in plain text is a character like any other
+        self._pattern = _PLAIN if plain else _TOKEN
         # no match may start in trailing space, where each would fail
         stop = begin + len(text[begin:end].rstrip())
-        if not plain:
-            self.toks = _TOKEN.findall(text, begin, stop)
-        else:  # a quote or "//" is a character like any other
-            self.toks, self._starts, pos = [], [], begin
-            while pos < stop:
-                m = _TOKEN.match(text, pos, stop)
-                tok = m.group(1)
-                if tok[0] in '"/' and len(tok) > 1 and tok[:2] != "/\\":
-                    tok = tok[0]
-                self.toks.append(tok)
-                self._starts.append(m.start(1))
-                pos = m.start(1) + len(tok)
-            self._starts.append(end)
+        self.toks = self._pattern.findall(text, begin, stop)
         self.toks.append(EOF)
 
     def start(self, i: int) -> int:
         """The offset of token i in the outermost text."""
         if self._starts is None:
             stop = self.begin + len(self.text[self.begin:self.end].rstrip())
-            self._starts = [m.start(1) for m in _TOKEN.finditer(
+            self._starts = [m.start(1) for m in self._pattern.finditer(
                 self.text, self.begin, stop)] + [self.end]
             if self._outer is not None:
                 base = self._outer[0].start(self._outer[1])

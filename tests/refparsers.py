@@ -19,8 +19,19 @@ capture, and the alpha-equivalence that the checker applied to the
 substituted formula, both recursive: `test_formulas.py` checks the
 checker's one walk, which substitutes as it compares, against them, and
 the proof generators write axiom instances with `ref_subst_derive`.
+
+Two front-end readers are kept as well.  `ref_plain_tokens` is the
+tokenizer's former plain mode, which matched one token at a time and cut a
+quoted text or a "//" comment back to its first character;
+`test_parsers.py` checks `Tokens(text, plain=True)` against it.
+`ref_parse_args` is the command line's former `argparse` parser, which
+`test_cli.py` checks the one-table reader against on generated argv lists.
+It differs on purpose in two ways: it took unique prefixes of option names
+(`--bou 5`), and it read a token such as `-c.iszero` as an unknown option.
 """
 
+import argparse
+import functools
 import re
 from typing import Dict, Optional
 
@@ -791,3 +802,86 @@ def _alpha(a: Formula, b: Formula, env_a, env_b, depth: int) -> bool:
 
 def ref_alpha_eq(a: Formula, b: Formula) -> bool:
     return _alpha(a, b, {}, {}, 0)
+
+
+# ---------------------------------------------------------------------------
+# the tokenizer's former plain mode
+
+
+_PLAIN_TOKEN = re.compile(r"\s*(\{[^{}]*\}|\"[^\"]*\"|[A-Za-z_]\w*|:=|=>"
+                          r"|[~()\[\]=.:;^!#+\"{}|]|->|-|/\\|\\/|//[^\n]*"
+                          r"|\d+|\w+|\S)")
+
+
+def ref_plain_tokens(text: str):
+    """The tokens of plain text, ending in the EOF token " ", and their
+    offsets, ending in len(text)."""
+    toks, starts, pos = [], [], 0
+    stop = len(text.rstrip())
+    while pos < stop:
+        m = _PLAIN_TOKEN.match(text, pos, stop)
+        tok = m.group(1)
+        if tok[0] in '"/' and len(tok) > 1 and tok[:2] != "/\\":
+            tok = tok[0]
+        toks.append(tok)
+        starts.append(m.start(1))
+        pos = m.start(1) + len(tok)
+    return toks + [" "], starts + [len(text)]
+
+
+# ---------------------------------------------------------------------------
+# the command line's former parser
+
+
+@functools.cache  # parsing leaves the parser as it was
+def ref_build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="pga",
+        description="Instruction sequence semantics and asserted-sequence "
+                    "proof checking.")
+    ap.add_argument("--algebra", choices=["counter", "boolreg"],
+                    default="counter")
+    ap.add_argument("--bound", type=int, default=100, metavar="B",
+                    help="state enumeration bound for counter contents")
+    ap.add_argument("--qbound", type=int, default=32, metavar="Q",
+                    help="bound for quantifiers over the naturals")
+    ap.add_argument("--strict", action="store_true",
+                    help="reject entailments that are only valid up to the bound")
+    ap.add_argument("--format", choices=["text", "structured"], default="text")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("normalize", help="print the canonical form and length")
+    p.add_argument("sequence")
+
+    p = sub.add_parser("thread", help="print the extracted thread")
+    p.add_argument("sequence")
+
+    p = sub.add_parser("run", help="run a segment against a service family")
+    p.add_argument("sequence")
+    p.add_argument("family", help="e.g. '{c = counter(3)}'")
+    p.add_argument("--entry", type=int, default=1, metavar="B")
+
+    p = sub.add_parser("holds", help="semantically check an asserted sequence")
+    p.add_argument("assertion", help='e.g. \'{1 | true} "!" {0 | true}\'')
+
+    p = sub.add_parser("sp", help="strongest post-condition of P under S")
+    p.add_argument("pre")
+    p.add_argument("sequence")
+    p.add_argument("--entry", type=int, default=1, metavar="B")
+    p.add_argument("--exit", type=int, default=0, metavar="E")
+
+    p = sub.add_parser("check", help="check a proof file")
+    p.add_argument("path")
+    return ap
+
+
+def ref_parse_args(argv):
+    """argparse's reading of argv, or None where it printed help; a usage
+    error raises SystemExit with a nonzero code, after printing the usage
+    on stderr."""
+    try:
+        return ref_build_parser().parse_args(argv, argparse.Namespace())
+    except SystemExit as exc:
+        if exc.code in (0, None):
+            return None
+        raise

@@ -33,7 +33,7 @@ from pga_hoare.services import AlgebraConfig, boolreg, counter, family
 from pga_hoare.syntax import (Basic, Concat, Halt, Instr, Jump, NegTest,
                               OMEGA, PosTest, Power, Repeat, make_canonical,
                               normalize, parse_sequence)
-from pga_hoare.threads import apply, extract
+from pga_hoare.threads import apply, embed, extract
 
 import proofgen
 from refparsers import ref_subst_derive
@@ -117,13 +117,16 @@ def test_criterion_4_cross_oracle_exhaustive():
     runs = 0
     for length in range(1, 5):
         for combo in itertools.product(_REG_ALPHABET, repeat=length):
-            seg = make_canonical(combo, None)
+            seg, term = make_canonical(combo, None), make_term(combo)
             for b in range(1, length + 1):
                 outs = [run_canonical(seg, b, u, BCFG) for u in _REG_STATES]
                 for e in range(0, 7):
+                    # embed writes #b ; S ; sigma(e), sigma(e) being
+                    # #0^(e-1) ; ! and empty at e = 0
                     suffix = ((Jump(0),) * (e - 1) + (Halt(),)) if e else ()
-                    embedded = make_canonical((Jump(b),) + combo + suffix,
-                                              None)
+                    embedded = embed(term, b, e)
+                    assert embedded == make_canonical(
+                        (Jump(b),) + combo + suffix, None), (combo, b, e)
                     thread = extract(embedded)
                     for u, out in zip(_REG_STATES, outs):
                         runs += 1

@@ -1,19 +1,25 @@
 """Command-line behaviour: outputs and exit statuses."""
 
 import collections
+import contextlib
+import io
 import json
 import os
 import pathlib
+import random
+import re
 import subprocess
 import sys
 import time
 import tracemalloc
 
 import pytest
+from refparsers import ref_parse_args
 
 import pga_hoare
 from pga_hoare import formulas
-from pga_hoare.cli import main
+from pga_hoare.cli import (_COMMANDS, HELP_TEXT, USAGE_TEXT, UsageError,
+                           main, parse_args)
 from pga_hoare.formulas import parse_formula
 from pga_hoare.lexer import MAX_DEPTH, MAX_DIGITS, MAX_LENGTH
 from pga_hoare.proofs import check_proof, parse_proof
@@ -107,6 +113,154 @@ def test_parse_error_status(capsys):
 def test_usage_error_status(capsys):
     assert main(["frobnicate"]) == 3
     capsys.readouterr()
+    # help goes to stdout with status 0; a usage error prints the usage
+    # and one error line on stderr, with status 3
+    for argv in (["-h"], ["--help"], ["--bound", "5", "sp", "-h"],
+                 ["normalize", "x", "y", "--help"]):
+        assert main(argv) == 0, argv
+        out, err = capsys.readouterr()
+        assert (out, err) == (HELP_TEXT, ""), argv
+    for argv, message in (
+            ([], "no command given"),
+            (["--strict=1", "normalize", "x"],
+             "argument --strict: ignored explicit argument '1'"),
+            (["--bound"], "argument --bound: expected one argument"),
+            (["--qbound", "x", "normalize", "x"],
+             "argument --qbound: invalid int value: 'x'"),
+            (["--format=json", "normalize", "x"],
+             "argument --format: invalid choice: 'json' (choose from text, "
+             "structured)"),
+            (["-", "x"], "invalid command: '-' (choose from normalize, "
+                         "thread, run, holds, sp, check)"),
+            (["sp", "true"], "missing arguments: sequence"),
+            (["normalize", "x", "--exit", "1", "y"],
+             "unrecognized arguments: --exit 1 y"),
+            (["--bou", "5", "normalize", "x"],
+             "invalid command: '5' (choose from normalize, thread, run, "
+             "holds, sp, check)")):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr() == ("", f"{USAGE_TEXT}error: {message}\n")
+    # the help text names every option and command of the table
+    for command, (_, wanted, options) in _COMMANDS.items():
+        names = list(options) + [command or "--help"]
+        names += [name.upper() for name in wanted]
+        assert all(name in HELP_TEXT for name in names), command
+
+
+def test_dash_led_sequences_are_arguments(capsys):
+    # -c.iszero names no option, so it is the sequence, as after "--";
+    # before, it was read as an unknown option and the sequence was missing
+    for argv, with_dashes, out, status in (
+            (["normalize", "-c.iszero"], ["normalize", "--", "-c.iszero"],
+             "prefix: -c.iszero\nlen: 1\n", 0),
+            (["thread", "-c.iszero"], ["thread", "--", "-c.iszero"],
+             "n0: branch c.iszero -> n1 / n1\nn1: dead\n", 0),
+            (["--algebra", "boolreg", "sp", "true", "-r.get", "--exit", "1"],
+             ["--algebra", "boolreg", "sp", "true", "--exit", "1", "--",
+              "-r.get"],
+             "error: no post-condition exists for this e\n", 1)):
+        for args in (argv, with_dashes):
+            assert main(args) == status, args
+            assert capsys.readouterr() == (out, ""), args
+
+
+# argv lists for the reader against argparse: global options, a command,
+# its arguments and options in any order, "--", and strays; each option
+# most often with a value it takes
+_GLOBALS = [["--algebra", "counter"], ["--algebra", "boolreg"],
+            ["--algebra=boolreg"], ["--bound", "24"], ["--bound=7"],
+            ["--bound", "-3"], ["--bound", " 5 "], ["--bound", "1_0"],
+            ["--qbound", "4"], ["--qbound=0"], ["--strict"],
+            ["--format", "structured"], ["--format=text"]]
+_OWN = [["--entry", "2"], ["--entry=3"], ["--exit", "1"], ["--exit=0"],
+        ["--exit", "-1"]]
+_BAD = [["--algebra", "bogus"], ["--bound", "x"], ["--bound="],
+        ["--strict=1"], ["--format", "json"], ["--entry", "x"], ["--exit"],
+        ["--format"]]
+_ARGUMENTS = ["c.incr", "true", "{c = counter(3)}", "a b", "-", "-1", "x=1",
+              "0", ""]
+_STRAYS = [["--nope"], ["--nope=1"], ["-h"], ["--help"], ["--bou", "5"],
+           ["--ex", "1"], ["-c.iszero"], ["-x y"], ["--x y"]]
+_POSITIONALS = {"normalize": 1, "thread": 1, "run": 2, "holds": 1, "sp": 2,
+                "check": 1, "nope": 1}
+_OPTION_NAMES = ("--help", "--algebra", "--bound", "--qbound", "--strict",
+                 "--format", "--entry", "--exit")
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's negative numbers
+
+
+def _random_argv(rng):
+    def now_and_then(p, pool):
+        return [rng.choice(pool)] if rng.random() < p else []
+    items = [rng.choice(_GLOBALS) for _ in range(rng.choice([0, 1, 1, 2, 3]))]
+    items += now_and_then(0.05, _BAD) + now_and_then(0.05, _STRAYS)
+    rng.shuffle(items)
+    if rng.random() < 0.03:
+        return [tok for item in items for tok in item]
+    command = rng.choice(list(_POSITIONALS))
+    count = max(0, _POSITIONALS[command] + rng.choice([-1, 0, 0, 0, 0, 1]))
+    tail = [[rng.choice(_ARGUMENTS)] for _ in range(count)]
+    if command in ("run", "sp"):
+        tail += [rng.choice(_OWN) for _ in range(rng.choice([0, 1, 2, 3]))]
+    tail += (now_and_then(0.05, _OWN) + now_and_then(0.05, _GLOBALS)
+             + now_and_then(0.05, _BAD) + now_and_then(0.05, _STRAYS))
+    rng.shuffle(tail)
+    if rng.random() < 0.2:
+        tail.insert(rng.randrange(len(tail) + 1), ["--"])
+    return [tok for item in items + [[command]] + tail for tok in item]
+
+
+def _documented_difference(argv):
+    """Whether argv holds an abbreviated option name, or a dash-led token
+    that argparse read as an option (-c.iszero) or as an argument
+    (--x y) and the table does not."""
+    for tok in argv:
+        name = tok.partition("=")[0]
+        if tok in ("-", "--", "-h") or name in _OPTION_NAMES:
+            continue
+        if tok.startswith("--"):
+            if " " in tok or any(o.startswith(name) for o in _OPTION_NAMES):
+                return True
+        elif (tok.startswith("-") and " " not in tok
+              and not _NEGATIVE.match(tok)):
+            return True
+    return False
+
+
+def _read(parse, argv):
+    """parse's reading of argv as a dict, "help" or "refused"."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            read = parse(argv)
+        except (UsageError, SystemExit):
+            return "refused"
+    return "help" if read is None else vars(read)
+
+
+def test_argv_is_read_as_argparse_read_it(capsys):
+    rng = random.Random(24)
+    seen = collections.Counter()
+    for _ in range(4000):
+        argv = _random_argv(rng)
+        # a "--" that ends argv changes nothing; argparse refused it where
+        # the last argument came before an option
+        ref = _read(ref_parse_args, argv[:-1] if argv[-1:] == ["--"]
+                    else argv)
+        new = _read(parse_args, argv)
+        if _documented_difference(argv):
+            # unique prefixes are refused, dash-led tokens are arguments
+            seen["documented difference"] += 1
+            if "refused" not in (ref, new):
+                assert new == ref, argv
+            continue
+        assert new == ref, argv
+        seen[ref if isinstance(ref, str) else "read"] += 1
+        if ref == "refused":
+            assert main(argv) == 3, argv
+            out, err = capsys.readouterr()
+            assert (out, err.startswith(USAGE_TEXT)) == ("", True), argv
+    # each outcome is reached often
+    assert min(seen.values()) >= 50 and len(seen) == 4, seen
 
 
 def test_check_r10_sort_clash_is_rejected(tmp_path, capsys):
@@ -257,15 +411,16 @@ def _fresh(argv):
 
 
 def _fresh_loads(argv):
-    """stdout and status of argv in a new interpreter, and the modules of
-    pga_hoare that it imported, as -X importtime lists them."""
+    """stdout and status of argv in a new interpreter, the modules of
+    pga_hoare that it imported, as -X importtime lists them, and the names
+    of all the modules it imported."""
     done = _run_fresh(argv, ["-X", "importtime"])
     names = {line.rsplit("|", 1)[1].strip()
              for line in done.stderr.splitlines()
              if line.startswith("import time:")}
     return done.stdout, done.returncode, {
         name.split(".")[1] for name in names
-        if name.startswith("pga_hoare.")}
+        if name.startswith("pga_hoare.")}, names
 
 
 def test_a_reader_that_closes_the_pipe_early_ends_the_output():
@@ -279,7 +434,9 @@ def test_a_reader_that_closes_the_pipe_early_ends_the_output():
 
 def test_each_command_loads_only_what_it_runs(capsys):
     # cli imports a command's modules when the command runs, and the
-    # package loads none of its modules on import
+    # package loads none of its modules on import; the command line is
+    # read without argparse (nor the gettext it loads), and text output
+    # needs no json
     holds_example = ("{1 | true} (-c.iszero ; #2 ; ! ; c.decr)^w "
                      "{0 | c = nnc(0)}")
     for argv, left_out in (
@@ -295,12 +452,13 @@ def test_each_command_loads_only_what_it_runs(capsys):
              {"proofs", "threads"}),
             (["--bound", "24", "check", PROOF],
              {"segments", "kernels", "threads"})):
-        out, status, loaded = _fresh_loads(argv)
+        out, status, loaded, names = _fresh_loads(argv)
         here = main(argv)
         assert (out, status) == (capsys.readouterr().out, here), argv
         # every command parses and builds an AlgebraConfig
         assert {"lexer", "services"} <= loaded, (argv, loaded)
         assert not loaded & left_out, (argv, loaded & left_out)
+        assert not names & {"argparse", "gettext", "json"}, (argv, names)
 
 
 def test_repeated_calls_match_fresh_ones(capsys):

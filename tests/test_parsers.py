@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 import proofgen
 from refparsers import (ref_format_formula, ref_format_term,
                         ref_parse_annotation, ref_parse_asserted,
-                        ref_parse_formula, ref_parse_proof, ref_parse_sequence)
+                        ref_parse_formula, ref_parse_proof, ref_parse_sequence,
+                        ref_plain_tokens)
 
 from pga_hoare.formulas import (SORTS, And, BoolLit, DeriveT, EmptyServ, Eq,
                                 Exists, FALSE, Forall, FormulaSyntaxError,
@@ -302,3 +303,27 @@ def test_arbitrary_text_raises_only_syntax_errors(text):
             PARSERS[kind][0](text)
         except Exception as exc:  # noqa: BLE001 - any class is checked
             assert isinstance(exc, allowed) or _too_deep(exc), (kind, text, exc)
+
+
+# ---------------------------------------------------------------------------
+# plain text: one findall of the plain pattern against the former loop
+
+
+_PLAIN_PIECES = ['"', '"a ; b"', "//", "// x\n", "/", "\\", "/\\", "\\/",
+                 ":=", "=>", ":", "=", "->", "-", "{", "}", "{1 | true}",
+                 "{{x}", "{ }}", "|", " ", "  ", "\n", "\t", "c.iszero", "#2",
+                 ";", "!", "^w", "12", "_x1", "é", "٣", "(", ")", "[", "~"]
+
+
+@given(st.lists(st.one_of(st.sampled_from(_PLAIN_PIECES), st.characters()),
+                max_size=25).map("".join),
+       st.sampled_from(["", " ", "  \n", "\t "]))
+@settings(max_examples=400)
+@example('{1 | true} "c.decr // x" {0 | a /\\ b}', " ")
+@example('a//b"c', "")
+def test_plain_tokens_match_the_former_loop(text, trailing):
+    text += trailing
+    toks, starts = ref_plain_tokens(text)
+    src = Tokens(text, plain=True)
+    assert src.toks == toks
+    assert [src.start(i) for i in range(len(toks))] == starts
