@@ -281,14 +281,35 @@ def _reduce(op, args):
     args.append((f, depth + 1))
 
 
-def formula_at(src: Tokens, i: int):
-    """The formula starting at token i and the index after it, by
-    precedence climbing on an explicit stack of waiting operators."""
+def _group_end(toks: list, i: int):
+    """The index of the ")" closing the "(" at token i, or None."""
+    end, depth = i, 1
+    while depth:
+        start = end + 1
+        try:
+            end = toks.index(")", start)
+        except ValueError:
+            return None
+        depth += toks[start:end].count("(") - 1
+    return end
+
+
+def formula_at(src: Tokens, i: int, table=None):
+    """(formula, depth) starting at token i and the index after it, by
+    precedence climbing on an explicit stack of waiting operators.
+
+    A table maps the text of formulas read before, their tokens joined by
+    spaces, to (formula, depth).  A parenthesized group in no other group
+    is taken from it if it holds the group's text, counting its depth, and
+    added to it if not.  Groups inside groups are not keyed, so the keys
+    cost one pass over the tokens however deep the nesting."""
     toks = src.toks
     ops = []
     args = []  # (formula, depth)
+    keys = []  # per open group, its key or None
     while True:
         tok = toks[i]
+        hit = None
         while tok == "~" or tok == "(" or tok in _QUANTIFIERS:
             if tok in _QUANTIFIERS:
                 var, colon, sort, dot = (toks[i + 1:i + 5] + [EOF] * 3)[:4]
@@ -300,11 +321,26 @@ def formula_at(src: Tokens, i: int):
                         _fail(f"expected {what}", src, i + k)
                 ops.append((0, partial(_QUANTIFIERS[tok], var, sort), 1))
                 i += 4
+            elif tok == "~":
+                ops.append(_NOT)
             else:
-                ops.append(_NOT if tok == "~" else _PAREN)
+                key = None
+                if table is not None and not keys:
+                    end = _group_end(toks, i)
+                    key = None if end is None else " ".join(toks[i + 1:end])
+                    hit = table.get(key)
+                    if hit is not None:
+                        break
+                keys.append(key)
+                ops.append(_PAREN)
             i += 1
             tok = toks[i]
-        if tok in _TRUTHS and toks[i + 1] != "=":
+        if hit is not None:
+            if hit[1] >= MAX_DEPTH:
+                raise ValueError(TOO_DEEP)
+            args.append((hit[0], hit[1] + 1))
+            i = end + 1
+        elif tok in _TRUTHS and toks[i + 1] != "=":
             args.append((_TRUTHS[tok], 1))
             i += 1
         else:
@@ -317,9 +353,12 @@ def formula_at(src: Tokens, i: int):
             while ops and ops[-1] is not _PAREN:
                 _reduce(ops.pop(), args)
             if not ops:
-                return args[0][0], i
+                return args[0], i
             if toks[i] != ")":
                 _fail("expected ')'", src, i)
+            key = keys.pop()
+            if key is not None:
+                table[key] = args[-1]
             _reduce(ops.pop(), args)
             i += 1
         op = _BINARY[toks[i]]
@@ -329,12 +368,19 @@ def formula_at(src: Tokens, i: int):
         i += 1
 
 
-def formula_of(src: Tokens, i: int = 0) -> Formula:
-    """The formula from token i to the end of src."""
-    f, i = formula_at(src, i)
+def formula_of(src: Tokens, i: int = 0, table=None) -> Formula:
+    """The formula from token i to the end of src, taken from the table
+    (see formula_at) if it holds that text, else read and added to it."""
+    if table is not None:
+        key = " ".join(src.toks[i:-1])
+        if key in table:
+            return table[key][0]
+    read, i = formula_at(src, i, table)
     if src.toks[i] != EOF:
         _fail("trailing input", src, i)
-    return f
+    if table is not None:
+        table[key] = read
+    return read[0]
 
 
 def parse_formula(text: str) -> Formula:
@@ -466,12 +512,13 @@ def alpha_eq(a: Formula, b: Formula, name: Optional[str] = None,
     """Is a alpha-equivalent to b, or, given name and repl, to b[repl/name],
     b with repl for the free occurrences of name, capture avoided?  The
     walk keeps its own stack of pairs still to compare, so nesting costs
-    no recursion."""
-    if a is b and name is None:
-        return True
+    no recursion.  One object met under the same binders is not walked:
+    a proof file reads each formula text into one object (proofs)."""
     todo = [(a, b, {}, {}, 0)]  # with each side's binders and their depth
     while todo:
         a, b, bound_a, bound_b, depth = todo.pop()
+        if a is b and name is None and bound_a == bound_b:
+            continue
         kind = type(a)
         if kind is not type(b):
             return False

@@ -41,13 +41,15 @@ def format_asserted(a: AssertedSeq) -> str:
             f"{{{a.exit} | {format_formula(a.post)}}}")
 
 
-def annotation_of(src: Tokens):
-    """(point, formula) from the inside of one {...}."""
+def annotation_of(src: Tokens, table=None):
+    """(point, formula) from the inside of one {...}; the formula is read
+    through the table (see formulas.formula_at), if one is given, so one
+    formula under two points is read once."""
     toks = src.toks
     if not (toks[0][0].isdecimal() and toks[1] == "|"):
         raise ValueError("annotation needs 'point | formula' with a natural "
                          f"number as point (at position {src.start(0)})")
-    return numeral(toks[0]), formula_of(src, 2)
+    return numeral(toks[0]), formula_of(src, 2, table)
 
 
 def parse_asserted(text: str) -> AssertedSeq:

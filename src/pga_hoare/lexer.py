@@ -5,8 +5,9 @@ of their text.
 A token is a string: a brace group with no brace inside or a quoted text
 (read when a parser reaches it), a symbol, a digit run, a word, a "//"
 comment, any other character, or EOF.  Each grammar rejects the tokens it
-has no use for; only proof files skip comments.  Method names such as
-"set:t" are adjacent tokens; a formula reads ":=" as ":" "=".
+has no use for; only proof files skip comments, which their Tokens drop as
+they tokenize.  Method names such as "set:t" are adjacent tokens; a
+formula reads ":=" as ":" "=".
 
 Every syntax error is a ParseError, which the command line reports as a
 parse error without loading the parser that raised it.
@@ -45,12 +46,19 @@ TOO_DEEP = "input nested too deeply"
 EOF = " "  # no token is whitespace
 
 # "->" wins over "-", and "/\" over "//"; plain text is read by the same
-# pattern less its quoted-text and "//" alternatives
+# pattern less its quoted-text and "//" alternatives.  A proof file's
+# tokens take the space and comments after them, and Tokens skips those
+# before the first, so no match fails and no comment is a token.
 _TOKEN = re.compile(r"\s*(\{[^{}]*\}|\"[^\"]*\"|[A-Za-z_]\w*|:=|=>"
                     r"|[~()\[\]=.:;^!#+\"{}|]|->|-|/\\|\\/|//[^\n]*|\d+"
                     r"|\w+|\S)")
 _PLAIN = re.compile(r"\s*(\{[^{}]*\}|[A-Za-z_]\w*|:=|=>"
                     r"|[~()\[\]=.:;^!#+\"{}|]|->|-|/\\|\\/|\d+|\w+|\S)")
+_SPACE = r"\s*(?://[^\n]*\s*)*"
+_PROOF = re.compile(r"(\{[^{}]*\}|\"[^\"]*\"|[A-Za-z_]\w*|:=|=>"
+                    r"|[~()\[\]=.:;^!#+\"{}|]|->|-|/\\|\\/|\d+|\w+|\S)"
+                    + _SPACE)
+_LEADING = re.compile(_SPACE)
 
 NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 
@@ -75,18 +83,22 @@ def numeral(tok: str) -> int:
 class Tokens:
     """The tokens of text[begin:end], toks[i] being token i.  Positions,
     counted in the outermost text, are found only when asked for.  Plain
-    text has no quoted texts and no comments."""
+    text has no quoted texts and no comments; a proof file has no comment
+    tokens, its comments being space."""
 
     __slots__ = ("text", "begin", "end", "toks", "_outer", "_starts",
                  "_pattern")
 
     def __init__(self, text: str, begin: int = 0, end=None, outer=None,
-                 plain: bool = False):
+                 plain: bool = False, proof: bool = False):
         self.end = end = len(text) if end is None else end
-        self.text, self.begin = text, begin
         self._outer, self._starts = outer, None
         # a quote or "//" in plain text is a character like any other
         self._pattern = _PLAIN if plain else _TOKEN
+        if proof:
+            self._pattern = _PROOF
+            begin = _LEADING.match(text, begin, end).end()
+        self.text, self.begin = text, begin
         # no match may start in trailing space, where each would fail
         stop = begin + len(text[begin:end].rstrip())
         self.toks = self._pattern.findall(text, begin, stop)

@@ -23,6 +23,20 @@ record, `//` comments.  Examples of records:
 
 where <node> is either a nested record or a previously bound name.  The
 root of the proof is the last binding (or the last bare record).
+
+A file is read in one pass over its tokens, comments being dropped when it
+is tokenized.  One loop reads each record's items in the order of its
+rule's shape (_SHAPES), the records around it waiting on a stack, so
+nesting costs no recursion; a syntax error names the token where it is
+found, or the end of input, and its position.  A proof restates each
+premise's annotations in the conclusion above it, and each R10 writes
+P -> P' again, so one table per call maps the token text of each formula
+read, and of each parenthesized group in it that no other group holds, to
+its formula (see formulas.formula_at): an annotation's formula is keyed
+without its point, so {1 | X}, {2 | X} and an obligation's operand (X) are
+one object.  The table is hash-consing by text (Filliâtre & Conchon,
+"Type-safe modular hash-consing", ML Workshop 2006); it dies with its
+call.
 """
 
 from __future__ import annotations
@@ -99,177 +113,177 @@ class ProofSyntaxError(ParseError):
     pass
 
 
-class _ProofParser:
-    """Reads a proof file from its tokens.  A record being read is a
-    generator on an explicit stack, sent each premise it yields for, so
-    nested records cost no recursion.  A record's annotations are read
-    before its sequence, and R10 obligations after its conclusion."""
+# What a record holds after its rule name, one letter per item: J a
+# judgment {b | P} "S" {e | Q}, N a premise (a nested record or a bound
+# name), q a quoted obligation, x a name, # a numeral, j and n judgments
+# and premises up to "]"; the other letters are the tokens in _TOKEN_OF.
+_SHAPES = {"HYP": "#)", "R1": "NN=J)", "R6": "NN=J)", "R9": "xxN=J)",
+           "R10": "qNq=J)", "R5": "h[jk#s[n)",
+           **dict.fromkeys((f"A{i}" for i in range(1, 12)), "J)"),
+           **dict.fromkeys(("R2", "R3", "R4", "R7", "R8", "REPINTRO"),
+                           "N=J)")}
+_TOKEN_OF = {"=": "=>", ")": ")", "[": "[", "h": "hyps", "k": "k",
+             "s": "subproofs"}
+_WANTED = {"N": "a proof node", "n": "a proof node or ']'", "#": "a number",
+           "q": "a quoted obligation", "x": "a variable name",
+           **{c: repr(tok) for c, tok in _TOKEN_OF.items()}}
 
-    AXIOMS = {f"A{i}" for i in range(1, 12)}
-    RULES = {f"R{i}" for i in range(1, 11)}
 
-    def __init__(self, text: str):
-        self.src = Tokens(text)
-        self.toks = self.src.toks
-        self.i = 0
-        self.bindings: Dict[str, ProofNode] = {}
-        self.memo = {}
+def _fail(src: Tokens, i: int, what: str):
+    """Raises that what was expected where token i stands."""
+    tok = src.toks[i]
+    got = "end of input" if tok == EOF else repr(tok)
+    raise ProofSyntaxError(f"expected {what}, got {got}", src.start(i))
 
-    def _peek(self) -> str:
-        """The next token, once the comments before it are passed."""
-        while self.toks[self.i][:2] == "//":
-            self.i += 1
-        return self.toks[self.i]
 
-    def _item(self):
-        """The next item after comments: one of ( ) [ ] := =>, ("str", i)
-        or ("group", i) for token i, ("num", n), ("ident", name), or None."""
-        tok, i = self._peek(), self.i
-        self.i = i + 1
-        first = tok[0]
-        if first in '{"' and len(tok) > 1:
-            return ("str" if first == '"' else "group", i)
-        if tok in ("(", ")", "[", "]", ":=", "=>"):
-            return tok
-        if first in NAME_START and tok.isascii():
-            return ("ident", tok)
-        if first.isdecimal():
-            return ("num", numeral(tok))
-        if tok == EOF:
-            self.i = i
-            return None
-        # a lone "{" or '"' is one that does not close
-        raise ProofSyntaxError(f"unexpected {tok!r} at {self.src.start(i)}")
+def _is_name(tok: str) -> bool:
+    return tok[0] in NAME_START and tok.isascii()
 
-    def _expect(self, want):
-        if (got := self._item()) != want:
-            raise ProofSyntaxError(f"expected {want!r}, got {got!r}")
 
-    @staticmethod
-    def _check(item, kind: str, what: str):
-        if not (isinstance(item, tuple) and item[0] == kind):
-            raise ProofSyntaxError(f"expected {what}, got {item!r}")
-        return item
+def _rule(src: Tokens, i: int) -> str:
+    """The rule that token i names, in capitals."""
+    tok = src.toks[i]
+    if not _is_name(tok):
+        _fail(src, i, "a rule name")
+    if tok.upper() not in _SHAPES:
+        raise ProofSyntaxError(f"unknown rule {tok!r}", src.start(i))
+    return tok.upper()
 
-    def parse_file(self) -> ProofNode:
-        last = None
-        while (tok := self._item()) is not None:
-            if tok[0] == "ident":
-                self._expect(":=")
-                self._expect("(")
-                last = self.bindings[tok[1]] = self._record()
-            elif tok == "(":
-                last = self._record()
-            else:
-                raise ProofSyntaxError(f"expected a binding or record, got {tok!r}")
-        if last is None:
-            raise ProofSyntaxError("empty proof file")
-        return last
 
-    def _record(self) -> ProofNode:
-        stack = [self._body()]
-        node = None
-        while True:
-            try:
-                stack[-1].send(node)
-            except StopIteration as done:
-                stack.pop()
-                if not stack:
-                    return done.value
-                node = done.value
-                continue
-            tok = self._item()
-            if tok == "(":
-                if len(stack) >= MAX_DEPTH:
-                    raise ValueError(TOO_DEEP)
-                stack.append(self._body())
-                node = None
-            elif self._check(tok, "ident", "a proof node")[1] in self.bindings:
-                node = self.bindings[tok[1]]
-            else:
-                raise ProofSyntaxError(f"unknown proof name {tok[1]!r}")
+def _judgment(src: Tokens, i: int, texts: dict, table: dict) -> AssertedSeq:
+    """The judgment at tokens i..i+2, its annotations read before its
+    sequence, and each of the three texts once per file."""
+    toks = src.toks
+    pre = toks[i]
+    if pre[0] != "{" or len(pre) < 2:
+        _fail(src, i, "an annotation")
+    seq = toks[i + 1]
+    if seq[0] != '"' or len(seq) < 2:
+        _fail(src, i + 1, "a quoted sequence")
+    post = toks[i + 2]
+    if post[0] != "{" or len(post) < 2:
+        _fail(src, i + 2, "an annotation")
+    try:
+        b, p = texts.get(pre) or texts.setdefault(
+            pre, annotation_of(src.inner(i), table))
+        e, q = texts.get(post) or texts.setdefault(
+            post, annotation_of(src.inner(i + 2), table))
+    except ValueError as exc:
+        raise ProofSyntaxError(str(exc)) from exc
+    term = texts.get(seq) or texts.setdefault(
+        seq, sequence_of(src.inner(i + 1)))
+    return AssertedSeq(b, p, term, e, q)
 
-    def _read(self, reader, item):
-        """reader on the inside of the item's token, once per distinct text:
-        proofs repeat annotations (a premise's return in its conclusion)."""
-        memo = self.memo.setdefault(reader, {})
-        tok = self.toks[item[1]]
-        if tok not in memo:
-            memo[tok] = reader(self.src.inner(item[1]))
-        return memo[tok]
 
-    def _asserted(self, first=None) -> AssertedSeq:
-        pre = self._check(first or self._item(), "group", "an annotation")
-        seq = self._check(self._item(), "str", "a quoted sequence")
-        post = self._check(self._item(), "group", "an annotation")
-        try:
-            b, p = self._read(annotation_of, pre)
-            e, q = self._read(annotation_of, post)
-        except ValueError as exc:
-            raise ProofSyntaxError(str(exc)) from exc
-        return AssertedSeq(b, p, self._read(sequence_of, seq), e, q)
-
-    def _conclusion(self) -> AssertedSeq:
-        self._expect("=>")
-        concl = self._asserted()
-        self._expect(")")
-        return concl
-
-    def _body(self):
-        """Reads one record after its "(", yielding for each premise."""
-        rule = self._check(self._item(), "ident", "a rule name")[1].upper()
-        if rule in self.AXIOMS:
-            concl = self._asserted()
-            self._expect(")")
-            return ProofNode(rule, concl)
-        if rule == "HYP":
-            idx = self._check(self._item(), "num", "a hypothesis index")[1]
-            self._expect(")")
-            return ProofNode("HYP", hyp_index=idx)
-        if rule == "R5":
-            return (yield from self._r5())
-        if rule == "R10":
-            p_ob, prem, q_ob = self._item(), (yield), self._item()
-            obligations = [self._check(ob, "str", "a quoted obligation")
-                           for ob in (p_ob, q_ob)]
-            concl = self._conclusion()
-            return ProofNode("R10", concl, (prem,), obligations=tuple(
-                self._read(formula_of, ob) for ob in obligations))
-        if rule == "R9":
-            x, y = (self._check(self._item(), "ident", "a variable name")[1]
-                    for _ in range(2))
-            prem = yield
-            return ProofNode("R9", self._conclusion(), (prem,), rename=(x, y))
-        if rule in self.RULES or rule == "REPINTRO":
-            premises = [(yield)]
-            if rule in ("R1", "R6"):
-                premises.append((yield))
-            return ProofNode(rule, self._conclusion(), tuple(premises))
-        raise ProofSyntaxError(f"unknown rule {rule!r}")
-
-    def _r5(self):
-        self._expect(("ident", "hyps"))
-        self._expect("[")
-        hyps = []
-        while (tok := self._item()) != "]":
-            hyps.append(self._asserted(first=tok))
-        self._expect(("ident", "k"))
-        k = self._check(self._item(), "num", "the hypothesis index k")[1]
-        self._expect(("ident", "subproofs"))
-        self._expect("[")
-        subs = []
-        while self._peek() != "]":
-            subs.append((yield))
-        self.i += 1
-        self._expect(")")
+def _node(rule: str, items: list, src: Tokens, obligations: dict,
+          table: dict) -> ProofNode:
+    """The node of a record from the items its shape read; R10 reads its
+    obligations here, after its conclusion, each text once per file."""
+    if rule == "HYP":
+        return ProofNode("HYP", hyp_index=items[0])
+    if rule == "R5":
+        hyps, k, *subs = items
         if not 1 <= k <= len(hyps):
-            raise ProofSyntaxError(f"R5 index k={k} is not that of a hypothesis")
-        return ProofNode("R5", hyps[k - 1], hyps=tuple(hyps), k=k,
+            raise ProofSyntaxError(
+                f"R5 index k={k} is not that of a hypothesis")
+        return ProofNode("R5", hyps[k - 1], hyps=hyps, k=k,
                          premises=tuple(subs))
+    *items, concl = items
+    if rule == "R10":
+        p_ob, prem, q_ob = items
+        return ProofNode("R10", concl, (prem,), obligations=tuple(
+            obligations.get(src.toks[k]) or obligations.setdefault(
+                src.toks[k], formula_of(src.inner(k), 0, table))
+            for k in (p_ob, q_ob)))
+    if rule == "R9":
+        x, y, prem = items
+        return ProofNode("R9", concl, (prem,), rename=(x, y))
+    return ProofNode(rule, concl, tuple(items))
 
 
 def parse_proof(text: str) -> ProofNode:
-    return _ProofParser(text).parse_file()
+    """The proof in text, its last binding or bare record, read in one
+    pass over its tokens (see the module doc)."""
+    src = Tokens(text, proof=True)
+    toks = src.toks
+    texts = {}  # annotation or sequence token -> what it reads
+    obligations = {}  # R10's quoted token -> its formula
+    table = {}  # formula text -> (formula, depth), see formulas.formula_at
+    bindings: Dict[str, ProofNode] = {}
+    # the record being read: its rule, shape, the index in the shape of
+    # its next item and the items read; shape is None between records
+    shape = last = None
+    stack = []  # the records around it
+    i = 0
+    while True:
+        tok = toks[i]
+        if shape is None:  # a binding, a bare record or the end
+            if tok == EOF:
+                break
+            name = None
+            if tok != "(":
+                if not _is_name(tok):
+                    _fail(src, i, "a binding or record")
+                if toks[i + 1] != ":=":
+                    _fail(src, i + 1, "':='")
+                if toks[i + 2] != "(":
+                    _fail(src, i + 2, "'('")
+                name, i = tok, i + 2
+            rule = _rule(src, i + 1)
+            shape, pos, items = _SHAPES[rule], 0, []
+            i += 2
+            continue
+        want = shape[pos]
+        if want == "J" or want == "j" and tok != "]":
+            items.append(_judgment(src, i, texts, table))
+            pos += want == "J"
+            i += 3
+            continue
+        if want == "N" or want == "n" and tok != "]":
+            if tok == "(":
+                if len(stack) + 1 >= MAX_DEPTH:
+                    raise ValueError(TOO_DEEP)
+                stack.append((rule, shape, pos + (want == "N"), items))
+                rule = _rule(src, i + 1)
+                shape, pos, items = _SHAPES[rule], 0, []
+                i += 2
+                continue
+            if tok not in bindings:
+                if _is_name(tok):
+                    raise ProofSyntaxError(f"unknown proof name {tok!r}",
+                                           src.start(i))
+                _fail(src, i, _WANTED[want])
+            items.append(bindings[tok])
+            pos += want == "N"
+        elif want == ")":
+            if tok != ")":
+                _fail(src, i, "')'")
+            node = _node(rule, items, src, obligations, table)
+            if stack:
+                rule, shape, pos, items = stack.pop()
+                items.append(node)
+            else:
+                shape = None
+                last = node
+                if name is not None:
+                    bindings[name] = node
+        else:
+            if want == "q" and tok[0] == '"' and len(tok) > 1:
+                items.append(i)
+            elif want == "x" and _is_name(tok):
+                items.append(tok)
+            elif want == "#" and tok[0].isdecimal():
+                items.append(numeral(tok))
+            elif want == "j" or want == "n":  # tok is "]"
+                if want == "j":
+                    items = [tuple(items)]
+            elif tok != _TOKEN_OF.get(want):
+                _fail(src, i, _WANTED[want])
+            pos += 1
+        i += 1
+    if last is None:
+        raise ProofSyntaxError("empty proof file")
+    return last
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ import random
 from pga_hoare.formulas import (And, BoolLit, DeriveT, Eq, Exists, FALSE,
                                 Implies, Not, Or, RegOf, Reply, ReplyLit,
                                 ReplyT, TRUE, Var, format_formula)
-from pga_hoare.judgments import AssertedSeq, format_asserted
+from pga_hoare.judgments import AssertedSeq
 from pga_hoare.proofs import ProofNode, term_atoms
 from pga_hoare.syntax import (Basic, Concat, Halt, Instr, Jump, NegTest,
-                              PosTest, Repeat, concat_all, is_rep)
+                              PosTest, Repeat, concat_all, format_term,
+                              is_rep)
 
 from refparsers import ref_subst_derive
 
@@ -179,9 +180,24 @@ def random_proof(rng, max_depth=4) -> ProofNode:
     return node
 
 
-def format_proof(root: ProofNode) -> str:
+def format_grouped(f) -> str:
+    """Formula text with every operand parenthesized, as counter_zero.proof
+    and perfbench's register proofs write it."""
+    if isinstance(f, Not):
+        return f"~({format_grouped(f.body)})"
+    if isinstance(f, Exists):
+        return f"exists {f.var}:{f.sort}. ({format_grouped(f.body)})"
+    if isinstance(f, (And, Or, Implies)):
+        op = {And: "/\\", Or: "\\/", Implies: "->"}[type(f)]
+        return f"({format_grouped(f.left)}) {op} ({format_grouped(f.right)})"
+    return format_formula(f)
+
+
+def format_proof(root: ProofNode, grouped: bool = False) -> str:
     """Proof-file text for the tree: one binding per node, premises and
-    hypotheses' subproofs first, the root last."""
+    hypotheses' subproofs first, the root last; with grouped, every
+    operand of a formula is parenthesized."""
+    fmt = format_grouped if grouped else format_formula
     names = {}
     lines = []
     stack = [(root, False)]
@@ -194,22 +210,26 @@ def format_proof(root: ProofNode) -> str:
             stack.extend((p, False) for p in reversed(node.premises))
             continue
         names[id(node)] = name = f"n{len(names)}"
-        lines.append(f"{name} := {_record(node, names)}")
+        lines.append(f"{name} := {_record(node, names, fmt)}")
     return "\n".join(lines) + "\n"
 
 
-def _record(node: ProofNode, names) -> str:
+def _record(node: ProofNode, names, fmt) -> str:
+    def asserted(a):
+        return (f"{{{a.entry} | {fmt(a.pre)}}} \"{format_term(a.term)}\" "
+                f"{{{a.exit} | {fmt(a.post)}}}")
+
     premises = " ".join(names[id(p)] for p in node.premises)
     if node.rule == "HYP":
         return f"(HYP {node.hyp_index})"
     if node.rule == "R5":
-        hyps = " ".join(format_asserted(h) for h in node.hyps)
+        hyps = " ".join(asserted(h) for h in node.hyps)
         return f"(R5 hyps [{hyps}] k {node.k} subproofs [{premises}])"
-    concl = format_asserted(node.conclusion)
+    concl = asserted(node.conclusion)
     if node.rule.startswith("A"):
         return f"({node.rule} {concl})"
     if node.rule == "R10":
-        p, q = (format_formula(f) for f in node.obligations)
+        p, q = (fmt(f) for f in node.obligations)
         return f'(R10 "{p}" {premises} "{q}" => {concl})'
     if node.rule == "R9":
         x, y = node.rename

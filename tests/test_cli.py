@@ -549,12 +549,16 @@ def test_deep_input_is_capped_without_recursion(tmp_path, capsys):
                      '{1 | true} "c.incr ; !" {0 | %s}' % q]) == status
         assert capsys.readouterr().out == out
     # the checker compares 990 levels, substituted or not, without a frame
-    # per level; two spacings make two formula objects of one formula
-    def deep(left, right):
-        return "~" * k + f"{left} = nnc({right})"
-    one, other = deep("c", 0), deep("c ", 0)
+    # per level; parentheses make two formula objects of one formula, where
+    # a proof file reads one text, however spaced, into one object
+    def deep(left, right, group=False):
+        eq = f"{left} = nnc({right})"
+        return "~" * k + (f"({eq})" if group else eq)
+    one, other = deep("c", 0), deep("c", 0, group=True)
+    same = parse_proof('(A11 {1 | %s} "!" {0 | %s})' % (one, other)).conclusion
+    assert same.pre is not same.post
     r9 = '(R9 n m (A11 {1 | %s} "!" {0 | %s}) => {1 | %s} "!" {0 | %s})'
-    premise = (deep("c", "n"), deep("c ", "n"), deep("c", "m"))
+    premise = (deep("c", "n"), deep("c", "n", group=True), deep("c", "m"))
     for text, out in (
             ('(A11 {1 | %s} "!" {0 | %s})' % (one, other), "ACCEPTED\n"),
             ('(A9 {1 | %s} "#1" {1 | %s})' % (one, other), "ACCEPTED\n"),

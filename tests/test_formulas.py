@@ -134,6 +134,17 @@ def test_alpha_equivalence():
     assert not alpha_eq(a, parse_formula("exists n:nat. c = nnc(s(n))"))
     # free variables compare by name
     assert not alpha_eq(parse_formula("c = nnc(n)"), parse_formula("c = nnc(m)"))
+    # one object is equal to itself only under the same binders
+    body = parse_formula("c = nnc(n)")
+    for left, right, same in (("n", "n", True), ("n", "m", False),
+                              ("m", "n", False), ("m", "m", True)):
+        assert alpha_eq(Exists(left, "nat", body),
+                        Exists(right, "nat", body)) is same
+        assert alpha_eq(And(body, Exists(left, "nat", body)),
+                        And(body, Exists(right, "nat", body))) is same
+    assert alpha_eq(body, body)
+    assert not alpha_eq(body, body, "n", Var("m"))
+    assert alpha_eq(body, body, "m", Var("k"))
 
 
 def test_eval_simple():

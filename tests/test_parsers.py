@@ -161,6 +161,34 @@ def test_mutated_texts_agree_with_the_former_parsers():
         assert seen.get((kind, "parsed"), 0) > 20, kind
 
 
+def test_grouped_proofs_agree_with_the_former_parser():
+    # written with every operand parenthesized, as counter_zero.proof and
+    # perfbench's register proofs are, a proof repeats groups: an R10
+    # obligation's operands are the annotations of its record and premise,
+    # and a reader reads each group's text once per file
+    rng = random.Random(25)
+    texts = [proofgen.format_proof(proofgen.random_proof(rng), grouped=True)
+             for _ in range(60)]
+    shared = 0
+    for text in texts:
+        assert _assert_agree("proof", text) == "parsed", text
+        stack = [parse_proof(text)]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.premises)
+            if node.obligations:  # P' of P -> P', unless a constant
+                pre = node.premises[0].conclusion.pre
+                if pre is not TRUE and pre is not FALSE:
+                    shared += node.obligations[0].right is pre
+    assert shared > 20, shared
+    seen = {}
+    for _ in range(1500):
+        result = _assert_agree("proof", _mutate(rng, rng.choice(texts),
+                                                 rng.randint(1, 3)))
+        seen[result] = seen.get(result, 0) + 1
+    assert seen.get("raised", 0) > 100 and seen.get("parsed", 0) > 20, seen
+
+
 # ---------------------------------------------------------------------------
 # parse(format(x)) == x
 

@@ -7,6 +7,10 @@ import random
 
 import pytest
 
+from pga_hoare import formulas
+from pga_hoare.cli import main
+from pga_hoare.formulas import alpha_eq, parse_formula
+from pga_hoare.lexer import MAX_DEPTH, TOO_DEEP
 from pga_hoare.proofs import (ProofNode, ProofSyntaxError, check_proof,
                               parse_proof, term_atoms)
 from pga_hoare.records import replace
@@ -447,6 +451,23 @@ def test_parse_errors():
         parse_proof('(R5 hyps [{1 | true} "(!)^w" {0 | true}] k 2 subproofs [])')
 
 
+@pytest.mark.parametrize("text, error", [
+    ('(R10 true (A11 {1 | true} "!" {0 | true}) "true -> true"\n'
+     ' => {1 | true} "!" {0 | true})',
+     "expected a quoted obligation, got 'true' (at position 5)"),
+    ('x := (A11 {1 | true} "!" {0 | true})\ny\n',
+     "expected ':=', got end of input (at position 39)"),
+    ('x := (A11 {1 | true} "!" {0 | true}\n// unclosed\n',
+     "expected ')', got end of input (at position 48)"),
+])
+def test_proof_syntax_errors_name_the_token_and_its_position(
+        tmp_path, capsys, text, error):
+    proof = tmp_path / "bad.proof"
+    proof.write_text(text)
+    assert main(["check", str(proof)]) == 3
+    assert capsys.readouterr() == ("", f"parse error: {error}\n")
+
+
 def test_annotation_errors_are_proof_syntax_errors():
     with pytest.raises(ProofSyntaxError, match=r"point \| formula"):
         parse_proof('(A11 {1 true} "!" {0 | true})')
@@ -669,3 +690,91 @@ def test_mutated_proof_trees_are_checked_without_raising():
             assert result.accepted == (not result.failures)
             outcomes[result.accepted] += 1
     assert outcomes[True] and outcomes[False], outcomes
+
+
+# ---------------------------------------------------------------------------
+# one parse per distinct formula text of a file
+
+
+def _formulas(node):
+    """The formula objects of a tree, annotations and obligations."""
+    out, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.premises)
+        for a in filter(None, (node.conclusion,) + node.hyps):
+            out += [a.pre, a.post]
+        out += node.obligations or ()
+    return out
+
+
+def test_a_file_reads_each_formula_text_once():
+    text = """
+    x := (A11 {1 | c = nnc(0)} "!" {0 | c  =  nnc(0)})
+    (R10 "(c = nnc(0)) -> (c = nnc(0))" x "c = nnc(0) -> (c = nnc(0))"
+     => {2 | c = nnc(0)} "!" {0 | c = nnc(0)})
+    """
+    root = parse_proof(text)
+    first = root.premises[0].conclusion.pre
+    # one formula under two points, however spaced, and each obligation
+    # operand written as a group are one object
+    shared = [root.premises[0].conclusion.post, root.conclusion.pre,
+              root.conclusion.post, root.obligations[0].left,
+              root.obligations[0].right, root.obligations[1].right]
+    assert all(f is first for f in shared)
+    # a formula not written as a group is read anew
+    assert root.obligations[1].left == first
+    assert root.obligations[1].left is not first
+    # the table dies with its call: two reads share no formula object,
+    # leaving aside the module's constants
+    again = parse_proof(text)
+    mine = {id(f) for f in _formulas(root)}
+    assert mine.isdisjoint(id(f) for f in _formulas(again))
+    assert again == root
+
+
+def test_counter_zero_builds_each_distinct_equation_once(monkeypatch):
+    built = []
+
+    def spy(left, right):
+        built.append((left, right))
+        return eq(left, right)
+
+    eq = formulas.Eq
+    monkeypatch.setattr(formulas, "Eq", spy)
+    root = parse_proof((PROOF_DIR / "counter_zero.proof").read_text())
+    monkeypatch.undo()
+    assert len(built) <= 11, len(built)
+    assert root == parse_proof((PROOF_DIR / "counter_zero.proof").read_text())
+
+
+def test_a_group_from_the_table_counts_its_depth():
+    # X is read first as an annotation; "(X)" then comes from the table
+    # and must count X's depth, as a formula read from scratch does
+    proof = '(R10 "(%s)" (A11 {1 | %s} "!" {0 | true}) "true"' \
+        ' => {1 | %s} "!" {0 | true})'
+    for levels, fits in ((MAX_DEPTH - 2, True), (MAX_DEPTH - 1, False)):
+        x = "~" * levels + "true"
+        if fits:
+            root = parse_proof(proof % (x, x, x))
+            assert root.obligations[0] is root.conclusion.pre
+            assert alpha_eq(root.obligations[0], parse_formula(f"({x})"))
+        else:
+            for parse in (lambda: parse_proof(proof % (x, x, x)),
+                          lambda: parse_formula(f"({x})")):
+                with pytest.raises(ValueError, match=f"^{TOO_DEEP}$"):
+                    parse()
+
+
+def test_groups_inside_groups_are_not_keyed(monkeypatch):
+    # a key is the group's tokens joined: keying every level of a nest of
+    # 998 groups would join about half a million tokens, where one key
+    # for the outermost group reads each token once
+    ends = []
+    group_end = formulas._group_end
+    monkeypatch.setattr(formulas, "_group_end",
+                        lambda toks, i: ends.append(i) or group_end(toks, i))
+    nest = "(" * 998 + "true" + ")" * 998
+    root = parse_proof('(A11 {1 | %s} "!" {0 | %s})' % (nest, nest))
+    assert ends == [2]  # the annotation's first "(", after "1" and "|"
+    assert root.conclusion.pre is root.conclusion.post
