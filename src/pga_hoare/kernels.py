@@ -1,9 +1,10 @@
-"""Execution kernels: the segment loop, the apply loop and their encodings.
+"""Execution kernel: the segment loop and its encodings.
 
-Both loops run on flat integer arrays rather than on instruction and
-service objects.  The encode_* helpers build those arrays, apart from a
-thread's, which threads.extract builds and action_codes completes per
-family layout; decode_family turns final contents back into a family.
+The loop runs on flat integer arrays rather than on instruction and
+service objects.  encode_family and encode_canonical build those arrays,
+and decode_family turns final contents back into a family.  The thread
+semantics (threads.apply) shares none of this, so that the two semantics
+check each other.
 
 Encoding conventions:
   instruction ops:  0 basic, 1 positive test, 2 negative test, 3 jump, 4 halt
@@ -19,10 +20,9 @@ Encoding conventions:
   outcomes:         0 halted, 1 exited, 2 inactive, 3 budget exhausted
 
 Step budget: a run from a family may take state_bound * n * (c + 1)
-steps, where n is the number of representative positions (segment loop)
-or thread nodes (apply loop) and c the largest content in the family
-(0 when there is none).  Every executed instruction, jumps included, and
-every visited branch node is one step.
+steps, where n is the number of representative positions and c the
+largest content in the family (0 when there is none).  Every executed
+instruction, jumps included, is one step.
 
 Laps.  The runs that holds and sp make from the states of one judgment
 share a SegmentRuns: an outcome table (see run_segment_kernel) and lap
@@ -255,14 +255,6 @@ def decode_family(foci, kinds, contents) -> ServiceFamily:
     return family(items)
 
 
-def _action(focus, method, slot, kinds):
-    """(slot, method code) of an action on focus; -1 for what is absent."""
-    s = slot.get(focus, -1)
-    if s < 0:
-        return -1, -1
-    return s, _METHOD_CODE[kinds[s]].get(method, -1)
-
-
 def encode_canonical(c: CanonicalSequence, foci, kinds, unobserved=()):
     """(ops, arg1, arg2) arrays, one entry per representative position.
 
@@ -293,23 +285,11 @@ def encode_canonical(c: CanonicalSequence, foci, kinds, unobserved=()):
             else:
                 assert isinstance(instr, NegTest)
                 ops.append(2)
-            s, m = _action(instr.focus, instr.method, slot, kinds)
+            s = slot.get(instr.focus, -1)  # -1 for what is absent
             arg1.append(s)
-            arg2.append(m)
+            arg2.append(-1 if s < 0
+                        else _METHOD_CODE[kinds[s]].get(instr.method, -1))
     return ops, arg1, arg2
-
-
-def action_codes(focus, method, foci, kinds):
-    """(slots, codes) for apply_kernel: each thread node's focus slot and
-    method code under the family layout (foci, kinds); -1 for what is
-    absent, and for the leaves, whose focus is None."""
-    slot = {f: i for i, f in enumerate(foci)}
-    slots, codes = [], []
-    for f, m in zip(focus, method):
-        s, code = _action(f, m, slot, kinds)
-        slots.append(s)
-        codes.append(code)
-    return slots, codes
 
 
 def _step_limit(state_bound, n, contents):
@@ -720,38 +700,3 @@ class SegmentRuns:
         return run_segment_kernel(*self.code, self.entry, self.kinds,
                                   contents, self.state_bound, self.table)
 
-
-def apply_kernel(node_kind, node_slot, node_method, node_then, node_else,
-                 root, kinds, contents, state_bound):
-    """Walk an encoded regular thread against an encoded family.
-
-    node_kind: 0 stop, 1 dead, 2 branch.  Returns (outcome, final_contents)
-    with outcome HALTED (reached stop), INACTIVE (dead / divergence / reply
-    D / missing focus), or BUDGET.
-    """
-    contents = list(contents)
-    limit = _step_limit(state_bound, len(node_kind), contents)
-    cur = root
-    steps = 0
-    seen = set()
-    while True:
-        kind = node_kind[cur]
-        if kind == 0:
-            return HALTED, contents
-        if kind == 1:
-            return INACTIVE, None
-        key = (cur, tuple(contents))
-        if key in seen:
-            return INACTIVE, None
-        seen.add(key)
-        steps += 1
-        if steps > limit:
-            return BUDGET, None
-        slot = node_slot[cur]
-        if slot < 0:
-            return INACTIVE, None
-        reply, newc = _svc(kinds[slot], contents[slot], node_method[cur])
-        if reply == 2:
-            return INACTIVE, None
-        contents[slot] = newc
-        cur = node_then[cur] if reply == 1 else node_else[cur]

@@ -106,13 +106,17 @@ class Tokens:
 
     def start(self, i: int) -> int:
         """The offset of token i in the outermost text."""
+        if self._outer is None:
+            return self.local(i)
+        return self.local(i) + self._outer[0].start(self._outer[1])
+
+    def local(self, i: int) -> int:
+        """The offset of token i in self.text, found without the positions
+        of any outer text."""
         if self._starts is None:
             stop = self.begin + len(self.text[self.begin:self.end].rstrip())
             self._starts = [m.start(1) for m in self._pattern.finditer(
                 self.text, self.begin, stop)] + [self.end]
-            if self._outer is not None:
-                base = self._outer[0].start(self._outer[1])
-                self._starts = [base + pos for pos in self._starts]
         return self._starts[i]
 
     def inner(self, i: int) -> "Tokens":

@@ -184,7 +184,7 @@ def _instruction_at(src: Tokens, i: int):
     method = toks[i + 2]
     i += 3
     while (toks[i] == ":" or toks[i][0] == "_" or toks[i][0].isalnum()) and (
-            src.start(i) == src.start(i - 1) + len(toks[i - 1])):  # no space
+            src.local(i) == src.local(i - 1) + len(toks[i - 1])):  # no space
         method += toks[i]
         i += 1
     if not (focus + method).isascii():

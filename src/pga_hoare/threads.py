@@ -6,12 +6,13 @@ A segment S entered at b with exit offset e means the thread of the word
 into termination (e = 0 appends nothing).  `embed` makes that word from
 one read of S's instructions, with no term built.  A regular thread is a
 finite graph of Stop/Dead leaves and binary action branches, held as the
-node arrays the apply loop reads.  Extraction resolves the jump chain of
+node arrays that apply walks.  Extraction resolves the jump chain of
 every position in one loop from the last position down, then numbers the
 nodes reachable from the root breadth-first, so the thread has one node
 per useful representative position.  Applying a thread to a service
-family runs it to completion; divergence yields the empty family.  None
-of this shares code with the segment interpreter, so that the two
+family steps the family's own services (services.svc_step) until the
+run ends; divergence yields the empty family.  None of this shares code
+with the segment interpreter (kernels, segments), so that the two
 semantics check each other.
 """
 
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from . import kernels
 from .lexer import MAX_LENGTH
 from .records import record
-from .services import EMPTY_FAMILY, AlgebraConfig, ServiceFamily
+from .services import (EMPTY_FAMILY, AlgebraConfig, Reply, ServiceFamily,
+                       family, svc_step)
 from .syntax import (HALT, CanonicalSequence, Halt, Instr, Jump, NegTest,
                      PosTest, SequenceTerm, concat_all, flatten,
                      make_canonical, normalize)
@@ -37,14 +38,14 @@ STOP, DEAD, BRANCH = 0, 1, 2  # node kinds
 
 @record
 class RegularThread:
-    """A regular thread as the parallel node arrays kernels.apply_kernel
-    reads.  Node i is a stop leaf (kind 0), a dead leaf (kind 1) or a
-    branch (kind 2) on the action focus[i].method[i], which continues at
-    then[i] on reply T and at else_[i] on reply F.  Leaves have focus and
-    method None and both successors 0.  The nodes are those reachable from
-    the root, numbered breadth-first from it (the root is node 0), each
-    node's successors in the order then, else; so threads that are equal
-    graphs are equal.
+    """A regular thread as the parallel node arrays that apply walks.
+    Node i is a stop leaf (kind 0), a dead leaf (kind 1) or a branch (kind
+    2) on the action focus[i].method[i], which continues at then[i] on
+    reply T and at else_[i] on reply F.  Leaves have focus and method None
+    and both successors 0.  The nodes are those reachable from the root,
+    numbered breadth-first from it (the root is node 0), each node's
+    successors in the order then, else; so threads that are equal graphs
+    are equal.
     """
 
     kind: Tuple[int, ...]
@@ -54,11 +55,6 @@ class RegularThread:
     else_: Tuple[int, ...]
 
     root = 0
-
-    def __post_init__(self):
-        # (foci, kinds) of a family layout -> the nodes' (slots, method
-        # codes); not a field, so equality, hash and repr leave it out
-        object.__setattr__(self, "_codes", {})
 
     @property
     def nodes(self) -> Tuple[tuple, ...]:
@@ -152,8 +148,7 @@ def extract(c: CanonicalSequence) -> RegularThread:
     A node's key is the non-jump representative position its jumps resolve
     to; every halt is the one stop leaf (key 0) and inactivity the one dead
     leaf (key -1).  A thread that is one leaf is STOP_THREAD or DEAD_THREAD
-    itself: about half the threads of short segments are, and apply finds
-    their codes computed for each layout it has met in the process.
+    itself: about half the threads of short segments are.
     """
     instrs = (None,) + c.prefix + (c.period or ())
     keys = _jump_targets(c, instrs)
@@ -236,24 +231,46 @@ def apply(t: RegularThread, u: ServiceFamily,
 
     Stop yields the current family, Dead the empty family; a missing focus
     or a D reply also yields the empty family, as does divergence (revisit
-    of a (node, family) pair).  Raises BudgetExhausted when a counter grows
-    without the state ever repeating, and ValueError when u holds a service
-    of another kind than empty, counter and boolreg.
+    of a (node, family) pair).  Each branch node is one step, and a run may
+    take state_bound * nodes * (c + 1) of them, c the largest content in u
+    (a true register counts 1, an empty service 0).  Raises
+    BudgetExhausted when the run takes more, and ValueError when u holds a
+    service of another kind than empty, counter and boolreg.
     """
-    foci, kinds, contents = kernels.encode_family(u)
-    layout = (tuple(foci), tuple(kinds))
-    codes = t._codes.get(layout)
-    if codes is None:
-        codes = t._codes[layout] = kernels.action_codes(t.focus, t.method,
-                                                        foci, kinds)
-    outcome, final = kernels.apply_kernel(t.kind, *codes, t.then, t.else_,
-                                          t.root, kinds, contents,
-                                          cfg.state_bound)
-    if outcome == kernels.BUDGET:
-        raise BudgetExhausted("apply step budget exhausted")
-    if outcome == kernels.HALTED:
-        return kernels.decode_family(foci, kinds, final)
-    return EMPTY_FAMILY
+    slot, services, top = {}, [], 0  # slot: focus -> index in services
+    for f, s in u.entries:
+        if s.kind == "counter":
+            if s.content > top:
+                top = s.content
+        elif s.kind == "boolreg":
+            if s.content and not top:
+                top = 1
+        elif s.kind != "empty":
+            raise ValueError(f"unknown service kind {s.kind!r}")
+        slot[f] = len(services)
+        services.append(s)
+    kind, focus, method, then, else_ = (t.kind, t.focus, t.method, t.then,
+                                        t.else_)
+    limit = cfg.state_bound * len(kind) * (top + 1)
+    cur, steps, seen = t.root, 0, set()
+    while kind[cur] == BRANCH:
+        key = (cur, *services)
+        if key in seen:
+            return EMPTY_FAMILY
+        seen.add(key)
+        steps += 1
+        if steps > limit:
+            raise BudgetExhausted("apply step budget exhausted")
+        i = slot.get(focus[cur])
+        if i is None:
+            return EMPTY_FAMILY
+        reply, services[i] = svc_step(services[i], method[cur])
+        if reply is Reply.D:
+            return EMPTY_FAMILY
+        cur = then[cur] if reply is Reply.T else else_[cur]
+    if kind[cur] == DEAD:
+        return EMPTY_FAMILY
+    return family({f: services[i] for f, i in slot.items()})
 
 
 def thread_dump(t: RegularThread) -> str:

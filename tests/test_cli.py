@@ -443,8 +443,9 @@ def test_each_command_loads_only_what_it_runs(capsys):
             (["normalize", "(a.m ; !)^2"],
              {"formulas", "judgments", "segments", "kernels", "proofs",
               "threads"}),
+            # the thread semantics shares nothing with the interpreter's
             (["thread", "(-c.iszero ; #2 ; ! ; c.decr)^w"],
-             {"formulas", "proofs"}),
+             {"formulas", "proofs", "segments", "kernels"}),
             (["run", "(-c.iszero ; #2 ; ! ; c.decr)^w", "{c = counter(3)}"],
              {"proofs", "threads"}),
             (["--bound", "24", "holds", holds_example], {"proofs", "threads"}),

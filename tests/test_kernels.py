@@ -1,10 +1,11 @@
-"""The execution kernels against object-level reference semantics.
+"""The execution loops against object-level reference semantics.
 
-run_canonical and apply encode a family into integers and run the segment
-loop and the apply loop of `kernels`.  The references below step the
-ServiceFamily itself with services.svc_step under the same step-budget
-rule, so they check the loops' integer service step (`kernels._svc`), their
-cycle detection and their budget against the services' own semantics.
+run_canonical encodes a family into integers and runs the segment loop of
+`kernels`; apply walks the thread's node arrays over the family's services.
+The references below step the ServiceFamily itself with services.svc_step
+under the same step-budget rule, so they check the segment loop's integer
+service step (`kernels._svc`), both loops' cycle detection and their budget
+against the services' own semantics.
 """
 
 import collections
@@ -181,11 +182,11 @@ def test_kernels_match_the_reference_semantics():
 
 
 def test_apply_maps_the_thread_for_each_family_layout():
-    # apply keeps each thread's focus slots and method codes per family
-    # layout (foci and kinds).  One thread goes, in turn, to families in
-    # which its focus is a counter, a register, at slot 0 or 1, absent or
-    # empty, and to the empty family; each result must be the reference's,
-    # whichever layouts the thread met before.
+    # apply maps a thread's foci to the family's slots afresh on each call.
+    # One thread goes, in turn, to families in which its focus is a
+    # counter, a register, at slot 0 or 1, absent or empty, and to the
+    # empty family; each result must be the reference's, whichever
+    # families the thread met before.
     families = [family({"c": counter(3)}), family({"c": boolreg(True)}),
                 family({"c": counter(2), "r": boolreg(False)}),
                 family({"r": boolreg(True), "c": counter(1)}),

@@ -4,10 +4,11 @@ import collections
 import operator
 import pathlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from pga_hoare import formulas
+from pga_hoare import formulas, lexer
 from pga_hoare.cli import main
 from pga_hoare.formulas import alpha_eq, parse_formula
 from pga_hoare.lexer import MAX_DEPTH, TOO_DEEP
@@ -15,7 +16,7 @@ from pga_hoare.proofs import (ProofNode, ProofSyntaxError, check_proof,
                               parse_proof, term_atoms)
 from pga_hoare.records import replace
 from pga_hoare.services import AlgebraConfig
-from pga_hoare.syntax import parse_sequence
+from pga_hoare.syntax import SequenceSyntaxError, parse_sequence
 
 CFG = AlgebraConfig("counter", state_bound=16, quant_bound=20)
 BCFG = AlgebraConfig("boolreg")
@@ -466,6 +467,25 @@ def test_proof_syntax_errors_name_the_token_and_its_position(
     proof.write_text(text)
     assert main(["check", str(proof)]) == 3
     assert capsys.readouterr() == ("", f"parse error: {error}\n")
+
+
+def test_a_method_name_in_a_proof_file_finds_no_file_positions(monkeypatch):
+    # set:t is three adjacent tokens, told apart from "set: t" by their
+    # offsets in the quoted text; the token positions of the whole file are
+    # found for an error only, which names its position in the file
+    real, passes = lexer._PROOF, []
+    monkeypatch.setattr(lexer, "_PROOF", SimpleNamespace(
+        findall=real.findall,
+        finditer=lambda *args: passes.append(args) or real.finditer(*args)))
+    node = parse_proof('(A11 {1 | true} "r.set:t ; !" {0 | true})')
+    assert node.conclusion.term == parse_sequence("r.set:t ; !")
+    assert passes == []
+    for bad, at in (('(A11 {1 | true} "r.set:t ; ?" {0 | true})', "?"),
+                    ('(A11 {1 | true} "r.set: t ; !" {0 | true})', "t ;")):
+        with pytest.raises(SequenceSyntaxError) as caught:
+            parse_proof(bad)
+        assert caught.value.pos == bad.index(at), bad
+    assert len(passes) == 2
 
 
 def test_annotation_errors_are_proof_syntax_errors():

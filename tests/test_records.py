@@ -159,11 +159,10 @@ def test_post_init_validates():
         replace(Exited(1, EMPTY_FAMILY), offset=0)
 
 
-def test_thread_cache_is_left_out_of_equality_and_hash():
+def test_thread_rebuilt_from_its_fields_is_equal_and_hashes_equal():
     t1 = extract(normalize(parse_sequence("a.m ; !")))
     t2 = RegularThread(*(getattr(t1, n) for n in RegularThread._fields))
-    t1._codes[("a",), ("counter",)] = "filled"
-    assert t1 == t2 and hash(t1) == hash(t2) and t2._codes == {}
+    assert t1 == t2 and hash(t1) == hash(t2)
 
 
 def test_replace_changes_only_the_named_fields():

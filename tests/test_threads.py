@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from pga_hoare import threads
 from pga_hoare.lexer import MAX_LENGTH
+from pga_hoare.segments import BUDGET_OUT, Exited, Halted, run_canonical
 from pga_hoare.services import (AlgebraConfig, EMPTY, EMPTY_FAMILY, boolreg,
                                 counter, family)
 from pga_hoare.syntax import (Basic, CanonicalSequence, Concat, Halt, Instr,
@@ -236,6 +237,63 @@ def test_apply_budget_on_unbounded_growth():
     cfg = AlgebraConfig("counter", state_bound=10)
     with pytest.raises(BudgetExhausted):
         apply(t, family({"c": counter(0)}), cfg)
+
+
+# every counter method in every form, and jumps that abort, step and skip
+_COUNTER_WORDS = ([f"{sign}c.{m}" for sign in ("", "+", "-")
+                   for m in ("incr", "decr", "iszero")]
+                  + ["#0", "#1", "#2", "#3", "!"])
+
+
+def _counter_segment(rng):
+    """A short counter segment, half of them ending in a repetition."""
+    words = [rng.choice(_COUNTER_WORDS) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.5:
+        return " ; ".join(words)
+    cut = rng.randint(0, len(words) - 1)
+    period = " ; ".join(words[cut:])
+    return " ; ".join(words[:cut] + [f"({period})^w"])
+
+
+def test_counter_segments_agree_with_their_threads():
+    # The counter cross-oracle: run_canonical and apply(extract(embed(S, b,
+    # e))) must agree on every entry b, exit e and content, as criterion 4
+    # checks over the register.  A pair converges when the run halts, or
+    # exits at e > 0; it then yields the run's final family, and the empty
+    # family otherwise.  The runs that end take at most an eighth of their
+    # budget here (15 steps), so a budget-out is a run that grows c for
+    # ever, and must be one in both semantics alike.
+    rng = random.Random(31)
+    cfg = AlgebraConfig("counter", state_bound=12)
+    states = [family({"c": counter(k)}) for k in range(4)]
+    runs, applies = set(), set()
+    for _ in range(400):
+        text = _counter_segment(rng)
+        term = parse_sequence(text)
+        c = normalize(term)
+        n = len(c.prefix) + len(c.period or ())
+        # a repetition is entered at each position and once past them
+        for b in range(1, n + 2 if c.period else n + 1):
+            outs = [run_canonical(c, b, u, cfg) for u in states]
+            runs.update(type(out).__name__ for out in outs)
+            for e in range(4):
+                thread = extract(embed(term, b, e))
+                for u, out in zip(states, outs):
+                    try:
+                        got = apply(thread, u, cfg)
+                    except BudgetExhausted:
+                        got = BUDGET_OUT
+                    converges = (isinstance(out, Halted)
+                                 or (e > 0 and isinstance(out, Exited)
+                                     and out.offset == e))
+                    want = (out.state if converges
+                            else out if out is BUDGET_OUT else EMPTY_FAMILY)
+                    assert got == want, (text, b, e, u, out, got)
+                    applies.add("budget" if got is BUDGET_OUT
+                                else "empty" if got == EMPTY_FAMILY
+                                else "family")
+    assert runs == {"Halted", "Exited", "Inactive", "BudgetOut"}
+    assert applies == {"family", "empty", "budget"}
 
 
 # ---------------------------------------------------------------------------
