@@ -94,6 +94,7 @@ k = Q - 1 = Q - Λ + 1 is the first content at which q is undecided.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict
 
 from .formulas import (SORTS, And, BoolLit, DeriveT, EmptyServ, Eq, Exists,
@@ -124,10 +125,10 @@ class Facts:
     narrowings: dict
     serv_quantified: bool  # whether a quantifier ranges over serv
 
-    @property
+    @cached_property
     def fixes(self):
-        """name -> the conjuncts that can fix it (see _fixing), found when
-        read: only a state space reads them, and only a precondition's."""
+        """name -> the conjuncts that can fix it (see _fixing), found at
+        the first read: only state spaces read them, a precondition's."""
         return _fixing(self.conjuncts)
 
 
@@ -149,6 +150,12 @@ def _fixing(eqs) -> dict:
                 out.setdefault(side.name, []).append(
                     (nnc, k, other, getattr(leaf, "name", None)))
     return out
+
+
+def _root(parent: Dict[str, str], x: str) -> str:  # halving paths
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
 def analyze(f, foci=()) -> Facts:
@@ -175,12 +182,6 @@ def analyze(f, foci=()) -> Facts:
     numerals, links, serv_quantified = set(), 0, False
     top, narrowings = [], {}
     seen = {}  # an ∃'s variable -> its occurrences so far
-
-    def root(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     # (formula, bound variable -> declared sort, the equations of which
     # it is a top-level conjunct, or None)
     stack = [(f, {}, top)]
@@ -235,12 +236,12 @@ def analyze(f, foci=()) -> Facts:
                     if bound[name] != sort:
                         raise SortError(f"bound variable {name} used at sort "
                                         f"{sort}, declared {bound[name]}")
-                elif fixed.setdefault(root(name), sort) != sort:
+                elif fixed.setdefault(_root(parent, name), sort) != sort:
                     raise SortError(f"variable {name} used at sorts "
-                                    f"{fixed[root(name)]} and {sort}")
+                                    f"{fixed[_root(parent, name)]} and {sort}")
             if not eq_sort and len(local) == 2:
                 # x = y, two free variables: join their classes
-                a, b = root(left.name), root(right.name)
+                a, b = _root(parent, left.name), _root(parent, right.name)
                 sa, sb = fixed.get(a), fixed.get(b)
                 if sa and sb and sa != sb:
                     raise SortError(f"ill-sorted equality: {sa} = {sb}")
@@ -294,10 +295,11 @@ def analyze(f, foci=()) -> Facts:
                 narrowings[key] = None
             else:
                 narrowing[0].append(fix[:3])
-    focal = {root(x) for x in foci if x in parent} if foci else ()
-    out = {}
+    out, focal = {}, ()  # focal: the classes that hold a focus, if read
     for name in parent:
-        x = root(name)
+        x = _root(parent, name)
+        if x not in fixed and not focal:
+            focal = {_root(parent, y) for y in foci if y in parent}
         out[name] = fixed.get(x) or ("serv" if x in focal else None)
         if out[name] is None:
             raise SortError(f"cannot infer the sort of variable {name}")

@@ -854,13 +854,13 @@ class CompiledFormula:
         return self.evaluate(env)
 
 
-def compile_formula(f: Formula, cfg: AlgebraConfig,
-                    foci=()) -> CompiledFormula:
+def compile_formula(f: Formula, cfg: AlgebraConfig, foci=(),
+                    facts=None) -> CompiledFormula:
     """Compile f for repeated evaluation under cfg.
 
-    f is analysed once, here, as free_vars(f, foci) analyses it.
+    f is analysed as free_vars(f, foci) analyses it, unless facts are given.
     """
-    facts = analysis.analyze(f, foci)
+    facts = facts or analysis.analyze(f, foci)
     return CompiledFormula(facts, _compile(f, cfg, facts.narrowings))
 
 
@@ -1003,8 +1003,8 @@ class StateSpace:
         return dict(zip(self.names, values))
 
 
-def entails(p: Formula, q: Formula, cfg: AlgebraConfig,
-            foci=()) -> EntailVerdict:
+def entails(p: Formula, q: Formula, cfg: AlgebraConfig, foci=(),
+            compiler=compile_formula) -> EntailVerdict:
     """Does p -> q hold in the algebra, for all states and valuations?
 
     foci, those of a sequence, are of sort serv, as in holds; only those
@@ -1012,11 +1012,12 @@ def entails(p: Formula, q: Formula, cfg: AlgebraConfig,
     that p and q cannot tell apart (see analysis).  boolreg with no nat
     variables is decided exactly; otherwise the check is bounded:
     `bounded` means no countermodel exists within the bounds, `unknown`
-    means some case was undecided even within the bounds.
+    means some case was undecided even within the bounds.  p and q are
+    compiled by compiler(f, cfg, foci): a proof check passes its table.
     """
     if alpha_eq(p, q):
         return EntailVerdict("valid")
-    cp, cq = compile_formula(p, cfg, foci), compile_formula(q, cfg, foci)
+    cp, cq = compiler(p, cfg, foci), compiler(q, cfg, foci)
     serv, var_sorts = analysis.joint_sorts(cp.sorts, cq.sorts, foci)
     space = StateSpace(serv & (cp.sorts.keys() | cq.sorts.keys()), var_sorts,
                        cfg, cp.facts, cq.facts)

@@ -44,11 +44,11 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from .analysis import joint_sorts
+from . import analysis
 from .formulas import (And, DeriveT, Eq, Exists, FALSE, Formula, Implies,
                        Not, Or, ReplyLit, ReplyT, SortError, TRUE, Var,
-                       alpha_eq, entails, format_formula, formula_of,
-                       free_vars)
+                       alpha_eq, compile_formula, entails, format_formula,
+                       formula_of)
 from .judgments import AssertedSeq, annotation_of
 from .lexer import (EOF, MAX_DEPTH, NAME_START, ParseError, Tokens, TOO_DEEP,
                     numeral)
@@ -308,6 +308,9 @@ class _Checker:
         self.atoms_table = {}
         # a body's key (see _interned) -> this check's marker for the body
         self.markers = {}
+        # (id(f), foci or ()) -> [f, its Facts, its compiled form or None],
+        # (id(P), id(Q), foci) -> (P, Q, P -> Q's verdict); no SortError kept
+        self.formulas, self.verdicts = {}, {}
 
     def fail(self, path: str, reason: str):
         self.failures.append((path, reason))
@@ -325,6 +328,22 @@ class _Checker:
                 atoms = self._interned(atoms)
             hit = self.atoms_table[id(term)] = (term, atoms)
         return hit[1]
+
+    def _formula(self, f: Formula, foci: frozenset) -> list:
+        """f's entry, keyed by foci where a free variable is a focus."""
+        entry = (self.formulas.get((id(f), foci))
+                 or self.formulas.get((id(f), ())))
+        if entry is None:
+            facts = analysis.analyze(f, foci)
+            entry = self.formulas[id(f), foci if facts.sorts.keys() & foci
+                                  else ()] = [f, facts, None]
+        return entry
+
+    def compiled(self, f: Formula, cfg: AlgebraConfig, foci: frozenset):
+        """compile_formula(f, cfg, foci), cfg being this check's."""
+        entry = self._formula(f, foci)
+        entry[2] = entry[2] or compile_formula(f, cfg, foci, entry[1])
+        return entry[2]
 
     def _interned(self, atoms: tuple) -> tuple:
         """atoms with each repetition marker (REP, body) replaced by this
@@ -381,7 +400,8 @@ class _Checker:
         only the annotations it reads, and an axiom reads none."""
         foci = atoms_foci(self.atoms(c.term))
         try:
-            joint_sorts(free_vars(c.pre, foci), free_vars(c.post, foci), foci)
+            analysis.joint_sorts(self._formula(c.pre, foci)[1].sorts,
+                                 self._formula(c.post, foci)[1].sorts, foci)
         except SortError as exc:
             self.fail("root", f"annotations: {exc}")
 
@@ -659,7 +679,7 @@ class _Checker:
             self.fail(path, "R7: the invariant must be the same on both sides")
         foci = atoms_foci(self.atoms(c.term))
         try:
-            if free_vars(invariant, foci).keys() & foci:
+            if self._formula(invariant, foci)[1].sorts.keys() & foci:
                 self.fail(path, "R7: the invariant mentions a focus of S")
         except SortError as exc:
             self.fail(path, f"R7: {exc}")
@@ -678,7 +698,7 @@ class _Checker:
         if x in foci:
             self.fail(path, "R8: the bound variable is a focus of S")
         try:
-            if x in free_vars(c.post, foci):
+            if x in self._formula(c.post, foci)[1].sorts:
                 self.fail(path, "R8: the bound variable occurs free in Q")
         except SortError as exc:
             self.fail(path, f"R8: {exc}")
@@ -707,15 +727,20 @@ class _Checker:
                     c, p, "term", "entry", "exit")
         if node.obligations is not None:
             ob_pre, ob_post = node.obligations
-            if not alpha_eq(ob_pre, Implies(c.pre, p.pre)):
+            if not (type(ob_pre) is Implies and alpha_eq(ob_pre.left, c.pre)
+                    and alpha_eq(ob_pre.right, p.pre)):
                 self.fail(path, "R10: first obligation must be P -> P'")
-            if not alpha_eq(ob_post, Implies(p.post, c.post)):
+            if not (type(ob_post) is Implies and alpha_eq(ob_post.left, p.post)
+                    and alpha_eq(ob_post.right, c.post)):
                 self.fail(path, "R10: second obligation must be Q' -> Q")
         foci = atoms_foci(self.atoms(c.term))
         for what, lhs, rhs in (("P -> P'", c.pre, p.pre),
                                ("Q' -> Q", p.post, c.post)):
+            key = (id(lhs), id(rhs), foci)
             try:
-                verdict = entails(lhs, rhs, self.cfg, foci)
+                verdict = (self.verdicts.get(key) or self.verdicts.setdefault(
+                    key, (lhs, rhs, entails(lhs, rhs, self.cfg, foci,
+                                            self.compiled))))[2]
             except SortError as exc:
                 self.fail(path, f"R10: obligation {what}: {exc}")
                 continue

@@ -64,6 +64,8 @@ def record(cls=None, *, frozen: bool = True):
             params.append(f"{n}=_d_{n}")
         else:
             params.append(n)
+        # __init__ sidesteps a frozen __setattr__; self.__dict__ writes run
+        # fewer bytecodes but are slower: on CPython 3.11 they build a dict
         body.append(f"_setattr(self, {n!r}, {value})" if frozen
                     else f"self.{n} = {value}")
     if hasattr(cls, "__post_init__"):

@@ -237,7 +237,7 @@ def apply(t: RegularThread, u: ServiceFamily,
     BudgetExhausted when the run takes more, and ValueError when u holds a
     service of another kind than empty, counter and boolreg.
     """
-    slot, services, top = {}, [], 0  # slot: focus -> index in services
+    slot, services, contents, top = {}, [], [], 0  # slot: focus -> index
     for f, s in u.entries:
         if s.kind == "counter":
             if s.content > top:
@@ -249,12 +249,13 @@ def apply(t: RegularThread, u: ServiceFamily,
             raise ValueError(f"unknown service kind {s.kind!r}")
         slot[f] = len(services)
         services.append(s)
+        contents.append(s.content)
     kind, focus, method, then, else_ = (t.kind, t.focus, t.method, t.then,
                                         t.else_)
     limit = cfg.state_bound * len(kind) * (top + 1)
     cur, steps, seen = t.root, 0, set()
     while kind[cur] == BRANCH:
-        key = (cur, *services)
+        key = (cur, *contents)  # each slot keeps its kind
         if key in seen:
             return EMPTY_FAMILY
         seen.add(key)
@@ -264,9 +265,10 @@ def apply(t: RegularThread, u: ServiceFamily,
         i = slot.get(focus[cur])
         if i is None:
             return EMPTY_FAMILY
-        reply, services[i] = svc_step(services[i], method[cur])
+        reply, s = svc_step(services[i], method[cur])
         if reply is Reply.D:
             return EMPTY_FAMILY
+        services[i], contents[i] = s, s.content
         cur = then[cur] if reply is Reply.T else else_[cur]
     if kind[cur] == DEAD:
         return EMPTY_FAMILY

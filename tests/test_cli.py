@@ -898,11 +898,12 @@ def test_cutoff_makes_the_proof_check_independent_of_the_bound(
 
 
 def test_one_analysis_per_formula_in_the_proof_check(monkeypatch):
-    # one check of the golden proof at B=48, Q=51: each obligation that
-    # reaches a state space walks P and Q once each, and the space, the
-    # cut and the compiler read those walks' records; each of the two nat
-    # quantifiers has its narrowing built once
-    from pga_hoare import analysis
+    # one check of the golden proof at B=48, Q=51: the checker analyses
+    # and compiles each of the eight formula objects once and decides each
+    # obligation once; the spaces, the cuts and the compiler read those
+    # walks' records; the one nat quantifier, read by two obligations, has
+    # its narrowing built once
+    from pga_hoare import analysis, proofs
     walked, spaces, cuts, counts = [], [], [], collections.Counter()
     analyze, cut = analysis.analyze, analysis.cut
     init = formulas.StateSpace.__init__
@@ -919,8 +920,8 @@ def test_one_analysis_per_formula_in_the_proof_check(monkeypatch):
         spaces.append((pre, post))
         init(space, foci, var_sorts, cfg, pre, post)
 
-    def counted(name):
-        real = getattr(formulas, name)
+    def counted(module, name):
+        real = getattr(module, name)
 
         def spied(*args):
             counts[name] += 1
@@ -930,24 +931,99 @@ def test_one_analysis_per_formula_in_the_proof_check(monkeypatch):
     monkeypatch.setattr(analysis, "cut", cut_from)
     monkeypatch.setattr(formulas.StateSpace, "__init__", build)
     monkeypatch.setattr(formulas, "_narrowed_domain",
-                        counted("_narrowed_domain"))
+                        counted(formulas, "_narrowed_domain"))
+    monkeypatch.setattr(analysis, "_fixing", counted(analysis, "_fixing"))
+    for name in ("compile_formula", "entails"):
+        monkeypatch.setattr(proofs, name, counted(proofs, name))
     proof = parse_proof(pathlib.Path(PROOF).read_text())
     result = check_proof(proof, AlgebraConfig("counter", 48, 51))
     assert result.accepted and len(result.assumptions) == 5
-    # five of the ten obligations are settled by alpha-equivalence; the
-    # other five walk P and Q once each, and the checker's own sort
-    # checks walk four formulas
-    assert len(spaces) == 5 and len(walked) == 2 * 5 + 4
-    # P's top-level conjuncts are found once per space, by the walk whose
-    # record the space reads
+    # ten obligations on eight distinct (P, Q, foci) keys: three of the
+    # eight are settled by alpha-equivalence, five enumerate; the checker's
+    # own sort checks read formulas that R10 has already walked
+    # P's fixing conjuncts are found once per record (four Ps), and once
+    # for the quantifier's one disjunct that mentions its variable
+    assert dict(counts) == {"_narrowed_domain": 1, "compile_formula": 8,
+                            "entails": 8, "_fixing": 4 + 1}
+    assert len(spaces) == 5 and len(walked) == 8
+    # the spaces read the records of those walks; two obligations share
+    # their P
     records = {id(w) for w in walked}
     assert all(id(pre) in records and id(post) in records
                for pre, post in spaces)
-    assert len({id(pre) for pre, _ in spaces}) == 5
+    assert len({id(pre) for pre, _ in spaces}) == 4
     # the cut reads the same two records and is given no formula to walk
     assert len(cuts) == 5 and all(
         p is pre and q is post for (p, q), (pre, post) in zip(cuts, spaces))
-    assert dict(counts) == {"_narrowed_domain": 2}
+
+
+def test_the_checks_tables_die_with_the_check(monkeypatch):
+    # a second check of the same tree walks every formula again: the
+    # tables live in the checker, not on the formulas or in the module
+    from pga_hoare import analysis
+    walked, analyze = [], analysis.analyze
+
+    def walk(f, foci=()):
+        walked.append(analyze(f, foci))
+        return walked[-1]
+    monkeypatch.setattr(analysis, "analyze", walk)
+    proof = parse_proof(pathlib.Path(PROOF).read_text())
+    cfg = AlgebraConfig("counter", 48, 51)
+    first = check_proof(proof, cfg)
+    assert len(walked) == 8
+    second = check_proof(proof, cfg)
+    assert len(walked) == 16 and first == second
+    assert not {id(w) for w in walked[:8]} & {id(w) for w in walked[8:]}
+
+
+def test_an_ill_sorted_formula_fails_every_node_that_reads_it():
+    # one object read at two nodes: a SortError is not kept as an answer,
+    # so each node fails with its own message
+    axiom = 'a := (A11 {1 | s(n) = true} "!" {0 | s(n) = true})\n'
+    r8 = axiom + ('b := (R8 a => {1 | exists m:nat. s(n) = true} "!" '
+                  '{0 | s(n) = true})\n'
+                  '(R6 b b => {1 | (exists m:nat. s(n) = true) \\/ '
+                  '(exists m:nat. s(n) = true)} "!" {0 | s(n) = true})\n')
+    r10 = axiom + ('b := (R10 "s(n) = true /\\ true -> s(n) = true" a '
+                   '"s(n) = true -> s(n) = true" '
+                   '=> {1 | s(n) = true /\\ true} "!" {0 | s(n) = true})\n'
+                   '(R6 b b => {1 | (s(n) = true /\\ true) \\/ '
+                   '(s(n) = true /\\ true)} "!" {0 | s(n) = true})\n')
+    clash = "ill-sorted equality: nat = bool"
+    for text, message in ((r8, f"R8: {clash}"),
+                          (r10, f"R10: obligation P -> P': {clash}")):
+        result = check_proof(parse_proof(text), AlgebraConfig("counter", 3, 3))
+        assert not result.accepted
+        assert result.failures == [("root.R6[1]", message),
+                                   ("root.R6[2]", message)], text
+
+
+def test_a_bounded_obligation_at_two_nodes_is_assumed_at_each(
+        tmp_path, capsys, monkeypatch):
+    # the verdict is found once and recorded at each path that reads it
+    from pga_hoare import proofs
+    calls = []
+    entails = proofs.entails
+
+    def spied(*args):
+        calls.append(args[:2])
+        return entails(*args)
+    monkeypatch.setattr(proofs, "entails", spied)
+    proof = tmp_path / "twice.proof"
+    proof.write_text(
+        'a := (A11 {1 | c = nnc(0)} "!" {0 | c = nnc(0)})\n'
+        'b := (R10 "c = nnc(0) /\\ true -> c = nnc(0)" a '
+        '"c = nnc(0) -> c = nnc(0)" '
+        '=> {1 | c = nnc(0) /\\ true} "!" {0 | c = nnc(0)})\n'
+        '(R6 b b => {1 | (c = nnc(0) /\\ true) \\/ (c = nnc(0) /\\ true)} '
+        '"!" {0 | c = nnc(0)})\n')
+    assert main(["--bound", "3", "check", str(proof)]) == 0
+    assumed = " P -> P': c = nnc(0) /\\ true -> c = nnc(0) (bounded, B=3)\n"
+    assert capsys.readouterr().out == (
+        "ACCEPTED, 2 bounded entailment assumptions\n"
+        f"  assumed: root.R6[1]:{assumed}"
+        f"  assumed: root.R6[2]:{assumed}")
+    assert len(calls) == 2  # P -> P' and Q' -> Q, each once
 
 
 def test_quantifier_domains_at_a_large_bound_cost_no_memory(capsys):
