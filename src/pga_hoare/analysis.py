@@ -115,7 +115,7 @@ _SHIFTING = frozenset((Succ, Pred, DeriveT))
 _SHIFTS = frozenset(("incr", "decr"))
 
 
-@record(frozen=False)
+@record
 class Facts:
     """What one walk of a formula finds (see analyze)."""
     sorts: dict

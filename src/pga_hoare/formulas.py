@@ -468,15 +468,6 @@ def format_formula(f: Formula) -> str:
 
 
 # ---------------------------------------------------------------------------
-# free variables and sorts
-
-
-def free_vars(f: Formula, foci=()) -> Dict[str, str]:
-    """Free variables and their sorts, in reading order (see analysis)."""
-    return analysis.analyze(f, foci).sorts
-
-
-# ---------------------------------------------------------------------------
 # alpha-equivalence, under a substitution
 #
 # Bound variables compare by the depth of the quantifier that binds them,
@@ -621,24 +612,15 @@ def _compile_eq(f: Eq):
             same = lv == rv
             return lambda env: same
         lname, lops, rname, rv = rname, rops, None, lv
-    # counters below 4096, both registers and EMPTY are interned, so
-    # identity decides most service equations
-    if rname is None and isinstance(rv, Service):
-        kind, content = rv.kind, rv.content
-
-        def against_service(env):
-            v = env[lname]
-            for op in lops:
-                v = op(v)
-            return v is rv or (v.content == content and v.kind == kind)
-        return against_service
 
     def eq(env):
         a = env[lname]
         for op in lops:
             a = op(a)
+        # counters below 4096, both registers and EMPTY are interned, so
+        # identity decides most service equations
         if rname is None:
-            return a == rv
+            return a is rv or a == rv
         b = env[rname]
         for op in rops:
             b = op(b)
@@ -652,8 +634,8 @@ def _compile_eq(f: Eq):
 # φ[t/x] and ∀x.(x = t → φ) ≡ φ[t/x].  A value left out could neither
 # decide a result nor leave it undecided (False dominates None), so
 # results, witnesses and their enumeration order are unchanged.  A formula
-# that free_vars accepts cannot raise when evaluated, so no exception is
-# skipped either.
+# that analysis.analyze accepts cannot raise when evaluated, so no
+# exception is skipped either.
 
 
 def _operands(f: Formula, cls) -> list:
@@ -858,7 +840,7 @@ def compile_formula(f: Formula, cfg: AlgebraConfig, foci=(),
                     facts=None) -> CompiledFormula:
     """Compile f for repeated evaluation under cfg.
 
-    f is analysed as free_vars(f, foci) analyses it, unless facts are given.
+    f is analysed by analysis.analyze(f, foci), unless facts are given.
     """
     facts = facts or analysis.analyze(f, foci)
     return CompiledFormula(facts, _compile(f, cfg, facts.narrowings))
@@ -972,19 +954,8 @@ class StateSpace:
         foci, names, fixers, bound = (self.foci, self.names, self.fixers,
                                       self.bound)
         service, env = self.service, {}
-        # with every variable fixed, a state has at most one pair
-        fixed = ([(names[i], fix) for i, fix in fixers]
-                 if len(fixers) == len(names) else None)
         for contents in self.states():
             env.update(zip(foci, map(service, contents)))
-            if fixed is not None:
-                for name, fix in fixed:
-                    v = env[name] = fix(env)
-                    if v is None or v > bound:
-                        break
-                else:
-                    yield env, contents, tuple(map(env.__getitem__, names))
-                continue
             domains = self.domains
             if fixers:
                 domains = list(domains)

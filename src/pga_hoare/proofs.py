@@ -52,7 +52,7 @@ from .formulas import (And, DeriveT, Eq, Exists, FALSE, Formula, Implies,
 from .judgments import AssertedSeq, annotation_of
 from .lexer import (EOF, MAX_DEPTH, NAME_START, ParseError, Tokens, TOO_DEEP,
                     numeral)
-from .records import factory, record
+from .records import record
 from .services import AlgebraConfig, Reply
 from .syntax import (REP, Basic, Halt, Jump, NegTest, PosTest, is_rep,
                      sequence_of, term_atoms)
@@ -74,11 +74,11 @@ class ProofNode:
     obligations: Optional[Tuple[Formula, Formula]] = None  # R10 only
 
 
-@record(frozen=False)
+@record
 class CheckResult:
     accepted: bool
-    failures: List[Tuple[str, str]] = factory(list)
-    assumptions: List[str] = factory(list)
+    failures: List[Tuple[str, str]]
+    assumptions: List[str]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,6 @@ attribute of a field's name is its default) and then calls the class's
 __post_init__, if it has one; equality is class-exact and field by field;
 the hash is that of the field tuple; the repr reads Name(field=value, ...);
 and assigning or deleting any attribute raises AttributeError.
-`record(frozen=False)` leaves the instances mutable and unhashable, and a
-`factory` default is made afresh for each instance.
 
 __init__, __eq__ and __hash__ are compiled from one generated source,
 shared by the classes whose fields and defaults read alike.  That costs a
@@ -19,15 +17,6 @@ from __future__ import annotations
 
 _MISSING = object()
 _CODE = {}  # generated source -> its code: classes of one shape share it
-
-
-class factory:
-    """A field default made afresh for each instance by calling make()."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
 
 
 def _frozen_setattr(self, name, value):
@@ -43,31 +32,22 @@ def _repr(self):
     return f"{self.__class__.__qualname__}({shown})"
 
 
-def record(cls=None, *, frozen: bool = True):
-    """Class decorator: the class as a value class of its annotated
-    fields, frozen unless frozen=False."""
-    if cls is None:
-        return lambda c: record(c, frozen=frozen)
+def record(cls):
+    """Class decorator: the class as a frozen value class of its annotated
+    fields."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    env = {"_setattr": object.__setattr__, "_MISSING": _MISSING}
+    env = {"_setattr": object.__setattr__}
     params, body = ["self"], []
     for n in names:
         default = cls.__dict__.get(n, _MISSING)
-        value = n
-        if isinstance(default, factory):
-            delattr(cls, n)
-            env[f"_f_{n}"] = default.make
-            params.append(f"{n}=_MISSING")
-            value = f"_f_{n}() if {n} is _MISSING else {n}"
-        elif default is not _MISSING:
+        if default is not _MISSING:
             env[f"_d_{n}"] = default
             params.append(f"{n}=_d_{n}")
         else:
             params.append(n)
         # __init__ sidesteps a frozen __setattr__; self.__dict__ writes run
         # fewer bytecodes but are slower: on CPython 3.11 they build a dict
-        body.append(f"_setattr(self, {n!r}, {value})" if frozen
-                    else f"self.{n} = {value}")
+        body.append(f"_setattr(self, {n!r}, {n})")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     mine = "".join(f"self.{n}, " for n in names)
@@ -87,11 +67,8 @@ def record(cls=None, *, frozen: bool = True):
         env[method].__qualname__ = f"{cls.__qualname__}.{method}"
         setattr(cls, method, env[method])
     cls.__repr__ = _repr
-    if frozen:
-        cls.__setattr__ = _frozen_setattr
-        cls.__delattr__ = _frozen_delattr
-    else:
-        cls.__hash__ = None
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
     cls._fields = names
     return cls
 

@@ -16,8 +16,8 @@ from pga_hoare.formulas import (And, BoolLit, DeriveT, EmptyServ,
                                 Succ, TRUE, TrueF, Var, _formula_tokens,
                                 alpha_eq,
                                 compile_formula, entails, eval_formula,
-                                format_formula, free_vars,
-                                parse_formula, sort_domain)
+                                format_formula, parse_formula,
+                                sort_domain)
 from pga_hoare.lexer import Tokens
 from pga_hoare.services import (EMPTY, AlgebraConfig, Reply, boolreg, counter,
                                 family, svc_step)
@@ -63,14 +63,16 @@ def test_format_parse_roundtrip():
 
 def test_free_vars_and_sorts():
     f = parse_formula("c = nnc(n) \\/ d = nnc(0)")
-    assert free_vars(f) == {"c": "serv", "d": "serv", "n": "nat"}
-    assert free_vars(TRUE) == {}
-    assert free_vars(parse_formula("r[get](r) = :t")) == {"r": "serv"}
+    assert analysis.analyze(f).sorts == {
+        "c": "serv", "d": "serv", "n": "nat"}
+    assert analysis.analyze(TRUE).sorts == {}
+    assert analysis.analyze(parse_formula("r[get](r) = :t")).sorts == {
+        "r": "serv"}
 
 
 def test_sort_inference_rejects_clashes():
     with pytest.raises(SortError):
-        free_vars(parse_formula("x = nnc(0) /\\ x = 0"))
+        analysis.analyze(parse_formula("x = nnc(0) /\\ x = 0"))
 
 
 def test_sort_inference_refuses_unknown_sorts():
@@ -78,7 +80,7 @@ def test_sort_inference_refuses_unknown_sorts():
     unknown = Exists("x", "stack", Not(Exists("y", "nat", TRUE)))
     for f in (unknown, And(TRUE, Forall("n", "nat", unknown))):
         with pytest.raises(SortError, match="^unknown sort 'stack'$"):
-            free_vars(f)
+            analysis.analyze(f)
 
 
 def test_substitute_derive_for_focus():
@@ -117,7 +119,7 @@ def test_substitution_avoids_capture():
     f = parse_formula("exists n:nat. x = nnc(n)")
     g = ref_substitute(f, "x", Nnc(Var("n")))
     assert isinstance(g, Exists) and g.var != "n"
-    assert "n" in free_vars(g)
+    assert "n" in analysis.analyze(g).sorts
     # the walk reads the substituted n as free: the binder is renamed in
     # any text that it equals
     assert alpha_eq(g, f, "x", Nnc(Var("n")))
@@ -324,7 +326,7 @@ def _ref_eval(f, env, cfg):
 
 def _ref_eval_formula(f, state, cfg, valuation=None):
     env = dict(valuation or {})
-    for name, sort in free_vars(f).items():
+    for name, sort in analysis.analyze(f).sorts.items():
         if name in env:
             continue
         if sort == "serv":
@@ -368,7 +370,7 @@ def _ref_entails(p, q, cfg):
         return EntailVerdict("valid")
     sorts = {}
     for f in (p, q):
-        for name, sort in free_vars(f).items():
+        for name, sort in analysis.analyze(f).sorts.items():
             if name in sorts and sorts[name] != sort:
                 raise SortError(f"variable {name} used at two sorts")
             sorts[name] = sort
@@ -460,7 +462,7 @@ def _random_formulas(seed, cfg, count, depth=4):
     while len(out) < count:
         f = gen.formula(depth)
         try:
-            sorts = free_vars(f)
+            sorts = analysis.analyze(f).sorts
         except SortError:
             continue
         if sum(s == "serv" for s in sorts.values()) <= 2:
@@ -469,7 +471,7 @@ def _random_formulas(seed, cfg, count, depth=4):
 
 
 def _space(f, cfg):
-    sorts = free_vars(f)
+    sorts = analysis.analyze(f).sorts
     return enumerate_states({n for n, s in sorts.items() if s == "serv"},
                             {n: s for n, s in sorts.items() if s != "serv"},
                             cfg)[0]
@@ -1129,7 +1131,8 @@ def test_sort_inference_ignores_conjunct_order(cfg):
     formulas = _random_formulas(17, cfg, 200)
     for _ in range(300):
         a, b = rng.choice(formulas), rng.choice(formulas)
-        assert free_vars(And(a, b)) == free_vars(And(b, a)), (
+        assert (analysis.analyze(And(a, b)).sorts
+                == analysis.analyze(And(b, a)).sorts), (
             format_formula(a), format_formula(b))
 
 
@@ -1151,15 +1154,16 @@ def test_sort_inference_joins_chains_of_variables_in_any_order():
             f = eqs[0]
             for eq in eqs[1:]:
                 f = And(f, eq)
-            assert free_vars(f) == dict.fromkeys(names, sort)
+            assert analysis.analyze(f).sorts == dict.fromkeys(names, sort)
     # an equation between two variables of different sorts is ill-sorted
     with pytest.raises(SortError, match="ill-sorted equality: nat = bool"):
-        free_vars(parse_formula("n = 0 /\\ b = true /\\ n = b"))
+        analysis.analyze(parse_formula("n = 0 /\\ b = true /\\ n = b"))
     # unfixed classes: foci make theirs serv; the others cannot be inferred
-    assert free_vars(parse_formula("c = d /\\ m = d"), {"c"}) == {
+    assert analysis.analyze(parse_formula("c = d /\\ m = d"),
+                            {"c"}).sorts == {
         "c": "serv", "d": "serv", "m": "serv"}
     with pytest.raises(SortError, match="sort of variable m$"):
-        free_vars(parse_formula("c = d /\\ m = n"), {"d"})
+        analysis.analyze(parse_formula("c = d /\\ m = n"), {"d"})
 
 
 def test_sort_inference_of_long_chains_needs_no_recursion():
@@ -1170,7 +1174,7 @@ def test_sort_inference_of_long_chains_needs_no_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
-        sorts = free_vars(f)
+        sorts = analysis.analyze(f).sorts
     finally:
         sys.setrecursionlimit(limit)
     assert sorts == {f"x{i}": "nat" for i in range(999)}

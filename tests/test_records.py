@@ -42,8 +42,7 @@ def _bare(cls, values):
 
 def test_every_value_class_is_a_record():
     assert len(_records()) == 43
-    assert [c.__name__ for c in _records() if c.__hash__ is None] == [
-        "CheckResult"]
+    assert [c.__name__ for c in _records() if c.__hash__ is None] == []
 
 
 def test_equality_is_class_exact_and_field_by_field():
@@ -85,6 +84,7 @@ def test_hash_is_that_of_the_field_tuple():
 def test_fields_cannot_be_assigned_or_deleted():
     values = (Basic("c", "m"), AlgebraConfig(), counter(3), EMPTY_FAMILY,
               Halted(EMPTY_FAMILY), Verdict("holds"), ProofNode("A11"),
+              CheckResult(True, [], []),
               extract(normalize(parse_sequence("a.m ; !"))))
     for v in values:
         name = type(v)._fields[0]
@@ -108,7 +108,7 @@ def test_repr_names_the_class_and_its_fields():
     assert repr(Concat(Instr(HALT), Instr(Jump(2)))) == (
         "Concat(left=Instr(instruction=Halt()), "
         "right=Instr(instruction=Jump(offset=2)))")
-    assert repr(CheckResult(True)) == (
+    assert repr(CheckResult(True, [], [])) == (
         "CheckResult(accepted=True, failures=[], assumptions=[])")
     # the thread's per-layout cache is no field
     t = extract(normalize(parse_sequence("a.m ; !")))
@@ -127,14 +127,8 @@ def test_defaults():
     assert (node.conclusion, node.premises, node.hyps, node.k,
             node.hyp_index, node.rename, node.obligations) == (
         None, (), (), 0, 0, None, None)
-    # list defaults are made afresh, and the result stays mutable
-    a, b = CheckResult(True), CheckResult(False)
-    a.failures.append(("root", "x"))
-    assert b.failures == [] and a.assumptions is not b.assumptions
-    a.accepted = False
-    assert a == CheckResult(False, [("root", "x")], [])
     with pytest.raises(TypeError):
-        hash(a)
+        CheckResult(True)
     with pytest.raises(TypeError):
         Basic("c")
     with pytest.raises(TypeError):

@@ -15,10 +15,10 @@ import time
 
 import pytest
 
-from pga_hoare import kernels, segments
+from pga_hoare import formulas, kernels, segments
+from pga_hoare.analysis import analyze
 from pga_hoare.cli import main
-from pga_hoare.formulas import (TRUE, compile_formula, free_vars,
-                                 parse_formula)
+from pga_hoare.formulas import TRUE, compile_formula, parse_formula
 from pga_hoare.judgments import AssertedSeq, parse_asserted
 from pga_hoare.segments import (BUDGET_OUT, INACTIVE, Exited, Halted,
                                 NoPostCondition, Verdict, _decide,
@@ -243,6 +243,56 @@ def test_countdown_holds_at_4000_within_five_seconds(capsys):
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
 
+def test_a_pinned_countdown_takes_its_laps_by_stretches(monkeypatch):
+    # P pins c at B - 1: one state, ten million laps down to 0.  The run
+    # takes the laps that keep the key of c at its threshold as one
+    # stretch, so the work is counted in stretches, not in laps
+    stretches = []
+    stretch = kernels._stretch
+
+    def counted(*args):
+        stretches.append(args)
+        assert len(stretches) <= 10, "the run went lap by lap"
+        return stretch(*args)
+
+    monkeypatch.setattr(kernels, "_stretch", counted)
+    phi = parse_asserted("{1 | c = nnc(9999999)} (-c.iszero ; #2 ; ! ; "
+                         "c.decr)^w {0 | c = nnc(0)}")
+    bound = 10_000_000
+    assert holds(phi, AlgebraConfig("counter", state_bound=bound)) == (
+        Verdict("holds", bounded=True, bound=bound))
+    assert [s for s, _, _ in stretches] == [(9999999,), (1,)]
+
+
+class _Unwalked:
+    """A quantifier domain that must not be walked."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def __iter__(self):
+        raise AssertionError(f"walked {self.values!r}")
+
+
+def test_a_pinned_quantifier_does_not_walk_its_domain(monkeypatch):
+    # Q's quantifier has a conjunct c = nnc(n) that fixes n, so each final
+    # tries one n, not the Q + 1 values of its domain
+    sort_domain = formulas.sort_domain
+
+    def domain(sort, cfg):
+        values, exhaustive = sort_domain(sort, cfg)
+        return (_Unwalked(values) if sort == "nat" else values), exhaustive
+
+    monkeypatch.setattr(formulas, "sort_domain", domain)
+    phi = parse_asserted('{1 | true} "c.incr ; !" '
+                         '{0 | ~(exists n:nat. c = nnc(n) /\\ ~n = n)}')
+    cfg = AlgebraConfig("counter", state_bound=50, quant_bound=1_000_000)
+    why = "postcondition undecided within the quantifier bound"
+    assert holds(phi, cfg) == Verdict(
+        "unknown", reason=why, bound=50,
+        witness=(family({"c": counter(0)}), {}, why))
+
+
 def test_transfer_holds_at_4000_within_five_seconds(capsys):
     # 16 million states: those with c and d at 5 or more go by lines of
     # the lap c - 1, d + 1, one run per line end
@@ -323,7 +373,7 @@ def _per_state(c, b, e, post, foci, cfg, pre=TRUE):
     in name order, for each state."""
     compiled_pre, compiled_post = (compile_formula(f, cfg) for f in (pre, post))
     names = sorted({n for f in (pre, post)
-                    for n, s in free_vars(f).items() if s == "nat"})
+                    for n, s in analyze(f).sorts.items() if s == "nat"})
     q = functools.cache(lambda state, values: compiled_post(
         state, dict(zip(names, values))))
     image, undecided = set(), None
@@ -413,7 +463,8 @@ def test_line_sweep_matches_state_by_state_runs(monkeypatch):
         c = normalize(term)
         lap = len(c.period)
         foci = sorted(set(focus_methods(c))
-                      | {n for n, s in free_vars(post).items() if s == "serv"})
+                      | {n for n, s in analyze(post).sorts.items()
+                         if s == "serv"})
         expected, image = _per_state(c, b, e, post, foci, cfg)
         phi = AssertedSeq(b, TRUE, term, e, post)
         assert holds(phi, cfg) == expected, (c, b, e, post, cfg)
@@ -815,7 +866,7 @@ def test_unobserved_counters_match_state_by_state_runs(monkeypatch):
         c = normalize(phi.term)
         foci = sorted(set(focus_methods(c))
                       | {n for f in (phi.pre, phi.post)
-                         for n, s in free_vars(f).items() if s == "serv"})
+                         for n, s in analyze(f).sorts.items() if s == "serv"})
         cfg = AlgebraConfig("counter", state_bound=bound, quant_bound=qbound)
         expected, _ = _per_state(c, phi.entry, phi.exit, phi.post, foci, cfg,
                                  phi.pre)
