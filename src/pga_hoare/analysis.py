@@ -1,6 +1,8 @@
 """One walk per formula: the facts that compiling, enumerating and the
 cutoff read.  `analyze` walks a formula once and returns its Facts;
-`compile_formula`, `StateSpace` and `cut` read them and walk nothing.
+`StateSpace` and `cut` read them and walk nothing.  `compile_formula`
+reads only their narrowings: it walks the formula again, recursively in
+`formulas._compile`, to build its closures.
 
 The cutoff for an isolated counter.  `entails` enumerates each counter
 content from 0 to B.  Where one counter is the only thing that varies,

@@ -868,6 +868,37 @@ class EntailVerdict:
     bound: Optional[int] = None
 
 
+def _product(domains):
+    """The tuples of itertools.product(*domains), the last domain varying
+    fastest, with no domain copied, as a product copies each: a domain is
+    iterated again for every value of those before it, so a range of
+    B + 1 values stays a range."""
+    if len(domains) < 2:
+        return zip(*domains) if domains else iter(((),))
+    return _odometer(domains)
+
+
+_DONE = object()  # what an exhausted domain's iterator gives _odometer
+
+
+def _odometer(domains):
+    *outer, last = domains
+    # its[i] iterates outer[i]; head holds the current values before it
+    its, head = [iter(outer[0])], []
+    while its:
+        v = next(its[-1], _DONE)
+        if v is _DONE:
+            its.pop()
+            if head:
+                head.pop()
+        elif len(its) < len(outer):
+            head.append(v)
+            its.append(iter(outer[len(its)]))
+        else:
+            yield from zip(*map(itertools.repeat, head), itertools.repeat(v),
+                           last)
+
+
 class StateSpace:
     """The (state, valuation) pairs that a bounded check enumerates.
 
@@ -941,10 +972,8 @@ class StateSpace:
         return ()
 
     def states(self):
-        """The contents of every state, in enumeration order; one focus's
-        domain is not copied, as a product copies it."""
-        domains = self.focus_domains
-        return (zip if len(domains) == 1 else itertools.product)(*domains)
+        """The contents of every state, in enumeration order."""
+        return _product(self.focus_domains)
 
     def pairs(self):
         """Yield (env, contents, values) per pair: the state's contents and
@@ -962,7 +991,7 @@ class StateSpace:
                 for i, fix in fixers:
                     v = fix(env)
                     domains[i] = () if v is None or v > bound else (v,)
-            for values in itertools.product(*domains):
+            for values in _product(domains):
                 env.update(zip(names, values))
                 yield env, contents, values
 

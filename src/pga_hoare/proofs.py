@@ -303,13 +303,15 @@ class _Checker:
         self.failures: List[Tuple[str, str]] = []
         self.assumptions: List[str] = []
         self.stack = []
-        # id(term) -> (term, its atoms), for this check only; holding the
-        # term keeps its id from being reused while the table lives
+        # id(term) -> [term, its atoms, their foci or None until read], for
+        # this check only; holding the term keeps its id from being reused
+        # while the table lives
         self.atoms_table = {}
         # a body's key (see _interned) -> this check's marker for the body
         self.markers = {}
         # (id(f), foci or ()) -> [f, its Facts, its compiled form or None],
-        # (id(P), id(Q), foci) -> (P, Q, P -> Q's verdict); no SortError kept
+        # (id(P), id(Q), foci) -> [P, Q, P -> Q's verdict, its assumed text
+        # once a bounded one is formatted]; no SortError kept
         self.formulas, self.verdicts = {}, {}
 
     def fail(self, path: str, reason: str):
@@ -321,13 +323,21 @@ class _Checker:
         """term_atoms(term), computed once per term object: a proof names
         a premise's term again in its conclusion and in the rules above.
         Keyed by identity, since hashing a term walks all of it."""
-        hit = self.atoms_table.get(id(term))
-        if hit is None:
-            atoms = term_atoms(term)
-            if tuple in map(type, atoms):  # it holds a repetition marker
-                atoms = self._interned(atoms)
-            hit = self.atoms_table[id(term)] = (term, atoms)
-        return hit[1]
+        return (self.atoms_table.get(id(term)) or self._entry(term))[1]
+
+    def foci(self, term) -> frozenset:
+        """atoms_foci of term's atoms, found once per term object."""
+        hit = self.atoms_table.get(id(term)) or self._entry(term)
+        if hit[2] is None:
+            hit[2] = atoms_foci(hit[1])
+        return hit[2]
+
+    def _entry(self, term) -> list:
+        atoms = term_atoms(term)
+        if tuple in map(type, atoms):  # it holds a repetition marker
+            atoms = self._interned(atoms)
+        entry = self.atoms_table[id(term)] = [term, atoms, None]
+        return entry
 
     def _formula(self, f: Formula, foci: frozenset) -> list:
         """f's entry, keyed by foci where a free variable is a focus."""
@@ -398,7 +408,7 @@ class _Checker:
         """Records a sort clash in c's annotations, read as holds reads
         them: the foci of c's term are of sort serv.  Each rule sort-checks
         only the annotations it reads, and an axiom reads none."""
-        foci = atoms_foci(self.atoms(c.term))
+        foci = self.foci(c.term)
         try:
             analysis.joint_sorts(self._formula(c.pre, foci)[1].sorts,
                                  self._formula(c.post, foci)[1].sorts, foci)
@@ -677,7 +687,7 @@ class _Checker:
         invariant = c.pre.right
         if not alpha_eq(invariant, c.post.right):
             self.fail(path, "R7: the invariant must be the same on both sides")
-        foci = atoms_foci(self.atoms(c.term))
+        foci = self.foci(c.term)
         try:
             if self._formula(invariant, foci)[1].sorts.keys() & foci:
                 self.fail(path, "R7: the invariant mentions a focus of S")
@@ -694,7 +704,7 @@ class _Checker:
         x = c.pre.var
         if not alpha_eq(c.pre.body, p.pre):
             self.fail(path, "R8: the body must match the premise precondition")
-        foci = atoms_foci(self.atoms(c.term))
+        foci = self.foci(c.term)
         if x in foci:
             self.fail(path, "R8: the bound variable is a focus of S")
         try:
@@ -711,7 +721,7 @@ class _Checker:
             self.fail(path, "R9: missing the variable pair")
             return
         x, y = node.rename
-        foci = atoms_foci(self.atoms(c.term))
+        foci = self.foci(c.term)
         if x in foci or y in foci:
             self.fail(path, "R9: renamed variables must not be foci of S")
         if not alpha_eq(c.pre, p.pre, x, Var(y)):
@@ -733,23 +743,26 @@ class _Checker:
             if not (type(ob_post) is Implies and alpha_eq(ob_post.left, p.post)
                     and alpha_eq(ob_post.right, c.post)):
                 self.fail(path, "R10: second obligation must be Q' -> Q")
-        foci = atoms_foci(self.atoms(c.term))
+        foci = self.foci(c.term)
         for what, lhs, rhs in (("P -> P'", c.pre, p.pre),
                                ("Q' -> Q", p.post, c.post)):
             key = (id(lhs), id(rhs), foci)
             try:
-                verdict = (self.verdicts.get(key) or self.verdicts.setdefault(
-                    key, (lhs, rhs, entails(lhs, rhs, self.cfg, foci,
-                                            self.compiled))))[2]
+                entry = self.verdicts.get(key) or self.verdicts.setdefault(
+                    key, [lhs, rhs, entails(lhs, rhs, self.cfg, foci,
+                                            self.compiled), None])
             except SortError as exc:
                 self.fail(path, f"R10: obligation {what}: {exc}")
                 continue
+            verdict = entry[2]
             if verdict.kind == "valid":
                 continue
             if verdict.kind == "bounded" and not self.strict:
-                self.assumptions.append(
-                    f"{path}: {what}: {format_formula(lhs)} -> "
-                    f"{format_formula(rhs)} (bounded, B={verdict.bound})")
+                # formatted once; the nodes that read it differ in path only
+                entry[3] = entry[3] or (
+                    f"{format_formula(lhs)} -> {format_formula(rhs)} "
+                    f"(bounded, B={verdict.bound})")
+                self.assumptions.append(f"{path}: {what}: {entry[3]}")
                 continue
             self.fail(path, f"R10: obligation {what} is {verdict.kind}")
 

@@ -7,13 +7,24 @@ __post_init__, if it has one; equality is class-exact and field by field;
 the hash is that of the field tuple; the repr reads Name(field=value, ...);
 and assigning or deleting any attribute raises AttributeError.
 
-__init__, __eq__ and __hash__ are compiled from one generated source,
-shared by the classes whose fields and defaults read alike.  That costs a
-small part of what `dataclasses`, and the modules it imports, cost at
-every start-up of the command line.
+The fields live in slots, as with dataclass(slots=True): `record` rebuilds
+the class with __slots__ for its fields and without the class attributes
+that held the defaults.  An instance then has no __dict__, unless its
+class declares a cached property, which caches into one.  __init__ stores
+each field through its slot's descriptor (`cls.field.__set__`), which
+sidesteps the frozen __setattr__ at the cost of one call per field.
+Slots restored by default would go through that __setattr__, so copying
+and pickling rebuild a record through its constructor instead (__reduce__).
+
+__init__, __eq__, __hash__ and __reduce__ are compiled from one generated
+source, shared by the classes whose fields and defaults read alike.  That
+costs a small part of what `dataclasses`, and the modules it imports, cost
+at every start-up of the command line.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 _MISSING = object()
 _CODE = {}  # generated source -> its code: classes of one shape share it
@@ -33,37 +44,46 @@ def _repr(self):
 
 
 def record(cls):
-    """Class decorator: the class as a frozen value class of its annotated
-    fields."""
-    names = tuple(cls.__dict__.get("__annotations__", ()))
-    env = {"_setattr": object.__setattr__}
-    params, body = ["self"], []
+    """Class decorator: the class, rebuilt with a slot per annotated field,
+    as a frozen value class of those fields."""
+    body = dict(cls.__dict__)
+    names = tuple(body.get("__annotations__", ()))
+    env, params = {}, ["self"]
     for n in names:
-        default = cls.__dict__.get(n, _MISSING)
+        default = body.pop(n, _MISSING)
         if default is not _MISSING:
             env[f"_d_{n}"] = default
             params.append(f"{n}=_d_{n}")
         else:
             params.append(n)
-        # __init__ sidesteps a frozen __setattr__; self.__dict__ writes run
-        # fewer bytecodes but are slower: on CPython 3.11 they build a dict
-        body.append(f"_setattr(self, {n!r}, {n})")
+    for name in ("__dict__", "__weakref__"):
+        body.pop(name, None)
+    cached = any(isinstance(v, cached_property) for v in body.values())
+    body["__slots__"] = names + ("__dict__",) * cached
+    body["__qualname__"] = cls.__qualname__
+    cls = type(cls)(cls.__name__, cls.__bases__, body)
+    lines = []
+    for n in names:
+        env[f"_set_{n}"] = getattr(cls, n).__set__  # n's slot descriptor
+        lines.append(f"_set_{n}(self, {n})")
     if hasattr(cls, "__post_init__"):
-        body.append("self.__post_init__()")
+        lines.append("self.__post_init__()")
     mine = "".join(f"self.{n}, " for n in names)
     theirs = "".join(f"other.{n}, " for n in names)
     src = (f"def __init__({', '.join(params)}):\n"
-           + "".join(f"    {line}\n" for line in body or ["pass"])
+           + "".join(f"    {line}\n" for line in lines or ["pass"])
            + "def __eq__(self, other):\n"
            "    if other.__class__ is self.__class__:\n"
            f"        return ({mine}) == ({theirs})\n"
            "    return NotImplemented\n"
            "def __hash__(self):\n"
-           f"    return hash(({mine}))\n")
+           f"    return hash(({mine}))\n"
+           "def __reduce__(self):\n"
+           f"    return self.__class__, ({mine})\n")
     if src not in _CODE:
         _CODE[src] = compile(src, "<record>", "exec")
     exec(_CODE[src], env)
-    for method in ("__init__", "__eq__", "__hash__"):
+    for method in ("__init__", "__eq__", "__hash__", "__reduce__"):
         env[method].__qualname__ = f"{cls.__qualname__}.{method}"
         setattr(cls, method, env[method])
     cls.__repr__ = _repr

@@ -269,7 +269,7 @@ def _search(c: CanonicalSequence, phi: AssertedSeq, cfg: AlgebraConfig,
         sweep = runs.sweep(cfg.state_bound) if pv else None
         if sweep is not None:
             states, lines = sweep
-        else:  # a product copies its ranges, so only where no sweep is
+        else:
             states = observed.states() if pv is not False else ()
         cases = ((contents, (), runs.run(contents) if pv else None)
                  for contents in states)

@@ -838,6 +838,20 @@ def test_a_large_bound_costs_no_memory(capsys):
         "HOLDS (bounded, B=1000000)\nHOLDS (bounded, B=1000000000)\n")
 
 
+def test_a_free_nat_variable_at_a_large_bound_costs_no_memory(capsys):
+    # n ranges over 0..B: the pairs enumerated iterate its range rather
+    # than a copy of it, as itertools.product would make
+    tracemalloc.start()
+    try:
+        assert main(["--bound", "100000", "holds",
+                     '{1 | s(n) = s(n)} "!" {0 | true}']) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
+    assert capsys.readouterr().out == "HOLDS (bounded, B=100000)\n"
+
+
 def test_fixed_focus_at_a_large_bound_costs_no_memory(capsys):
     # P fixes the countdown's counter at 5: one state runs, whatever B is,
     # and no range of B + 1 contents is copied
@@ -957,6 +971,22 @@ def test_one_analysis_per_formula_in_the_proof_check(monkeypatch):
         p is pre and q is post for (p, q), (pre, post) in zip(cuts, spaces))
 
 
+def test_the_foci_of_a_term_are_found_once_per_check(monkeypatch):
+    # the golden proof's rules and the root's sort check read the foci of
+    # four term objects, eight times in all: each is found once, beside
+    # the term's atoms
+    from pga_hoare import proofs
+    found, atoms_foci = [], proofs.atoms_foci
+
+    def spied(atoms):
+        found.append(atoms)
+        return atoms_foci(atoms)
+    monkeypatch.setattr(proofs, "atoms_foci", spied)
+    proof = parse_proof(pathlib.Path(PROOF).read_text())
+    assert check_proof(proof, AlgebraConfig("counter", 48, 51)).accepted
+    assert len(found) == 4 and len({id(a) for a in found}) == 4
+
+
 def test_the_checks_tables_die_with_the_check(monkeypatch):
     # a second check of the same tree walks every formula again: the
     # tables live in the checker, not on the formulas or in the module
@@ -1002,13 +1032,18 @@ def test_a_bounded_obligation_at_two_nodes_is_assumed_at_each(
         tmp_path, capsys, monkeypatch):
     # the verdict is found once and recorded at each path that reads it
     from pga_hoare import proofs
-    calls = []
-    entails = proofs.entails
+    calls, formatted = [], []
+    entails, format_formula = proofs.entails, proofs.format_formula
 
     def spied(*args):
         calls.append(args[:2])
         return entails(*args)
+
+    def format_spied(f):
+        formatted.append(f)
+        return format_formula(f)
     monkeypatch.setattr(proofs, "entails", spied)
+    monkeypatch.setattr(proofs, "format_formula", format_spied)
     proof = tmp_path / "twice.proof"
     proof.write_text(
         'a := (A11 {1 | c = nnc(0)} "!" {0 | c = nnc(0)})\n'
@@ -1024,6 +1059,8 @@ def test_a_bounded_obligation_at_two_nodes_is_assumed_at_each(
         f"  assumed: root.R6[1]:{assumed}"
         f"  assumed: root.R6[2]:{assumed}")
     assert len(calls) == 2  # P -> P' and Q' -> Q, each once
+    # the bounded one's two formulas are formatted once for both lines
+    assert len(formatted) == 2 and formatted == list(calls[0])
 
 
 def test_quantifier_domains_at_a_large_bound_cost_no_memory(capsys):

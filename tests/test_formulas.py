@@ -14,6 +14,7 @@ from pga_hoare.formulas import (And, BoolLit, DeriveT, EmptyServ,
                                 MissingFocusError, NatLit, Nnc, Not, Or, Pred,
                                 RegOf, ReplyLit, ReplyT, SortError, StateSpace,
                                 Succ, TRUE, TrueF, Var, _formula_tokens,
+                                _product,
                                 alpha_eq,
                                 compile_formula, entails, eval_formula,
                                 format_formula, parse_formula,
@@ -678,6 +679,22 @@ def test_one_point_nnc_facing_other_services():
         space = StateSpace({"c"}, {"n": "nat"}, BCFG,
                            analysis.analyze(parse_formula(text)))
         assert list(space.pairs()) == []
+
+
+def test_the_product_of_domains_is_itertools_product():
+    # StateSpace enumerates with its own product, which copies no domain:
+    # the same tuples in the same order as itertools.product, for empty
+    # domains too, and with no frame per domain
+    rng = random.Random(31)
+    for _ in range(500):
+        domains = [rng.choice((range(rng.randint(0, 3)),
+                               tuple("abc"[:rng.randint(0, 3)]),
+                               [True, False][:rng.randint(0, 2)]))
+                   for _ in range(rng.randint(0, 4))]
+        assert list(_product(domains)) == list(
+            itertools.product(*domains)), domains
+    many = [(i,) for i in range(5000)] + [range(2)]
+    assert list(_product(many)) == list(itertools.product(*many))
 
 
 def test_one_point_entails_at_the_state_bound():

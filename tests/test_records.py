@@ -1,21 +1,25 @@
 """Value classes: equality, hashing, immutability, repr and defaults."""
 
+import copy
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
+from functools import cached_property
 
 import pytest
 
 import pga_hoare
-from pga_hoare import (formulas, judgments, proofs, segments, services,
-                       syntax, threads)
+from pga_hoare import (analysis, formulas, judgments, proofs, segments,
+                       services, syntax, threads)
 from pga_hoare.formulas import (And, EmptyServ, EntailVerdict, Eq, Nnc,
                                 NatLit, Pred, Succ, TrueF, Var, parse_formula)
 from pga_hoare.judgments import AssertedSeq
-from pga_hoare.proofs import CheckResult, ProofNode
+from pga_hoare.proofs import CheckResult, ProofNode, check_proof, parse_proof
 from pga_hoare.records import replace
-from pga_hoare.segments import Exited, Halted, Verdict
+from pga_hoare.segments import (BUDGET_OUT, INACTIVE, Exited, Halted,
+                                Verdict, holds)
 from pga_hoare.services import (EMPTY_FAMILY, AlgebraConfig, Service,
                                 ServiceFamily, counter)
 from pga_hoare.syntax import (HALT, Basic, Concat, Instr, Jump, NegTest,
@@ -23,6 +27,8 @@ from pga_hoare.syntax import (HALT, Basic, Concat, Instr, Jump, NegTest,
 from pga_hoare.threads import RegularThread, extract
 
 MODULES = (formulas, syntax, services, segments, judgments, proofs, threads)
+PROOF = pathlib.Path(__file__).resolve().parent.parent / "proofs" / (
+    "counter_zero.proof")
 
 
 def _records():
@@ -38,6 +44,66 @@ def _bare(cls, values):
     for name, value in zip(cls._fields, values):
         object.__setattr__(obj, name, value)
     return obj
+
+
+def _samples():
+    """class -> one of its instances, each found inside values that the
+    layers build: a proof, its check, a formula with every term, a
+    sequence with every instruction, verdicts, outcomes and a thread."""
+    cfg = AlgebraConfig("counter", 3, 3)
+    term = parse_sequence("a.m ; (+b.n ; #2 ; -c.k)^2 ; (!)^w")
+    roots = [parse_proof(PROOF.read_text()),
+             check_proof(parse_proof(PROOF.read_text()), cfg),
+             parse_formula("forall b:bool. exists n:nat. ~(c = nnc(p(s(n))))"
+                           " \\/ (r = reg(true) /\\ d[incr](c) = empty /\\ "
+                           "r[iszero](c) = :t) -> false \\/ (true /\\ n = 0)"),
+             term, normalize(term), extract(normalize(term)),
+             holds(AssertedSeq(1, parse_formula("true"),
+                               parse_sequence("c.incr ; !"), 0,
+                               parse_formula("c = nnc(0)")), cfg),
+             formulas.entails(parse_formula("true"),
+                              parse_formula("c = nnc(0)"), cfg, {"c"}),
+             Halted(EMPTY_FAMILY), Exited(1, EMPTY_FAMILY), INACTIVE,
+             BUDGET_OUT, cfg]
+    found, stack = {}, roots
+    while stack:
+        v = stack.pop()
+        if hasattr(type(v), "_fields"):
+            found.setdefault(type(v), v)
+            stack.extend(getattr(v, n) for n in v._fields)
+        elif isinstance(v, (tuple, list)):
+            stack.extend(v)
+        elif isinstance(v, dict):
+            stack.extend(v.values())
+    return found
+
+
+def test_every_record_survives_copying_and_pickling():
+    # slots restored by default would go through the frozen __setattr__:
+    # a record is rebuilt through its constructor instead
+    samples = _samples()
+    assert sorted(samples, key=lambda c: c.__name__) == _records()
+    for cls, v in samples.items():
+        for twin in (copy.copy(v), copy.deepcopy(v),
+                     pickle.loads(pickle.dumps(v))):
+            assert twin.__class__ is cls and twin == v, cls
+
+
+def test_fields_live_in_slots():
+    # a record keeps its fields in slots and has no __dict__, except where
+    # its class declares a cached property, which caches into one
+    samples = list(_samples().values())
+    facts = analysis.analyze(parse_formula("c = nnc(0)"), frozenset({"c"}))
+    for v in samples + [facts]:
+        cls = type(v)
+        cached = any(isinstance(a, cached_property)
+                     for a in vars(cls).values())
+        assert hasattr(v, "__dict__") is cached, cls
+        assert set(cls._fields) <= set(cls.__slots__), cls
+    assert facts.fixes is facts.fixes and list(vars(facts)) == ["fixes"]
+    assert copy.deepcopy(facts) == facts
+    with pytest.raises(TypeError):
+        vars(Basic("c", "m"))
 
 
 def test_every_value_class_is_a_record():
