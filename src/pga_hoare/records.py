@@ -16,10 +16,10 @@ sidesteps the frozen __setattr__ at the cost of one call per field.
 Slots restored by default would go through that __setattr__, so copying
 and pickling rebuild a record through its constructor instead (__reduce__).
 
-__init__, __eq__, __hash__ and __reduce__ are compiled from one generated
-source, shared by the classes whose fields and defaults read alike.  That
-costs a small part of what `dataclasses`, and the modules it imports, cost
-at every start-up of the command line.
+__init__, __eq__ and __hash__ are compiled from one generated source,
+shared by the classes whose fields and defaults read alike.  That costs a
+small part of what `dataclasses`, and the modules it imports, cost at
+every start-up of the command line.
 """
 
 from __future__ import annotations
@@ -41,6 +41,10 @@ def _frozen_delattr(self, name):
 def _repr(self):
     shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
     return f"{self.__class__.__qualname__}({shown})"
+
+
+def _reduce(self):
+    return self.__class__, tuple(getattr(self, n) for n in self._fields)
 
 
 def record(cls):
@@ -77,16 +81,15 @@ def record(cls):
            f"        return ({mine}) == ({theirs})\n"
            "    return NotImplemented\n"
            "def __hash__(self):\n"
-           f"    return hash(({mine}))\n"
-           "def __reduce__(self):\n"
-           f"    return self.__class__, ({mine})\n")
+           f"    return hash(({mine}))\n")
     if src not in _CODE:
         _CODE[src] = compile(src, "<record>", "exec")
     exec(_CODE[src], env)
-    for method in ("__init__", "__eq__", "__hash__", "__reduce__"):
+    for method in ("__init__", "__eq__", "__hash__"):
         env[method].__qualname__ = f"{cls.__qualname__}.{method}"
         setattr(cls, method, env[method])
     cls.__repr__ = _repr
+    cls.__reduce__ = _reduce
     cls.__setattr__ = _frozen_setattr
     cls.__delattr__ = _frozen_delattr
     cls._fields = names
