@@ -52,8 +52,8 @@ def _samples():
     sequence with every instruction, verdicts, outcomes and a thread."""
     cfg = AlgebraConfig("counter", 3, 3)
     term = parse_sequence("a.m ; (+b.n ; #2 ; -c.k)^2 ; (!)^w")
-    roots = [parse_proof(PROOF.read_text()),
-             check_proof(parse_proof(PROOF.read_text()), cfg),
+    proof = parse_proof(PROOF.read_text())
+    roots = [proof, check_proof(proof, cfg),
              parse_formula("forall b:bool. exists n:nat. ~(c = nnc(p(s(n))))"
                            " \\/ (r = reg(true) /\\ d[incr](c) = empty /\\ "
                            "r[iszero](c) = :t) -> false \\/ (true /\\ n = 0)"),
